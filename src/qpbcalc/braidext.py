@@ -15,7 +15,7 @@ from .calculus import Element, GradedTensor, graded_antipode
 from .ncalg import NCPoly
 from .qpb import CompleteCalculus, h_complete_delta
 from .report import CheckReport, timed
-from .scalars import Scalar
+from .scalars import Scalar, sign
 
 
 class UnsupportedDegreeError(Exception):
@@ -98,7 +98,6 @@ def _tau_mono(cc, w, F) -> GradedTensor:
         return cached
     oh, oa = cc.omega_H, cc.omega_A
     legs = (oa, oa)
-    minus = Scalar.from_int(-1)
     if len(F) > MAX_TAU_DEGREE:
         raise UnsupportedDegreeError(
             f"translation map implemented for degree <= {MAX_TAU_DEGREE}")
@@ -114,13 +113,12 @@ def _tau_mono(cc, w, F) -> GradedTensor:
         xi = _tau_one_letter(cc, pairs[0][1])
         nxt = GradedTensor.zero(legs)
         for (p_mono, q_mono), c_xi in xi.terms.items():
-            degp = len(p_mono[1])
-            sign = minus ** ((i * degp) % 2)
             left = GradedTensor(legs, {
                 (p_mono, ((), ())): Scalar.one()})
             right = GradedTensor(legs, {
                 (((), ()), q_mono): Scalar.one()})
-            nxt = nxt + left.wedge(cur).wedge(right).scale(c_xi * sign)
+            nxt = nxt + left.wedge(cur).wedge(right).scale(
+                c_xi * sign(i * len(p_mono[1])))
         cur = nxt
     cache[key] = cur
     return cur
@@ -196,7 +194,6 @@ def sigma_bullet(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
         cache = cc._sigbul_cache = {}
     legs = (oa, oa)
     out = GradedTensor.zero(legs)
-    minus = Scalar.from_int(-1)
     for key, c in x.terms.items():
         piece = cache.get(key)
         if piece is None:
@@ -205,12 +202,12 @@ def sigma_bullet(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
             deg_eta = len(m2[1])
             d = cc._delta_mono(*m1)
             for ((w0, f0), (w1, f1)), c2 in d.terms.items():
-                sign = minus ** ((len(f1) * deg_eta) % 2)
                 t = _tau_mono(cc, w1, f1)
                 head = oa.mul(Element(oa, {(w0, f0): Scalar.one()}),
                               Element(oa, {m2: Scalar.one()}))
                 lifted = GradedTensor.of(legs, head, oa.unit())
-                piece = piece + lifted.wedge(t).scale(c2 * sign)
+                piece = piece + lifted.wedge(t).scale(
+                    c2 * sign(len(f1) * deg_eta))
             cache[key] = piece
         out = out + piece.scale(c)
     return out
@@ -222,19 +219,18 @@ def sigma_bullet_inv(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
     oa, oh = cc.omega_A, cc.omega_H
     legs = (oa, oa)
     out = GradedTensor.zero(legs)
-    minus = Scalar.from_int(-1)
     for (m1, m2), c in x.terms.items():
         deg_omega = len(m1[1])
         d = cc._delta_mono(*m2)
         for ((w0, f0), (w1, f1)), c2 in d.terms.items():
-            sign = minus ** (((deg_omega + len(f0)) * len(f1)) % 2)
             sinv = graded_antipode(oh, Element(oh, {(w1, f1): Scalar.one()}),
                                    inverse=True)
             t = tau_bullet(cc, sinv)
             tail = oa.mul(Element(oa, {m1: Scalar.one()}),
                           Element(oa, {(w0, f0): Scalar.one()}))
             lifted = GradedTensor.of(legs, oa.unit(), tail)
-            out = out + t.wedge(lifted).scale(c * c2 * sign)
+            out = out + t.wedge(lifted).scale(
+                c * c2 * sign((deg_omega + len(f0)) * len(f1)))
     return out
 
 
@@ -374,14 +370,13 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
                 prod = oh.mul(t1m, t2m)
                 lhs = tau_bullet(cc, prod)
                 rhs = GradedTensor.zero(legs2)
-                minus = Scalar.from_int(-1)
                 ta = tau_bullet(cc, t1m)
                 tb = tau_bullet(cc, t2m)
                 for (b1, b2), cb in tb.terms.items():
-                    sign = minus ** ((_element_degree(t1m) * len(b1[1])) % 2)
                     left = GradedTensor(legs2, {(b1, ((), ())): Scalar.one()})
                     right = GradedTensor(legs2, {(((), ()), b2): Scalar.one()})
-                    rhs = rhs + left.wedge(ta).wedge(right).scale(cb * sign)
+                    rhs = rhs + left.wedge(ta).wedge(right).scale(
+                        cb * sign(_element_degree(t1m) * len(b1[1])))
                 ok = (GradedBalancedTensor(cc, raw=lhs)
                       == GradedBalancedTensor(cc, raw=rhs))
                 rep.record(ok, f"TauBul3({n1};{n2})", "product rule holds",
@@ -441,7 +436,6 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
                        ref="coaction on the first leg twists by the antipode")
         # graded centrality over base forms
         base_forms = [cc.omega_A.unit()] + cc.base_form_basis(1, 2)
-        minus = Scalar.from_int(-1)
         for hname, theta in hels:
             t = tau_bullet(cc, theta)
             dt = _element_degree(theta)
@@ -449,7 +443,7 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
                 dxi = _element_degree(xi)
                 left = GradedTensor.of(legs2, xi, oa.unit()).wedge(t)
                 right = t.wedge(GradedTensor.of(legs2, oa.unit(), xi)).scale(
-                    minus ** ((dxi * dt) % 2))
+                    sign(dxi * dt))
                 ok = (GradedBalancedTensor(cc, raw=left)
                       == GradedBalancedTensor(cc, raw=right))
                 rep.record(ok, f"central({hname};base{i})",

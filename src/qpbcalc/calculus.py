@@ -12,7 +12,7 @@ from __future__ import annotations
 from .linalg import in_span, kernel, rref
 from .ncalg import NCPoly
 from .report import CheckReport, timed
-from .scalars import Scalar
+from .scalars import Scalar, sign
 
 
 class CalculusError(Exception):
@@ -288,9 +288,8 @@ class DiffCalculus:
             df = self.d_letter.get(f)
             if df is None:
                 raise CalculusError(f"{self.name}: no differential for {f}")
-            sign = Scalar.from_int(-1) ** i
             piece = self.product(self.form(*F[:i]), df, self.form(*F[i + 1:]))
-            out = out + piece.scale(sign)
+            out = out + piece.scale(sign(i))
         self._dletters_cache[F] = out
         return out
 
@@ -468,7 +467,6 @@ class GradedTensor:
         """(x1 (x) ... (x) xn)(y1 (x) ... (x) yn) with Koszul signs."""
         assert self.legs == other.legs
         out = GradedTensor(self.legs)
-        minus = Scalar.from_int(-1)
         for key1, c1 in self.terms.items():
             degs1 = [len(F) for _, F in key1]
             for key2, c2 in other.terms.items():
@@ -476,27 +474,25 @@ class GradedTensor:
                 e = sum(degs1[i] * degs2[j]
                         for i in range(len(self.legs))
                         for j in range(i))
-                sign = minus ** (e % 2)
                 polys = []
                 for leg, (w1, F1), (w2, F2) in zip(self.legs, key1, key2):
                     el = leg.mul(Element(leg, {(w1, F1): Scalar.one()}),
                                  Element(leg, {(w2, F2): Scalar.one()}))
                     polys.append(el)
-                _distribute_elements(out, polys, c1 * c2 * sign)
+                _distribute_elements(out, polys, c1 * c2 * sign(e))
         return out
 
     def d(self) -> "GradedTensor":
         """Tensor differential with graded Leibniz signs across legs."""
         out = GradedTensor(self.legs)
-        minus = Scalar.from_int(-1)
         for key, c in self.terms.items():
             degs = [len(F) for _, F in key]
             for i, leg in enumerate(self.legs):
-                sign = minus ** (sum(degs[:i]) % 2)
+                s = sign(sum(degs[:i]))
                 dx = leg.d(Element(leg, {key[i]: Scalar.one()}))
                 for mono, c2 in dx.terms.items():
                     _add(out.terms, key[:i] + (mono,) + key[i + 1:],
-                         c * c2 * sign)
+                         c * c2 * s)
         return out
 
     def component(self, degrees) -> "GradedTensor":
@@ -743,12 +739,11 @@ def graded_antipode(calc: DiffCalculus, x: Element, inverse=False) -> Element:
                     f"graded antipode needs d(generator) letters, got {f}")
             gens.append(pairs[0][1])
         k = len(gens)
-        sign = Scalar.from_int(-1) ** ((k * (k - 1) // 2) % 2)
         piece = calc.unit()
         for p in reversed(gens):
             piece = calc.mul(piece, calc.d_poly(anti(p)))
         piece = calc.mul(piece, calc.of_poly(anti(NCPoly.word(w))))
-        out = out + piece.scale(c * sign)
+        out = out + piece.scale(c * sign(k * (k - 1) // 2))
     return out
 
 

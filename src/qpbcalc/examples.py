@@ -30,7 +30,7 @@ from .presentations import (
 )
 from .qpb import CompleteCalculus, h_delta_letter_table
 from .report import CheckReport, timed
-from .scalars import Parameter, Scalar, q_binomial
+from .scalars import Parameter, Scalar, q_binomial, sign
 from .tensors import TensorPoly
 
 
@@ -216,7 +216,7 @@ def qbinomial_strong_connection(ca: ComoduleAlgebra):
         base = q * q
         m = abs(n)
         for k in range(m + 1):
-            coeff = q_binomial(m, k, base) * (Scalar.from_int(-1) ** k)
+            coeff = q_binomial(m, k, base) * sign(k)
             if n > 0:
                 coeff = coeff * (q ** k)
                 left = ("beta",) * k + ("delta",) * (m - k)

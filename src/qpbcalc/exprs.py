@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .calculus import DiffCalculus, Element, GradedTensor
 from .ncalg import NCPoly
-from .scalars import Scalar
+from .scalars import Scalar, sign
 
 
 class ExprError(Exception):
@@ -217,7 +217,7 @@ def eval_ast(node, ctx: Context):
         return ctx.resolve(node[1])
     if kind == "neg":
         k, v = eval_ast(node[1], ctx)
-        return (k, v.scale(Scalar.from_int(-1)) if k != "scalar" else -v)
+        return (k, v.scale(sign(1)) if k != "scalar" else -v)
     if kind == "pow":
         base = eval_ast(node[1], ctx)
         n = node[2]

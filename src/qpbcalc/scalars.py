@@ -5,6 +5,13 @@ possibly negative, so invertible parameters like q, q^-1 need no relation)
 and den is an ordinary polynomial in canonical form: primitive, no monomial
 factor, positive leading coefficient, gcd(num, den) = 1.  Structural equality
 is mathematical equality.
+
+Each coefficient has one spelling: an ``int`` when it is integral, a
+``Fraction`` only when it is not.  A ``float`` never appears, so every
+quotient of coefficients goes through ``Fraction``.  The common case, a
+Laurent polynomial with int coefficients over the shared unit denominator,
+stays in machine ints; Fractions arise from non-integral constants and
+inside the rational-function path (division and the gcds that follow it).
 """
 
 from __future__ import annotations
@@ -31,8 +38,25 @@ class Parameter:
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial helpers: dict[tuple[int, ...] -> Fraction], zero coeffs absent
+# raw polynomial helpers: dict[tuple[int, ...] -> int | Fraction], zero
+# coeffs absent.  Intermediate coefficients may be integral Fractions; the
+# Scalar constructors spell them as ints (_int_coeffs).
 # ---------------------------------------------------------------------------
+
+
+def _exact_div(a, b):
+    """Exact quotient of two coefficients: an int when integral."""
+    c = Fraction(a, b)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _int_coeffs(f):
+    """f with every integral coefficient spelled as an int (f if it is)."""
+    for c in f.values():
+        if type(c) is not int:
+            return {m: c.numerator if c.denominator == 1 else c
+                    for m, c in f.items()}
+    return f
 
 
 def _padd(f, g):
@@ -63,10 +87,11 @@ def _pmul(f, g):
     return h
 
 
-def _pscale(f, c):
-    if not c:
-        return {}
-    return {m: a * c for m, a in f.items()}
+def _pdiv_const(f, c):
+    """f / c for a nonzero coefficient c, exactly."""
+    if c == 1:
+        return f
+    return {m: _exact_div(a, c) for m, a in f.items()}
 
 
 def _lead(f):
@@ -120,15 +145,6 @@ def _coeffs_in(f, i):
     return {k: v for k, v in out.items() if v}
 
 
-def _from_coeffs(coeffs, i):
-    f = {}
-    for k, slot in coeffs.items():
-        for rest, c in slot.items():
-            m = rest[:i] + (k,) + rest[i + 1:]
-            f[m] = f.get(m, 0) + c
-    return {m: c for m, c in f.items() if c}
-
-
 def _pdivexact(f, g):
     """Exact division of ordinary polynomials; raises if not divisible."""
     if not g:
@@ -143,7 +159,7 @@ def _pdivexact(f, g):
         m = tuple(a - b for a, b in zip(rm, gm))
         if any(e < 0 for e in m):
             raise ScalarError("inexact polynomial division")
-        c = rc / gc
+        c = _exact_div(rc, gc)
         q[m] = q.get(m, 0) + c
         r = _padd(r, _pneg(_pmul({m: c}, g)))
     return q
@@ -158,10 +174,10 @@ def _gcd_univariate(f, g, i):
         while a and _lead(a)[0][i] >= bm[i]:
             am, ac = _lead(a)
             shift = tuple(x - y for x, y in zip(am, bm))
-            a = _padd(a, _pneg(_pmul({shift: ac / bc}, b)))
+            a = _padd(a, _pneg(_pmul({shift: _exact_div(ac, bc)}, b)))
         a, b = b, a
     c = _content(a)
-    a = _pscale(a, 1 / c) if c else a
+    a = _pdiv_const(a, c) if c else a
     if a and _lead(a)[1] < 0:
         a = _pneg(a)
     return a
@@ -183,15 +199,13 @@ def _pgcd(f, g):
     if not f or not g:
         h = dict(g or f)
         c = _content(h)
-        h = _pscale(h, 1 / c)
+        h = _pdiv_const(h, c)
         if _lead(h)[1] < 0:
             h = _pneg(h)
         return h
     used = _nvars_used(f) | _nvars_used(g)
-    nv = len(next(iter(f)))
-    unit = {(0,) * nv: Fraction(1)}
     if not used:
-        return dict(unit)
+        return {(0,) * len(next(iter(f))): 1}
     i = max(used)
     others = used - {i}
     if not others:
@@ -211,7 +225,7 @@ def _pgcd(f, g):
         a, b = b, _primitive_wrt(r, i) if r else {}
     h = _pmul(cont, a)
     c = _content(h)
-    h = _pscale(h, 1 / c)
+    h = _pdiv_const(h, c)
     if _lead(h)[1] < 0:
         h = _pneg(h)
     return h
@@ -242,7 +256,7 @@ def _pseudo_rem(a, b, i):
         cr = _coeffs_in(r, i)
         lc_r = cr[dr]
         nv = len(next(iter(r)))
-        xshift = {tuple(dr - db if j == i else 0 for j in range(nv)): Fraction(1)}
+        xshift = {tuple(dr - db if j == i else 0 for j in range(nv)): 1}
         r = _padd(_pmul(r, lc_b), _pneg(_pmul(_pmul({m: c for m, c in lc_r.items()}, xshift), b)))
     return r
 
@@ -258,34 +272,34 @@ class Scalar:
     __slots__ = ("names", "num", "den", "_hash", "unit_den")
 
     def __init__(self, names, num, den, _canonical=False):
-        if _canonical:
-            self.names = names
-            self.num = num
-            self.den = den
-        else:
+        if not _canonical:
             names, num, den = _canonicalize(names, num, den)
-            self.names = names
-            self.num = num
-            self.den = den
+        self.names = names
+        self.num = num
+        self.den = den
         self._hash = None
-        self.unit_den = self.den == {(0,) * len(self.names): _FRAC_ONE}
+        unit = _UNIT_DENS[len(names)]
+        self.unit_den = den is unit or den == unit
 
     # -- constructors
 
     @staticmethod
     def from_fraction(c) -> "Scalar":
         c = Fraction(c)
-        num = {(): c} if c else {}
-        return Scalar((), num, {(): Fraction(1)}, _canonical=True)
+        if not c:
+            return _ZERO
+        num = {(): c.numerator if c.denominator == 1 else c}
+        return Scalar((), num, _UNIT_DENS[0], _canonical=True)
 
     @staticmethod
     def from_int(n: int) -> "Scalar":
-        return Scalar.from_fraction(Fraction(n))
+        return Scalar.from_fraction(n)
 
     @staticmethod
     def param(name: str, exponent: int = 1) -> "Scalar":
-        return Scalar((name,), {(exponent,): Fraction(1)}, {(0,): Fraction(1)},
-                      _canonical=True)
+        if not exponent:
+            return _ONE
+        return Scalar((name,), {(exponent,): 1}, _UNIT_DENS[1], _canonical=True)
 
     @staticmethod
     def zero() -> "Scalar":
@@ -301,8 +315,7 @@ class Scalar:
         return not self.num
 
     def is_one(self) -> bool:
-        return (self.den == {(0,) * len(self.names): Fraction(1)}
-                and self.num == {(0,) * len(self.names): Fraction(1)})
+        return self.unit_den and self.num == {(0,) * len(self.names): 1}
 
     def as_fraction(self):
         """Return the value as a Fraction if parameter-free, else None."""
@@ -310,7 +323,7 @@ class Scalar:
             return None
         if not self.num:
             return Fraction(0)
-        return self.num[()] / self.den[()]
+        return Fraction(self.num[()], self.den[()])
 
     # -- arithmetic
 
@@ -325,7 +338,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.names, _pneg(self.num), dict(self.den), _canonical=True)
+        return Scalar(self.names, _pneg(self.num), self.den, _canonical=True)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -334,6 +347,12 @@ class Scalar:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
+        # Most products in the braid checks are by the shared one: answer
+        # them before coercion.
+        if other is _ONE:
+            return self
+        if self is _ONE:
+            return _coerce(other)
         other = _coerce(other)
         if self.unit_den and other.unit_den:
             if not self.num or not other.num:
@@ -342,16 +361,16 @@ class Scalar:
                 c = self.num[()]
                 if c == 1:
                     return other
-                return Scalar(other.names,
-                              {m: a * c for m, a in other.num.items()},
-                              other.den, _canonical=True)
+                num = {m: a * c for m, a in other.num.items()}
+                return Scalar(other.names, _int_coeffs(num), other.den,
+                              _canonical=True)
             if not other.names:
                 c = other.num[()]
                 if c == 1:
                     return self
-                return Scalar(self.names,
-                              {m: a * c for m, a in self.num.items()},
-                              self.den, _canonical=True)
+                num = {m: a * c for m, a in self.num.items()}
+                return Scalar(self.names, _int_coeffs(num), self.den,
+                              _canonical=True)
             names, (an, _), (bn, _) = _align(self, other)
             return _from_laurent(names, _pmul(an, bn))
         names, (an, ad), (bn, bd) = _align(self, other)
@@ -367,7 +386,7 @@ class Scalar:
         # bn is Laurent: peel its monomial factor into the numerator
         mins = _min_exps(bn, len(names))
         bn0 = _shift(bn, tuple(-e for e in mins))
-        num = _pmul(_pmul(an, bd), {tuple(-e for e in mins): Fraction(1)})
+        num = _pmul(_pmul(an, bd), {tuple(-e for e in mins): 1})
         return Scalar(names, num, _pmul(ad, bn0))
 
     def __rtruediv__(self, other):
@@ -411,7 +430,7 @@ class Scalar:
         if self.is_zero():
             return "0"
         num = _poly_str(self.num, self.names)
-        if self.den == {(0,) * len(self.names): Fraction(1)}:
+        if self.unit_den:
             return num
         den = _poly_str(self.den, self.names)
         if len(self.num) > 1:
@@ -457,7 +476,7 @@ def _canonicalize(names, num, den):
     if not den:
         raise DivisionByZeroError("zero denominator")
     if not num:
-        return (), {}, {(): Fraction(1)}
+        return (), {}, _UNIT_DENS[0]
     nv = len(names)
     # den: clear any monomial factor into num
     dmin = _min_exps(den, nv)
@@ -468,23 +487,23 @@ def _canonicalize(names, num, den):
     nmin = _min_exps(num, nv)
     num0 = _shift(num, tuple(-e for e in nmin))
     g = _pgcd(num0, den)
-    if g and g != {(0,) * nv: Fraction(1)}:
+    if g and g != {(0,) * nv: 1}:
         num0 = _pdivexact(num0, g)
         den = _pdivexact(den, g)
     # den: primitive, positive leading coefficient
-    c = _content(den)
-    sign = 1 if _lead(den)[1] > 0 else -1
-    scale = c * sign
-    if scale != 1:
-        den = _pscale(den, 1 / scale)
-        num0 = _pscale(num0, 1 / scale)
-    num = _shift(num0, nmin)
+    scale = _content(den)
+    if _lead(den)[1] < 0:
+        scale = -scale
+    den = _int_coeffs(_pdiv_const(den, scale))
+    num = _int_coeffs(_shift(_pdiv_const(num0, scale), nmin))
     # drop parameters with zero exponent everywhere (after all cancellation)
     used = sorted(_nvars_used(num) | _nvars_used(den))
     if len(used) != nv:
         names = tuple(names[i] for i in used)
         num = {tuple(m[i] for i in used): c for m, c in num.items()}
         den = {tuple(m[i] for i in used): c for m, c in den.items()}
+    if den == _UNIT_DENS[len(names)]:
+        den = _UNIT_DENS[len(names)]
     return names, num, den
 
 
@@ -521,24 +540,42 @@ def _poly_str(f, names):
     return out
 
 
-_FRAC_ONE = Fraction(1)
+class _UnitDens(dict):
+    """nvars -> the unit denominator {(0,) * nvars: 1}, built on first use.
+
+    One dict per arity is shared by every Scalar with that many parameters
+    and a denominator of 1, so no code may mutate a den in place."""
+
+    def __missing__(self, nvars):
+        den = self[nvars] = {(0,) * nvars: 1}
+        return den
+
+
+_UNIT_DENS = _UnitDens()
 
 
 def _from_laurent(names, num):
-    """Canonical scalar with unit denominator from a Laurent dict."""
-    num = {m: c for m, c in num.items() if c}
+    """Canonical scalar with unit denominator from a Laurent dict.
+
+    num has no zero coefficients: _padd and _pmul drop them."""
     if not num:
         return _ZERO
-    used = sorted(_nvars_used(num))
-    if len(used) != len(names):
+    if not all(map(any, zip(*num))):
+        used = [i for i, exps in enumerate(zip(*num)) if any(exps)]
         names = tuple(names[i] for i in used)
         num = {tuple(m[i] for i in used): c for m, c in num.items()}
-    return Scalar(names, num, {(0,) * len(names): _FRAC_ONE},
+    return Scalar(names, _int_coeffs(num), _UNIT_DENS[len(names)],
                   _canonical=True)
 
 
-_ZERO = Scalar((), {}, {(): Fraction(1)}, _canonical=True)
-_ONE = Scalar((), {(): Fraction(1)}, {(): Fraction(1)}, _canonical=True)
+_ZERO = Scalar((), {}, _UNIT_DENS[0], _canonical=True)
+_ONE = Scalar((), {(): 1}, _UNIT_DENS[0], _canonical=True)
+_MINUS_ONE = Scalar((), {(): -1}, _UNIT_DENS[0], _canonical=True)
+
+
+def sign(e: int) -> Scalar:
+    """(-1)**e for an int e, as the shared constant one or minus one."""
+    return _MINUS_ONE if e & 1 else _ONE
 
 
 def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:

@@ -9,6 +9,7 @@ from qpbcalc.scalars import (
     ScalarError,
     q_binomial,
     scalar_arith,
+    sign,
 )
 
 q = Scalar.param("q")
@@ -150,3 +151,80 @@ def test_field_axioms_sample(a, c, d):
     assert (a + c) + d == a + (c + d)
     assert a * (c + d) == a * c + a * d
     assert (a * c) * d == a * (c * d)
+
+
+# -- representation invariants --------------------------------------------------
+
+
+def assert_spelled(s):
+    """Every coefficient is an int, or a Fraction only when not integral."""
+    for c in list(s.num.values()) + list(s.den.values()):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (
+            s, type(c))
+
+
+half = Scalar.from_fraction(Fraction(1, 2))
+
+
+@given(scalars(), scalars())
+@settings(max_examples=100, deadline=None)
+def test_coefficients_are_int_or_non_integral_fraction(a, c):
+    results = [a, -a, a + c, a - c, a * c, a * half, a * half + a * half,
+               (a * half) * 2, a ** 2]
+    if not c.is_zero():
+        results += [a / c, (a / c) * c]
+    if not (c + q).is_zero():
+        results.append(a / (c + q))
+    for r in results:
+        assert_spelled(r)
+
+
+def test_integral_values_from_fractions_are_ints():
+    assert_spelled(half + half)
+    assert (half + half).num == {(): 1}
+    assert Scalar.from_fraction(Fraction(4, 2)).num == {(): 2}
+    assert Scalar(("q",), {(1,): Fraction(6, 3)}, {(0,): Fraction(2)}) == q
+    assert Scalar.param("q", 0) == one
+
+
+def test_as_fraction_returns_fraction():
+    third = (one / 3).as_fraction()
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    six = Scalar.from_int(6).as_fraction()
+    assert six == 6 and type(six) is Fraction
+    assert type(zero.as_fraction()) is Fraction
+    assert q.as_fraction() is None
+
+
+def test_laurent_and_rational_paths_agree():
+    pairs = [
+        ((q * q - one) / (q - one), q + one),
+        ((q * q - one) / (q + one) + one, q),
+        (((one + q) / (one - q)) * (one - q), one + q),
+        ((L * q - q) / (L - one), q),
+        (one / (one / q), q),
+    ]
+    for rational, laurent in pairs:
+        assert rational == laurent
+        assert hash(rational) == hash(laurent)
+        assert rational.unit_den
+        assert_spelled(rational)
+
+
+def test_shared_denominators_are_never_mutated():
+    r = one / (q - one)
+    scalars_seen = [q, qi, L, one, r, q + L, half * q]
+    before = [dict(x.den) for x in scalars_seen]
+    for a in scalars_seen:
+        for b in scalars_seen:
+            a * b, a + b, a - b, -a, a / b
+    assert [dict(x.den) for x in scalars_seen] == before
+    assert (-r).den == r.den and (-q).den == {(0,): 1}
+    # unit denominators of one arity are one shared dict
+    assert (q * q).den is q.den and (L * L).den is q.den
+
+
+def test_sign_is_parity_of_exponent():
+    assert sign(0) is one and sign(2) is one and sign(-4) is one
+    assert sign(1) == Scalar.from_int(-1) and sign(1) is sign(-3)
+    assert sign(5) * sign(5) == one
