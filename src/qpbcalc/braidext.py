@@ -12,7 +12,7 @@ it to degree three; higher degrees are rejected.
 from __future__ import annotations
 
 from .calculus import Element, GradedTensor, graded_antipode
-from .ncalg import NCPoly
+from .ncalg import NCPoly, add_term
 from .qpb import CompleteCalculus, h_complete_delta
 from .report import CheckReport, timed
 from .scalars import Scalar, sign
@@ -23,15 +23,6 @@ class UnsupportedDegreeError(Exception):
 
 
 MAX_TAU_DEGREE = 3
-
-
-def _vadd(d, k, c):
-    c2 = d.get(k)
-    c2 = c if c2 is None else c2 + c
-    if c2.is_zero():
-        d.pop(k, None)
-    else:
-        d[k] = c2
 
 
 class GradedBalancedTensor:
@@ -84,16 +75,13 @@ def tau_bullet(cc: CompleteCalculus, theta: Element) -> GradedTensor:
     oa = cc.omega_A
     out = GradedTensor.zero((oa, oa))
     for (w, F), c in theta.terms.items():
-        out = out + _tau_mono(cc, w, F).scale(c)
+        out.add_scaled(_tau_mono(cc, w, F), c)
     return out
 
 
 def _tau_mono(cc, w, F) -> GradedTensor:
-    cache = getattr(cc, "_taubul_cache", None)
-    if cache is None:
-        cache = cc._taubul_cache = {}
     key = (w, F)
-    cached = cache.get(key)
+    cached = cc._taubul_cache.get(key)
     if cached is not None:
         return cached
     oh, oa = cc.omega_H, cc.omega_A
@@ -104,7 +92,7 @@ def _tau_mono(cc, w, F) -> GradedTensor:
     # degree-0 seed: tau of the coefficient word
     cur = GradedTensor.zero(legs)
     for (x1, x2), c2 in cc.td.tau_word(w).terms.items():
-        _vadd(cur.terms, ((x1, ()), (x2, ())), c2)
+        add_term(cur.terms, ((x1, ()), (x2, ())), c2)
     for i, f in enumerate(F):
         pairs = oh.expansion[f]
         if len(pairs) != 1 or pairs[0][0] != NCPoly.one():
@@ -117,20 +105,17 @@ def _tau_mono(cc, w, F) -> GradedTensor:
                 (p_mono, ((), ())): Scalar.one()})
             right = GradedTensor(legs, {
                 (((), ()), q_mono): Scalar.one()})
-            nxt = nxt + left.wedge(cur).wedge(right).scale(
-                c_xi * sign(i * len(p_mono[1])))
+            nxt.add_scaled(left.wedge(cur).wedge(right),
+                           c_xi * sign(i * len(p_mono[1])))
         cur = nxt
-    cache[key] = cur
+    cc._taubul_cache[key] = cur
     return cur
 
 
 def _tau_one_letter(cc, b: NCPoly) -> GradedTensor:
     """tau^1(d b) = d(b<1>) (x) b<2> + b<1> (x) d(b<2>) for a generator b."""
-    cache = getattr(cc, "_tauletter_cache", None)
-    if cache is None:
-        cache = cc._tauletter_cache = {}
     key = tuple(sorted(b.terms.items()))
-    cached = cache.get(key)
+    cached = cc._tauletter_cache.get(key)
     if cached is not None:
         return cached
     oa = cc.omega_A
@@ -140,11 +125,11 @@ def _tau_one_letter(cc, b: NCPoly) -> GradedTensor:
         for (x1, x2), c in cc.td.tau_word(wb).terms.items():
             dx1 = oa.d_poly(NCPoly.word(x1))
             dx2 = oa.d_poly(NCPoly.word(x2))
-            out = out + GradedTensor.of(
-                legs, dx1, oa.of_poly(NCPoly.word(x2))).scale(c * cb)
-            out = out + GradedTensor.of(
-                legs, oa.of_poly(NCPoly.word(x1)), dx2).scale(c * cb)
-    cache[key] = out
+            out.add_scaled(GradedTensor.of(
+                legs, dx1, oa.of_poly(NCPoly.word(x2))), c * cb)
+            out.add_scaled(GradedTensor.of(
+                legs, oa.of_poly(NCPoly.word(x1)), dx2), c * cb)
+    cc._tauletter_cache[key] = out
     return out
 
 
@@ -154,9 +139,7 @@ def _tau_one_letter(cc, b: NCPoly) -> GradedTensor:
 def chi_bullet(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
     """chi(omega (x) eta) = omega ^ eta_[0] (x) eta_[1]."""
     oa, oh = cc.omega_A, cc.omega_H
-    cache = getattr(cc, "_chibul_cache", None)
-    if cache is None:
-        cache = cc._chibul_cache = {}
+    cache = cc._chibul_cache
     legs = (oa, oh)
     out = GradedTensor.zero(legs)
     for key, c in x.terms.items():
@@ -166,7 +149,7 @@ def chi_bullet(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
             lifted = GradedTensor(legs, {(m1, ((), ())): Scalar.one()})
             piece = lifted.wedge(cc._delta_mono(*m2))
             cache[key] = piece
-        out = out + piece.scale(c)
+        out.add_scaled(piece, c)
     return out
 
 
@@ -178,7 +161,7 @@ def chi_bullet_inv(cc: CompleteCalculus, y: GradedTensor) -> GradedBalancedTenso
     for (m1, m2), c in y.terms.items():
         t = tau_bullet(cc, Element(cc.omega_H, {m2: Scalar.one()}))
         lifted = GradedTensor(legs, {(m1, ((), ())): Scalar.one()})
-        out = out + lifted.wedge(t).scale(c)
+        out.add_scaled(lifted.wedge(t), c)
     return GradedBalancedTensor(cc, raw=out)
 
 
@@ -189,9 +172,7 @@ def sigma_bullet(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
     """sigma(omega (x) eta) =
     (-1)^{|omega_[1]||eta|} omega_[0] ^ eta ^ tau(omega_[1])."""
     oa = cc.omega_A
-    cache = getattr(cc, "_sigbul_cache", None)
-    if cache is None:
-        cache = cc._sigbul_cache = {}
+    cache = cc._sigbul_cache
     legs = (oa, oa)
     out = GradedTensor.zero(legs)
     for key, c in x.terms.items():
@@ -206,10 +187,10 @@ def sigma_bullet(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
                 head = oa.mul(Element(oa, {(w0, f0): Scalar.one()}),
                               Element(oa, {m2: Scalar.one()}))
                 lifted = GradedTensor.of(legs, head, oa.unit())
-                piece = piece + lifted.wedge(t).scale(
-                    c2 * sign(len(f1) * deg_eta))
+                piece.add_scaled(lifted.wedge(t),
+                                 c2 * sign(len(f1) * deg_eta))
             cache[key] = piece
-        out = out + piece.scale(c)
+        out.add_scaled(piece, c)
     return out
 
 
@@ -229,8 +210,8 @@ def sigma_bullet_inv(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
             tail = oa.mul(Element(oa, {m1: Scalar.one()}),
                           Element(oa, {(w0, f0): Scalar.one()}))
             lifted = GradedTensor.of(legs, oa.unit(), tail)
-            out = out + t.wedge(lifted).scale(
-                c * c2 * sign((deg_omega + len(f0)) * len(f1)))
+            out.add_scaled(t.wedge(lifted),
+                           c * c2 * sign((deg_omega + len(f0)) * len(f1)))
     return out
 
 
@@ -248,7 +229,7 @@ def wedge_otimes_b(cc: CompleteCalculus, x: GradedTensor,
             mid = sigma_bullet(cc, GradedTensor(legs, {(a2, b1): Scalar.one()}))
             left = GradedTensor(legs, {(a1, ((), ())): Scalar.one()})
             right = GradedTensor(legs, {(((), ()), b2): Scalar.one()})
-            out = out + left.wedge(mid).wedge(right).scale(c1 * c2)
+            out.add_scaled(left.wedge(mid).wedge(right), c1 * c2)
     return out
 
 
@@ -300,7 +281,7 @@ def canonical_triple_graded(cc, t3: GradedTensor) -> GradedTensor:
             outer = chi_bullet(cc, GradedTensor(legs2,
                                                 {(m1, p): Scalar.one()}))
             for (x0, x1), c3 in outer.terms.items():
-                _vadd(out.terms, (x0, x1, th), c * c2 * c3)
+                add_term(out.terms, (x0, x1, th), c * c2 * c3)
     return out
 
 
@@ -313,7 +294,8 @@ def triple_apply(cc, t3: GradedTensor, fn, slot: int) -> GradedTensor:
         pair = GradedTensor(legs2, {(key[slot], key[slot + 1]): Scalar.one()})
         res = fn(pair)
         for (p1, p2), c2 in res.terms.items():
-            _vadd(out.terms, key[:slot] + (p1, p2) + key[slot + 2:], c * c2)
+            add_term(out.terms, key[:slot] + (p1, p2) + key[slot + 2:],
+                     c * c2)
     return out
 
 
@@ -327,7 +309,7 @@ def triple_wedge(cc, t3: GradedTensor, slot: int) -> GradedTensor:
         other = key[1 - slot] if slot else key[2]
         for m, c2 in prod.terms.items():
             newkey = (m, other) if slot == 0 else (key[0], m)
-            _vadd(out.terms, newkey, c * c2)
+            add_term(out.terms, newkey, c * c2)
     return out
 
 
@@ -375,7 +357,8 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
                 for (b1, b2), cb in tb.terms.items():
                     left = GradedTensor(legs2, {(b1, ((), ())): Scalar.one()})
                     right = GradedTensor(legs2, {(((), ()), b2): Scalar.one()})
-                    rhs = rhs + left.wedge(ta).wedge(right).scale(
+                    rhs.add_scaled(
+                        left.wedge(ta).wedge(right),
                         cb * sign(_element_degree(t1m) * len(b1[1])))
                 ok = (GradedBalancedTensor(cc, raw=lhs)
                       == GradedBalancedTensor(cc, raw=rhs))
@@ -389,7 +372,7 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
                 prod = oa.mul(Element(oa, {m1: Scalar.one()}),
                               Element(oa, {m2: Scalar.one()}))
                 for m, c2 in prod.terms.items():
-                    _vadd(col.terms, m, c * c2)
+                    add_term(col.terms, m, c * c2)
             if _element_degree(theta) == 0:
                 want = oa.of_poly(NCPoly.one().scale(
                     oh.hopf.counit(theta.coefficient_poly(()))))
@@ -404,12 +387,12 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
             for (m1, m2), c in t.terms.items():
                 d = cc._delta_mono(*m2)
                 for (p0, p1), c2 in d.terms.items():
-                    _vadd(lhs5, (m1, p0, p1), c * c2)
+                    add_term(lhs5, (m1, p0, p1), c * c2)
             rhs5 = {}
             for (h1, h2), c in h_complete_delta(oh, theta).terms.items():
                 t1 = tau_bullet(cc, Element(oh, {h1: Scalar.one()}))
                 for (x1, x2), c2 in t1.terms.items():
-                    _vadd(rhs5, (x1, x2, h2), c * c2)
+                    add_term(rhs5, (x1, x2, h2), c * c2)
             rep.record(_canon12_graded(cc, lhs5) == _canon12_graded(cc, rhs5),
                        f"TauBul5({hname})", "equal", "mismatch",
                        ref="coaction on the second translation leg")
@@ -423,14 +406,14 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
             for (m1, m2), c in t.terms.items():
                 d = cc._delta_mono(*m1)
                 for (p0, p1), c2 in d.terms.items():
-                    _vadd(lhs6, (p0, m2, p1), c * c2)
+                    add_term(lhs6, (p0, m2, p1), c * c2)
             rhs6 = {}
             for (h1, h2), c in h_complete_delta(oh, theta).terms.items():
                 t2 = tau_bullet(cc, Element(oh, {h2: Scalar.one()}))
                 s = graded_antipode(oh, Element(oh, {h1: Scalar.one()}))
                 for (x1, x2), c2 in t2.terms.items():
                     for ms, c3 in s.terms.items():
-                        _vadd(rhs6, (x1, x2, ms), c * c2 * c3)
+                        add_term(rhs6, (x1, x2, ms), c * c2 * c3)
             rep.record(_canon12_graded(cc, lhs6) == _canon12_graded(cc, rhs6),
                        f"TauBul6({hname})", "equal", "mismatch",
                        ref="coaction on the first leg twists by the antipode")
@@ -510,7 +493,7 @@ def _canon12_graded(cc, d3: dict) -> dict:
     for (m1, m2, tail), c in d3.items():
         img = chi_bullet(cc, GradedTensor((oa, oa), {(m1, m2): Scalar.one()}))
         for (p0, p1), c2 in img.terms.items():
-            _vadd(out, (p0, p1, tail), c * c2)
+            add_term(out, (p0, p1, tail), c * c2)
     return out
 
 
@@ -522,7 +505,7 @@ def collapse_pair(cc, t: GradedTensor) -> Element:
         prod = oa.mul(Element(oa, {m1: Scalar.one()}),
                       Element(oa, {m2: Scalar.one()}))
         for m, c2 in prod.terms.items():
-            _vadd(out.terms, m, c * c2)
+            add_term(out.terms, m, c * c2)
     return out
 
 

@@ -10,7 +10,7 @@ product covers algebra multiplication and the wedge.
 from __future__ import annotations
 
 from .linalg import in_span, kernel, rref
-from .ncalg import NCPoly
+from .ncalg import NCPoly, SparseSum, add_term
 from .report import CheckReport, timed
 from .scalars import Scalar, sign
 
@@ -23,44 +23,15 @@ class MissingActionError(CalculusError):
     pass
 
 
-class Element:
+class Element(SparseSum):
     """Sum of scalar-weighted (coefficient word, letter word) monomials."""
 
-    __slots__ = ("calc", "terms")
+    __slots__ = ("calc",)
+    _context = "calc"
 
     def __init__(self, calc, terms=None):
         self.calc = calc
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    self.terms[key] = c
-
-    def __add__(self, other):
-        assert self.calc is other.calc
-        out = Element(self.calc, dict(self.terms))
-        for key, c in other.terms.items():
-            _add(out.terms, key, c)
-        return out
-
-    def __neg__(self):
-        return Element(self.calc, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Scalar):
-        return Element(self.calc, {k: a * c for k, a in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, Element) and self.calc is other.calc
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        SparseSum.__init__(self, terms)
 
     def degrees(self):
         return {len(F) for _, F in self.terms}
@@ -79,41 +50,18 @@ class Element:
         out = NCPoly.zero()
         for (w, F2), c in self.terms.items():
             if F2 == tuple(F):
-                out = out + NCPoly.word(w, c)
+                add_term(out.terms, w, c)
         return out
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (w, F) in sorted(self.terms, key=lambda k: (len(k[1]), k[1],
-                                                        len(k[0]), k[0])):
-            c = self.terms[(w, F)]
-            bits = list(w) + list(F)
-            body = "*".join(bits) if bits else "1"
-            cs = str(c)
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append(f"-{body}")
-            else:
-                cs = f"({cs})" if (" " in cs or "/" in cs) else cs
-                parts.append(f"{cs}*{body}" if bits else f"{cs}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+    @staticmethod
+    def _key_str(key):
+        w, F = key
+        return "*".join((*w, *F))
 
-    __repr__ = __str__
-
-
-def _add(terms, key, c):
-    c2 = terms.get(key)
-    c2 = c if c2 is None else c2 + c
-    if c2.is_zero():
-        terms.pop(key, None)
-    else:
-        terms[key] = c2
+    @staticmethod
+    def _sort_key(key):
+        w, F = key
+        return (len(F), F, len(w), w)
 
 
 class DiffCalculus:
@@ -152,7 +100,7 @@ class DiffCalculus:
         letters = tuple(letters)
         out = Element(self)
         for w, c in self.pres.reduce(p).terms.items():
-            _add(out.terms, (w, letters), c)
+            add_term(out.terms, (w, letters), c)
         return out
 
     def form(self, *letters) -> Element:
@@ -216,7 +164,7 @@ class DiffCalculus:
         for (wr, Fr), c in rule.terms.items():
             head = self.act_word(F[:-1], wr)
             for (w2, F2), c2 in head.terms.items():
-                _add(out.terms, (w2, F2 + Fr), c * c2)
+                add_term(out.terms, (w2, F2 + Fr), c * c2)
         return out
 
     def act_word(self, F, w) -> Element:
@@ -236,7 +184,7 @@ class DiffCalculus:
                 for (w2, F2), c2 in rest.terms.items():
                     prod = self.pres.normal_word(w1 + w2)
                     for w3, c3 in prod.terms.items():
-                        _add(out.terms, (w3, F2), c * c2 * c3)
+                        add_term(out.terms, (w3, F2), c * c2 * c3)
         self._act_cache[key] = out
         return out
 
@@ -253,7 +201,8 @@ class DiffCalculus:
                     for c4, F4 in self.straighten(F3 + F2):
                         prod = self.pres.normal_word(w1 + w3)
                         for w5, c5 in prod.terms.items():
-                            _add(out.terms, (w5, F4), c1 * c2 * c3 * c4 * c5)
+                            add_term(out.terms, (w5, F4),
+                                     c1 * c2 * c3 * c4 * c5)
         return out
 
     def product(self, *xs: Element) -> Element:
@@ -289,7 +238,7 @@ class DiffCalculus:
             if df is None:
                 raise CalculusError(f"{self.name}: no differential for {f}")
             piece = self.product(self.form(*F[:i]), df, self.form(*F[i + 1:]))
-            out = out + piece.scale(sign(i))
+            out.add_scaled(piece, sign(i))
         self._dletters_cache[F] = out
         return out
 
@@ -299,9 +248,9 @@ class DiffCalculus:
             dw = self.d_word(w)
             piece = self.mul(dw, self.form(*F))
             if F:
-                piece = piece + self.mul(self.of_poly(NCPoly.word(w)),
-                                         self.d_letters(F))
-            out = out + piece.scale(c)
+                piece.add_scaled(self.mul(self.of_poly(NCPoly.word(w)),
+                                          self.d_letters(F)))
+            out.add_scaled(piece, c)
         return out
 
     def d_poly(self, p: NCPoly) -> Element:
@@ -320,7 +269,7 @@ class DiffCalculus:
             raise CalculusError(f"{self.name}: no expansion for {letter}")
         out = Element(self)
         for a, b in pairs:
-            out = out + self.mul(self.of_poly(a), self.d_poly(b))
+            out.add_scaled(self.mul(self.of_poly(a), self.d_poly(b)))
         return out
 
     # -- structural checks
@@ -368,7 +317,7 @@ class DiffCalculus:
                     lhs = self.act_word((f,), rule.lhs)
                     rhs = Element(self)
                     for w, c in rule.rhs.terms.items():
-                        rhs = rhs + self.act_word((f,), w).scale(c)
+                        rhs.add_scaled(self.act_word((f,), w), c)
                     lhs = self._sortkey_terms(lhs)
                     rhs = self._sortkey_terms(rhs)
                     rep.record(lhs == rhs,
@@ -388,7 +337,7 @@ class DiffCalculus:
         out = Element(self)
         for (w, F), c in x.terms.items():
             for c2, F2 in self.straighten(F):
-                _add(out.terms, (w, F2), c * c2)
+                add_term(out.terms, (w, F2), c * c2)
         return out
 
     def __repr__(self):
@@ -402,18 +351,16 @@ def _as_letters(f):
 # -- graded tensors over several calculi ----------------------------------------
 
 
-class GradedTensor:
+class GradedTensor(SparseSum):
     """Sum of tensors of form monomials with Koszul-signed product."""
 
-    __slots__ = ("legs", "terms")
+    __slots__ = ("legs",)
+    _context = "legs"
+    __hash__ = None
 
     def __init__(self, legs, terms=None):
         self.legs = tuple(legs)
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    self.terms[key] = c
+        SparseSum.__init__(self, terms)
 
     @staticmethod
     def zero(legs):
@@ -426,42 +373,7 @@ class GradedTensor:
     @staticmethod
     def of(legs, *elements):
         """Pure tensor of (independent) graded elements."""
-        legs = tuple(legs)
-        out = GradedTensor(legs)
-
-        def rec(i, key, coeff):
-            if coeff.is_zero():
-                return
-            if i == len(legs):
-                _add(out.terms, tuple(key), coeff)
-                return
-            for mono, c in elements[i].terms.items():
-                rec(i + 1, key + [mono], coeff * c)
-        rec(0, [], Scalar.one())
-        return out
-
-    def __add__(self, other):
-        assert self.legs == other.legs
-        out = GradedTensor(self.legs, dict(self.terms))
-        for key, c in other.terms.items():
-            _add(out.terms, key, c)
-        return out
-
-    def __neg__(self):
-        return GradedTensor(self.legs, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return GradedTensor(self.legs, {k: a * c for k, a in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedTensor) and self.legs == other.legs
-                and self.terms == other.terms)
+        return GradedTensor(legs).add_product(elements, Scalar.one())
 
     def wedge(self, other) -> "GradedTensor":
         """(x1 (x) ... (x) xn)(y1 (x) ... (x) yn) with Koszul signs."""
@@ -479,7 +391,7 @@ class GradedTensor:
                     el = leg.mul(Element(leg, {(w1, F1): Scalar.one()}),
                                  Element(leg, {(w2, F2): Scalar.one()}))
                     polys.append(el)
-                _distribute_elements(out, polys, c1 * c2 * sign(e))
+                out.add_product(polys, c1 * c2 * sign(e))
         return out
 
     def d(self) -> "GradedTensor":
@@ -491,8 +403,8 @@ class GradedTensor:
                 s = sign(sum(degs[:i]))
                 dx = leg.d(Element(leg, {key[i]: Scalar.one()}))
                 for mono, c2 in dx.terms.items():
-                    _add(out.terms, key[:i] + (mono,) + key[i + 1:],
-                         c * c2 * s)
+                    add_term(out.terms, key[:i] + (mono,) + key[i + 1:],
+                             c * c2 * s)
         return out
 
     def component(self, degrees) -> "GradedTensor":
@@ -512,45 +424,13 @@ class GradedTensor:
     def leg_element(self, key, i) -> Element:
         return Element(self.legs[i], {key[i]: Scalar.one()})
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def mono_str(mono):
-            w, F = mono
-            bits = list(w) + list(F)
-            return "*".join(bits) if bits else "1"
-        parts = []
-        for key in sorted(self.terms,
-                          key=lambda k: tuple((len(F), F, len(w), w)
-                                              for w, F in k)):
-            c = self.terms[key]
-            body = "(x)".join(mono_str(m) for m in key)
-            cs = str(c)
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append(f"-{body}")
-            else:
-                cs = f"({cs})" if (" " in cs or "/" in cs) else cs
-                parts.append(f"{cs}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+    @staticmethod
+    def _key_str(key):
+        return "(x)".join(Element._key_str(m) or "1" for m in key)
 
-    __repr__ = __str__
-
-
-def _distribute_elements(out: GradedTensor, elements, coeff):
-    def rec(i, key, c):
-        if c.is_zero():
-            return
-        if i == len(elements):
-            _add(out.terms, tuple(key), c)
-            return
-        for mono, c2 in elements[i].terms.items():
-            rec(i + 1, key + [mono], c * c2)
-    rec(0, [], coeff)
+    @staticmethod
+    def _sort_key(key):
+        return tuple(Element._sort_key(m) for m in key)
 
 
 # -- operation fronts -------------------------------------------------------------
@@ -582,8 +462,8 @@ def cartan_maurer(calc: DiffCalculus, h: NCPoly) -> Element:
     out = calc.zero()
     for (w1, w2), c in hopf.coproduct(pe).terms.items():
         s = hopf.antipode(NCPoly.word(w1))
-        out = out + calc.mul(calc.of_poly(s),
-                             calc.d_poly(NCPoly.word(w2))).scale(c)
+        out.add_scaled(calc.mul(calc.of_poly(s),
+                                calc.d_poly(NCPoly.word(w2))), c)
     return out
 
 
@@ -604,13 +484,11 @@ def cartan_maurer_equation_check(calc: DiffCalculus, max_word_len: int = 4,
         words = list(hopf.base.irreducible_words(max_word_len))
         for w in words:
             p = NCPoly.word(w)
-            lhs = calc.d(cartan_maurer(calc, p))
-            quad = calc.zero()
+            got = calc.d(cartan_maurer(calc, p))
             for (w1, w2), c in hopf.coproduct(p).terms.items():
-                quad = quad + calc.mul(
+                got.add_scaled(calc.mul(
                     cartan_maurer(calc, NCPoly.word(w1)),
-                    cartan_maurer(calc, NCPoly.word(w2))).scale(c)
-            got = lhs + quad
+                    cartan_maurer(calc, NCPoly.word(w2))), c)
             rep.record(got.is_zero(), f"cm({'*'.join(w) or '1'})", "0",
                        str(got))
         # ideal reconstruction: combinations killed by the form must also
@@ -620,12 +498,12 @@ def cartan_maurer_equation_check(calc: DiffCalculus, max_word_len: int = 4,
         for combo in kernel(vectors):
             h = NCPoly.zero()
             for i, c in combo.items():
-                h = h + NCPoly.word(words[i], c)
+                add_term(h.terms, words[i], c)
             quad = calc.zero()
             for (w1, w2), c in hopf.coproduct(h).terms.items():
-                quad = quad + calc.mul(
+                quad.add_scaled(calc.mul(
                     cartan_maurer(calc, NCPoly.word(w1)),
-                    cartan_maurer(calc, NCPoly.word(w2))).scale(c)
+                    cartan_maurer(calc, NCPoly.word(w2))), c)
             rep.record(quad.is_zero(), f"ideal-relation({h})", "0",
                        str(quad),
                        ref="quadratic coinvariant-form relations on the "
@@ -678,12 +556,7 @@ def pi_lambda(calc: DiffCalculus, x: Element) -> dict:
     """Projection S(w_-1) w_0; collapses coefficients, keyed by letter word."""
     out = {}
     for (w, F), c in x.terms.items():
-        c2 = out.get(F)
-        c2 = c if c2 is None else c2 + c
-        if c2.is_zero():
-            out.pop(F, None)
-        else:
-            out[F] = c2
+        add_term(out, F, c)
     return out
 
 
@@ -693,7 +566,7 @@ def to_lambda(calc: DiffCalculus, x: Element) -> dict:
     out = pi_lambda(calc, x)
     rebuilt = calc.zero()
     for F, c in out.items():
-        rebuilt = rebuilt + lambda_element(calc, F).scale(c)
+        rebuilt.add_scaled(lambda_element(calc, F), c)
     if rebuilt != x:
         raise CalculusError(f"not left-coinvariant: {x}")
     return out
@@ -710,14 +583,14 @@ def bc_coproduct(calc: DiffCalculus, x: Element) -> GradedTensor:
     for (w, F), c in x.terms.items():
         if not F:
             for (w1, w2), c2 in hopf._delta_word(w).terms.items():
-                _add(out.terms, (((w1), ()), ((w2), ())), c * c2)
+                add_term(out.terms, (((w1), ()), ((w2), ())), c * c2)
             continue
         rt = hopf.base.normal_word(w + right_tag(calc, F))
         for wr, cr in rt.terms.items():
-            _add(out.terms, ((w, F), (wr, ())), c * cr)
+            add_term(out.terms, ((w, F), (wr, ())), c * cr)
         lt = hopf.base.normal_word(w + left_tag(calc, F))
         for wl, cl in lt.terms.items():
-            _add(out.terms, ((wl, ()), (w, F)), c * cl)
+            add_term(out.terms, ((wl, ()), (w, F)), c * cl)
     return out
 
 
@@ -743,7 +616,7 @@ def graded_antipode(calc: DiffCalculus, x: Element, inverse=False) -> Element:
         for p in reversed(gens):
             piece = calc.mul(piece, calc.d_poly(anti(p)))
         piece = calc.mul(piece, calc.of_poly(anti(NCPoly.word(w))))
-        out = out + piece.scale(c * sign(k * (k - 1) // 2))
+        out.add_scaled(piece, c * sign(k * (k - 1) // 2))
     return out
 
 
@@ -786,14 +659,8 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
                         for (w3, F3), c3 in moved.terms.items():
                             prod = pres.normal_word(w1 + w3)
                             for w4, c4 in prod.terms.items():
-                                key = (w4, F3 + F2)
-                                cc = c * c1 * c2 * c3 * c4
-                                prev = vec.get(key)
-                                prev = cc if prev is None else prev + cc
-                                if prev.is_zero():
-                                    vec.pop(key, None)
-                                else:
-                                    vec[key] = prev
+                                add_term(vec, (w4, F3 + F2),
+                                         c * c1 * c2 * c3 * c4)
             if vec:
                 span_rows.append(vec)
         basis = rref(span_rows)

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
+import traceback
 
 from .braidext import (
     GradedBalancedTensor,
@@ -23,6 +23,8 @@ from .examples import (
 )
 from .exprs import ExprError, eval_form
 from .fileformat import ParseError, parse, serialize
+from .ncalg import BudgetExceededError, reduce_budget
+from .report import CheckReport
 
 
 DEFAULT_WORD_LEN = {"torus": 4, "podles": 3, "u1_q": 4,
@@ -134,15 +136,25 @@ def cmd_check(args):
             return 2
         names = [args.suite]
     reports = []
-    if args.jobs and args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-            futs = [pool.submit(SUITES[s], bundle, n, k) for s in names]
-            for f in futs:
-                reports.extend(f.result())
-    else:
-        for s in names:
-            reports.extend(SUITES[s](bundle, n, k))
+    for s in names:
+        reports.extend(_run_suite(s, bundle, n, k))
     return _emit_reports(reports, args.format)
+
+
+def _run_suite(name, bundle, n, k):
+    """One suite's reports; a suite that raises yields one report saying
+    so, and the suites after it still run."""
+    try:
+        return SUITES[name](bundle, n, k)
+    except BudgetExceededError as e:
+        rep = CheckReport(suite=name, example=bundle.name)
+        rep.mark_inconclusive(name, f"BudgetExceededError: {e}",
+                              ref="raise QPBCALC_REDUCE_BUDGET")
+    except Exception as e:  # a crash in one suite is that suite's failure
+        traceback.print_exc()
+        rep = CheckReport(suite=name, example=bundle.name)
+        rep.record(False, name, "no exception", f"{type(e).__name__}: {e}")
+    return [rep]
 
 
 def cmd_reduce(args):
@@ -251,7 +263,6 @@ def make_parser():
     pc.add_argument("--max-word-len", type=int, default=None)
     pc.add_argument("--max-degree", type=int, default=None)
     pc.add_argument("--format", choices=("text", "json"), default="text")
-    pc.add_argument("--jobs", type=int, default=1)
     pc.set_defaults(fn=cmd_check)
 
     pr = sub.add_parser("reduce", help="normal form of an expression")
@@ -285,6 +296,11 @@ def make_parser():
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
+    try:
+        reduce_budget()
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except ParseError as e:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .hopf import HopfPresentation
 from .linalg import kernel
-from .ncalg import NCPoly
+from .ncalg import NCPoly, add_term
 from .report import CheckReport, timed
 from .tensors import TensorPoly
 
@@ -55,7 +55,7 @@ class ComoduleAlgebra:
     def coact(self, p: NCPoly) -> TensorPoly:
         out = TensorPoly.zero((self.A, self.H.base))
         for w, c in self.A.reduce(p).terms.items():
-            out = out + self._coact_word(w).scale(c)
+            out.add_scaled(self._coact_word(w), c)
         return out
 
     def _coact_word(self, w) -> TensorPoly:
@@ -110,7 +110,7 @@ class ComoduleAlgebra:
         for combo in combos:
             p = NCPoly.zero()
             for i, c in combo.items():
-                p = p + NCPoly.word(words[i], c)
+                add_term(p.terms, words[i], c)
             out.append(p)
         return out
 
@@ -142,8 +142,8 @@ class ComoduleAlgebra:
                            ref="(Delta_A (x) id)Delta_A = (id (x) Delta)Delta_A")
                 collapsed = NCPoly.zero()
                 for (wa, wh), c in d.terms.items():
-                    collapsed = collapsed + NCPoly.word(
-                        wa, c * self.H.counit(NCPoly.word(wh)))
+                    add_term(collapsed.terms, wa,
+                             c * self.H.counit(NCPoly.word(wh)))
                 rep.record(self.A.reduce(collapsed) == self.A.reduce(p),
                            f"counit({'*'.join(w) or '1'})", "identity",
                            "mismatch", ref="(id (x) eps)Delta_A = id")
@@ -191,14 +191,14 @@ class TranslationData:
             for (y1, y2), cy in head.terms.items():
                 piece = TensorPoly.from_polys(
                     (A, A), A.normal_word(x1 + y1), A.normal_word(y2 + x2))
-                out = out + piece.scale(cx * cy)
+                out.add_scaled(piece, cx * cy)
         self._cache[w] = out
         return out
 
     def tau(self, h: NCPoly) -> TensorPoly:
         out = TensorPoly.zero((self.ca.A, self.ca.A))
         for w, c in self.ca.H.base.reduce(h).terms.items():
-            out = out + self.tau_word(w).scale(c)
+            out.add_scaled(self.tau_word(w), c)
         return out
 
 
@@ -241,7 +241,7 @@ def chi(ca: ComoduleAlgebra, x: TensorPoly) -> TensorPoly:
         for (w0, w1), c2 in ca._coact_word(wb).terms.items():
             piece = TensorPoly.from_polys((A, H), A.normal_word(wa + w0),
                                           NCPoly.word(w1))
-            out = out + piece.scale(c * c2)
+            out.add_scaled(piece, c * c2)
     return out
 
 
@@ -254,7 +254,7 @@ def chi_inv(ca: ComoduleAlgebra, td: TranslationData,
         for (x1, x2), c2 in td.tau_word(wh).terms.items():
             piece = TensorPoly.from_polys((A, A), A.normal_word(wa + x1),
                                           NCPoly.word(x2))
-            out = out + piece.scale(c * c2)
+            out.add_scaled(piece, c * c2)
     return BalancedTensor(ca, raw=out, canonical=None)
 
 
@@ -272,7 +272,7 @@ def sigma(x: BalancedTensor, td: TranslationData) -> BalancedTensor:
             for (x1, x2), c3 in td.tau_word(w1).terms.items():
                 piece = TensorPoly.from_polys(
                     (A, A), A.normal_word(w0 + wb + x1), NCPoly.word(x2))
-                out = out + piece.scale(c * c2 * c3)
+                out.add_scaled(piece, c * c2 * c3)
     return BalancedTensor(ca, raw=out)
 
 
@@ -289,7 +289,7 @@ def sigma_inv(x: BalancedTensor, td: TranslationData) -> BalancedTensor:
                     piece = TensorPoly.from_polys(
                         (A, A), NCPoly.word(x1),
                         A.normal_word(x2 + wa + w0))
-                    out = out + piece.scale(c * c2 * c3 * c4)
+                    out.add_scaled(piece, c * c2 * c3 * c4)
     return BalancedTensor(ca, raw=out)
 
 
@@ -304,7 +304,7 @@ def collapse(x: BalancedTensor) -> NCPoly:
     A = x.ca.A
     out = NCPoly.zero()
     for (wa, wb), c in x.raw.terms.items():
-        out = out + A.normal_word(wa + wb).scale(c)
+        out.add_scaled(A.normal_word(wa + wb), c)
     return out
 
 
@@ -319,7 +319,7 @@ def canonical_triple(ca: ComoduleAlgebra, t3: TensorPoly) -> TensorPoly:
                 piece = TensorPoly.from_polys(
                     (A, H, H), A.normal_word(wa + b0 + c0),
                     H.normal_word(b1 + c1), NCPoly.word(c2h))
-                out = out + piece.scale(c * c2 * c3)
+                out.add_scaled(piece, c * c2 * c3)
     return out
 
 
@@ -334,7 +334,7 @@ def triple_map(ca, t3: TensorPoly, fn, slot: int) -> TensorPoly:
         for (p1, p2), c2 in res.terms.items():
             new = ws[:slot] + (p1, p2) + ws[slot + 2:]
             piece = TensorPoly.from_polys((A,) * 3, *[NCPoly.word(w) for w in new])
-            out = out + piece.scale(c * c2)
+            out.add_scaled(piece, c * c2)
     return out
 
 
@@ -392,7 +392,7 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
                     for (x1, x2), c2 in td.tau_word(w1).terms.items():
                         piece = TensorPoly.from_polys(
                             (A, A), A.normal_word(w0 + x1), NCPoly.word(x2))
-                        out = out + piece.scale(c * c2)
+                        out.add_scaled(piece, c * c2)
             except TruncationError:
                 rep.mark_inconclusive(f"tau5({name})",
                                       "translation data out of range")
@@ -410,7 +410,7 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
                 prod = H.base.normal_word(w1 + w2)
                 lhs = TensorPoly.zero((A, A))
                 for wp, c in prod.terms.items():
-                    lhs = lhs + td.tau_word(wp).scale(c)
+                    lhs.add_scaled(td.tau_word(wp), c)
                 ta, tb = td.tau_word(w1), td.tau_word(w2)
                 rhs = TensorPoly.zero((A, A))
                 for (x1, x2), cx in tb.terms.items():
@@ -418,7 +418,7 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
                         piece = TensorPoly.from_polys(
                             (A, A), A.normal_word(x1 + y1),
                             A.normal_word(y2 + x2))
-                        rhs = rhs + piece.scale(cx * cy)
+                        rhs.add_scaled(piece, cx * cy)
                 name = f"{'*'.join(w1) or '1'},{'*'.join(w2) or '1'}"
                 rep.record(BalancedTensor(ca, raw=lhs) ==
                            BalancedTensor(ca, raw=rhs),
@@ -436,14 +436,14 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
                     piece = TensorPoly.from_polys(
                         (A, A, H.base), NCPoly.word(x1), NCPoly.word(w0),
                         NCPoly.word(w1x))
-                    lhs3 = lhs3 + piece.scale(c * c2)
+                    lhs3.add_scaled(piece, c * c2)
             rhs3 = TensorPoly.zero((A, A, H.base))
             for (h1, h2), c in H._delta_word(w).terms.items():
                 for (x1, x2), c2 in td.tau_word(h1).terms.items():
                     piece = TensorPoly.from_polys(
                         (A, A, H.base), NCPoly.word(x1), NCPoly.word(x2),
                         NCPoly.word(h2))
-                    rhs3 = rhs3 + piece.scale(c * c2)
+                    rhs3.add_scaled(piece, c * c2)
             rep.record(_canon12(ca, lhs3) == _canon12(ca, rhs3),
                        f"tau3({name})", "equal", "mismatch",
                        ref="tau then coact on second leg = coproduct then tau")
@@ -453,7 +453,7 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
                     piece = TensorPoly.from_polys(
                         (A, A, H.base), NCPoly.word(w0), NCPoly.word(x2),
                         NCPoly.word(w1x))
-                    lhs4 = lhs4 + piece.scale(c * c2)
+                    lhs4.add_scaled(piece, c * c2)
             rhs4 = TensorPoly.zero((A, A, H.base))
             for (h1, h2), c in H._delta_word(w).terms.items():
                 s = H.antipode(NCPoly.word(h1))
@@ -462,7 +462,7 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
                         piece = TensorPoly.from_polys(
                             (A, A, H.base), NCPoly.word(x1), NCPoly.word(x2),
                             NCPoly.word(wsw))
-                        rhs4 = rhs4 + piece.scale(c * c2 * c3)
+                        rhs4.add_scaled(piece, c * c2 * c3)
             rep.record(_canon12(ca, lhs4) == _canon12(ca, rhs4),
                        f"tau4({name})", "equal", "mismatch",
                        ref="coact on first leg twists by the antipode")
@@ -474,12 +474,12 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
                 left = TensorPoly.zero((A, A))
                 right = TensorPoly.zero((A, A))
                 for (x1, x2), c in t.terms.items():
-                    left = left + TensorPoly.from_polys(
+                    left.add_scaled(TensorPoly.from_polys(
                         (A, A), A.multiply(b, NCPoly.word(x1)),
-                        NCPoly.word(x2)).scale(c)
-                    right = right + TensorPoly.from_polys(
+                        NCPoly.word(x2)), c)
+                    right.add_scaled(TensorPoly.from_polys(
                         (A, A), NCPoly.word(x1),
-                        A.multiply(NCPoly.word(x2), b)).scale(c)
+                        A.multiply(NCPoly.word(x2), b)), c)
                 rep.record(BalancedTensor(ca, raw=left) ==
                            BalancedTensor(ca, raw=right),
                            f"tau7({b},{'*'.join(w) or '1'})",
@@ -497,5 +497,5 @@ def _canon12(ca, t3: TensorPoly) -> TensorPoly:
             piece = TensorPoly.from_polys(
                 (A, H, H), A.normal_word(wa + w0), NCPoly.word(w1),
                 NCPoly.word(wh))
-            out = out + piece.scale(c * c2)
+            out.add_scaled(piece, c * c2)
     return out

@@ -15,7 +15,7 @@ from .comodule import ComoduleAlgebra, TranslationData
 from .exprs import eval_form, eval_tensor
 from .hopf import HopfPresentation
 from .linalg import in_span, kernel, rref, span_equal
-from .ncalg import AlgebraPresentation, GeneratorSymbol, NCPoly
+from .ncalg import AlgebraPresentation, GeneratorSymbol, NCPoly, add_term
 from .presentations import (
     hopf_laurent_2var,
     hopf_u1,
@@ -83,7 +83,7 @@ def _gt(cc, *pairs):
     legs = (cc.omega_A, cc.omega_H)
     out = GradedTensor.zero(legs)
     for a, h in pairs:
-        out = out + GradedTensor.of(legs, a, h)
+        out.add_scaled(GradedTensor.of(legs, a, h))
     return out
 
 
@@ -225,8 +225,8 @@ def qbinomial_strong_connection(ca: ComoduleAlgebra):
                 coeff = coeff * (qi ** k)
                 left = ("alpha",) * (m - k) + ("gamma",) * k
                 right = ("beta",) * k + ("delta",) * (m - k)
-            out = out + TensorPoly.from_polys(
-                (A, A), A.normal_word(left), A.normal_word(right)).scale(coeff)
+            out.add_scaled(TensorPoly.from_polys(
+                (A, A), A.normal_word(left), A.normal_word(right)), coeff)
         return out
 
     return ell
@@ -394,12 +394,12 @@ class CrossedProductData:
         out = NCPoly.word(word)
         step = hgen if n >= 0 else hinv
         for _ in range(abs(n)):
-            acc = NCPoly.one()
+            acc = NCPoly.zero()
             for w, c in out.terms.items():
                 piece = NCPoly.one().scale(c)
                 for g in w:
                     piece = self.B.multiply(piece, self.measure[(step, g)])
-                acc = acc + piece if not acc == NCPoly.one() else piece
+                acc.add_scaled(piece)
             out = self.B.reduce(acc)
         return out
 
@@ -450,7 +450,7 @@ def crossed_validation(data: CrossedProductData, bound: int = 2,
         for g in data.B.generators:
             moved = data.omega_B.zero()
             for w, c in data.measure_word(1, (g.name,)).terms.items():
-                moved = moved + data.omega_B.d_poly(NCPoly.word(w)).scale(c)
+                moved.add_scaled(data.omega_B.d_poly(NCPoly.word(w)), c)
             want = moved
             got = data.omega_B.d_poly(data.measure_word(1, (g.name,)))
             rep.record(got == want, f"d-measure({g.name})", str(want),
@@ -461,7 +461,7 @@ def crossed_validation(data: CrossedProductData, bound: int = 2,
 def _measure_poly(data, n, p: NCPoly) -> NCPoly:
     out = NCPoly.zero()
     for w, c in p.terms.items():
-        out = out + data.measure_word(n, w).scale(c)
+        out.add_scaled(data.measure_word(n, w), c)
     return out
 
 
@@ -488,7 +488,7 @@ def crossed_product(data: CrossedProductData,
             acted = data.measure_word(n, (g.name,))
             rhs = NCPoly.zero()
             for w, c in acted.terms.items():
-                rhs = rhs + NCPoly.word(w + (cap,), c)
+                add_term(rhs.terms, w + (cap,), c)
             rules.append(((cap, g.name), rhs))
     rules.append((("T", "Ti"), NCPoly.one().scale(s(1, -1))))
     rules.append((("Ti", "T"), NCPoly.one().scale(s(-1, 1))))
@@ -562,7 +562,7 @@ def crossed_product(data: CrossedProductData,
         acted = data.measure_word(1, (g.name,))
         el = oa.zero()
         for w, c in acted.terms.items():
-            el = el + oa.of_poly(NCPoly.word(w, c), (hletter,))
+            el.add_scaled(oa.of_poly(NCPoly.word(w, c), (hletter,)))
         oa.raction[(hletter, g.name)] = el
     oa.raction[(hletter, "T")] = oa.of_poly(NCPoly.gen("T", c1), (hletter,))
     ratio = s(1, -1) * s(-1, 1).inverse()
@@ -666,7 +666,7 @@ def _embed(data, A, j, bpoly: NCPoly, n: int) -> NCPoly:
     out = NCPoly.zero()
     jp = j(w) if n else NCPoly.one()
     for wb, c in bpoly.terms.items():
-        out = out + A.multiply(NCPoly.word(wb, c), jp)
+        out.add_scaled(A.multiply(NCPoly.word(wb, c), jp))
     return A.reduce(out)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import DiffCalculus, Element, GradedTensor
-from .ncalg import NCPoly
+from .ncalg import NCPoly, add_term
 from .scalars import Scalar, sign
 
 
@@ -311,7 +311,7 @@ def eval_poly(text, params, pres, line=None) -> NCPoly:
     for (w, F), c in v.terms.items():
         if F:
             raise ExprError("form letters not allowed here", line)
-        out = out + NCPoly.word(w, c)
+        add_term(out.terms, w, c)
     return out
 
 

@@ -366,24 +366,7 @@ def _strong(sections, ca, td, params, name):
     if form in (None, "none"):
         return None
     if form == "translation":
-        A = ca.A
-
-        def ell(word):
-            if not word:
-                return TensorPoly.unit((A, A))
-            out = td.tab[word[-1]]
-            for g in reversed(word[:-1]):
-                head = td.tab[g]
-                acc = TensorPoly.zero((A, A))
-                for (x1, x2), cx in out.terms.items():
-                    for (y1, y2), cy in head.terms.items():
-                        acc = acc + TensorPoly.from_polys(
-                            (A, A), A.normal_word(x1 + y1),
-                            A.normal_word(y2 + x2)).scale(cx * cy)
-                out = acc
-            return out
-
-        return ell
+        return td.tau_word
     if form == "qbinomial":
         from .examples import qbinomial_strong_connection
 

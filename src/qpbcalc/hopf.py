@@ -8,7 +8,12 @@ what makes the generator tables well defined on the quotient.
 
 from __future__ import annotations
 
-from .ncalg import AlgebraPresentation, NCPoly, UndeclaredSymbolError
+from .ncalg import (
+    AlgebraPresentation,
+    NCPoly,
+    UndeclaredSymbolError,
+    add_term,
+)
 from .report import CheckReport, timed
 from .scalars import Scalar
 from .tensors import TensorPoly
@@ -42,7 +47,7 @@ class HopfPresentation:
     def coproduct(self, p: NCPoly) -> TensorPoly:
         out = TensorPoly.zero((self.base, self.base))
         for w, c in self.base.reduce(p).terms.items():
-            out = out + self._delta_word(w).scale(c)
+            out.add_scaled(self._delta_word(w), c)
         return out
 
     def _delta_word(self, w) -> TensorPoly:
@@ -75,7 +80,7 @@ class HopfPresentation:
     def _anti(self, p, tab, cache) -> NCPoly:
         out = NCPoly.zero()
         for w, c in self.base.reduce(p).terms.items():
-            out = out + self._anti_word(w, tab, cache).scale(c)
+            out.add_scaled(self._anti_word(w, tab, cache), c)
         return out
 
     def _anti_word(self, w, tab, cache) -> NCPoly:
@@ -224,7 +229,7 @@ def _apply_counit(hopf, t: TensorPoly, leg: int) -> NCPoly:
     for ws, c in t.terms.items():
         e = hopf.counit(NCPoly.word(ws[leg]))
         keep = ws[1 - leg]
-        out = out + NCPoly.word(keep, e * c)
+        add_term(out.terms, keep, e * c)
     return hopf.base.reduce(out)
 
 
@@ -237,7 +242,7 @@ def _convolve(hopf, d: TensorPoly, anti_left: bool) -> NCPoly:
         else:
             prod = hopf.base.multiply(NCPoly.word(w1),
                                       hopf.antipode(NCPoly.word(w2)))
-        out = out + prod.scale(c)
+        out.add_scaled(prod, c)
     return out
 
 

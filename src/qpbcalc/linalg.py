@@ -7,19 +7,14 @@ iff their rrefs are equal.
 
 from __future__ import annotations
 
+from .ncalg import add_term
 from .scalars import Scalar
 
 
 def vec_add(u, v, c=None):
     out = dict(u)
     for k, a in v.items():
-        a = a * c if c is not None else a
-        b = out.get(k)
-        b = a if b is None else a + b
-        if b.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = b
+        add_term(out, k, a * c if c is not None else a)
     return out
 
 

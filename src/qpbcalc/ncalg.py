@@ -5,6 +5,9 @@ relations as rewrite rules lhs -> rhs where every monomial of rhs is strictly
 smaller than lhs in the degree-lexicographic order induced by the declared
 generator order; reduction to normal form then terminates and, for the
 shipped presentations, is confluent (checked by critical-pair enumeration).
+
+SparseSum is the finite-sum arithmetic that NCPoly shares with the form
+(calculus.Element) and tensor (TensorPoly, GradedTensor) types.
 """
 
 from __future__ import annotations
@@ -32,8 +35,14 @@ class BudgetExceededError(NCAlgError):
     pass
 
 
-def _budget() -> int:
-    return int(os.environ.get("QPBCALC_REDUCE_BUDGET", "2000000"))
+def reduce_budget() -> int:
+    """Rewrite steps allowed per normal-form computation."""
+    raw = os.environ.get("QPBCALC_REDUCE_BUDGET", "2000000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"QPBCALC_REDUCE_BUDGET must be an integer, "
+                         f"got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -43,17 +52,128 @@ class GeneratorSymbol:
     inverse_of: str | None = None
 
 
-class NCPoly:
-    """Finite map word -> Scalar; zero coefficients absent."""
+def add_term(terms, key, c):
+    """Add c at key of the dict terms; a key whose sum is zero is dropped."""
+    old = terms.get(key)
+    if old is not None:
+        c = old + c
+    if c.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = c
+
+
+def _paren(cs, chars):
+    return f"({cs})" if any(ch in cs for ch in chars) else cs
+
+
+class SparseSum:
+    """Finite sum key -> Scalar with zero coefficients absent.
+
+    A subclass names the slot holding its context (the legs or the
+    calculus) in _context; sums combine only within one context.  It also
+    gives _key_str, the printed monomial of a key ("" for the unit), and
+    _sort_key, the printing order.  Accumulate with add_scaled or add_term
+    only into a sum the caller built: memoised sums are handed out shared.
+    """
 
     __slots__ = ("terms",)
+    _context = None
+    _constant_paren = " /"
 
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
-            for w, c in terms.items():
+            for key, c in terms.items():
                 if not c.is_zero():
-                    self.terms[w] = c
+                    self.terms[key] = c
+
+    def _ctx(self):
+        return getattr(self, self._context) if self._context else None
+
+    def _new(self, terms):
+        """A sum in the same context holding the dict terms as given."""
+        out = object.__new__(type(self))
+        if self._context:
+            setattr(out, self._context, getattr(self, self._context))
+        out.terms = terms
+        return out
+
+    def add_scaled(self, other, c=None):
+        """self += c * other in place (c = 1 when None); returns self."""
+        assert type(other) is type(self) and self._ctx() == other._ctx()
+        if c is not None and c.is_zero():
+            return self
+        for key, a in other.terms.items():
+            add_term(self.terms, key, a if c is None else a * c)
+        return self
+
+    def add_product(self, factors, coeff):
+        """self += coeff * (f_1 (x) ... (x) f_n), keyed by tuples of the
+        factors' keys."""
+        def rec(i, key, c):
+            if c.is_zero():
+                return
+            if i == len(factors):
+                add_term(self.terms, tuple(key), c)
+                return
+            for k, c2 in factors[i].terms.items():
+                rec(i + 1, key + [k], c * c2)
+        rec(0, [], coeff)
+        return self
+
+    def __add__(self, other):
+        return self._new(dict(self.terms)).add_scaled(other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: Scalar):
+        if c.is_zero():
+            return self._new({})
+        return self._new({k: a * c for k, a in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._ctx() == other._ctx()
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self._ctx(), tuple(sorted(self.terms.items()))))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, key=self._sort_key):
+            body = self._key_str(key)
+            cs = str(self.terms[key])
+            if cs == "1":
+                parts.append(body or "1")
+            elif cs == "-1":
+                parts.append(f"-{body or '1'}")
+            elif body:
+                parts.append(f"{_paren(cs, ' /')}*{body}")
+            else:
+                parts.append(_paren(cs, self._constant_paren))
+        out = parts[0]
+        for p in parts[1:]:
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return out
+
+    __repr__ = __str__
+
+
+class NCPoly(SparseSum):
+    """Finite map word -> Scalar; zero coefficients absent."""
+
+    __slots__ = ()
+    _constant_paren = " "
 
     @staticmethod
     def zero() -> "NCPoly":
@@ -71,43 +191,6 @@ class NCPoly:
     def gen(name: str, coeff: Scalar | None = None) -> "NCPoly":
         return NCPoly.word((name,), coeff)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            c2 = terms.get(w)
-            c2 = c if c2 is None else c2 + c
-            if c2.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = c2
-        out = NCPoly()
-        out.terms = terms
-        return out
-
-    def __neg__(self) -> "NCPoly":
-        out = NCPoly()
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "NCPoly":
-        if c.is_zero():
-            return NCPoly()
-        out = NCPoly()
-        out.terms = {w: a * c for w, a in self.terms.items()}
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
     def coefficient(self, w) -> Scalar:
         return self.terms.get(tuple(w), Scalar.zero())
 
@@ -117,29 +200,13 @@ class NCPoly:
             out.update(w)
         return out
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            mono = "*".join(w) if w else "1"
-            cs = str(c)
-            if cs == "1" and w:
-                parts.append(mono)
-            elif cs == "-1" and w:
-                parts.append(f"-{mono}")
-            elif w:
-                cs = f"({cs})" if (" " in cs or "/" in cs) else cs
-                parts.append(f"{cs}*{mono}")
-            else:
-                parts.append(f"({cs})" if " " in cs else cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+    @staticmethod
+    def _key_str(w):
+        return "*".join(w)
 
-    __repr__ = __str__
+    @staticmethod
+    def _sort_key(w):
+        return (len(w), w)
 
 
 @dataclass(frozen=True)
@@ -232,7 +299,7 @@ class AlgebraPresentation:
         if cached is not None:
             return cached
         self._check_declared(word)
-        budget = _budget()
+        budget = reduce_budget()
         acc: dict[Word, Scalar] = {}
         stack: list[tuple[Word, Scalar]] = [(word, Scalar.one())]
         steps = 0
@@ -241,11 +308,11 @@ class AlgebraPresentation:
             hit = self._nf_cache.get(w)
             if hit is not None:
                 for w2, c2 in hit.terms.items():
-                    _acc_add(acc, w2, c2 * c)
+                    add_term(acc, w2, c2 * c)
                 continue
             m = self._find_redex(w)
             if m is None:
-                _acc_add(acc, w, c)
+                add_term(acc, w, c)
                 continue
             steps += 1
             if steps > budget:
@@ -256,7 +323,7 @@ class AlgebraPresentation:
             pre, post = w[:i], w[i + len(rule.lhs):]
             for mid, c2 in rule.rhs.terms.items():
                 stack.append((pre + mid + post, c * c2))
-        out = NCPoly()
+        out = NCPoly.zero()
         out.terms = acc
         self._nf_cache[word] = out
         return out
@@ -264,14 +331,14 @@ class AlgebraPresentation:
     def reduce(self, p: NCPoly) -> NCPoly:
         out = NCPoly.zero()
         for w, c in p.terms.items():
-            out = out + self.normal_word(w).scale(c)
+            out.add_scaled(self.normal_word(w), c)
         return out
 
     def multiply(self, p: NCPoly, r: NCPoly) -> NCPoly:
         out = NCPoly.zero()
         for w1, c1 in p.terms.items():
             for w2, c2 in r.terms.items():
-                out = out + self.normal_word(w1 + w2).scale(c1 * c2)
+                out.add_scaled(self.normal_word(w1 + w2), c1 * c2)
         return out
 
     def product(self, *polys: NCPoly) -> NCPoly:
@@ -356,20 +423,11 @@ class AlgebraPresentation:
     def _splice(self, rhs: NCPoly, pre, post) -> NCPoly:
         out = NCPoly.zero()
         for w, c in rhs.terms.items():
-            out = out + NCPoly.word(tuple(pre) + w + tuple(post), c)
+            add_term(out.terms, tuple(pre) + w + tuple(post), c)
         return out
 
     def __repr__(self):
         return f"AlgebraPresentation({self.name}, {len(self.rules)} rules)"
-
-
-def _acc_add(acc, w, c):
-    c2 = acc.get(w)
-    c2 = c if c2 is None else c2 + c
-    if c2.is_zero():
-        acc.pop(w, None)
-    else:
-        acc[w] = c2
 
 
 def reduce(p: NCPoly, pres: AlgebraPresentation) -> NCPoly:

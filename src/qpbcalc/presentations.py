@@ -342,8 +342,8 @@ def hopf_sl2q() -> "HopfPresentation":
     def tp(*pairs):
         out = TensorPoly.zero((base, base))
         for x, y in pairs:
-            out = out + TensorPoly.from_polys((base, base),
-                                              NCPoly.gen(x), NCPoly.gen(y))
+            out.add_scaled(TensorPoly.from_polys((base, base),
+                                                 NCPoly.gen(x), NCPoly.gen(y)))
         return out
 
     delta = {

@@ -20,7 +20,7 @@ from .calculus import (
 )
 from .comodule import BalancedTensor, ComoduleAlgebra, TranslationData, chi
 from .linalg import in_span, kernel, rref, span_in_window
-from .ncalg import NCPoly
+from .ncalg import NCPoly, add_term
 from .report import CheckReport, timed
 from .scalars import Scalar
 from .tensors import TensorPoly
@@ -28,15 +28,6 @@ from .tensors import TensorPoly
 
 class QPBError(Exception):
     pass
-
-
-def _vadd(d, k, c):
-    c2 = d.get(k)
-    c2 = c if c2 is None else c2 + c
-    if c2.is_zero():
-        d.pop(k, None)
-    else:
-        d[k] = c2
 
 
 # -- complete coaction on the structure calculus (regular bundle over itself) --
@@ -55,11 +46,11 @@ def h_delta_letter_table(calc: DiffCalculus) -> dict:
             db = hopf.coproduct(b)
             left = GradedTensor.zero(legs)
             for (w1, w2), c in da.terms.items():
-                _vadd(left.terms, (((w1), ()), ((w2), ())), c)
+                add_term(left.terms, (((w1), ()), ((w2), ())), c)
             right = GradedTensor.zero(legs)
             for (w1, w2), c in db.terms.items():
-                _vadd(right.terms, (((w1), ()), ((w2), ())), c)
-            acc = acc + left.wedge(right.d())
+                add_term(right.terms, (((w1), ()), ((w2), ())), c)
+            acc.add_scaled(left.wedge(right.d()))
         out[f] = acc
     return out
 
@@ -78,10 +69,10 @@ def h_complete_delta(calc: DiffCalculus, x: Element,
     for (w, F), c in x.terms.items():
         acc = GradedTensor.zero(legs)
         for (w1, w2), c2 in hopf._delta_word(w).terms.items():
-            _vadd(acc.terms, ((w1, ()), (w2, ())), c2)
+            add_term(acc.terms, ((w1, ()), (w2, ())), c2)
         for f in F:
             acc = acc.wedge(tables[f])
-        out = out + acc.scale(c)
+        out.add_scaled(acc, c)
     return out
 
 
@@ -103,13 +94,17 @@ class CompleteCalculus:
         self._lam_wedge_cache = {}
         self._lam_d_cache = {}
         self._cm_cache = {}
+        self._chibul_cache = {}
+        self._sigbul_cache = {}
+        self._taubul_cache = {}
+        self._tauletter_cache = {}
 
     # -- extended coaction
 
     def delta_bullet(self, x: Element) -> GradedTensor:
         out = GradedTensor.zero(self.legs)
         for (w, F), c in x.terms.items():
-            out = out + self._delta_mono(w, F).scale(c)
+            out.add_scaled(self._delta_mono(w, F), c)
         return out
 
     def _delta_mono(self, w, F) -> GradedTensor:
@@ -119,7 +114,7 @@ class CompleteCalculus:
             return cached
         acc = GradedTensor.zero(self.legs)
         for (w0, w1), c in self.ca._coact_word(w).terms.items():
-            _vadd(acc.terms, ((w0, ()), (w1, ())), c)
+            add_term(acc.terms, ((w0, ()), (w1, ())), c)
         for f in F:
             acc = acc.wedge(self.delta_letter[f])
         self._delta_cache[key] = acc
@@ -138,7 +133,7 @@ class CompleteCalculus:
             (wa, fa), (wh, fh) = key
             if fa:
                 continue
-            _vadd(out, (wa, fh), c)
+            add_term(out, (wa, fh), c)
         return out
 
     def lambda_act(self, F, hword) -> dict:
@@ -198,8 +193,8 @@ class CompleteCalculus:
                         for Ff, c5 in wed.items():
                             prod = A.normal_word(w1 + a0)
                             for wf, c6 in prod.terms.items():
-                                _vadd(out, (wf, Ff),
-                                      c1 * c2 * c3 * c4 * c5 * c6)
+                                add_term(out, (wf, Ff),
+                                         c1 * c2 * c3 * c4 * c5 * c6)
         return out
 
     def ver_d(self, x: dict) -> dict:
@@ -207,12 +202,12 @@ class CompleteCalculus:
         out = {}
         for (w, F), c in x.items():
             for F2, c2 in self.lambda_d(F).items():
-                _vadd(out, (w, F2), c * c2)
+                add_term(out, (w, F2), c * c2)
             for (a0, a1), c2 in self.ca._coact_word(w).terms.items():
                 cm = self.cm_lambda(a1)
                 for Fcm, c3 in cm.items():
                     for Ff, c4 in self.lambda_wedge(Fcm, F).items():
-                        _vadd(out, (a0, Ff), c * c2 * c3 * c4)
+                        add_term(out, (a0, Ff), c * c2 * c3 * c4)
         return out
 
     def delta_v(self, x: dict) -> dict:
@@ -225,15 +220,15 @@ class CompleteCalculus:
             bucket = {}
             for ((w1, F1), (w2, F2)), c2 in g.terms.items():
                 piece = bucket.setdefault((w2, F2), Element(oh))
-                _vadd(piece.terms, (w1, F1), c2)
+                add_term(piece.terms, (w1, F1), c2)
             for (w2, F2), piece in bucket.items():
                 lam = to_lambda(oh, piece)
                 for (a0, a1), c3 in self.ca._coact_word(w).terms.items():
                     tail = oh.pres.normal_word(a1 + w2)
                     for wt, c4 in tail.terms.items():
                         for Fl, c5 in lam.items():
-                            _vadd(out, ((a0, Fl), (wt, F2)),
-                                  c * c3 * c4 * c5)
+                            add_term(out, ((a0, Fl), (wt, F2)),
+                                     c * c3 * c4 * c5)
         return out
 
     # -- membership predicates
@@ -269,7 +264,7 @@ class CompleteCalculus:
             el = Element(self.omega_A)
             for i, c in combo.items():
                 w, F = domain[i]
-                _vadd(el.terms, (w, F), c)
+                add_term(el.terms, (w, F), c)
             out.append(el)
         return out
 
@@ -322,7 +317,7 @@ class CompleteCalculus:
                     if fh:
                         continue
                     e = oh.hopf.counit(NCPoly.word(wh))
-                    _vadd(collapsed.terms, (wa, fa), c * e)
+                    add_term(collapsed.terms, (wa, fa), c * e)
                 rep.record(collapsed == x, f"counit({f})", str(x),
                            str(collapsed), ref="(id (x) eps) Delta = id")
                 lhs3 = {}
@@ -330,14 +325,14 @@ class CompleteCalculus:
                         self.delta_bullet(x).terms.items():
                     inner = self._delta_mono(wa, fa)
                     for key2, c2 in inner.terms.items():
-                        _vadd(lhs3, key2 + ((wh, fh),), c * c2)
+                        add_term(lhs3, key2 + ((wh, fh),), c * c2)
                 rhs3 = {}
                 for ((wa, fa), (wh, fh)), c in \
                         self.delta_bullet(x).terms.items():
                     inner = h_complete_delta(
                         oh, Element(oh, {(wh, fh): Scalar.one()}))
                     for key2, c2 in inner.terms.items():
-                        _vadd(rhs3, ((wa, fa),) + key2, c * c2)
+                        add_term(rhs3, ((wa, fa),) + key2, c * c2)
                 rep.record(lhs3 == rhs3, f"coassoc({f})", "equal", "mismatch",
                            ref="coaction square commutes")
             # higher vertical maps decompose on letter pairs
@@ -354,7 +349,7 @@ class CompleteCalculus:
                             for m in range(0, 2):
                                 a = d1.component((m, 1 - m))
                                 b = d2.component((k - m, l - (1 - m)))
-                                rhs = rhs + a.wedge(b)
+                                rhs.add_scaled(a.wedge(b))
                             rep.record(lhs == rhs,
                                        f"ver{k}{l}({f1},{f2})",
                                        "decomposes", "mismatch",
@@ -423,7 +418,7 @@ class CompleteCalculus:
                 for combo in combos:
                     vec = {}
                     for i, c in combo.items():
-                        _vadd(vec, hor_rows[i][1], c)
+                        add_term(vec, hor_rows[i][1], c)
                     hor_vecs.append(vec)
                 base = self.base_form_basis(k, min(max_word_len, 2))
                 rows = []
@@ -473,7 +468,7 @@ class CompleteCalculus:
                         self.delta_bullet(x).terms.items():
                     piv = self.pi_v(self.element_of(wa, fa))
                     for vkey, c2 in piv.items():
-                        _vadd(lhs, (vkey, (wh, fh)), c * c2)
+                        add_term(lhs, (vkey, (wh, fh)), c * c2)
                 rhs = self.delta_v(self.pi_v(x))
                 rep.record(lhs == rhs, f"diagram({x})", "commutes",
                            "mismatch", ref="compatibility of the coactions")
@@ -511,7 +506,7 @@ class CompleteCalculus:
                         for Fl, c3 in cm.items():
                             piece = oa.mul(oa.of_poly(
                                 oa.pres.multiply(ab, NCPoly.word(b0))), s[Fl])
-                            out = out + piece.scale(c * cb * c2 * c3)
+                            out.add_scaled(piece, c * cb * c2 * c3)
         return out
 
     def connection_check(self, s: dict, max_word_len: int = 3,
@@ -601,15 +596,15 @@ class CompleteCalculus:
                 lhs = TensorPoly.zero(legsAAH)
                 for (x1, x2), c in lw.terms.items():
                     for (y0, y1), c2 in ca._coact_word(x2).terms.items():
-                        lhs = lhs + TensorPoly.from_polys(
+                        lhs.add_scaled(TensorPoly.from_polys(
                             legsAAH, NCPoly.word(x1), NCPoly.word(y0),
-                            NCPoly.word(y1)).scale(c * c2)
+                            NCPoly.word(y1)), c * c2)
                 rhs = TensorPoly.zero(legsAAH)
                 for (h1, h2), c in H._delta_word(w).terms.items():
                     for (x1, x2), c2 in ell(h1).terms.items():
-                        rhs = rhs + TensorPoly.from_polys(
+                        rhs.add_scaled(TensorPoly.from_polys(
                             legsAAH, NCPoly.word(x1), NCPoly.word(x2),
-                            NCPoly.word(h2)).scale(c * c2)
+                            NCPoly.word(h2)), c * c2)
                 rep.record(lhs == rhs, f"right-colinear({name})",
                            "equal raw tensors", "mismatch",
                            ref="coaction on the second leg")
@@ -617,17 +612,17 @@ class CompleteCalculus:
                 lhs2 = TensorPoly.zero(legsAHA)
                 for (x1, x2), c in lw.terms.items():
                     for (y0, y1), c2 in ca._coact_word(x1).terms.items():
-                        lhs2 = lhs2 + TensorPoly.from_polys(
+                        lhs2.add_scaled(TensorPoly.from_polys(
                             legsAHA, NCPoly.word(y0), NCPoly.word(y1),
-                            NCPoly.word(x2)).scale(c * c2)
+                            NCPoly.word(x2)), c * c2)
                 rhs2 = TensorPoly.zero(legsAHA)
                 for (h1, h2), c in H._delta_word(w).terms.items():
                     s = H.antipode(NCPoly.word(h1))
                     for (x1, x2), c2 in ell(h2).terms.items():
                         for ws, c3 in s.terms.items():
-                            rhs2 = rhs2 + TensorPoly.from_polys(
+                            rhs2.add_scaled(TensorPoly.from_polys(
                                 legsAHA, NCPoly.word(x1), NCPoly.word(ws),
-                                NCPoly.word(x2)).scale(c * c2 * c3)
+                                NCPoly.word(x2)), c * c2 * c3)
                 rep.record(lhs2 == rhs2, f"left-colinear({name})",
                            "equal raw tensors", "mismatch",
                            ref="antipode twist on the first leg")
@@ -652,13 +647,13 @@ class CompleteCalculus:
             else:
                 tag = oh.pres.normal_word(w)
             for wt, c2 in tag.terms.items():
-                _vadd(out, (wt, F), c * c2)
+                add_term(out, (wt, F), c * c2)
         return out
 
     def xi_inverse(self, pairs: dict) -> Element:
         oh = self.omega_H
         out = Element(oh)
         for (w, F), c in pairs.items():
-            out = out + oh.mul(oh.of_poly(NCPoly.word(w)),
-                               lambda_element(oh, F)).scale(c)
+            out.add_scaled(oh.mul(oh.of_poly(NCPoly.word(w)),
+                                  lambda_element(oh, F)), c)
         return out

@@ -32,12 +32,20 @@ class CheckReport:
     suite: str
     example: str
     truncation: dict = field(default_factory=dict)
-    status: str = PASS
+    _status: str = PASS
     witnesses: list = field(default_factory=list)
     ref: str = ""
     notes: list = field(default_factory=list)
     checks: int = 0
     duration: float = 0.0
+
+    @property
+    def status(self) -> str:
+        """The verdict.  A report that checked nothing has shown nothing,
+        so it is inconclusive rather than a pass."""
+        if self._status == PASS and self.checks == 0:
+            return INCONCLUSIVE
+        return self._status
 
     def ok(self) -> bool:
         return self.status == PASS
@@ -46,14 +54,14 @@ class CheckReport:
         """Count one comparison; on failure store a witness and flip status."""
         self.checks += 1
         if not holds:
-            self.status = FAIL
+            self._status = FAIL
             self.witnesses.append(Witness(str(input_), str(expected),
                                           str(got), ref))
 
     def mark_inconclusive(self, input_, why, ref=""):
         self.checks += 1
-        if self.status != FAIL:
-            self.status = INCONCLUSIVE
+        if self._status != FAIL:
+            self._status = INCONCLUSIVE
         self.witnesses.append(Witness(str(input_), "(conclusive data)", why, ref))
 
     def to_dict(self):

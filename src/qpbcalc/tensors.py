@@ -3,25 +3,23 @@
 A TensorPoly is a finite sum of scalar-weighted tuples of normal-form words,
 one word per leg.  Leg-wise multiplication gives the tensor product algebra;
 map_terms is the universal linear-extension hook used for coproducts,
-coactions and Sweedler-style contractions.
+coactions and Sweedler-style contractions.  The sum arithmetic is
+ncalg.SparseSum's.
 """
 
 from __future__ import annotations
 
-from .ncalg import NCPoly
+from .ncalg import NCPoly, SparseSum
 from .scalars import Scalar
 
 
-class TensorPoly:
-    __slots__ = ("legs", "terms")
+class TensorPoly(SparseSum):
+    __slots__ = ("legs",)
+    _context = "legs"
 
     def __init__(self, legs, terms=None):
         self.legs = tuple(legs)
-        self.terms = {}
-        if terms:
-            for ws, c in terms.items():
-                if not c.is_zero():
-                    self.terms[ws] = c
+        SparseSum.__init__(self, terms)
 
     # -- constructors
 
@@ -39,37 +37,9 @@ class TensorPoly:
         legs = tuple(legs)
         assert len(legs) == len(polys)
         reduced = [leg.reduce(p) for leg, p in zip(legs, polys)]
-        out = TensorPoly(legs)
-        items = [list(p.terms.items()) for p in reduced]
-        def rec(i, words, coeff):
-            if coeff.is_zero():
-                return
-            if i == len(items):
-                _add_term(out.terms, tuple(words), coeff)
-                return
-            for w, c in items[i]:
-                rec(i + 1, words + [w], coeff * c)
-        rec(0, [], Scalar.one())
-        return out
+        return TensorPoly(legs).add_product(reduced, Scalar.one())
 
     # -- ring structure
-
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        assert self.legs == other.legs
-        out = TensorPoly(self.legs, dict(self.terms))
-        for ws, c in other.terms.items():
-            _add_term(out.terms, ws, c)
-        return out
-
-    def __neg__(self):
-        return TensorPoly(self.legs, {ws: -c for ws, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "TensorPoly":
-        return TensorPoly(self.legs,
-                          {ws: a * c for ws, a in self.terms.items()})
 
     def tensor_mul(self, other: "TensorPoly") -> "TensorPoly":
         """Leg-wise product (a (x) h)(a' (x) h') = aa' (x) hh'."""
@@ -79,18 +49,8 @@ class TensorPoly:
             for ws2, c2 in other.terms.items():
                 pieces = [leg.normal_word(w1 + w2)
                           for leg, w1, w2 in zip(self.legs, ws1, ws2)]
-                _distribute(out.terms, pieces, c1 * c2)
+                out.add_product(pieces, c1 * c2)
         return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorPoly) and self.legs == other.legs
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.legs, tuple(sorted(self.terms.items()))))
 
     # -- linear extension machinery
 
@@ -98,59 +58,19 @@ class TensorPoly:
         """Linear extension of fn(words)->TensorPoly over out_legs."""
         out = TensorPoly(out_legs)
         for ws, c in self.terms.items():
-            piece = fn(ws)
-            for ws2, c2 in piece.terms.items():
-                _add_term(out.terms, ws2, c * c2)
+            out.add_scaled(fn(ws), c)
         return out
 
     def leg_poly(self, ws, i) -> NCPoly:
         return NCPoly.word(ws[i])
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def word_str(w):
-            return "*".join(w) if w else "1"
-        parts = []
-        for ws in sorted(self.terms, key=lambda t: tuple((len(w), w) for w in t)):
-            c = self.terms[ws]
-            body = "(x)".join(word_str(w) for w in ws)
-            cs = str(c)
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append(f"-{body}")
-            else:
-                cs = f"({cs})" if (" " in cs or "/" in cs) else cs
-                parts.append(f"{cs}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+    @staticmethod
+    def _key_str(ws):
+        return "(x)".join(NCPoly._key_str(w) or "1" for w in ws)
 
-    __repr__ = __str__
-
-
-def _add_term(terms, ws, c):
-    c2 = terms.get(ws)
-    c2 = c if c2 is None else c2 + c
-    if c2.is_zero():
-        terms.pop(ws, None)
-    else:
-        terms[ws] = c2
-
-
-def _distribute(terms, polys, coeff):
-    """Add coeff * (p_1 (x) ... (x) p_n) expanded into terms."""
-    def rec(i, words, c):
-        if c.is_zero():
-            return
-        if i == len(polys):
-            _add_term(terms, tuple(words), c)
-            return
-        for w, c2 in polys[i].terms.items():
-            rec(i + 1, words + [w], c * c2)
-    rec(0, [], coeff)
+    @staticmethod
+    def _sort_key(ws):
+        return tuple(NCPoly._sort_key(w) for w in ws)
 
 
 def tensor_of_words(legs, words, coeff=None) -> TensorPoly:

@@ -5,7 +5,8 @@ import pytest
 
 from qpbcalc.cli import main
 
-DATA = pathlib.Path(__file__).resolve().parents[1] / "src/qpbcalc/data"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA = ROOT / "src/qpbcalc/data"
 
 
 def run(capsys, *argv):
@@ -62,14 +63,62 @@ def test_check_json_schema(capsys):
         assert rep["status"] == "pass"
 
 
-def test_check_jobs_flag(capsys):
+def test_check_all_report_order(capsys):
     code, out, _ = run(capsys, "check", "all", "--example", "u1_q",
                        "--max-word-len", "2", "--max-degree", "2",
-                       "--jobs", "4", "--format", "json")
+                       "--format", "json")
     assert code == 0
     reports = json.loads(out)
     keys = [(r["suite"], r["example"]) for r in reports]
     assert keys == sorted(keys)  # deterministic ordering
+
+
+def test_budget_exhaustion_is_inconclusive_per_suite(capsys, monkeypatch):
+    # a fresh bundle from the file, so no memo from another test helps
+    monkeypatch.setenv("QPBCALC_REDUCE_BUDGET", "3")
+    code, out, _ = run(capsys, "check", "all", "--file",
+                       str(DATA / "torus.qpb"), "--format", "json")
+    assert code == 1
+    reports = json.loads(out)
+    stuck = [r for r in reports if r["status"] == "inconclusive"]
+    assert stuck and all(
+        "BudgetExceededError" in r["witnesses"][0]["got"] for r in stuck)
+    # the suites that fit the budget still ran and passed
+    assert {r["status"] for r in reports} == {"pass", "inconclusive"}
+    assert {r["suite"] for r in reports} >= {"hopf", "tau", "graded"}
+
+
+def test_malformed_budget_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QPBCALC_REDUCE_BUDGET", "abc")
+    code, out, err = run(capsys, "check", "all", "--example", "torus")
+    assert code == 2
+    assert out == ""
+    assert "QPBCALC_REDUCE_BUDGET" in err
+
+
+def test_suite_exception_is_a_failure_report(capsys, monkeypatch):
+    from qpbcalc import cli
+
+    def broken(b, n, k):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.SUITES, "hopf", broken)
+    code, out, _ = run(capsys, "check", "all", "--example", "u1_q",
+                       "--max-word-len", "2", "--max-degree", "2",
+                       "--format", "json")
+    assert code == 1
+    reports = {r["suite"]: r for r in json.loads(out)}
+    assert reports["hopf"]["status"] == "fail"
+    assert reports["hopf"]["witnesses"][0]["got"] == "RuntimeError: boom"
+    assert reports["tau"]["status"] == "pass"
+
+
+def test_zero_checks_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "check", "oracle", "--file",
+                       str(DATA / "crossed_demo.qpb"), "--format", "json")
+    assert code == 1
+    (rep,) = json.loads(out)
+    assert rep["checks"] == 0 and rep["status"] == "inconclusive"
 
 
 def test_unknown_suite_exit_2(capsys):
@@ -141,3 +190,18 @@ def test_report_schema_golden_file():
     golden = json.loads((pathlib.Path(__file__).parent
                          / "golden_report.json").read_text())
     assert d == golden
+
+
+@pytest.mark.parametrize("name", ["u1_q", "torus", "classical_t2",
+                                  "crossed_demo"])
+def test_check_all_matches_frozen_reports_twice(capsys, name):
+    # the second run reads every memo the first one filled, so a sum
+    # accumulated into a shared memoised value shows up as a changed report
+    fields = ("status", "checks", "truncation", "witnesses", "notes")
+    frozen = json.loads((ROOT / "perfbench/expected.json").read_text())
+    want = [{f: r[f] for f in fields} for r in frozen[f"{name}:all"]]
+    for _ in range(2):
+        code, out, _ = run(capsys, "check", "all", "--example", name,
+                           "--format", "json")
+        assert code == 0
+        assert [{f: r[f] for f in fields} for r in json.loads(out)] == want

@@ -1,0 +1,64 @@
+"""The shared sparse-sum arithmetic of NCPoly, Element, TensorPoly and
+GradedTensor: in-place accumulation agrees with the copying operators."""
+
+from fractions import Fraction
+
+import pytest
+
+from qpbcalc.calculus import Element, GradedTensor
+from qpbcalc.examples import build_example
+from qpbcalc.ncalg import NCPoly
+from qpbcalc.scalars import Scalar
+from qpbcalc.tensors import TensorPoly
+
+q = Scalar.param("q")
+one = Scalar.one()
+half = Scalar.from_fraction(Fraction(1, 2))
+
+
+def _sums(kind):
+    """(a, b) of one kind whose keys overlap in one place."""
+    bundle = build_example("torus")
+    oa = bundle.omega_A
+    A = bundle.ca.A
+    ka, kb, kc = {
+        "ncpoly": (("u",), ("v",), ("u", "v")),
+        "element": ((("u",), ()), ((), ("du",)), (("v",), ("dv",))),
+        "tensor": ((("u",), ()), ((), ("v",)), (("u",), ("v",))),
+        "graded": (((("u",), ()), ((), ("dv",))),
+                   (((), ("du",)), (("v",), ())),
+                   (((), ()), ((), ()))),
+    }[kind]
+    ta = {ka: one, kb: q + one}
+    tb = {kb: half, kc: -q}
+    make = {
+        "ncpoly": lambda t: NCPoly(t),
+        "element": lambda t: Element(oa, t),
+        "tensor": lambda t: TensorPoly((A, A), t),
+        "graded": lambda t: GradedTensor((oa, oa), t),
+    }[kind]
+    return make(ta), make(tb)
+
+
+KINDS = ("ncpoly", "element", "tensor", "graded")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("c", [q, -one, Scalar.zero(), None])
+def test_add_scaled_matches_copying_sum(kind, c):
+    a, b = _sums(kind)
+    a0, b0 = _sums(kind)
+    want = a0 + (b0 if c is None else b0.scale(c))
+    before = dict(b.terms)
+    got = a.add_scaled(b, c)
+    assert got is a
+    assert a == want and str(a) == str(want)
+    assert b.terms == before
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_add_scaled_drops_cancelled_terms(kind):
+    a, _ = _sums(kind)
+    a0, _ = _sums(kind)
+    a.add_scaled(a0, -one)
+    assert a.terms == {} and a.is_zero() and str(a) == "0"
