@@ -659,8 +659,11 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
                         for (w3, F3), c3 in moved.terms.items():
                             prod = pres.normal_word(w1 + w3)
                             for w4, c4 in prod.terms.items():
+                                # c is the rational kernel coefficient:
+                                # multiply it in last, so the Laurent
+                                # products stay on the monomial path
                                 add_term(vec, (w4, F3 + F2),
-                                         c * c1 * c2 * c3 * c4)
+                                         c1 * c2 * c3 * c4 * c)
             if vec:
                 span_rows.append(vec)
         basis = rref(span_rows)

@@ -124,9 +124,6 @@ def _emit_reports(reports, fmt):
 
 
 def cmd_check(args):
-    bundle = _load_bundle(args)
-    n = args.max_word_len or DEFAULT_WORD_LEN.get(bundle.name, 4)
-    k = args.max_degree or 3
     if args.suite == "all":
         names = list(SUITES)
     else:
@@ -135,10 +132,26 @@ def cmd_check(args):
                   f"{', '.join(SUITES)}", file=sys.stderr)
             return 2
         names = [args.suite]
+    try:
+        bundle = _load_bundle(args)
+    except BudgetExceededError as e:
+        # structural validation ran out of budget: no suite can run
+        example = args.example or args.file
+        return _emit_reports([_budget_report(s, example, e) for s in names],
+                             args.format)
+    n = args.max_word_len or DEFAULT_WORD_LEN.get(bundle.name, 4)
+    k = args.max_degree or 3
     reports = []
     for s in names:
         reports.extend(_run_suite(s, bundle, n, k))
     return _emit_reports(reports, args.format)
+
+
+def _budget_report(name, example, error):
+    rep = CheckReport(suite=name, example=example)
+    rep.mark_inconclusive(name, f"BudgetExceededError: {error}",
+                          ref="raise QPBCALC_REDUCE_BUDGET")
+    return rep
 
 
 def _run_suite(name, bundle, n, k):
@@ -147,9 +160,7 @@ def _run_suite(name, bundle, n, k):
     try:
         return SUITES[name](bundle, n, k)
     except BudgetExceededError as e:
-        rep = CheckReport(suite=name, example=bundle.name)
-        rep.mark_inconclusive(name, f"BudgetExceededError: {e}",
-                              ref="raise QPBCALC_REDUCE_BUDGET")
+        return [_budget_report(name, bundle.name, e)]
     except Exception as e:  # a crash in one suite is that suite's failure
         traceback.print_exc()
         rep = CheckReport(suite=name, example=bundle.name)

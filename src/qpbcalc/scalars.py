@@ -7,11 +7,21 @@ factor, positive leading coefficient, gcd(num, den) = 1.  Structural equality
 is mathematical equality.
 
 Each coefficient has one spelling: an ``int`` when it is integral, a
-``Fraction`` only when it is not.  A ``float`` never appears, so every
-quotient of coefficients goes through ``Fraction``.  The common case, a
+``Fraction`` only when it is not.  A ``float`` never appears: a quotient
+of coefficients is ``//`` when one int divides another and a ``Fraction``
+otherwise.  The common case, a
 Laurent polynomial with int coefficients over the shared unit denominator,
 stays in machine ints; Fractions arise from non-integral constants and
 inside the rational-function path (division and the gcds that follow it).
+
+Reducing num/den takes polynomial gcds over Z.  A univariate gcd is found
+by heuristic GCD (Char, Geddes and Gonnet, J. Symb. Comput. 7 (1989)):
+the primitive parts are evaluated at a large integer, the integer gcd of
+the values is read back as a polynomial, and the candidate is accepted
+only if it divides both inputs exactly, so the answer is exact.  When
+every evaluation point fails, Euclid over Q (_gcd_univariate) answers.
+Multivariate gcds use a primitive PRS whose contents recurse down to the
+univariate case.
 """
 
 from __future__ import annotations
@@ -46,6 +56,10 @@ class Parameter:
 
 def _exact_div(a, b):
     """Exact quotient of two coefficients: an int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
     c = Fraction(a, b)
     return c.numerator if c.denominator == 1 else c
 
@@ -101,13 +115,14 @@ def _lead(f):
 
 
 def _content(f):
-    """Positive Fraction c with f/c having coprime integer coefficients."""
+    """Positive c with f/c having coprime integer coefficients: an int when
+    integral, else a Fraction."""
     num = 0
     den = 1
     for c in f.values():
         num = math.gcd(num, c.numerator)
         den = den * c.denominator // math.gcd(den, c.denominator)
-    return Fraction(num, den)
+    return num if den == 1 else Fraction(num, den)
 
 
 def _min_exps(f, nvars):
@@ -145,12 +160,59 @@ def _coeffs_in(f, i):
     return {k: v for k, v in out.items() if v}
 
 
+def _dense(f, i):
+    """Coefficients of f by degree in variable i, lowest first, when f has
+    int coefficients and no other variable; else None."""
+    d = [0] * (_degree_in(f, i) + 1)
+    for m, c in f.items():
+        e = m[i]
+        if type(c) is not int or e < 0 or any(m[:i]) or any(m[i + 1:]):
+            return None
+        d[e] = c
+    return d
+
+
+def _sparse(d, i, nv):
+    """Inverse of _dense: the dict of a dense coefficient list."""
+    return {(0,) * i + (e,) + (0,) * (nv - i - 1): c
+            for e, c in enumerate(d) if c}
+
+
+def _dense_quo(f, g):
+    """f / g for dense int polynomials if g divides f over Z, else None."""
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return None
+    r = list(f)
+    lc = g[-1]
+    q = [0] * (len(f) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + dg], lc)
+        if rem:
+            return None
+        if c:
+            q[k] = c
+            for j in range(dg):
+                r[k + j] -= c * g[j]
+    return None if any(r[:dg]) else q
+
+
 def _pdivexact(f, g):
     """Exact division of ordinary polynomials; raises if not divisible."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if not f:
         return {}
+    # univariate int divisor and dividend: dense division over Z
+    gm = max(g)
+    i = next((j for j, e in enumerate(gm) if e), 0)
+    dg = _dense(g, i)
+    if dg is not None:
+        df = _dense(f, i)
+        if df is not None:
+            q = _dense_quo(df, dg)
+            if q is not None:
+                return _sparse(q, i, len(gm))
     q = {}
     r = dict(f)
     gm, gc = _lead(g)
@@ -165,8 +227,53 @@ def _pdivexact(f, g):
     return q
 
 
+_HEU_GCD_TRIES = 6
+
+
+def _heu_gcd(f, g, i):
+    """Primitive gcd of f and g, univariate in variable i, by heuristic GCD
+    over Z (Char, Geddes, Gonnet 1989); None if every evaluation point fails.
+
+    The primitive parts are evaluated at xi, the candidate is rebuilt from
+    the integer gcd of the values in the symmetric xi-adic representation,
+    and it is accepted only if it divides both exactly.  With
+    xi >= 2 min(|f|, |g|) + 2 (max norms), a candidate that divides both is
+    the gcd."""
+    f = _dense(_int_coeffs(_pdiv_const(f, _content(f))), i)
+    g = _dense(_int_coeffs(_pdiv_const(g, _content(g))), i)
+    if f is None or g is None:
+        return None
+    if len(f) == 1 or len(g) == 1:
+        return [1]
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(_HEU_GCD_TRIES):
+        ff = gg = 0
+        for c in reversed(f):
+            ff = ff * xi + c
+        for c in reversed(g):
+            gg = gg * xi + c
+        if ff and gg:
+            v = math.gcd(ff, gg)
+            h = []
+            while v:
+                c = v % xi
+                if c > xi // 2:
+                    c -= xi
+                h.append(c)
+                v = (v - c) // xi
+            # the top digit of a positive value is positive
+            cont = math.gcd(*h)
+            h = [c // cont for c in h]
+            if _dense_quo(f, h) is not None and _dense_quo(g, h) is not None:
+                return h
+        # the next point grows by about xi**1.25, as in Liao and Fateman
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
 def _gcd_univariate(f, g, i):
-    """Euclid in variable i; inputs univariate in i over Q."""
+    """Euclid in variable i; inputs univariate in i over Q.  The exact
+    fallback of _heu_gcd."""
     a, b = dict(f), dict(g)
     while b:
         # make b monic, reduce a mod b
@@ -209,7 +316,10 @@ def _pgcd(f, g):
     i = max(used)
     others = used - {i}
     if not others:
-        return _gcd_univariate(f, g, i)
+        h = _heu_gcd(f, g, i)
+        if h is None:
+            return _gcd_univariate(f, g, i)
+        return _sparse(h, i, len(next(iter(f))))
     # primitive PRS in variable i, contents handled recursively
     cf = _coeffs_in(f, i)
     cg = _coeffs_in(g, i)

@@ -88,6 +88,32 @@ def test_budget_exhaustion_is_inconclusive_per_suite(capsys, monkeypatch):
     assert {r["suite"] for r in reports} >= {"hopf", "tau", "graded"}
 
 
+@pytest.mark.parametrize("budget, word", [("0", "ti*t"), ("1", "u*v*ui")])
+def test_budget_exhaustion_while_loading_is_inconclusive(
+        capsys, monkeypatch, budget, word):
+    # structural validation of a fresh torus runs out of budget before
+    # any suite starts: every requested suite reports it
+    from qpbcalc import cli, examples
+
+    monkeypatch.setattr(examples, "_CACHE", {})
+    monkeypatch.setenv("QPBCALC_REDUCE_BUDGET", budget)
+    code, out, err = run(capsys, "check", "all", "--example", "torus",
+                         "--format", "json")
+    assert code == 1
+    assert err == ""
+    reports = json.loads(out)
+    assert sorted(r["suite"] for r in reports) == sorted(cli.SUITES)
+    for r in reports:
+        assert r["status"] == "inconclusive" and r["example"] == "torus"
+        (w,) = r["witnesses"]
+        assert w["got"].startswith("BudgetExceededError")
+        assert w["got"].endswith(word)
+    code, out, _ = run(capsys, "check", "hopf", "--example", "torus",
+                       "--format", "json")
+    assert code == 1
+    assert [r["suite"] for r in json.loads(out)] == ["hopf"]
+
+
 def test_malformed_budget_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("QPBCALC_REDUCE_BUDGET", "abc")
     code, out, err = run(capsys, "check", "all", "--example", "torus")

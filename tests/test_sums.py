@@ -62,3 +62,40 @@ def test_add_scaled_drops_cancelled_terms(kind):
     a0, _ = _sums(kind)
     a.add_scaled(a0, -one)
     assert a.terms == {} and a.is_zero() and str(a) == "0"
+
+
+def _memo_snapshot(memo):
+    return {key: dict(value.terms) for key, value in memo.items()}
+
+
+@pytest.mark.parametrize("which", ["delta_bullet", "tau_bullet"])
+def test_memoised_pieces_are_not_accumulators(which):
+    # Torus suites only feed these maps single-term inputs; a two-term
+    # input with non-unit coefficients shows an accumulator that aliases
+    # the memoised piece of its first term.
+    from qpbcalc.braidext import tau_bullet
+
+    cc = build_example("torus").cc
+    L = Scalar.param("L")
+    if which == "delta_bullet":
+        oa = cc.omega_A
+        x = Element(oa, {((), ("du",)): L, (("v",), ("dv",)): -half})
+        apply, memo = cc.delta_bullet, cc._delta_cache
+    else:
+        oh = cc.omega_H
+        x = Element(oh, {(("t",), ()): L, ((), ("dt",)): -half})
+        apply = lambda y: tau_bullet(cc, y)
+        memo = cc._taubul_cache
+    # memoise every term's piece, then freeze them
+    for key in x.terms:
+        apply(Element(x.calc, {key: one}))
+    before = _memo_snapshot(memo)
+    assert all(key in before for key in x.terms)
+    first = apply(x)
+    second = apply(x)
+    assert first == second
+    assert _memo_snapshot(memo) == before
+    want = GradedTensor.zero(first.legs)
+    for key, c in x.terms.items():
+        want.add_scaled(apply(Element(x.calc, {key: one})), c)
+    assert first == want
