@@ -84,7 +84,7 @@ def _suite_registry():
         return [oracle_crosscheck(b, b.name)]
 
     def crossed(b, n, k):
-        if "crossed" not in b.meta:
+        if b.crossed is None:
             return []
         return [crossed_structure_check(b, min(n, 3), b.name)]
 

@@ -1,19 +1,35 @@
 """Line-oriented presentation files for bundles.
 
 INI-style sections with `key = expression` lines in the shared grammar.
-Sections: [params], [generators], [relations], [hopf.generators],
-[hopf.relations], [hopf.delta], [hopf.epsilon], [hopf.antipode],
-[hopf.antipode_inv], [hopf.calculus], [calculus], [coaction],
-[translation], [cleaving], [connection], [strong], [oracle.sigma],
-[oracle.ver].  Parsing is total with line-anchored diagnostics; the
-serializer emits canonical files that round-trip.
+Sections: [bundle], [params], [hopf.generators], [hopf.relations],
+[hopf.delta], [hopf.epsilon], [hopf.antipode], [hopf.antipode_inv],
+[hopf.calculus], then the total space, then [oracle.sigma], [oracle.ver].
+The total space is one of:
+
+- [generators], [relations], [coaction], [calculus], [translation] or
+  [cleaving], [connection], [strong];
+- `total = hopf` under [bundle] (the structure group over itself) with
+  [coaction], [translation], [connection], [strong];
+- a crossed product: [crossed.generators], [crossed.relations],
+  [crossed.calculus] and [crossed] (`measure h b = ...`, `cocycle = ...`),
+  handed to `examples.crossed_product`.
+
+Parsing is total with line-anchored diagnostics; the serializer emits
+canonical files that round-trip.
 """
 
 from __future__ import annotations
 
 from .calculus import DiffCalculus, Element, GradedTensor
 from .comodule import ComoduleAlgebra, TranslationData
-from .examples import ExampleBundle, OracleEntry
+from .examples import (
+    CrossedProductData,
+    ExampleBundle,
+    ExampleError,
+    OracleEntry,
+    crossed_product,
+    qbinomial_strong_connection,
+)
 from .exprs import (
     ExprError,
     eval_form,
@@ -24,7 +40,7 @@ from .exprs import (
 )
 from .hopf import HopfPresentation
 from .ncalg import AlgebraPresentation, GeneratorSymbol, NCPoly
-from .qpb import CompleteCalculus
+from .qpb import CompleteCalculus, h_delta_letter_table
 from .scalars import Parameter
 from .tensors import TensorPoly
 
@@ -36,7 +52,10 @@ class ParseError(Exception):
 
 
 def _split_sections(text):
+    """Section name -> its (lineno, key, value) lines, and section name ->
+    the line of its first header."""
     sections = {}
+    headers = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -48,6 +67,7 @@ def _split_sections(text):
                 raise ParseError(f"malformed section header {name!r}", lineno)
             current = name[1:-1].strip()
             sections.setdefault(current, [])
+            headers.setdefault(current, lineno)
             continue
         if current is None:
             raise ParseError("content before the first section", lineno)
@@ -55,7 +75,7 @@ def _split_sections(text):
             raise ParseError("expected 'key = value'", lineno)
         key, value = line.split("=", 1)
         sections[current].append((lineno, key.strip(), value.strip()))
-    return sections
+    return sections, headers
 
 
 def _generators(lines):
@@ -246,15 +266,21 @@ def _split_args(text, lineno):
 
 
 def parse(text: str, validate: bool = True) -> ExampleBundle:
-    sections = _split_sections(text)
+    sections, headers = _split_sections(text)
     params = {}
     for lineno, key, value in sections.get("params", []):
         params[key] = Parameter(key, value.strip() == "invertible")
 
     name = "bundle"
+    total_line = None
     for lineno, key, value in sections.get("bundle", []):
         if key == "name":
             name = value
+        elif key == "total" and value == "hopf":
+            total_line = lineno
+        else:
+            raise ParseError(f"unknown [bundle] entry {key} = {value}",
+                             lineno)
 
     H_alg = _algebra(f"{name}.H", sections, "hopf.generators",
                      "hopf.relations", params)
@@ -269,22 +295,68 @@ def parse(text: str, validate: bool = True) -> ExampleBundle:
     sinv_tab = _gen_table(sections.get("hopf.antipode_inv", []), params,
                           lambda v, ln: eval_poly(v, params, H_alg, line=ln))
     hopf = HopfPresentation(H_alg, delta, eps, s_tab, sinv_tab)
+    omega_H, _ = _calculus(f"Omega({name}.H)",
+                           sections.get("hopf.calculus", []), H_alg, params,
+                           hopf=hopf)
 
-    A = _algebra(f"{name}.A", sections, "generators", "relations", params)
+    if any(s.split(".")[0] == "crossed" for s in sections):
+        if total_line is not None:
+            raise ParseError("a crossed product builds its own total space",
+                             total_line)
+        _reject(sections, headers, _TOTAL_SPACE,
+                "a crossed product, which builds its total space")
+        bundle = _crossed_bundle(name, sections, headers, hopf, omega_H,
+                                 params, validate)
+    else:
+        if total_line is not None:
+            _reject(sections, headers, ("generators", "relations", "calculus"),
+                    "total = hopf")
+        bundle = _bundle(name, sections, hopf, omega_H, params,
+                         total_line is not None)
+    if validate:
+        for rep in bundle.structural_validation():
+            if not rep.ok():
+                w = rep.witnesses[0]
+                raise ParseError(
+                    f"{name}: structural validation failed in {rep.suite}: "
+                    f"{w.input} expected {w.expected} got {w.got}")
+    return bundle
+
+
+_TOTAL_SPACE = ("generators", "relations", "calculus", "coaction",
+                "translation", "cleaving", "connection", "strong")
+
+
+def _reject(sections, headers, names, why):
+    for section in names:
+        if section in sections:
+            raise ParseError(f"[{section}] conflicts with {why}",
+                             headers[section])
+
+
+def _bundle(name, sections, hopf, omega_H, params, total_is_hopf):
+    """A bundle whose total space is written out, or is the structure
+    group itself (``total = hopf``: one algebra and one calculus)."""
+    H_alg = hopf.base
+    if total_is_hopf:
+        A = H_alg
+    else:
+        A = _algebra(f"{name}.A", sections, "generators", "relations", params)
     coaction = _gen_table(
         sections.get("coaction", []), params,
         lambda v, ln: _tensorpoly(eval_tensor(
             v, params, _bare_pair(A, H_alg), line=ln), (A, H_alg)))
     ca = ComoduleAlgebra(name, A, hopf, coaction)
-
-    omega_H, _ = _calculus(f"Omega({name}.H)",
-                           sections.get("hopf.calculus", []), H_alg, params,
-                           hopf=hopf)
-    omega_A, deferred = _calculus(f"Omega({name}.A)",
-                                  sections.get("calculus", []), A, params)
+    if total_is_hopf:
+        omega_A, deferred = omega_H, []
+        delta_letter = h_delta_letter_table(omega_H)
+    else:
+        omega_A, deferred = _calculus(f"Omega({name}.A)",
+                                      sections.get("calculus", []), A, params)
+        delta_letter = {}
 
     td = _translation(sections, ca, params, name)
-    cc = CompleteCalculus(name, ca, omega_A, omega_H, {}, td)
+    cc = CompleteCalculus(name, ca, omega_A, omega_H, delta_letter, td)
     for lineno, letter, value in deferred:
         try:
             cc.delta_letter[letter] = eval_tensor(
@@ -300,17 +372,48 @@ def parse(text: str, validate: bool = True) -> ExampleBundle:
         except ExprError as e:
             raise ParseError(str(e), lineno) from e
 
-    ell = _strong(sections, ca, td, params, name)
-    oracles = _oracles(sections, params)
-    bundle = ExampleBundle(name, ca, td, cc, params, connection, ell,
-                           oracles, meta={"from_file": True})
-    if validate:
-        for rep in bundle.structural_validation():
-            if not rep.ok():
-                w = rep.witnesses[0]
-                raise ParseError(
-                    f"{name}: structural validation failed in {rep.suite}: "
-                    f"{w.input} expected {w.expected} got {w.got}")
+    form, ell = _strong(sections, ca, td)
+    return ExampleBundle(name, ca, td, cc, params, connection, ell,
+                         _oracles(sections), strong_form=form)
+
+
+def _crossed_bundle(name, sections, headers, hopf, omega_H, params,
+                    validate):
+    """The crossed product of [crossed.*] B and Omega(B) by the structure
+    group, with the [crossed] measure and bicharacter cocycle."""
+    B = _algebra(f"{name}.B", sections, "crossed.generators",
+                 "crossed.relations", params)
+    omega_B, _ = _calculus(f"Omega({name}.B)",
+                           sections.get("crossed.calculus", []), B, params)
+    measure, base = {}, None
+    for lineno, key, value in sections.get("crossed", []):
+        parts = key.split()
+        try:
+            if parts == ["cocycle"]:
+                base = eval_scalar(value, params, line=lineno)
+            elif len(parts) == 3 and parts[0] == "measure":
+                measure[(parts[1], parts[2])] = eval_poly(
+                    value, params, B, line=lineno)
+            else:
+                raise ParseError(f"unknown [crossed] key {key!r}", lineno)
+        except ExprError as e:
+            raise ParseError(str(e), lineno) from e
+    line = headers.get("crossed")
+    g = hopf.base.generators[0]
+    for h in (g.name, g.inverse_of):
+        for b in B.generators:
+            if (h, b.name) not in measure:
+                raise ParseError(f"[crossed] needs 'measure {h} {b.name}'",
+                                 line)
+    if base is None:
+        raise ParseError("[crossed] needs 'cocycle'", line)
+    data = CrossedProductData(B, omega_B, hopf, omega_H, measure, base, name)
+    try:
+        bundle = crossed_product(data, validate)
+    except ExampleError as e:
+        raise ParseError(str(e), line) from e
+    bundle.params = params
+    bundle.oracles += _oracles(sections)
     return bundle
 
 
@@ -358,23 +461,22 @@ def _translation(sections, ca, params, name):
     raise ParseError("need a [translation] or [cleaving] section")
 
 
-def _strong(sections, ca, td, params, name):
-    form = None
+def _strong(sections, ca, td):
+    """The declared strong-connection form and the map it names."""
+    form, line = "none", None
     for lineno, key, value in sections.get("strong", []):
         if key == "form":
-            form = value
-    if form in (None, "none"):
-        return None
+            form, line = value, lineno
+    if form == "none":
+        return form, None
     if form == "translation":
-        return td.tau_word
+        return form, td.tau_word
     if form == "qbinomial":
-        from .examples import qbinomial_strong_connection
-
-        return qbinomial_strong_connection(ca)
-    raise ParseError(f"unknown strong-connection form {form!r}")
+        return form, qbinomial_strong_connection(ca)
+    raise ParseError(f"unknown strong-connection form {form!r}", line)
 
 
-def _oracles(sections, params):
+def _oracles(sections):
     out = []
     for lineno, key, value in sections.get("oracle.sigma", []):
         if not (key.startswith("sigma(") and key.endswith(")")):
@@ -466,14 +568,18 @@ def _tensor_str(gt) -> str:
 def serialize(bundle: ExampleBundle) -> str:
     lines = []
     out = lines.append
+    A = bundle.ca.A
+    hopf = bundle.ca.H
+    total_is_hopf = A is hopf.base
     out(f"# qpbcalc bundle: {bundle.name}")
     out("[bundle]")
     out(f"name = {bundle.name}")
+    if total_is_hopf:
+        out("total = hopf")
     out("")
     out("[params]")
     for p in sorted(bundle.params):
         out(f"{p} = {'invertible' if bundle.params[p].invertible else 'formal'}")
-    hopf = bundle.ca.H
     out("")
     _emit_algebra(out, hopf.base, "hopf.generators", "hopf.relations")
     out("")
@@ -494,30 +600,10 @@ def serialize(bundle: ExampleBundle) -> str:
         out(f"{g.name} = {_poly_str(hopf.sinv_tab[g.name])}")
     out("")
     _emit_calculus(out, bundle.omega_H, "hopf.calculus", None)
-    out("")
-    _emit_algebra(out, bundle.ca.A, "generators", "relations")
-    out("")
-    out("[coaction]")
-    for g in bundle.ca.A.generators:
-        out(f"{g.name} = {_tensor_str(bundle.ca.coact_tab[g.name])}")
-    out("")
-    _emit_calculus(out, bundle.omega_A, "calculus", bundle.cc.delta_letter)
-    out("")
-    out("[translation]")
-    for g in bundle.ca.H.base.generators:
-        out(f"{g.name} = {_tensor_str(bundle.td.tab[g.name])}")
-    out("")
-    out("[connection]")
-    for F, el in sorted(bundle.connection.items()):
-        out(f"{'*'.join(F)} = {_form_str(el)}")
-    out("")
-    out("[strong]")
-    if bundle.ell is None:
-        out("form = none")
-    elif bundle.name == "podles":
-        out("form = qbinomial")
+    if bundle.crossed is not None:
+        _emit_crossed(out, bundle.crossed)
     else:
-        out("form = translation")
+        _emit_total_space(out, bundle, total_is_hopf)
     sig = [e for e in bundle.oracles
            if e.kind == "sigma" and isinstance(e.expected, str)]
     ver = [e for e in bundle.oracles if e.kind == "ver"]
@@ -533,6 +619,44 @@ def serialize(bundle: ExampleBundle) -> str:
             out(f"ver {e.args[0]} {e.args[1]} {e.args[2]} = {e.expected}")
     out("")
     return "\n".join(lines)
+
+
+def _emit_total_space(out, bundle, total_is_hopf):
+    if not total_is_hopf:
+        out("")
+        _emit_algebra(out, bundle.ca.A, "generators", "relations")
+    out("")
+    out("[coaction]")
+    for g in bundle.ca.A.generators:
+        out(f"{g.name} = {_tensor_str(bundle.ca.coact_tab[g.name])}")
+    if not total_is_hopf:
+        out("")
+        _emit_calculus(out, bundle.omega_A, "calculus",
+                       bundle.cc.delta_letter)
+    out("")
+    out("[translation]")
+    for g in bundle.ca.H.base.generators:
+        out(f"{g.name} = {_tensor_str(bundle.td.tab[g.name])}")
+    out("")
+    out("[connection]")
+    for F, el in sorted(bundle.connection.items()):
+        out(f"{'*'.join(F)} = {_form_str(el)}")
+    out("")
+    out("[strong]")
+    out(f"form = {bundle.strong_form}")
+
+
+def _emit_crossed(out, data):
+    """The crossed-product input; the oracles it generates are implied."""
+    out("")
+    _emit_algebra(out, data.B, "crossed.generators", "crossed.relations")
+    out("")
+    _emit_calculus(out, data.omega_B, "crossed.calculus", None)
+    out("")
+    out("[crossed]")
+    for (h, b), p in data.measure.items():
+        out(f"measure {h} {b} = {_poly_str(p)}")
+    out(f"cocycle = {data.cocycle_base}")
 
 
 def _emit_algebra(out, pres, gen_section, rel_section):

@@ -26,7 +26,6 @@ from qpbcalc.examples import (
     build_example,
     crossed_structure_check,
     crossed_validation,
-    default_crossed_data,
     oracle_crosscheck,
 )
 from qpbcalc.hopf import verify_hopf_axioms
@@ -208,7 +207,7 @@ def test_criterion_10_symmetry_dichotomy(torus, podles):
 
 
 def test_criterion_11_crossed_products(crossed):
-    rep_val = crossed_validation(default_crossed_data())
+    rep_val = crossed_validation(crossed.crossed)
     rep_struct = crossed_structure_check(crossed, 3)
     rep_oracle = oracle_crosscheck(crossed)
     ok = rep_val.ok() and rep_struct.ok() and rep_oracle.ok()

@@ -12,17 +12,8 @@ from qpbcalc.calculus import (
     pi_lambda,
     to_lambda,
 )
+from qpbcalc.examples import build_example
 from qpbcalc.ncalg import NCPoly
-from qpbcalc.presentations import (
-    hopf_laurent_2var,
-    hopf_u1,
-    laurent_2var_calculus,
-    sl2q_algebra,
-    sl2q_total_calculus,
-    torus_algebra,
-    torus_total_calculus,
-    u1_calculus,
-)
 from qpbcalc.scalars import Scalar
 
 q = Scalar.param("q")
@@ -34,22 +25,22 @@ one = Scalar.one()
 
 @pytest.fixture(scope="module")
 def u1q():
-    return u1_calculus(hopf_u1(), 1)
+    return build_example("u1_q").omega_A
 
 
 @pytest.fixture(scope="module")
 def torus_calc():
-    return torus_total_calculus(torus_algebra())
+    return build_example("torus").omega_A
 
 
 @pytest.fixture(scope="module")
 def sl2_calc():
-    return sl2q_total_calculus(sl2q_algebra())
+    return build_example("podles").omega_A
 
 
 @pytest.fixture(scope="module")
 def two_var():
-    return laurent_2var_calculus(hopf_laurent_2var())
+    return build_example("classical_t2").omega_A
 
 
 # -- normal form / right action -------------------------------------------------

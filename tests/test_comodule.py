@@ -16,8 +16,8 @@ from qpbcalc.comodule import (
     tau_identity_suite,
     triple_map,
 )
+from qpbcalc.examples import build_example
 from qpbcalc.ncalg import NCPoly
-from qpbcalc.presentations import sl2q_comodule, torus_comodule, u1_comodule
 from qpbcalc.scalars import Scalar, q_binomial
 from qpbcalc.tensors import TensorPoly
 
@@ -27,19 +27,24 @@ L = Scalar.param("L")
 Li = Scalar.param("L", -1)
 
 
+def _comodule(name):
+    bundle = build_example(name)
+    return bundle.ca, bundle.td
+
+
 @pytest.fixture(scope="module")
 def torus():
-    return torus_comodule()
+    return _comodule("torus")
 
 
 @pytest.fixture(scope="module")
 def podles():
-    return sl2q_comodule()
+    return _comodule("podles")
 
 
 @pytest.fixture(scope="module")
 def u1():
-    return u1_comodule()
+    return _comodule("u1_q")
 
 
 def test_coact_values(torus, podles):
@@ -194,7 +199,12 @@ def test_tau_suites(torus, podles, u1):
 def test_cleft_inverse_agrees(torus):
     ca, td = torus
     A, H = ca.A, ca.H.base
-    j, jinv = td.cleaving
+
+    def cleave(u, v):
+        # the torus cleaving: t^n -> u^n, ti^n -> v^n (inverse: ui^n, vi^n)
+        return lambda w: NCPoly.word(tuple(u if g == "t" else v for g in w))
+
+    j, jinv = cleave("u", "v"), cleave("ui", "vi")
     for wa in A.irreducible_words(2):
         for wh in H.irreducible_words(2):
             via_tau = chi_inv(ca, td, TensorPoly.from_polys(

@@ -9,7 +9,6 @@ from qpbcalc.examples import (
     crossed_product,
     crossed_structure_check,
     crossed_validation,
-    default_crossed_data,
     oracle_crosscheck,
     smash_braiding_formula,
 )
@@ -45,7 +44,7 @@ def test_unknown_example():
 # -- crossed products ----------------------------------------------------------
 
 def test_crossed_validation():
-    rep = crossed_validation(default_crossed_data())
+    rep = crossed_validation(build_example("crossed_demo").crossed)
     assert rep.ok(), rep.witnesses[:3]
 
 
@@ -79,10 +78,10 @@ def test_crossed_translation_map():
 
 def test_smash_case_matches_general_formula():
     # trivial cocycle: the closed braiding formula reduces to the smash one
-    data = default_crossed_data()
+    data = build_example("crossed_demo").crossed
     trivial = CrossedProductData(
         data.B, data.omega_B, data.H, data.omega_H, data.measure,
-        lambda m, n: Scalar.one(), "smash_demo")
+        Scalar.one(), "smash_demo")
     bundle = crossed_product(trivial)
     ca, td = bundle.ca, bundle.td
     j = lambda w: td.cleaving[0](w)
@@ -108,11 +107,11 @@ def _as_element(A, data, j, bw, n):
 
 def test_trivial_measure_and_cocycle_gives_tensor_calculus():
     # fully degenerate data: the total calculus is the plain tensor product
-    data = default_crossed_data()
+    data = build_example("crossed_demo").crossed
     trivial = CrossedProductData(
         data.B, data.omega_B, data.H, data.omega_H,
         {("t", "x"): NCPoly.gen("x"), ("ti", "x"): NCPoly.gen("x")},
-        lambda m, n: Scalar.one(), "tensor_demo")
+        Scalar.one(), "tensor_demo")
     bundle = crossed_product(trivial)
     oa = bundle.cc.omega_A
     A = bundle.ca.A

@@ -1,7 +1,10 @@
+import json
 import pathlib
+import re
 
 import pytest
 
+from qpbcalc.cli import main
 from qpbcalc.comodule import tau_identity_suite
 from qpbcalc.examples import EXAMPLE_NAMES, build_example, oracle_crosscheck
 from qpbcalc.fileformat import ParseError, parse, serialize
@@ -32,6 +35,97 @@ def test_roundtrip_identity_podles():
 def test_shipped_equals_programmatic():
     for name in EXAMPLE_NAMES:
         assert serialize(build_example(name)) == read(name), name
+
+
+def test_serialize_keeps_declared_strong_form():
+    # the strong-connection form comes from the file, not the bundle name
+    text = read("podles").replace("podles", "sphere")
+    assert serialize(parse(text, validate=False)) == text
+
+
+def _line_of(text, marker):
+    return next(i for i, line in enumerate(text.splitlines(), 1)
+                if line == marker)
+
+
+@pytest.mark.parametrize("name, old, new, marker, why", [
+    ("torus", "name = torus", "name = torus\ntotal = group",
+     "total = group", "unknown [bundle] entry"),
+    ("u1_q", "[coaction]", "[generators]\n\n[coaction]", "[generators]",
+     "conflicts with total = hopf"),
+    ("u1_q", "[coaction]", "[relations]\n\n[coaction]", "[relations]",
+     "conflicts with total = hopf"),
+    ("u1_q", "[coaction]", "[calculus]\nbasis = dt\ntop = 1\n\n[coaction]",
+     "[calculus]", "conflicts with total = hopf"),
+    ("crossed_demo", "cocycle = mu", "cocycle = mu\nshift x = 1",
+     "shift x = 1", "unknown [crossed] key"),
+    ("crossed_demo", "measure ti x = q^-1*x", "measure ti x = q*x",
+     "[crossed]", "fails validation"),
+    ("crossed_demo", "cocycle = mu\n", "", "[crossed]", "needs 'cocycle'"),
+    ("crossed_demo", "measure t x = q*x\n", "", "[crossed]",
+     "needs 'measure t x'"),
+    ("crossed_demo", "[crossed]", "[connection]\n\n[crossed]",
+     "[connection]", "conflicts with a crossed product"),
+    ("crossed_demo", "name = crossed_demo",
+     "name = crossed_demo\ntotal = hopf", "total = hopf",
+     "builds its own total space"),
+])
+def test_malformed_declarations_have_line_numbers(name, old, new, marker,
+                                                  why):
+    text = read(name).replace(old, new)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == _line_of(text, marker)
+    assert why in str(err.value)
+
+
+# -- metamorphic: edits that must not change any report -----------------------
+
+TABLES = ("hopf.delta", "hopf.epsilon", "hopf.antipode", "hopf.antipode_inv",
+          "coaction", "translation", "connection", "crossed", "oracle.sigma",
+          "oracle.ver")
+
+
+def _sections(text):
+    return re.split(r"(?m)^(?=\[)", text)
+
+
+def _reverse_sections(text):
+    return "".join(reversed(_sections(text)))
+
+
+def _reverse_table_lines(text):
+    out = []
+    for block in _sections(text):
+        head, _, body = block.partition("\n")
+        if head.strip("[]") in TABLES:
+            lines = [line for line in body.splitlines() if line.strip()]
+            block = head + "\n" + "\n".join(reversed(lines)) + "\n\n"
+        out.append(block)
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name, param, renamed", [
+    ("torus", "L", "Lam"), ("u1_q", "q", "r"), ("crossed_demo", "q", "r")])
+def test_edits_keep_every_report(tmp_path, capsys, name, param, renamed):
+    frozen = json.loads((DATA.parents[2] / "perfbench/expected.json")
+                        .read_text())
+    want = [(r["suite"], r["status"], r["checks"])
+            for r in frozen[f"{name}:all"]]
+    text = read(name)
+    edits = {
+        "rename": re.sub(rf"\b{param}\b", renamed, text),
+        "reverse-sections": _reverse_sections(text),
+        "reverse-tables": _reverse_table_lines(text),
+    }
+    for edit, edited in edits.items():
+        assert edited != text, edit
+        f = tmp_path / f"{edit}.qpb"
+        f.write_text(edited)
+        main(["check", "all", "--file", str(f), "--format", "json"])
+        got = [(r["suite"], r["status"], r["checks"])
+               for r in json.loads(capsys.readouterr().out)]
+        assert got == want, edit
 
 
 def test_parsed_bundle_runs_suites():

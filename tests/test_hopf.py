@@ -1,6 +1,8 @@
 import pytest
 
+from qpbcalc.examples import build_example
 from qpbcalc.hopf import (
+    HopfPresentation,
     adjoint_coaction,
     antipode,
     antipode_inv,
@@ -9,7 +11,6 @@ from qpbcalc.hopf import (
     verify_hopf_axioms,
 )
 from qpbcalc.ncalg import NCPoly
-from qpbcalc.presentations import hopf_sl2q, hopf_u1
 from qpbcalc.scalars import Scalar
 from qpbcalc.tensors import TensorPoly
 
@@ -20,12 +21,43 @@ one = Scalar.one()
 
 @pytest.fixture(scope="module")
 def u1():
-    return hopf_u1()
+    return build_example("u1_q").ca.H
+
+
+def _tp(base, *pairs):
+    out = TensorPoly.zero((base, base))
+    for x, y in pairs:
+        out.add_scaled(TensorPoly.from_polys((base, base), NCPoly.gen(x),
+                                             NCPoly.gen(y)))
+    return out
 
 
 @pytest.fixture(scope="module")
 def sl2():
-    return hopf_sl2q()
+    """Matrix comultiplication on the q-deformed 2x2 quantum group, over
+    the total space algebra of the podles bundle."""
+    base = build_example("podles").ca.A
+    delta = {
+        "alpha": _tp(base, ("alpha", "alpha"), ("beta", "gamma")),
+        "beta": _tp(base, ("alpha", "beta"), ("beta", "delta")),
+        "gamma": _tp(base, ("gamma", "alpha"), ("delta", "gamma")),
+        "delta": _tp(base, ("gamma", "beta"), ("delta", "delta")),
+    }
+    eps = {"alpha": one, "delta": one, "beta": Scalar.zero(),
+           "gamma": Scalar.zero()}
+    s = {
+        "alpha": NCPoly.gen("delta"),
+        "beta": NCPoly.gen("beta", -q),
+        "gamma": NCPoly.gen("gamma", -qi),
+        "delta": NCPoly.gen("alpha"),
+    }
+    sinv = {
+        "alpha": NCPoly.gen("delta"),
+        "beta": NCPoly.gen("beta", -qi),
+        "gamma": NCPoly.gen("gamma", -q),
+        "delta": NCPoly.gen("alpha"),
+    }
+    return HopfPresentation(base, delta, eps, s, sinv)
 
 
 def test_coproduct_grouplike_powers(u1):
@@ -126,10 +158,8 @@ def test_hopf_axioms_sl2(sl2):
     assert rep.ok(), rep.witnesses[:2]
 
 
-def test_mutated_antipode_fails():
-    from qpbcalc.hopf import HopfPresentation
-
-    good = hopf_sl2q()
+def test_mutated_antipode_fails(sl2):
+    good = sl2
     bad_s = dict(good.s_tab)
     bad_s["alpha"] = NCPoly.gen("alpha")
     bad = HopfPresentation(good.base, good.delta_tab, good.eps_tab,

@@ -1,9 +1,12 @@
 import os
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpbcalc.examples import build_example
+from qpbcalc.fileformat import parse
 from qpbcalc.ncalg import (
     AlgebraPresentation,
     BudgetExceededError,
@@ -17,13 +20,9 @@ from qpbcalc.ncalg import (
     reduce,
     weight,
 )
-from qpbcalc.presentations import (
-    laurent_2var_algebra,
-    sl2q_algebra,
-    torus_algebra,
-    u1_algebra,
-)
 from qpbcalc.scalars import Scalar
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src/qpbcalc/data"
 
 q = Scalar.param("q")
 qi = Scalar.param("q", -1)
@@ -33,12 +32,12 @@ one = Scalar.one()
 
 @pytest.fixture(scope="module")
 def torus():
-    return torus_algebra()
+    return build_example("torus").ca.A
 
 
 @pytest.fixture(scope="module")
 def sl2():
-    return sl2q_algebra()
+    return build_example("podles").ca.A
 
 
 # -- reduce -------------------------------------------------------------------
@@ -112,7 +111,7 @@ def test_undeclared_symbol(torus):
 
 def test_budget_guard(sl2, monkeypatch):
     monkeypatch.setenv("QPBCALC_REDUCE_BUDGET", "1")
-    fresh = sl2q_algebra()
+    fresh = parse((DATA / "podles.qpb").read_text(), validate=False).ca.A
     with pytest.raises(BudgetExceededError):
         fresh.reduce(NCPoly.word(("delta", "delta", "alpha", "alpha")))
 
@@ -178,8 +177,8 @@ def test_sl2_confluent(sl2):
 
 
 def test_u1_and_2var_confluent():
-    assert confluence_check(u1_algebra(), 4).ok()
-    assert confluence_check(laurent_2var_algebra(), 4).ok()
+    assert confluence_check(build_example("u1_q").ca.A, 4).ok()
+    assert confluence_check(build_example("classical_t2").ca.A, 4).ok()
 
 
 def test_inconsistent_system_reported():
@@ -255,9 +254,6 @@ def torus_words(draw):
 @given(torus_words())
 @settings(max_examples=150, deadline=None)
 def test_reduce_idempotent(w):
-    pres = _TORUS
+    pres = build_example("torus").ca.A
     p = pres.reduce(NCPoly.word(w))
     assert pres.reduce(p) == p
-
-
-_TORUS = torus_algebra()
