@@ -136,20 +136,22 @@ def _tau_one_letter(cc, b: NCPoly) -> GradedTensor:
 # -- canonical map on forms -------------------------------------------------------
 
 
+def chi_piece(cc: CompleteCalculus, key) -> GradedTensor:
+    """The memoised chi of one pair monomial (m1, m2); read-only."""
+    piece = cc._chibul_cache.get(key)
+    if piece is None:
+        m1, m2 = key
+        legs = (cc.omega_A, cc.omega_H)
+        lifted = GradedTensor(legs, {(m1, ((), ())): Scalar.one()})
+        piece = cc._chibul_cache[key] = lifted.wedge(cc._delta_mono(*m2))
+    return piece
+
+
 def chi_bullet(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
     """chi(omega (x) eta) = omega ^ eta_[0] (x) eta_[1]."""
-    oa, oh = cc.omega_A, cc.omega_H
-    cache = cc._chibul_cache
-    legs = (oa, oh)
-    out = GradedTensor.zero(legs)
+    out = GradedTensor.zero((cc.omega_A, cc.omega_H))
     for key, c in x.terms.items():
-        piece = cache.get(key)
-        if piece is None:
-            m1, m2 = key
-            lifted = GradedTensor(legs, {(m1, ((), ())): Scalar.one()})
-            piece = lifted.wedge(cc._delta_mono(*m2))
-            cache[key] = piece
-        out.add_scaled(piece, c)
+        out.add_scaled(chi_piece(cc, key), c)
     return out
 
 
@@ -159,7 +161,7 @@ def chi_bullet_inv(cc: CompleteCalculus, y: GradedTensor) -> GradedBalancedTenso
     legs = (oa, oa)
     out = GradedTensor.zero(legs)
     for (m1, m2), c in y.terms.items():
-        t = tau_bullet(cc, Element(cc.omega_H, {m2: Scalar.one()}))
+        t = _tau_mono(cc, *m2)
         lifted = GradedTensor(legs, {(m1, ((), ())): Scalar.one()})
         out.add_scaled(lifted.wedge(t), c)
     return GradedBalancedTensor(cc, raw=out)
@@ -168,29 +170,30 @@ def chi_bullet_inv(cc: CompleteCalculus, y: GradedTensor) -> GradedBalancedTenso
 # -- extended braiding --------------------------------------------------------------
 
 
+def sigma_piece(cc: CompleteCalculus, key) -> GradedTensor:
+    """The memoised sigma of one pair monomial (m1, m2); read-only."""
+    piece = cc._sigbul_cache.get(key)
+    if piece is None:
+        oa = cc.omega_A
+        legs = (oa, oa)
+        m1, m2 = key
+        piece = GradedTensor.zero(legs)
+        deg_eta = len(m2[1])
+        for (m0, (w1, f1)), c2 in cc._delta_mono(*m1).terms.items():
+            t = _tau_mono(cc, w1, f1)
+            lifted = GradedTensor(legs, {(m, ((), ())): c
+                                         for m, c in oa.mono_mul(m0, m2)})
+            piece.add_scaled(lifted.wedge(t), c2 * sign(len(f1) * deg_eta))
+        cc._sigbul_cache[key] = piece
+    return piece
+
+
 def sigma_bullet(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
     """sigma(omega (x) eta) =
     (-1)^{|omega_[1]||eta|} omega_[0] ^ eta ^ tau(omega_[1])."""
-    oa = cc.omega_A
-    cache = cc._sigbul_cache
-    legs = (oa, oa)
-    out = GradedTensor.zero(legs)
+    out = GradedTensor.zero((cc.omega_A, cc.omega_A))
     for key, c in x.terms.items():
-        piece = cache.get(key)
-        if piece is None:
-            m1, m2 = key
-            piece = GradedTensor.zero(legs)
-            deg_eta = len(m2[1])
-            d = cc._delta_mono(*m1)
-            for ((w0, f0), (w1, f1)), c2 in d.terms.items():
-                t = _tau_mono(cc, w1, f1)
-                head = oa.mul(Element(oa, {(w0, f0): Scalar.one()}),
-                              Element(oa, {m2: Scalar.one()}))
-                lifted = GradedTensor.of(legs, head, oa.unit())
-                piece.add_scaled(lifted.wedge(t),
-                                 c2 * sign(len(f1) * deg_eta))
-            cache[key] = piece
-        out.add_scaled(piece, c)
+        out.add_scaled(sigma_piece(cc, key), c)
     return out
 
 
@@ -207,9 +210,8 @@ def sigma_bullet_inv(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
             sinv = graded_antipode(oh, Element(oh, {(w1, f1): Scalar.one()}),
                                    inverse=True)
             t = tau_bullet(cc, sinv)
-            tail = oa.mul(Element(oa, {m1: Scalar.one()}),
-                          Element(oa, {(w0, f0): Scalar.one()}))
-            lifted = GradedTensor.of(legs, oa.unit(), tail)
+            lifted = GradedTensor(legs, {(((), ()), m): c3 for m, c3
+                                         in oa.mono_mul(m1, (w0, f0))})
             out.add_scaled(t.wedge(lifted),
                            c * c2 * sign((deg_omega + len(f0)) * len(f1)))
     return out
@@ -226,7 +228,7 @@ def wedge_otimes_b(cc: CompleteCalculus, x: GradedTensor,
     out = GradedTensor.zero(legs)
     for (a1, a2), c1 in x.terms.items():
         for (b1, b2), c2 in y.terms.items():
-            mid = sigma_bullet(cc, GradedTensor(legs, {(a2, b1): Scalar.one()}))
+            mid = sigma_piece(cc, (a2, b1))
             left = GradedTensor(legs, {(a1, ((), ())): Scalar.one()})
             right = GradedTensor(legs, {(((), ()), b2): Scalar.one()})
             out.add_scaled(left.wedge(mid).wedge(right), c1 * c2)
@@ -271,28 +273,29 @@ def _element_degree(x: Element) -> int:
 
 
 def canonical_triple_graded(cc, t3: GradedTensor) -> GradedTensor:
-    """Iterated canonical embedding into Omega(A) (x) Omega(H) (x) Omega(H)."""
+    """Iterated canonical embedding into Omega(A) (x) Omega(H) (x) Omega(H).
+
+    The inner chi runs first over all terms, so that equal (m1, p, theta)
+    keys are merged before the outer chi is applied to them once."""
     oa, oh = cc.omega_A, cc.omega_H
-    legs2 = (oa, oa)
-    out = GradedTensor.zero((oa, oh, oh))
+    inner = {}
     for (m1, m2, m3), c in t3.terms.items():
-        inner = chi_bullet(cc, GradedTensor(legs2, {(m2, m3): Scalar.one()}))
-        for (p, th), c2 in inner.terms.items():
-            outer = chi_bullet(cc, GradedTensor(legs2,
-                                                {(m1, p): Scalar.one()}))
-            for (x0, x1), c3 in outer.terms.items():
-                add_term(out.terms, (x0, x1, th), c * c2 * c3)
+        for (p, th), c2 in chi_piece(cc, (m2, m3)).terms.items():
+            add_term(inner, (m1, p, th), c * c2)
+    out = GradedTensor.zero((oa, oh, oh))
+    for (m1, p, th), c in inner.items():
+        for (x0, x1), c3 in chi_piece(cc, (m1, p)).terms.items():
+            add_term(out.terms, (x0, x1, th), c * c3)
     return out
 
 
-def triple_apply(cc, t3: GradedTensor, fn, slot: int) -> GradedTensor:
-    """Apply a raw-pair map to legs (slot, slot+1) of a triple."""
+def triple_apply(cc, t3: GradedTensor, piece, slot: int) -> GradedTensor:
+    """Apply a raw-pair map, given by its memoised pieces piece(cc, key),
+    to legs (slot, slot+1) of a triple."""
     oa = cc.omega_A
-    legs2 = (oa, oa)
     out = GradedTensor.zero((oa, oa, oa))
     for key, c in t3.terms.items():
-        pair = GradedTensor(legs2, {(key[slot], key[slot + 1]): Scalar.one()})
-        res = fn(pair)
+        res = piece(cc, (key[slot], key[slot + 1]))
         for (p1, p2), c2 in res.terms.items():
             add_term(out.terms, key[:slot] + (p1, p2) + key[slot + 2:],
                      c * c2)
@@ -304,10 +307,9 @@ def triple_wedge(cc, t3: GradedTensor, slot: int) -> GradedTensor:
     oa = cc.omega_A
     out = GradedTensor.zero((oa, oa))
     for key, c in t3.terms.items():
-        prod = oa.mul(Element(oa, {key[slot]: Scalar.one()}),
-                      Element(oa, {key[slot + 1]: Scalar.one()}))
+        prod = oa.mono_mul(key[slot], key[slot + 1])
         other = key[1 - slot] if slot else key[2]
-        for m, c2 in prod.terms.items():
+        for m, c2 in prod:
             newkey = (m, other) if slot == 0 else (key[0], m)
             add_term(out.terms, newkey, c * c2)
     return out
@@ -369,9 +371,7 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
             t = tau_bullet(cc, theta)
             col = Element(oa)
             for (m1, m2), c in t.terms.items():
-                prod = oa.mul(Element(oa, {m1: Scalar.one()}),
-                              Element(oa, {m2: Scalar.one()}))
-                for m, c2 in prod.terms.items():
+                for m, c2 in oa.mono_mul(m1, m2):
                     add_term(col.terms, m, c * c2)
             if _element_degree(theta) == 0:
                 want = oa.of_poly(NCPoly.one().scale(
@@ -390,7 +390,7 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
                     add_term(lhs5, (m1, p0, p1), c * c2)
             rhs5 = {}
             for (h1, h2), c in h_complete_delta(oh, theta).terms.items():
-                t1 = tau_bullet(cc, Element(oh, {h1: Scalar.one()}))
+                t1 = _tau_mono(cc, *h1)
                 for (x1, x2), c2 in t1.terms.items():
                     add_term(rhs5, (x1, x2, h2), c * c2)
             rep.record(_canon12_graded(cc, lhs5) == _canon12_graded(cc, rhs5),
@@ -409,7 +409,7 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
                     add_term(lhs6, (p0, m2, p1), c * c2)
             rhs6 = {}
             for (h1, h2), c in h_complete_delta(oh, theta).terms.items():
-                t2 = tau_bullet(cc, Element(oh, {h2: Scalar.one()}))
+                t2 = _tau_mono(cc, *h2)
                 s = graded_antipode(oh, Element(oh, {h1: Scalar.one()}))
                 for (x1, x2), c2 in t2.terms.items():
                     for ms, c3 in s.terms.items():
@@ -435,30 +435,29 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
         # braid equation and hexagons on generator triples
         import itertools
         small = [(n, x) for n, x in gens if _element_degree(x) <= 1]
-        sig = lambda p: sigma_bullet(cc, p)
         for (n1, x1), (n2, x2), (n3, x3) in itertools.product(small, repeat=3):
             if (_element_degree(x1) + _element_degree(x2)
                     + _element_degree(x3)) > max_degree:
                 continue
             t3 = GradedTensor.of((oa, oa, oa), x1, x2, x3)
-            lhs = triple_apply(cc, triple_apply(cc, triple_apply(
-                cc, t3, sig, 0), sig, 1), sig, 0)
-            rhs = triple_apply(cc, triple_apply(cc, triple_apply(
-                cc, t3, sig, 1), sig, 0), sig, 1)
+            s01 = triple_apply(cc, triple_apply(cc, t3, sigma_piece, 0),
+                               sigma_piece, 1)
+            s10 = triple_apply(cc, triple_apply(cc, t3, sigma_piece, 1),
+                               sigma_piece, 0)
+            lhs = triple_apply(cc, s01, sigma_piece, 0)
+            rhs = triple_apply(cc, s10, sigma_piece, 1)
             rep.record(canonical_triple_graded(cc, lhs)
                        == canonical_triple_graded(cc, rhs),
                        f"braid({n1},{n2},{n3})", "braid equation",
                        "mismatch", ref="third Reidemeister move")
             lhs1 = sigma_bullet(cc, triple_wedge(cc, t3, 0))
-            rhs1 = triple_wedge(cc, triple_apply(cc, triple_apply(
-                cc, t3, sig, 1), sig, 0), 1)
+            rhs1 = triple_wedge(cc, s10, 1)
             rep.record(GradedBalancedTensor(cc, raw=lhs1)
                        == GradedBalancedTensor(cc, raw=rhs1),
                        f"hex1({n1},{n2},{n3})", "first hexagon", "mismatch",
                        ref="braiding of a product, left")
             lhs2 = sigma_bullet(cc, triple_wedge(cc, t3, 1))
-            rhs2 = triple_wedge(cc, triple_apply(cc, triple_apply(
-                cc, t3, sig, 0), sig, 1), 0)
+            rhs2 = triple_wedge(cc, s01, 0)
             rep.record(GradedBalancedTensor(cc, raw=lhs2)
                        == GradedBalancedTensor(cc, raw=rhs2),
                        f"hex2({n1},{n2},{n3})", "second hexagon", "mismatch",
@@ -488,11 +487,9 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
 
 def _canon12_graded(cc, d3: dict) -> dict:
     """Canonicalize the balanced pair in slots (0, 1), keep slot 2."""
-    oa = cc.omega_A
     out = {}
     for (m1, m2, tail), c in d3.items():
-        img = chi_bullet(cc, GradedTensor((oa, oa), {(m1, m2): Scalar.one()}))
-        for (p0, p1), c2 in img.terms.items():
+        for (p0, p1), c2 in chi_piece(cc, (m1, m2)).terms.items():
             add_term(out, (p0, p1, tail), c * c2)
     return out
 
@@ -502,9 +499,7 @@ def collapse_pair(cc, t: GradedTensor) -> Element:
     oa = cc.omega_A
     out = Element(oa)
     for (m1, m2), c in t.terms.items():
-        prod = oa.mul(Element(oa, {m1: Scalar.one()}),
-                      Element(oa, {m2: Scalar.one()}))
-        for m, c2 in prod.terms.items():
+        for m, c2 in oa.mono_mul(m1, m2):
             add_term(out.terms, m, c * c2)
     return out
 

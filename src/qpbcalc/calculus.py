@@ -87,6 +87,7 @@ class DiffCalculus:
         self._straight_cache = {}
         self._dword_cache = {(): Element(self)}
         self._dletters_cache = {}
+        self._mono_mul_cache = {}
 
     # -- constructors
 
@@ -190,20 +191,35 @@ class DiffCalculus:
 
     # -- product (algebra multiplication and wedge in one)
 
+    def _expand(self, terms, m1, m2, c):
+        """terms += c * m1 m2 for monomials m1 = (w1, F1), m2 = (w2, F2)."""
+        (w1, F1), (w2, F2) = m1, m2
+        if len(F1) + len(F2) > self.top_degree:
+            return
+        moved = self.act_word(F1, w2)
+        for (w3, F3), c3 in moved.terms.items():
+            for c4, F4 in self.straighten(F3 + F2):
+                prod = self.pres.normal_word(w1 + w3)
+                for w5, c5 in prod.terms.items():
+                    add_term(terms, (w5, F4), c * c3 * c4 * c5)
+
     def mul(self, x: Element, y: Element) -> Element:
         out = Element(self)
-        for (w1, F1), c1 in x.terms.items():
-            for (w2, F2), c2 in y.terms.items():
-                if len(F1) + len(F2) > self.top_degree:
-                    continue
-                moved = self.act_word(F1, w2)
-                for (w3, F3), c3 in moved.terms.items():
-                    for c4, F4 in self.straighten(F3 + F2):
-                        prod = self.pres.normal_word(w1 + w3)
-                        for w5, c5 in prod.terms.items():
-                            add_term(out.terms, (w5, F4),
-                                     c1 * c2 * c3 * c4 * c5)
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                self._expand(out.terms, m1, m2, c1 * c2)
         return out
+
+    def mono_mul(self, m1, m2) -> tuple:
+        """The memoised product of two monomials, as a tuple of
+        (monomial, coefficient) pairs: read-only, never an accumulator."""
+        key = (m1, m2)
+        table = self._mono_mul_cache.get(key)
+        if table is None:
+            terms = {}
+            self._expand(terms, m1, m2, Scalar.one())
+            table = self._mono_mul_cache[key] = tuple(terms.items())
+        return table
 
     def product(self, *xs: Element) -> Element:
         out = self.unit()
@@ -386,12 +402,9 @@ class GradedTensor(SparseSum):
                 e = sum(degs1[i] * degs2[j]
                         for i in range(len(self.legs))
                         for j in range(i))
-                polys = []
-                for leg, (w1, F1), (w2, F2) in zip(self.legs, key1, key2):
-                    el = leg.mul(Element(leg, {(w1, F1): Scalar.one()}),
-                                 Element(leg, {(w2, F2): Scalar.one()}))
-                    polys.append(el)
-                out.add_product(polys, c1 * c2 * sign(e))
+                tables = [leg.mono_mul(m1, m2)
+                          for leg, m1, m2 in zip(self.legs, key1, key2)]
+                out.add_product(tables, c1 * c2 * sign(e))
         return out
 
     def d(self) -> "GradedTensor":

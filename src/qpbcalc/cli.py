@@ -224,6 +224,11 @@ def cmd_table(args):
                     == GradedBalancedTensor(cc, raw=want))
         rows.append({"lhs": xs, "rhs": ys, "degree": deg,
                      "value": entry.expected, "verified": verified})
+    if not rows:
+        # an empty table verifies nothing, so it must not pass
+        print(f"error: no braiding table entries to verify for "
+              f"{bundle.name}", file=sys.stderr)
+        return 1
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     elif args.format == "csv":

@@ -284,15 +284,27 @@ def parse(text: str, validate: bool = True) -> ExampleBundle:
 
     H_alg = _algebra(f"{name}.H", sections, "hopf.generators",
                      "hopf.relations", params)
-    delta = _gen_table(
-        sections.get("hopf.delta", []), params,
+
+    def hopf_table(section, evaluate):
+        """A [hopf.*] table, which needs an entry for every generator."""
+        if section not in sections:
+            raise ParseError(f"missing [{section}] section")
+        table = _gen_table(sections[section], params, evaluate)
+        for g in H_alg.generators:
+            if g.name not in table:
+                raise ParseError(f"[{section}] has no entry for generator "
+                                 f"{g.name}", headers[section])
+        return table
+
+    delta = hopf_table(
+        "hopf.delta",
         lambda v, ln: _tensorpoly(eval_tensor(
             v, params, _bare_pair(H_alg, H_alg), line=ln), (H_alg, H_alg)))
-    eps = _gen_table(sections.get("hopf.epsilon", []), params,
+    eps = hopf_table("hopf.epsilon",
                      lambda v, ln: eval_scalar(v, params, line=ln))
-    s_tab = _gen_table(sections.get("hopf.antipode", []), params,
+    s_tab = hopf_table("hopf.antipode",
                        lambda v, ln: eval_poly(v, params, H_alg, line=ln))
-    sinv_tab = _gen_table(sections.get("hopf.antipode_inv", []), params,
+    sinv_tab = hopf_table("hopf.antipode_inv",
                           lambda v, ln: eval_poly(v, params, H_alg, line=ln))
     hopf = HopfPresentation(H_alg, delta, eps, s_tab, sinv_tab)
     omega_H, _ = _calculus(f"Omega({name}.H)",

@@ -110,16 +110,17 @@ class SparseSum:
 
     def add_product(self, factors, coeff):
         """self += coeff * (f_1 (x) ... (x) f_n), keyed by tuples of the
-        factors' keys."""
-        def rec(i, key, c):
-            if c.is_zero():
-                return
-            if i == len(factors):
-                add_term(self.terms, tuple(key), c)
-                return
-            for k, c2 in factors[i].terms.items():
-                rec(i + 1, key + [k], c * c2)
-        rec(0, [], coeff)
+        factors' keys.  A factor is a sum or a tuple of (key, coefficient)
+        pairs, the memoised product tables of DiffCalculus.mono_mul."""
+        if coeff.is_zero():
+            return self
+        partial = [((), coeff)]
+        for f in factors:
+            items = f.terms.items() if isinstance(f, SparseSum) else f
+            partial = [(key + (k,), c * c2)
+                       for key, c in partial for k, c2 in items]
+        for key, c in partial:
+            add_term(self.terms, key, c)
         return self
 
     def __add__(self, other):

@@ -1,8 +1,13 @@
+import itertools
+import pathlib
+
 import pytest
 
 from qpbcalc.braidext import (
     GradedBalancedTensor,
     UnsupportedDegreeError,
+    _generator_elements,
+    canonical_triple_graded,
     chi_bullet,
     chi_bullet_inv,
     collapse_pair,
@@ -11,13 +16,17 @@ from qpbcalc.braidext import (
     raw_pair,
     sigma_bullet,
     sigma_bullet_inv,
+    sigma_piece,
     sigma_squared_is_identity,
     tau_bullet,
+    triple_apply,
     wedge_otimes_b,
 )
 from qpbcalc.calculus import Element, GradedTensor
 from qpbcalc.examples import build_example
-from qpbcalc.ncalg import NCPoly
+from qpbcalc.fileformat import parse
+from qpbcalc.ncalg import NCPoly, add_term
+from qpbcalc.report import FAIL
 from qpbcalc.scalars import Scalar
 
 q = Scalar.param("q")
@@ -25,6 +34,7 @@ qi = Scalar.param("q", -1)
 L = Scalar.param("L")
 Li = Scalar.param("L", -1)
 one = Scalar.one()
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src/qpbcalc/data"
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +272,64 @@ def test_graded_suite_podles(podles):
 def test_graded_suite_classical(t2):
     rep = graded_identity_suite(t2.cc, 3, "classical_t2")
     assert rep.ok(), [w.input for w in rep.witnesses[:4]]
+
+
+# -- memoised pieces and the staged triple canonicalisation ------------------------
+
+def _nested_canonical_triple(cc, t3):
+    """canonical_triple_graded as first written: the outer chi once per
+    inner term, each key wrapped in a one-term tensor."""
+    oa, oh = cc.omega_A, cc.omega_H
+    legs2 = (oa, oa)
+    out = GradedTensor.zero((oa, oh, oh))
+    for (m1, m2, m3), c in t3.terms.items():
+        inner = chi_bullet(cc, GradedTensor(legs2, {(m2, m3): one}))
+        for (p, th), c2 in inner.terms.items():
+            outer = chi_bullet(cc, GradedTensor(legs2, {(m1, p): one}))
+            for (x0, x1), c3 in outer.terms.items():
+                add_term(out.terms, (x0, x1, th), c * c2 * c3)
+    return out
+
+
+@pytest.mark.parametrize("name", ["torus", "podles"])
+def test_staged_canonical_triple_matches_nested(name):
+    cc = build_example(name).cc
+    oa = cc.omega_A
+    small = [x for _, x in _generator_elements(cc, 1)]
+    for x1, x2, x3 in itertools.product(small, repeat=3):
+        t3 = GradedTensor.of((oa, oa, oa), x1, x2, x3)
+        # the two-sigma triples have many terms; on podles some of their
+        # (m1, p, theta) keys meet after the inner chi and are merged
+        s01 = triple_apply(cc, triple_apply(cc, t3, sigma_piece, 0),
+                           sigma_piece, 1)
+        for t in (t3, s01):
+            assert (canonical_triple_graded(cc, t)
+                    == _nested_canonical_triple(cc, t))
+
+
+def _fresh_torus():
+    """A torus bundle of its own, so its memos can be corrupted."""
+    return parse((DATA / "torus.qpb").read_text(encoding="utf-8")).cc
+
+
+def _failed_inputs(cc):
+    rep = graded_identity_suite(cc, 3, "torus")
+    assert rep.status == FAIL
+    return [w.input for w in rep.witnesses]
+
+
+def test_flipped_sigma_piece_fails_braid_or_hexagon():
+    cc = _fresh_torus()
+    key = ((("u",), ()), ((), ("du",)))
+    cc._sigbul_cache[key] = sigma_piece(cc, key).scale(-one)
+    failed = _failed_inputs(cc)
+    assert "hex2(u,u,du)" in failed and "braid(u,ui,du)" in failed
+
+
+def test_flipped_mono_mul_entry_fails_the_graded_suite():
+    cc = _fresh_torus()
+    oa = cc.omega_A
+    key = (((), ("du",)), (("u",), ()))
+    oa._mono_mul_cache[key] = tuple((m, -c) for m, c in oa.mono_mul(*key))
+    failed = _failed_inputs(cc)
+    assert any(w.startswith(("braid(", "hex")) for w in failed), failed

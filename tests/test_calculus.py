@@ -1,6 +1,7 @@
 import pytest
 
 from qpbcalc.calculus import (
+    Element,
     GradedTensor,
     bc_coproduct,
     cartan_maurer,
@@ -300,3 +301,21 @@ def test_graded_antipode_degree1_matches_bicovariant_convolution(u1q):
         bc = u1q.product(u1q.of_poly(tagl), mid,
                          u1q.of_poly(tagr)).scale(Scalar.from_int(-1))
         assert graded_antipode(u1q, x) == bc, n
+
+
+@pytest.mark.parametrize("name", ["torus", "podles"])
+def test_mono_mul_matches_mul(name):
+    # the memoised monomial table and the unmemoised product agree on
+    # every pair of basis monomials: words of length <= 2 times letter
+    # words of degree <= 2, in both calculi of the bundle
+    cc = build_example(name).cc
+    for calc in (cc.omega_A, cc.omega_H):
+        monos = [(w, F) for w in calc.pres.irreducible_words(2)
+                 for k in range(3) for F in calc.basis_forms(k)]
+        for m1 in monos:
+            for m2 in monos:
+                table = calc.mono_mul(m1, m2)
+                assert isinstance(table, tuple)
+                want = calc.mul(Element(calc, {m1: one}),
+                                Element(calc, {m2: one}))
+                assert dict(table) == want.terms, (m1, m2)

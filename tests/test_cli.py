@@ -190,6 +190,22 @@ def test_table_braiding_csv(capsys):
     assert len(lines) == 11  # header + the ten algebra-level entries
 
 
+def test_table_braiding_every_torus_row_verified(capsys):
+    code, out, err = run(capsys, "table", "braiding", "--example", "torus")
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert lines and all(line.startswith("ok ") for line in lines)
+
+
+def test_empty_braiding_table_exits_1(capsys):
+    # crossed_demo's oracle entries are generated tensors, not table rows
+    code, out, err = run(capsys, "table", "braiding", "--example",
+                         "crossed_demo")
+    assert code == 1
+    assert out == ""
+    assert "no braiding table entries" in err
+
+
 def test_show_roundtrip(capsys):
     code, out, _ = run(capsys, "show", "--example", "torus")
     assert code == 0

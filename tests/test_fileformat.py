@@ -79,6 +79,21 @@ def test_malformed_declarations_have_line_numbers(name, old, new, marker,
     assert why in str(err.value)
 
 
+@pytest.mark.parametrize("section", ["hopf.delta", "hopf.epsilon",
+                                     "hopf.antipode", "hopf.antipode_inv"])
+def test_missing_hopf_entry_is_a_parse_error(section):
+    text = read("torus")
+    head, _, rest = text.partition(f"[{section}]\n")
+    body, _, tail = rest.partition("\n\n")
+    kept = [line for line in body.splitlines() if not line.startswith("ti ")]
+    assert len(kept) == len(body.splitlines()) - 1
+    edited = f"{head}[{section}]\n" + "\n".join(kept) + "\n\n" + tail
+    with pytest.raises(ParseError) as err:
+        parse(edited)
+    assert err.value.line == _line_of(edited, f"[{section}]")
+    assert f"[{section}] has no entry for generator ti" in str(err.value)
+
+
 # -- metamorphic: edits that must not change any report -----------------------
 
 TABLES = ("hopf.delta", "hopf.epsilon", "hopf.antipode", "hopf.antipode_inv",

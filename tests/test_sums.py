@@ -65,37 +65,56 @@ def test_add_scaled_drops_cancelled_terms(kind):
 
 
 def _memo_snapshot(memo):
-    return {key: dict(value.terms) for key, value in memo.items()}
+    # a mono_mul table is a tuple of (monomial, coefficient) pairs
+    return {key: dict(getattr(value, "terms", value))
+            for key, value in memo.items()}
 
 
-@pytest.mark.parametrize("which", ["delta_bullet", "tau_bullet"])
+@pytest.mark.parametrize("which", ["delta_bullet", "tau_bullet", "mono_mul",
+                                   "chi_piece", "sigma_piece"])
 def test_memoised_pieces_are_not_accumulators(which):
     # Torus suites only feed these maps single-term inputs; a two-term
     # input with non-unit coefficients shows an accumulator that aliases
     # the memoised piece of its first term.
-    from qpbcalc.braidext import tau_bullet
+    from qpbcalc.braidext import chi_bullet, sigma_bullet, tau_bullet
 
     cc = build_example("torus").cc
+    oa, oh = cc.omega_A, cc.omega_H
     L = Scalar.param("L")
+    pair = {(((), ("du",)), (("v",), ())): L,
+            ((("u",), ("dv",)), ((), ("du",))): -half}
     if which == "delta_bullet":
-        oa = cc.omega_A
         x = Element(oa, {((), ("du",)): L, (("v",), ("dv",)): -half})
         apply, memo = cc.delta_bullet, cc._delta_cache
-    else:
-        oh = cc.omega_H
+    elif which == "tau_bullet":
         x = Element(oh, {(("t",), ()): L, ((), ("dt",)): -half})
         apply = lambda y: tau_bullet(cc, y)
         memo = cc._taubul_cache
+    elif which == "mono_mul":
+        # GradedTensor.wedge reads one mono_mul table per leg
+        x = GradedTensor((oa, oa), pair)
+        right = GradedTensor((oa, oa), {(((), ("dv",)), (("u",), ())): q})
+        apply = lambda y: y.wedge(right)
+        memo = oa._mono_mul_cache
+    elif which == "chi_piece":
+        x = GradedTensor((oa, oa), pair)
+        apply = lambda y: chi_bullet(cc, y)
+        memo = cc._chibul_cache
+    else:
+        x = GradedTensor((oa, oa), pair)
+        apply = lambda y: sigma_bullet(cc, y)
+        memo = cc._sigbul_cache
     # memoise every term's piece, then freeze them
     for key in x.terms:
-        apply(Element(x.calc, {key: one}))
+        apply(x._new({key: one}))
     before = _memo_snapshot(memo)
-    assert all(key in before for key in x.terms)
+    if which != "mono_mul":
+        assert all(key in before for key in x.terms)
     first = apply(x)
     second = apply(x)
     assert first == second
     assert _memo_snapshot(memo) == before
     want = GradedTensor.zero(first.legs)
     for key, c in x.terms.items():
-        want.add_scaled(apply(Element(x.calc, {key: one})), c)
+        want.add_scaled(apply(x._new({key: one})), c)
     assert first == want
