@@ -12,7 +12,7 @@ from __future__ import annotations
 from .linalg import in_span, kernel, rref
 from .ncalg import NCPoly, SparseSum, add_term
 from .report import CheckReport, timed
-from .scalars import Scalar, sign
+from .scalars import Scalar, common_denominator, sign
 
 
 class CalculusError(Exception):
@@ -658,9 +658,24 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
             el = calc.mul(calc.of_poly(NCPoly.word(a)),
                           calc.d_poly(NCPoly.word(b)))
             vectors.append(dict(el.terms))
-        combos = kernel(vectors)
         span_rows = []
-        for combo in combos:
+        for combo in kernel(vectors):
+            # clear denominators: the span is unchanged and its rows stay
+            # Laurent, so rref gets no rational input
+            lcm = common_denominator(combo.values())
+            combo = {idx: c * lcm for idx, c in combo.items()}
+            # certificate: the relation must hold exactly, so a faulty
+            # elimination gives INCONCLUSIVE, never a false PASS
+            image = {}
+            for idx, c in combo.items():
+                for k, v in vectors[idx].items():
+                    add_term(image, k, v * c)
+            if image:
+                rep.mark_inconclusive(
+                    f"kernel relation on pairs {sorted(combo)}",
+                    "sum of c_i v_i is not 0",
+                    ref="kernel certificate")
+                continue
             vec = {}
             for idx, c in combo.items():
                 a, b = pairs[idx]
@@ -672,9 +687,9 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
                         for (w3, F3), c3 in moved.terms.items():
                             prod = pres.normal_word(w1 + w3)
                             for w4, c4 in prod.terms.items():
-                                # c is the rational kernel coefficient:
-                                # multiply it in last, so the Laurent
-                                # products stay on the monomial path
+                                # multiply the kernel coefficient in
+                                # last, so the monomial products stay on
+                                # the monomial path
                                 add_term(vec, (w4, F3 + F2),
                                          c1 * c2 * c3 * c4 * c)
             if vec:

@@ -20,8 +20,13 @@ the primitive parts are evaluated at a large integer, the integer gcd of
 the values is read back as a polynomial, and the candidate is accepted
 only if it divides both inputs exactly, so the answer is exact.  When
 every evaluation point fails, Euclid over Q (_gcd_univariate) answers.
-Multivariate gcds use a primitive PRS whose contents recurse down to the
-univariate case.
+The quotients of that trial division are the cofactors num/g and den/g, so
+reducing divides nothing twice.  Multivariate gcds use a primitive PRS
+whose contents recurse down to the univariate case.
+
+Products and sums of rational functions cancel their operands against each
+other before multiplying out (Henrici), so they take gcds of the small
+factors only and build their result already in lowest terms.
 """
 
 from __future__ import annotations
@@ -231,20 +236,23 @@ _HEU_GCD_TRIES = 6
 
 
 def _heu_gcd(f, g, i):
-    """Primitive gcd of f and g, univariate in variable i, by heuristic GCD
-    over Z (Char, Geddes, Gonnet 1989); None if every evaluation point fails.
+    """(h, f/h, g/h) as dense lists, lowest degree first, for the primitive
+    gcd h of f and g, univariate in variable i, by heuristic GCD over Z
+    (Char, Geddes, Gonnet 1989); None if every evaluation point fails.
 
     The primitive parts are evaluated at xi, the candidate is rebuilt from
     the integer gcd of the values in the symmetric xi-adic representation,
-    and it is accepted only if it divides both exactly.  With
+    and it is accepted only if it divides both exactly; the quotients of
+    that trial division, times the contents, are the cofactors.  With
     xi >= 2 min(|f|, |g|) + 2 (max norms), a candidate that divides both is
     the gcd."""
-    f = _dense(_int_coeffs(_pdiv_const(f, _content(f))), i)
-    g = _dense(_int_coeffs(_pdiv_const(g, _content(g))), i)
+    cf, cg = _content(f), _content(g)
+    f = _dense(_int_coeffs(_pdiv_const(f, cf)), i)
+    g = _dense(_int_coeffs(_pdiv_const(g, cg)), i)
     if f is None or g is None:
         return None
     if len(f) == 1 or len(g) == 1:
-        return [1]
+        return [1], _scale_dense(f, cf), _scale_dense(g, cg)
     xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
     for _ in range(_HEU_GCD_TRIES):
         ff = gg = 0
@@ -264,11 +272,24 @@ def _heu_gcd(f, g, i):
             # the top digit of a positive value is positive
             cont = math.gcd(*h)
             h = [c // cont for c in h]
-            if _dense_quo(f, h) is not None and _dense_quo(g, h) is not None:
-                return h
+            fq = _dense_quo(f, h)
+            if fq is not None:
+                gq = _dense_quo(g, h)
+                if gq is not None:
+                    return h, _scale_dense(fq, cf), _scale_dense(gq, cg)
         # the next point grows by about xi**1.25, as in Liao and Fateman
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
+
+
+def _scale_dense(d, c):
+    """Dense coefficients d times a content c, integral ones as ints."""
+    if c == 1:
+        return d
+    d = [a * c for a in d]
+    if type(c) is int:
+        return d
+    return [a.numerator if a.denominator == 1 else a for a in d]
 
 
 def _gcd_univariate(f, g, i):
@@ -316,10 +337,10 @@ def _pgcd(f, g):
     i = max(used)
     others = used - {i}
     if not others:
-        h = _heu_gcd(f, g, i)
-        if h is None:
+        r = _heu_gcd(f, g, i)
+        if r is None:
             return _gcd_univariate(f, g, i)
-        return _sparse(h, i, len(next(iter(f))))
+        return _sparse(r[0], i, len(next(iter(f))))
     # primitive PRS in variable i, contents handled recursively
     cf = _coeffs_in(f, i)
     cg = _coeffs_in(g, i)
@@ -339,6 +360,29 @@ def _pgcd(f, g):
     if _lead(h)[1] < 0:
         h = _pneg(h)
     return h
+
+
+def _gcd_cofactors(f, g):
+    """(h, f/h, g/h) for nonzero ordinary polynomials f and g, where h is
+    the primitive gcd that _pgcd gives.
+
+    A univariate pair reads the cofactors off the heuristic gcd's trial
+    division; any other pair divides again."""
+    nv = len(next(iter(f)))
+    used = _nvars_used(f) | _nvars_used(g)
+    if len(used) == 1:
+        i = used.pop()
+        r = _heu_gcd(f, g, i)
+        if r is not None:
+            h, fq, gq = r
+            if h == [1]:
+                return _UNIT_DENS[nv], f, g
+            return (_sparse(h, i, nv), _sparse(fq, i, nv),
+                    _sparse(gq, i, nv))
+    h = _pgcd(f, g)
+    if h == _UNIT_DENS[nv]:
+        return h, f, g
+    return h, _pdivexact(f, h), _pdivexact(g, h)
 
 
 def _reduce_gcd(polys):
@@ -427,6 +471,19 @@ class Scalar:
     def is_one(self) -> bool:
         return self.unit_den and self.num == {(0,) * len(self.names): 1}
 
+    def is_unit(self) -> bool:
+        """True for a nonzero constant times a Laurent monomial: the units
+        of the Laurent polynomial ring, which divide without leaving it."""
+        return self.unit_den and len(self.num) == 1
+
+    def denominator(self) -> "Scalar":
+        """The denominator as a scalar: self * self.denominator() is a
+        Laurent polynomial."""
+        if self.unit_den:
+            return _ONE
+        return Scalar(self.names, self.den, _UNIT_DENS[len(self.names)],
+                      _canonical=True)
+
     def as_fraction(self):
         """Return the value as a Fraction if parameter-free, else None."""
         if self.names:
@@ -442,8 +499,7 @@ class Scalar:
         names, (an, ad), (bn, bd) = _align(self, other)
         if self.unit_den and other.unit_den:
             return _from_laurent(names, _padd(an, bn))
-        num = _padd(_pmul(an, bd), _pmul(bn, ad))
-        return Scalar(names, num, _pmul(ad, bd))
+        return _rational_add(names, an, ad, bn, bd)
 
     __radd__ = __add__
 
@@ -483,8 +539,10 @@ class Scalar:
                               _canonical=True)
             names, (an, _), (bn, _) = _align(self, other)
             return _from_laurent(names, _pmul(an, bn))
+        if not self.num or not other.num:
+            return _ZERO
         names, (an, ad), (bn, bd) = _align(self, other)
-        return Scalar(names, _pmul(an, bn), _pmul(ad, bd))
+        return _rational_mul(names, an, ad, bn, bd)
 
     __rmul__ = __mul__
 
@@ -596,25 +654,87 @@ def _canonicalize(names, num, den):
     # num: peel Laurent monomial, reduce the ordinary parts
     nmin = _min_exps(num, nv)
     num0 = _shift(num, tuple(-e for e in nmin))
-    g = _pgcd(num0, den)
-    if g and g != {(0,) * nv: 1}:
-        num0 = _pdivexact(num0, g)
-        den = _pdivexact(den, g)
+    _, num0, den = _gcd_cofactors(num0, den)
     # den: primitive, positive leading coefficient
     scale = _content(den)
     if _lead(den)[1] < 0:
         scale = -scale
     den = _int_coeffs(_pdiv_const(den, scale))
     num = _int_coeffs(_shift(_pdiv_const(num0, scale), nmin))
-    # drop parameters with zero exponent everywhere (after all cancellation)
+    return _drop_unused(names, num, den)
+
+
+def _drop_unused(names, num, den):
+    """Drop the parameters with zero exponent everywhere (after all
+    cancellation), and share the unit denominator."""
     used = sorted(_nvars_used(num) | _nvars_used(den))
-    if len(used) != nv:
+    if len(used) != len(names):
         names = tuple(names[i] for i in used)
         num = {tuple(m[i] for i in used): c for m, c in num.items()}
         den = {tuple(m[i] for i in used): c for m, c in den.items()}
     if den == _UNIT_DENS[len(names)]:
         den = _UNIT_DENS[len(names)]
     return names, num, den
+
+
+# Henrici's reduced-operand arithmetic (J. ACM 3 (1956); Knuth, TAOCP
+# vol. 2, 4.5.1): cancel the operands against each other before they are
+# multiplied out, so only small gcds are taken and the result is already
+# in lowest terms.  By Gauss's lemma products and exact quotients of
+# canonical denominators are canonical again: primitive, with a positive
+# leading coefficient and no monomial factor.
+
+
+def _cancel(n, d, nv):
+    """(n/h, d/h) for h = gcd(n, d), n a Laurent polynomial and d a
+    canonical denominator."""
+    if len(d) == 1:
+        return n, d
+    mins = _min_exps(n, nv)
+    if any(mins):
+        _, n0, d = _gcd_cofactors(_shift(n, tuple(-e for e in mins)), d)
+        return _shift(n0, mins), d
+    _, n, d = _gcd_cofactors(n, d)
+    return n, d
+
+
+def _reduced(names, num, den):
+    """The Scalar num/den, already in lowest terms with a canonical den."""
+    if not num:
+        return _ZERO
+    names, num, den = _drop_unused(names, _int_coeffs(num), _int_coeffs(den))
+    return Scalar(names, num, den, _canonical=True)
+
+
+def _rational_mul(names, an, ad, bn, bd):
+    """an/ad * bn/bd with gcd(an, bd) and gcd(bn, ad) cancelled first: the
+    factors left are coprime crosswise."""
+    nv = len(names)
+    an, bd = _cancel(an, bd, nv)
+    bn, ad = _cancel(bn, ad, nv)
+    return _reduced(names, _pmul(an, bn), _pmul(ad, bd))
+
+
+def _rational_add(names, an, ad, bn, bd):
+    """an/ad + bn/bd, reducing only against what the denominators share."""
+    nv = len(names)
+    if len(ad) == 1:
+        # gcd(an bd + bn, bd) = gcd(bn, bd) = 1
+        return _reduced(names, _padd(_pmul(an, bd), bn), bd)
+    if len(bd) == 1:
+        return _reduced(names, _padd(an, _pmul(bn, ad)), ad)
+    if ad == bd:
+        t = _padd(an, bn)
+        if not t:
+            return _ZERO
+        return _reduced(names, *_cancel(t, ad, nv))
+    g, ad1, bd1 = _gcd_cofactors(ad, bd)
+    t = _padd(_pmul(an, bd1), _pmul(bn, ad1))
+    if len(g) == 1 or not t:
+        return _reduced(names, t, _pmul(ad, bd1))
+    # gcd(t, ad/g) = gcd(t, bd/g) = 1, so only g can share a factor with t
+    t, g = _cancel(t, g, nv)
+    return _reduced(names, t, _pmul(ad1, _pmul(bd1, g)))
 
 
 def _mono_str(m, names):
@@ -686,6 +806,18 @@ _MINUS_ONE = Scalar((), {(): -1}, _UNIT_DENS[0], _canonical=True)
 def sign(e: int) -> Scalar:
     """(-1)**e for an int e, as the shared constant one or minus one."""
     return _MINUS_ONE if e & 1 else _ONE
+
+
+def common_denominator(coeffs) -> Scalar:
+    """The lcm of the denominators of coeffs: every c in coeffs times it is
+    a Laurent polynomial."""
+    lcm = _ONE
+    for c in coeffs:
+        if not c.unit_den and c.den != lcm.num:
+            # lcm(l, d) = l * d / gcd(l, d), and d / gcd(l, d) is the
+            # denominator of l / d
+            lcm = lcm * (lcm / c.denominator()).denominator()
+    return lcm
 
 
 def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:

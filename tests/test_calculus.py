@@ -1,5 +1,9 @@
+import json
+import pathlib
+
 import pytest
 
+from qpbcalc import calculus
 from qpbcalc.calculus import (
     Element,
     GradedTensor,
@@ -13,6 +17,7 @@ from qpbcalc.calculus import (
     pi_lambda,
     to_lambda,
 )
+from qpbcalc.cli import main
 from qpbcalc.examples import build_example
 from qpbcalc.ncalg import NCPoly
 from qpbcalc.scalars import Scalar
@@ -161,6 +166,38 @@ def test_prolongation_torus(torus_calc):
 def test_prolongation_classical(two_var):
     rep = max_prolongation_degree2(two_var, 2)
     assert rep.ok(), rep.witnesses
+
+
+def test_prolongation_podles(capsys):
+    # the one bundle whose prolongation runs elimination over Q(q) on
+    # rational functions: the report must match the frozen one
+    fields = ("status", "checks", "truncation", "witnesses", "notes")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    frozen = json.loads((root / "perfbench/expected.json").read_text())
+    code = main(["check", "prolong", "--example", "podles", "--format",
+                 "json"])
+    got = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert ([{f: r[f] for f in fields} for r in got]
+            == [{f: r[f] for f in fields} for r in frozen["podles:prolong"]])
+
+
+def test_corrupted_kernel_vector_is_not_a_pass(torus_calc, monkeypatch):
+    real = calculus.kernel
+
+    def corrupted(vectors, key=None):
+        out = real(vectors, key)
+        assert out
+        # add e_j for a pair j with a nonzero image: the relation fails
+        j = next(j for j, v in enumerate(vectors) if v)
+        out[0][j] = out[0].get(j, Scalar.zero()) + one
+        return out
+
+    monkeypatch.setattr(calculus, "kernel", corrupted)
+    rep = max_prolongation_degree2(torus_calc, 2)
+    assert rep.status != "pass"
+    assert any(w.input.startswith("kernel relation on pairs")
+               for w in rep.witnesses), rep.witnesses
 
 
 # -- bicovariant coproduct and counterexample -------------------------------------------

@@ -3,7 +3,9 @@
 ``_pgcd`` answers univariate inputs by heuristic GCD over Z and falls back
 to Euclid over Q (``_gcd_univariate``) when every evaluation point fails.
 Both must return the primitive gcd with a positive leading coefficient,
-the one ``sympy.gcd`` gives after clearing denominators and content.
+the one ``sympy.gcd`` gives after clearing denominators and content.  The
+cofactors f/h and g/h that the heuristic gcd keeps from its trial division
+(and ``_gcd_cofactors`` passes on) must give back both inputs.
 """
 
 from fractions import Fraction
@@ -12,7 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpbcalc import scalars
-from qpbcalc.scalars import _gcd_univariate, _heu_gcd, _pdivexact, _pgcd, _pmul
+from qpbcalc.scalars import (
+    _gcd_cofactors,
+    _gcd_univariate,
+    _heu_gcd,
+    _pdivexact,
+    _pgcd,
+    _pmul,
+    _sparse,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -62,6 +72,20 @@ def check_gcd(h, f, g, i):
     assert _pmul(cf, h) == f and _pmul(cg, h) == g
     one = {(0,) * len(next(iter(f))): 1}
     assert _pgcd(cf, cg) == one
+    check_cofactors(f, g, i)
+
+
+def check_cofactors(f, g, i):
+    """The cofactors of _heu_gcd and _gcd_cofactors times the gcd give back
+    f and g, and _gcd_cofactors returns the gcd of _pgcd."""
+    nv = len(next(iter(f)))
+    r = _heu_gcd(f, g, i)
+    if r is not None:
+        h, fq, gq = (_sparse(d, i, nv) for d in r)
+        assert _pmul(fq, h) == f and _pmul(gq, h) == g
+    h, fq, gq = _gcd_cofactors(f, g)
+    assert h == _pgcd(f, g)
+    assert _pmul(fq, h) == f and _pmul(gq, h) == g
 
 
 @settings(max_examples=150, deadline=None)

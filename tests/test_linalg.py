@@ -100,3 +100,142 @@ def test_in_span_on_a_plane_in_three_columns():
     assert not in_span(basis, {"a": one})
     assert not in_span(basis, {"a": one, "b": q, "c": q})
     assert in_span(basis, {"a": one, "b": q + q / (q + 1), "c": q})
+
+
+# -- the echelon core against the monic Gauss-Jordan it replaced ---------------
+#
+# The rows below are over Z[q^±1]: a mix of units (signed monomials), which
+# the core pivots on, and non-units; some rows have no unit entry at all,
+# and some share the polynomial factor 1 + q^2.  kernel and rref must be
+# equal to the reference, not merely span the same space.
+
+
+def reference_vec_add(u, v, c):
+    out = dict(u)
+    for k, a in v.items():
+        b = out.get(k)
+        b = a * c if b is None else b + a * c
+        if b.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = b
+    return out
+
+
+def reference_vec_scale(u, c):
+    return {k: a * c for k, a in u.items()}
+
+
+def reference_rref(rows, key=repr):
+    pivots = {}
+    for row in rows:
+        v = dict(row)
+        while v:
+            p = min(v, key=key)
+            b = pivots.get(p)
+            if b is None:
+                break
+            v = reference_vec_add(v, b, -v[p])
+        if not v:
+            continue
+        p = min(v, key=key)
+        pivots[p] = reference_vec_scale(v, v[p].inverse())
+    ps = sorted(pivots, key=key)
+    for p in reversed(ps):
+        row = pivots[p]
+        for p2 in ps:
+            if key(p2) >= key(p):
+                break
+            c = pivots[p2].get(p)
+            if c is not None:
+                pivots[p2] = reference_vec_add(pivots[p2], row, -c)
+    return [pivots[p] for p in ps]
+
+
+def reference_kernel(vectors, key=repr):
+    basis = []
+    out = []
+    for i, v in enumerate(vectors):
+        img = dict(v)
+        coeff = {i: one}
+        for p, b_img, b_coeff in basis:
+            c = img.get(p)
+            if c is not None:
+                img = reference_vec_add(img, b_img, -c)
+                coeff = reference_vec_add(coeff, b_coeff, -c)
+        if not img:
+            out.append(coeff)
+            continue
+        p = min(img, key=key)
+        inv = img[p].inverse()
+        basis.append((p, reference_vec_scale(img, inv),
+                      reference_vec_scale(coeff, inv)))
+    return out
+
+
+def reference_in_span(basis, v, key=repr):
+    v = dict(v)
+    for b in basis:
+        p = min(b, key=key)
+        c = v.get(p)
+        if c is not None:
+            v = reference_vec_add(v, b, -c)
+    return not v
+
+
+UNITS = [one, -one, q, -(q ** -1), Scalar.from_int(2), 3 * q ** 2]
+NON_UNITS = [1 + q ** 2, q + 1, q * q - 1, q - 2, (1 + q ** 2) * q,
+             2 * q ** -1 + 3, 1 - q ** 3]
+FACTOR = 1 + q ** 2
+
+laurent_entries = st.sampled_from(UNITS + NON_UNITS)
+unit_free_rows = st.dictionaries(st.sampled_from(COLUMNS),
+                                 st.sampled_from(NON_UNITS),
+                                 min_size=1, max_size=4)
+laurent_rows = st.one_of(
+    st.dictionaries(st.sampled_from(COLUMNS), laurent_entries,
+                    min_size=1, max_size=4),
+    unit_free_rows,
+    unit_free_rows.map(lambda r: vec_scale(r, FACTOR)),
+)
+
+
+@st.composite
+def laurent_row_sets(draw):
+    """Rows over Z[q^±1], then Laurent combinations of them, in a drawn
+    order."""
+    rows = draw(st.lists(laurent_rows, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        combo = {}
+        for row in rows:
+            combo = vec_add(combo, row, draw(laurent_entries))
+        rows.append(combo)
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(laurent_row_sets(), row_sets()))
+def test_kernel_and_rref_equal_the_reference(rows):
+    assert kernel(rows) == reference_kernel(rows)
+    assert rref(rows) == reference_rref(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_row_sets(), st.lists(laurent_entries, min_size=5, max_size=5),
+       st.sampled_from(COLUMNS + ("z",)), laurent_entries)
+def test_in_span_agrees_with_the_reference(rows, coeffs, col, c):
+    basis = rref(rows)
+    inside = combine(rows, dict(enumerate(coeffs[:len(rows)])))
+    for v in (inside, vec_add(inside, {col: c}), {col: c}):
+        assert in_span(basis, v) == reference_in_span(basis, v)
+
+
+def test_rows_without_a_unit_entry():
+    # every entry is a multiple of 1 + q^2, and no entry is a unit
+    r1 = {"a": FACTOR, "b": FACTOR * (q + 1)}
+    r2 = {"a": FACTOR * (q - 2), "c": 1 + q ** 2}
+    r3 = vec_add(vec_scale(r1, q - 2), r2, -one)
+    rows = [r1, r2, r3]
+    assert kernel(rows) == reference_kernel(rows)
+    assert len(kernel(rows)) == 1
+    assert rref(rows) == reference_rref(rows)

@@ -211,6 +211,33 @@ def test_laurent_and_rational_paths_agree():
         assert_spelled(rational)
 
 
+def test_products_cancel_crosswise():
+    a, b = (q + 1) / (q + 2), (q + 2) / (q + 1)
+    assert a * b == one and (a * b).is_one() and (a * b).names == ()
+    # one operand with a unit denominator: one gcd, against the other den
+    c = (q * q - one) * qi * (one / (q + 1))
+    assert c == (q - one) * qi and c.unit_den
+    d = (q * q + one) * ((q - one) / (q * q + q + one))
+    assert d.den == {(0,): 1, (1,): 1, (2,): 1}
+    assert d.num == {(0,): -1, (1,): 1, (2,): -1, (3,): 1}
+    for x in (a * b, c, d):
+        assert_spelled(x)
+
+
+def test_sums_over_one_denominator():
+    c = q * q + q + one
+    x, y = (q + 2) / c, (q - one) / c
+    assert x.den == y.den
+    s = x + y
+    assert s.num == {(0,): 1, (1,): 2} and s.den == x.den
+    # the sum of the numerators is the denominator itself
+    assert (q + one) / c + q * q / c == one
+    # a sum that cancels down to a Laurent polynomial
+    assert qi / (q + one) + one / (q + one) == qi
+    for x in (s, (q + one) / c + q * q / c):
+        assert_spelled(x)
+
+
 def test_shared_denominators_are_never_mutated():
     r = one / (q - one)
     scalars_seen = [q, qi, L, one, r, q + L, half * q]

@@ -8,12 +8,22 @@ the sympy one, and both must agree with plain Fraction arithmetic at
 random rational points away from the poles.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qpbcalc.scalars import DivisionByZeroError, Scalar
+from qpbcalc.scalars import (
+    DivisionByZeroError,
+    Scalar,
+    _align,
+    _min_exps,
+    _padd,
+    _pgcd,
+    _pmul,
+    _shift,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -114,13 +124,20 @@ def evaluate(e, point):
     return {"add": a + b, "sub": a - b, "mul": a * b}[op]
 
 
-def scalar_to_sympy(s):
+def sympy_parts(s):
+    """(num, den) of s as sympy expressions."""
     def poly(f):
-        return sum((sympy.Rational(c.numerator, c.denominator)
-                    * sympy.Mul(*(SYMBOLS[n] ** k for n, k in zip(s.names, m)))
-                    for m, c in f.items()), sympy.Integer(0))
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(SYMBOLS[n] ** k
+                                         for n, k in zip(s.names, m)))
+                           for m, c in f.items()))
 
-    return poly(s.num) / poly(s.den)
+    return poly(s.num), poly(s.den)
+
+
+def scalar_to_sympy(s):
+    num, den = sympy_parts(s)
+    return num / den
 
 
 def scalar_at(s, point):
@@ -160,3 +177,127 @@ def test_matches_evaluation_at_rational_points(e, pts):
         assert got == expected, (e, point, value)
         checked += 1
     assume(checked)
+
+
+# -- Henrici's reduced-operand paths ------------------------------------------
+#
+# Products and sums of rational functions cancel the operands against each
+# other before multiplying out.  Pairs are drawn in the shapes that reach
+# each branch: equal denominators, one operand with a unit denominator,
+# factors that cancel crosswise, and sums whose denominators share a factor
+# that the sum's numerator shares too.  Every result must equal sympy, the
+# multiply-then-canonicalise formula Scalar(names, num, den), and be in
+# canonical form.
+
+small = st.integers(min_value=-3, max_value=3).filter(bool)
+degrees = st.integers(min_value=0, max_value=2)
+univariate_polys = st.dictionaries(st.tuples(degrees, st.just(0)), small,
+                                   min_size=1, max_size=3)
+polys = st.one_of(
+    univariate_polys,
+    st.dictionaries(st.tuples(degrees, degrees), small, min_size=1,
+                    max_size=3),
+)
+shifts = st.tuples(st.integers(min_value=-2, max_value=2),
+                   st.integers(min_value=-2, max_value=2))
+UNIT = {(0, 0): 1}
+
+
+def rational(num, den, shift=(0, 0)):
+    return Scalar(NAMES, _shift(num, shift), den)
+
+
+def reference_mul(a, b):
+    names, (an, ad), (bn, bd) = _align(a, b)
+    return Scalar(names, _pmul(an, bn), _pmul(ad, bd))
+
+
+def reference_add(a, b):
+    names, (an, ad), (bn, bd) = _align(a, b)
+    return Scalar(names, _padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
+
+
+@st.composite
+def equal_denominators(draw):
+    d = draw(polys)
+    return (rational(draw(polys), d, draw(shifts)),
+            rational(draw(polys), d, draw(shifts)))
+
+
+@st.composite
+def unit_operands(draw):
+    pair = (rational(draw(polys), UNIT, draw(shifts)),
+            rational(draw(polys), draw(polys), draw(shifts)))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@st.composite
+def crosswise(draw):
+    g1, g2 = draw(univariate_polys), draw(univariate_polys)
+    n1, n2, d1, d2 = (draw(polys) for _ in range(4))
+    return (rational(_pmul(n1, g1), _pmul(d1, g2), draw(shifts)),
+            rational(_pmul(n2, g2), _pmul(d2, g1), draw(shifts)))
+
+
+@st.composite
+def cancelling_sums(draw):
+    """x and y = s - x with den(x) = g d1 and den(s) = d1 d2, so x + y
+    must cancel g and d1 out of gcd(den x, den y)."""
+    g, d1, d2 = draw(univariate_polys), draw(polys), draw(polys)
+    x = rational(draw(polys), _pmul(g, d1), draw(shifts))
+    s = rational(draw(polys), _pmul(d1, d2), draw(shifts))
+    return x, reference_add(s, -x)
+
+
+henrici_pairs = st.one_of(equal_denominators(), unit_operands(), crosswise(),
+                          cancelling_sums())
+
+
+def assert_canonical(s):
+    """den primitive over Z with a positive leading coefficient and no
+    monomial factor, gcd(num, den) = 1, every parameter used, and every
+    coefficient an int unless it is not integral."""
+    for c in list(s.num.values()) + list(s.den.values()):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    nv = len(s.names)
+    unit = {(0,) * nv: 1}
+    assert s.unit_den == (s.den == unit)
+    if not s.num:
+        assert s.names == () and s.den == unit
+        return
+    assert all(type(c) is int for c in s.den.values())
+    assert math.gcd(*s.den.values()) == 1
+    assert s.den[max(s.den)] > 0
+    assert not any(_min_exps(s.den, nv))
+    mins = _min_exps(s.num, nv)
+    assert _pgcd(_shift(s.num, tuple(-e for e in mins)), s.den) == unit
+    used = {i for f in (s.num, s.den) for m in f for i, e in enumerate(m)
+            if e}
+    assert used == set(range(nv))
+
+
+@given(henrici_pairs)
+@settings(max_examples=100, deadline=None)
+def test_henrici_paths_match_sympy_and_the_reference(pair):
+    x, y = pair
+    (xn, xd), (yn, yd) = sympy_parts(x), sympy_parts(y)
+    # got = num/den by cross-multiplication, expanded by sympy
+    for got, ref, num, den in ((x * y, reference_mul(x, y), xn * yn, xd * yd),
+                               (x + y, reference_add(x, y),
+                                xn * yd + yn * xd, xd * yd)):
+        assert got == ref, (x, y)
+        gn, gd = sympy_parts(got)
+        assert sympy.expand(num * gd - gn * den) == 0, (x, y)
+        assert_canonical(got)
+    assert y * x == x * y and y + x == x + y
+
+
+def test_cancelling_sums_reach_the_second_gcd():
+    # den(x) = (q + 1)(q + 2), den(y) = (q + 1)(q + 3): t = (q + 3) - 2(q + 2)
+    # = -(q + 1) shares the factor q + 1 with gcd(den x, den y)
+    x = rational({(0, 0): 1}, {(0, 0): 2, (1, 0): 3, (2, 0): 1})
+    y = rational({(0, 0): -2}, {(0, 0): 3, (1, 0): 4, (2, 0): 1})
+    got = x + y
+    assert got == reference_add(x, y)
+    assert got.num == {(0,): -1} and got.den == {(0,): 6, (1,): 5, (2,): 1}
+    assert_canonical(got)
