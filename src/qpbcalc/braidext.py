@@ -59,14 +59,6 @@ def raw_pair(cc, x: Element, y: Element) -> GradedTensor:
     return GradedTensor.of((cc.omega_A, cc.omega_A), x, y)
 
 
-def _lift_left(cc, legs, el: Element) -> GradedTensor:
-    return GradedTensor.of(legs, el, legs[1].unit())
-
-
-def _lift_right(cc, legs, el: Element) -> GradedTensor:
-    return GradedTensor.of(legs, legs[0].unit(), el)
-
-
 # -- extended translation map ----------------------------------------------------
 
 

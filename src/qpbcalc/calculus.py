@@ -88,6 +88,7 @@ class DiffCalculus:
         self._dword_cache = {(): Element(self)}
         self._dletters_cache = {}
         self._mono_mul_cache = {}
+        self.h_delta_tables = None        # letter tables of qpb.h_complete_delta
 
     # -- constructors
 
@@ -429,11 +430,6 @@ class GradedTensor(SparseSum):
     def bidegrees(self):
         return {tuple(len(F) for _, F in key) for key in self.terms}
 
-    def total_degree_component(self, n) -> "GradedTensor":
-        return GradedTensor(self.legs, {
-            key: c for key, c in self.terms.items()
-            if sum(len(F) for _, F in key) == n})
-
     def leg_element(self, key, i) -> Element:
         return Element(self.legs[i], {key[i]: Scalar.one()})
 
@@ -444,23 +440,6 @@ class GradedTensor(SparseSum):
     @staticmethod
     def _sort_key(key):
         return tuple(Element._sort_key(m) for m in key)
-
-
-# -- operation fronts -------------------------------------------------------------
-
-
-def to_normal(g: Element) -> Element:
-    """Pure left-coefficient form.  Elements are stored normalized, so this
-    re-straightens the letter words and is idempotent by construction."""
-    return g.calc._sortkey_terms(g)
-
-
-def differential(g: Element) -> Element:
-    return g.calc.d(g)
-
-
-def wedge(g: Element, h: Element) -> Element:
-    return g.calc.mul(g, h)
 
 
 # -- Cartan-Maurer form and coinvariant forms ------------------------------------

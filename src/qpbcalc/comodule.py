@@ -6,7 +6,9 @@ representatives: the images under the canonical map chi(a (x) a') =
 a a'_0 (x) a'_1, which is bijective for a Hopf-Galois extension.  The
 translation map tau = chi^-1(1 (x) -) is stored on the grouplike generators
 of the structure Hopf algebra and extended to arbitrary grouplike words by
-the product identity tau(hg) = g<1> h<1> (x) h<2> g<2>.
+the product identity tau(hg) = g<1> h<1> (x) h<2> g<2>.  The colinearity
+identities hold for tau and for any strong connection lifting it; the tau
+suite and the strong-connection check share one implementation of each.
 """
 
 from __future__ import annotations
@@ -66,19 +68,6 @@ class ComoduleAlgebra:
         self._coact_cache[w] = out
         return out
 
-    def coact_iter(self, p: NCPoly, n: int) -> TensorPoly:
-        """A-leg followed by n structure legs: (id (x) Delta^(n-1)) Delta_A."""
-        legs = (self.A,) + (self.H.base,) * n
-        cur = self.coact(p)
-        for k in range(2, n + 1):
-            cur = cur.map_terms(
-                lambda ws: TensorPoly(
-                    (self.A,) + (self.H.base,) * k,
-                    {ws[:-1] + pair: c for pair, c in
-                     self.H._delta_word(ws[-1]).terms.items()}),
-                (self.A,) + (self.H.base,) * k)
-        return TensorPoly(legs, cur.terms)
-
     def htag(self, w) -> tuple:
         """The grouplike tag of an A-basis word, for diagonal coactions."""
         t = self._coact_word(tuple(w))
@@ -136,7 +125,10 @@ class ComoduleAlgebra:
                     lambda ws: TensorPoly(
                         legs, {pair + (ws[1],): c for pair, c in
                                self._coact_word(ws[0]).terms.items()}), legs)
-                rhs = self.coact_iter(p, 2)
+                rhs = d.map_terms(
+                    lambda ws: TensorPoly(
+                        legs, {(ws[0],) + pair: c for pair, c in
+                               self.H._delta_word(ws[1]).terms.items()}), legs)
                 rep.record(lhs == rhs, f"coassoc({'*'.join(w) or '1'})",
                            "equal", "mismatch",
                            ref="(Delta_A (x) id)Delta_A = (id (x) Delta)Delta_A")
@@ -182,17 +174,19 @@ class TranslationData:
                     f"{self.label}: no translation data for {w[0]!r}")
             self._cache[w] = t
             return t
-        head = self.tau_word(w[:-1])   # tau(h)
-        last = self.tau_word(w[-1:])   # tau(g)
-        # tau(hg) = g<1> h<1> (x) h<2> g<2>
+        out = self.product(self.tau_word(w[:-1]), self.tau_word(w[-1:]))
+        self._cache[w] = out
+        return out
+
+    def product(self, th: TensorPoly, tg: TensorPoly) -> TensorPoly:
+        """tau(hg) = g<1> h<1> (x) h<2> g<2> from th = tau(h), tg = tau(g)."""
         A = self.ca.A
         out = TensorPoly.zero((A, A))
-        for (x1, x2), cx in last.terms.items():
-            for (y1, y2), cy in head.terms.items():
+        for (x1, x2), cx in tg.terms.items():
+            for (y1, y2), cy in th.terms.items():
                 piece = TensorPoly.from_polys(
                     (A, A), A.normal_word(x1 + y1), A.normal_word(y2 + x2))
                 out.add_scaled(piece, cx * cy)
-        self._cache[w] = out
         return out
 
     def tau(self, h: NCPoly) -> TensorPoly:
@@ -276,29 +270,6 @@ def sigma(x: BalancedTensor, td: TranslationData) -> BalancedTensor:
     return BalancedTensor(ca, raw=out)
 
 
-def sigma_inv(x: BalancedTensor, td: TranslationData) -> BalancedTensor:
-    """sigma^-1(a (x)_B a') = tau(S^-1(a'_1)) a a'_0."""
-    ca = td.ca
-    A = ca.A
-    out = TensorPoly.zero((A, A))
-    for (wa, wb), c in x.raw.terms.items():
-        for (w0, w1), c2 in ca._coact_word(wb).terms.items():
-            sinv = ca.H.antipode_inv(NCPoly.word(w1))
-            for ws, c3 in sinv.terms.items():
-                for (x1, x2), c4 in td.tau_word(ws).terms.items():
-                    piece = TensorPoly.from_polys(
-                        (A, A), NCPoly.word(x1),
-                        A.normal_word(x2 + wa + w0))
-                    out.add_scaled(piece, c * c2 * c3 * c4)
-    return BalancedTensor(ca, raw=out)
-
-
-def multiply_balanced(x: BalancedTensor, y: BalancedTensor) -> BalancedTensor:
-    """Product pulled back through chi (tensor product algebra on A (x) H)."""
-    ca = x.ca
-    return BalancedTensor(ca, canonical=x.canonical.tensor_mul(y.canonical))
-
-
 def collapse(x: BalancedTensor) -> NCPoly:
     """Multiplication map A (x)_B A -> A on the raw representative."""
     A = x.ca.A
@@ -308,50 +279,51 @@ def collapse(x: BalancedTensor) -> NCPoly:
     return out
 
 
-def canonical_triple(ca: ComoduleAlgebra, t3: TensorPoly) -> TensorPoly:
-    """Embed A (x)_B A (x)_B A into A (x) H (x) H:
-    a (x) b (x) c -> a b0 c0 (x) b1 c1 (x) c2."""
-    A, H = ca.A, ca.H.base
-    out = TensorPoly.zero((A, H, H))
-    for (wa, wb, wc), c in t3.terms.items():
-        for (b0, b1), c2 in ca._coact_word(wb).terms.items():
-            for (c0, c1, c2h), c3 in ca.coact_iter(NCPoly.word(wc), 2).terms.items():
-                piece = TensorPoly.from_polys(
-                    (A, H, H), A.normal_word(wa + b0 + c0),
-                    H.normal_word(b1 + c1), NCPoly.word(c2h))
-                out.add_scaled(piece, c * c2 * c3)
-    return out
+# -- colinearity of a lift of the translation map ------------------------------
+#
+# fn maps structure basis words to raw A (x) A tensors (tau_word, or a strong
+# connection ell).  Each helper returns both sides of one identity as raw
+# (A, A, H) tensors.
 
 
-def triple_map(ca, t3: TensorPoly, fn, slot: int) -> TensorPoly:
-    """Apply a BalancedTensor -> BalancedTensor map to legs (slot, slot+1)."""
-    A = ca.A
-    out = TensorPoly.zero((A, A, A))
-    for ws, c in t3.terms.items():
-        pair = TensorPoly.from_polys((A, A), NCPoly.word(ws[slot]),
-                                     NCPoly.word(ws[slot + 1]))
-        res = fn(BalancedTensor(ca, raw=pair)).raw
-        for (p1, p2), c2 in res.terms.items():
-            new = ws[:slot] + (p1, p2) + ws[slot + 2:]
-            piece = TensorPoly.from_polys((A,) * 3, *[NCPoly.word(w) for w in new])
-            out.add_scaled(piece, c * c2)
-    return out
+def right_colinear(ca: ComoduleAlgebra, fn, w) -> tuple:
+    """fn(h)<1> (x) fn(h)<2>_0 (x) fn(h)<2>_1 and fn(h<1>) (x) h<2>."""
+    A, H = ca.A, ca.H
+    legs = (A, A, H.base)
+    lhs = TensorPoly.zero(legs)
+    for (x1, x2), c in fn(w).terms.items():
+        for (y0, y1), c2 in ca._coact_word(x2).terms.items():
+            lhs.add_scaled(TensorPoly.from_polys(
+                legs, NCPoly.word(x1), NCPoly.word(y0), NCPoly.word(y1)),
+                c * c2)
+    rhs = TensorPoly.zero(legs)
+    for (h1, h2), c in H._delta_word(w).terms.items():
+        for (x1, x2), c2 in fn(h1).terms.items():
+            rhs.add_scaled(TensorPoly.from_polys(
+                legs, NCPoly.word(x1), NCPoly.word(x2), NCPoly.word(h2)),
+                c * c2)
+    return lhs, rhs
 
 
-# -- operation fronts -----------------------------------------------------------
-
-def coact(a: NCPoly, ca: ComoduleAlgebra) -> TensorPoly:
-    return ca.coact(a)
-
-
-def coinvariant_basis(ca: ComoduleAlgebra, max_word_len: int) -> list:
-    return ca.coinvariant_basis(max_word_len)
-
-
-# -- grouplike basis words of H up to a weight bound ----------------------------
-
-def h_basis_words(H: HopfPresentation, max_word_len: int):
-    return list(H.base.irreducible_words(max_word_len))
+def left_colinear(ca: ComoduleAlgebra, fn, w) -> tuple:
+    """fn(h)<1>_0 (x) fn(h)<2> (x) fn(h)<1>_1 and fn(h<2>) (x) S(h<1>)."""
+    A, H = ca.A, ca.H
+    legs = (A, A, H.base)
+    lhs = TensorPoly.zero(legs)
+    for (x1, x2), c in fn(w).terms.items():
+        for (y0, y1), c2 in ca._coact_word(x1).terms.items():
+            lhs.add_scaled(TensorPoly.from_polys(
+                legs, NCPoly.word(y0), NCPoly.word(x2), NCPoly.word(y1)),
+                c * c2)
+    rhs = TensorPoly.zero(legs)
+    for (h1, h2), c in H._delta_word(w).terms.items():
+        s = H.antipode(NCPoly.word(h1))
+        for (x1, x2), c2 in fn(h2).terms.items():
+            for ws, c3 in s.terms.items():
+                rhs.add_scaled(TensorPoly.from_polys(
+                    legs, NCPoly.word(x1), NCPoly.word(x2), NCPoly.word(ws)),
+                    c * c2 * c3)
+    return lhs, rhs
 
 
 # -- the identity suite ---------------------------------------------------------
@@ -367,8 +339,7 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
             "coinvariant centrality")
     rep.notes.append("faithful flatness of the extension is assumed, not tested")
     with timed(rep):
-        hw = h_basis_words(H, max_word_len)
-        unit_ah = TensorPoly.unit((A, H.base))
+        hw = list(H.base.irreducible_words(max_word_len))
         for w in hw:
             name = "*".join(w) or "1"
             t = td.tau_word(w)
@@ -385,19 +356,12 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
         # tau5: a_0 tau(a_1) = 1 (x)_B a on A basis words
         for w in A.irreducible_words(max_word_len):
             name = "*".join(w) or "1"
-            out = TensorPoly.zero((A, A))
-            ok = True
             try:
-                for (w0, w1), c in ca._coact_word(w).terms.items():
-                    for (x1, x2), c2 in td.tau_word(w1).terms.items():
-                        piece = TensorPoly.from_polys(
-                            (A, A), A.normal_word(w0 + x1), NCPoly.word(x2))
-                        out.add_scaled(piece, c * c2)
+                lhs = chi_inv(ca, td, ca._coact_word(w))
             except TruncationError:
                 rep.mark_inconclusive(f"tau5({name})",
                                       "translation data out of range")
                 continue
-            lhs = BalancedTensor(ca, raw=out)
             rhs = BalancedTensor(ca, raw=TensorPoly.from_polys(
                 (A, A), NCPoly.one(), NCPoly.word(w)))
             rep.record(lhs == rhs, f"tau5({name})", str(rhs.canonical),
@@ -411,14 +375,7 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
                 lhs = TensorPoly.zero((A, A))
                 for wp, c in prod.terms.items():
                     lhs.add_scaled(td.tau_word(wp), c)
-                ta, tb = td.tau_word(w1), td.tau_word(w2)
-                rhs = TensorPoly.zero((A, A))
-                for (x1, x2), cx in tb.terms.items():
-                    for (y1, y2), cy in ta.terms.items():
-                        piece = TensorPoly.from_polys(
-                            (A, A), A.normal_word(x1 + y1),
-                            A.normal_word(y2 + x2))
-                        rhs.add_scaled(piece, cx * cy)
+                rhs = td.product(td.tau_word(w1), td.tau_word(w2))
                 name = f"{'*'.join(w1) or '1'},{'*'.join(w2) or '1'}"
                 rep.record(BalancedTensor(ca, raw=lhs) ==
                            BalancedTensor(ca, raw=rhs),
@@ -426,43 +383,13 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
                            "mismatch",
                            ref="tau(hg) = g<1>h<1> (x) h<2>g<2>")
         # tau3 / tau4 as three-leg identities (A, H, H after canonicalizing)
-        legsAAH = (A, H.base, H.base)
         for w in hw:
             name = "*".join(w) or "1"
-            t = td.tau_word(w)
-            lhs3 = TensorPoly.zero((A, A, H.base))
-            for (x1, x2), c in t.terms.items():
-                for (w0, w1x), c2 in ca._coact_word(x2).terms.items():
-                    piece = TensorPoly.from_polys(
-                        (A, A, H.base), NCPoly.word(x1), NCPoly.word(w0),
-                        NCPoly.word(w1x))
-                    lhs3.add_scaled(piece, c * c2)
-            rhs3 = TensorPoly.zero((A, A, H.base))
-            for (h1, h2), c in H._delta_word(w).terms.items():
-                for (x1, x2), c2 in td.tau_word(h1).terms.items():
-                    piece = TensorPoly.from_polys(
-                        (A, A, H.base), NCPoly.word(x1), NCPoly.word(x2),
-                        NCPoly.word(h2))
-                    rhs3.add_scaled(piece, c * c2)
+            lhs3, rhs3 = right_colinear(ca, td.tau_word, w)
             rep.record(_canon12(ca, lhs3) == _canon12(ca, rhs3),
                        f"tau3({name})", "equal", "mismatch",
                        ref="tau then coact on second leg = coproduct then tau")
-            lhs4 = TensorPoly.zero((A, A, H.base))
-            for (x1, x2), c in t.terms.items():
-                for (w0, w1x), c2 in ca._coact_word(x1).terms.items():
-                    piece = TensorPoly.from_polys(
-                        (A, A, H.base), NCPoly.word(w0), NCPoly.word(x2),
-                        NCPoly.word(w1x))
-                    lhs4.add_scaled(piece, c * c2)
-            rhs4 = TensorPoly.zero((A, A, H.base))
-            for (h1, h2), c in H._delta_word(w).terms.items():
-                s = H.antipode(NCPoly.word(h1))
-                for (x1, x2), c2 in td.tau_word(h2).terms.items():
-                    for wsw, c3 in s.terms.items():
-                        piece = TensorPoly.from_polys(
-                            (A, A, H.base), NCPoly.word(x1), NCPoly.word(x2),
-                            NCPoly.word(wsw))
-                        rhs4.add_scaled(piece, c * c2 * c3)
+            lhs4, rhs4 = left_colinear(ca, td.tau_word, w)
             rep.record(_canon12(ca, lhs4) == _canon12(ca, rhs4),
                        f"tau4({name})", "equal", "mismatch",
                        ref="coact on first leg twists by the antipode")

@@ -60,16 +60,17 @@ class ExampleBundle:
         return self.cc.omega_H
 
     def structural_validation(self, max_word_len=2):
-        """Hopf axioms, confluence, comodule and calculus checks."""
-        reps = [
-            self.ca.H.verify_hopf_axioms(max_word_len, self.name),
-            self.ca.A.confluence_check(4, self.name),
-            self.ca.H.base.confluence_check(4, self.name),
-            self.ca.validate(max_word_len, self.name),
-            self.omega_A.calculus_check(max_word_len, self.name),
-            self.omega_H.calculus_check(max_word_len, self.name),
-        ]
-        return reps
+        """Hopf axioms, confluence, comodule and calculus checks, each object
+        once: a ``total = hopf`` bundle's total space is the structure
+        group, with one algebra and one calculus."""
+        ca, name = self.ca, self.name
+        algebras = (ca.A,) if ca.A is ca.H.base else (ca.A, ca.H.base)
+        calculi = ((self.omega_A,) if self.omega_A is self.omega_H
+                   else (self.omega_A, self.omega_H))
+        return ([ca.H.verify_hopf_axioms(max_word_len, name)]
+                + [a.confluence_check(4, name) for a in algebras]
+                + [ca.validate(max_word_len, name)]
+                + [c.calculus_check(max_word_len, name) for c in calculi])
 
 
 def _gt(cc, *pairs):

@@ -348,9 +348,6 @@ class AlgebraPresentation:
             out = self.multiply(out, p)
         return out
 
-    def is_irreducible(self, word) -> bool:
-        return self._find_redex(tuple(word)) is None
-
     def irreducible_words(self, max_len: int):
         """All normal-form words of length <= max_len (irreducible prefixes)."""
         frontier = [()]

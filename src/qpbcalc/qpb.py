@@ -18,7 +18,14 @@ from .calculus import (
     left_tag,
     to_lambda,
 )
-from .comodule import BalancedTensor, ComoduleAlgebra, TranslationData, chi
+from .comodule import (
+    BalancedTensor,
+    ComoduleAlgebra,
+    TranslationData,
+    chi,
+    left_colinear,
+    right_colinear,
+)
 from .linalg import in_span, kernel, rref, span_in_window
 from .ncalg import NCPoly, add_term
 from .report import CheckReport, timed
@@ -55,14 +62,11 @@ def h_delta_letter_table(calc: DiffCalculus) -> dict:
     return out
 
 
-def h_complete_delta(calc: DiffCalculus, x: Element,
-                     _tables={}) -> GradedTensor:
+def h_complete_delta(calc: DiffCalculus, x: Element) -> GradedTensor:
     """The DGA morphism extension of the comultiplication on Omega(H)."""
-    key = id(calc)
-    tables = _tables.get(key)
+    tables = calc.h_delta_tables
     if tables is None:
-        tables = h_delta_letter_table(calc)
-        _tables[key] = tables
+        tables = calc.h_delta_tables = h_delta_letter_table(calc)
     hopf = calc.hopf
     legs = (calc, calc)
     out = GradedTensor.zero(legs)
@@ -592,37 +596,11 @@ class CompleteCalculus:
                                              NCPoly.word(w))
                 rep.record(got == want, f"splitting({name})", str(want),
                            str(got), ref="chi' ell = 1 (x) h")
-                legsAAH = (A, A, H.base)
-                lhs = TensorPoly.zero(legsAAH)
-                for (x1, x2), c in lw.terms.items():
-                    for (y0, y1), c2 in ca._coact_word(x2).terms.items():
-                        lhs.add_scaled(TensorPoly.from_polys(
-                            legsAAH, NCPoly.word(x1), NCPoly.word(y0),
-                            NCPoly.word(y1)), c * c2)
-                rhs = TensorPoly.zero(legsAAH)
-                for (h1, h2), c in H._delta_word(w).terms.items():
-                    for (x1, x2), c2 in ell(h1).terms.items():
-                        rhs.add_scaled(TensorPoly.from_polys(
-                            legsAAH, NCPoly.word(x1), NCPoly.word(x2),
-                            NCPoly.word(h2)), c * c2)
+                lhs, rhs = right_colinear(ca, ell, w)
                 rep.record(lhs == rhs, f"right-colinear({name})",
                            "equal raw tensors", "mismatch",
                            ref="coaction on the second leg")
-                legsAHA = (A, H.base, A)
-                lhs2 = TensorPoly.zero(legsAHA)
-                for (x1, x2), c in lw.terms.items():
-                    for (y0, y1), c2 in ca._coact_word(x1).terms.items():
-                        lhs2.add_scaled(TensorPoly.from_polys(
-                            legsAHA, NCPoly.word(y0), NCPoly.word(y1),
-                            NCPoly.word(x2)), c * c2)
-                rhs2 = TensorPoly.zero(legsAHA)
-                for (h1, h2), c in H._delta_word(w).terms.items():
-                    s = H.antipode(NCPoly.word(h1))
-                    for (x1, x2), c2 in ell(h2).terms.items():
-                        for ws, c3 in s.terms.items():
-                            rhs2.add_scaled(TensorPoly.from_polys(
-                                legsAHA, NCPoly.word(x1), NCPoly.word(ws),
-                                NCPoly.word(x2)), c * c2 * c3)
+                lhs2, rhs2 = left_colinear(ca, ell, w)
                 rep.record(lhs2 == rhs2, f"left-colinear({name})",
                            "equal raw tensors", "mismatch",
                            ref="antipode twist on the first leg")

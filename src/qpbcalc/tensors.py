@@ -61,9 +61,6 @@ class TensorPoly(SparseSum):
             out.add_scaled(fn(ws), c)
         return out
 
-    def leg_poly(self, ws, i) -> NCPoly:
-        return NCPoly.word(ws[i])
-
     @staticmethod
     def _key_str(ws):
         return "(x)".join(NCPoly._key_str(w) or "1" for w in ws)
@@ -72,9 +69,3 @@ class TensorPoly(SparseSum):
     def _sort_key(ws):
         return tuple(NCPoly._sort_key(w) for w in ws)
 
-
-def tensor_of_words(legs, words, coeff=None) -> TensorPoly:
-    """Monomial constructor; words are reduced on entry."""
-    polys = [NCPoly.word(w, coeff if i == 0 and coeff is not None else None)
-             for i, w in enumerate(words)]
-    return TensorPoly.from_polys(legs, *polys)

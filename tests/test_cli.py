@@ -1,3 +1,4 @@
+import collections
 import json
 import pathlib
 
@@ -222,6 +223,34 @@ def test_failing_check_exit_1(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "oracle", "--file", str(f))
     assert code == 1
     assert "FAIL" in out
+
+
+SWAPPED = {"tau": (163, {"tau6": 4, "tau5": 18, "tau2": 12, "tau3": 4,
+                         "tau4": 4}),
+           "strong": (33, {"splitting": 4, "right-colinear": 4,
+                           "left-colinear": 4})}
+NEGATED = {"tau": (163, {"tau6": 2, "tau1": 2, "tau5": 8, "tau2": 10}),
+           "strong": (33, {"splitting": 2})}
+
+
+@pytest.mark.parametrize("row, pinned", [("t = tensor(u, ui)", SWAPPED),
+                                         ("t = -tensor(ui, u)", NEGATED)])
+@pytest.mark.parametrize("suite", ["tau", "strong"])
+def test_wrong_translation_row_fails(tmp_path, capsys, row, pinned, suite):
+    # a wrong row of torus's translation table, which the strong connection
+    # reuses: both suites fail with witnesses naming the broken identities
+    text = (DATA / "torus.qpb").read_text()
+    assert text.count("\nt = tensor(ui, u)\n") == 1
+    f = tmp_path / "mutant.qpb"
+    f.write_text(text.replace("\nt = tensor(ui, u)\n", f"\n{row}\n"))
+    code, out, _ = run(capsys, "check", suite, "--file", str(f),
+                       "--format", "json")
+    (rep,) = json.loads(out)
+    checks, witnesses = pinned[suite]
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["checks"] == checks
+    assert collections.Counter(
+        w["input"].split("(")[0] for w in rep["witnesses"]) == witnesses
 
 
 def test_report_schema_golden_file():

@@ -2,21 +2,31 @@ import itertools
 
 import pytest
 
+from qpbcalc.braidext import (
+    GradedBalancedTensor,
+    canonical_triple_graded,
+    chi_bullet,
+    chi_bullet_inv,
+    raw_pair,
+    sigma_bullet,
+    sigma_bullet_inv,
+    sigma_piece,
+    tau_bullet,
+    triple_apply,
+    triple_wedge,
+)
+from qpbcalc.calculus import GradedTensor
 from qpbcalc.comodule import (
     BalancedTensor,
     TranslationData,
-    canonical_triple,
     chi,
     chi_inv,
     collapse,
-    multiply_balanced,
     sigma,
-    sigma_inv,
     tau,
     tau_identity_suite,
-    triple_map,
 )
-from qpbcalc.examples import build_example
+from qpbcalc.examples import EXAMPLE_NAMES, build_example
 from qpbcalc.ncalg import NCPoly
 from qpbcalc.scalars import Scalar, q_binomial
 from qpbcalc.tensors import TensorPoly
@@ -253,13 +263,26 @@ def test_sigma_braided_commutativity(torus, podles):
                 assert collapse(sigma(x, td)) == collapse(x), (g1.name, g2.name)
 
 
-def test_sigma_inverse(torus, podles):
-    for ca, td in (torus, podles):
-        for g1 in ca.A.generators:
-            for g2 in ca.A.generators:
-                x = bt(ca, (g1.name,), (g2.name,))
-                assert sigma_inv(sigma(x, td), td) == x
-                assert sigma(sigma_inv(x, td), td) == x
+def _graded_generators(cc):
+    oa = cc.omega_A
+    return [(g.name, oa.of_poly(NCPoly.gen(g.name)))
+            for g in cc.ca.A.generators]
+
+
+def _balanced(cc, raw):
+    return GradedBalancedTensor(cc, raw=raw)
+
+
+@pytest.mark.parametrize("name", ["torus", "podles"])
+def test_sigma_inverse(name):
+    cc = build_example(name).cc
+    gens = _graded_generators(cc)
+    for (n1, x1), (n2, x2) in itertools.product(gens, repeat=2):
+        x = raw_pair(cc, x1, x2)
+        back = sigma_bullet_inv(cc, sigma_bullet(cc, x))
+        fwd = sigma_bullet(cc, sigma_bullet_inv(cc, x))
+        assert _balanced(cc, back) == _balanced(cc, x), (n1, n2)
+        assert _balanced(cc, fwd) == _balanced(cc, x), (n1, n2)
 
 
 def test_sigma_squared_torus(torus):
@@ -270,60 +293,69 @@ def test_sigma_squared_torus(torus):
             assert sigma(sigma(x, td), td) == x
 
 
-def test_braid_equation(torus, podles):
-    for ca, td in (torus, podles):
-        gens = [g.name for g in ca.A.generators]
-        s = lambda x: sigma(x, td)
-        for a, b, c in itertools.product(gens, repeat=3):
-            t3 = TensorPoly.from_polys(
-                (ca.A,) * 3, NCPoly.gen(a), NCPoly.gen(b), NCPoly.gen(c))
-            lhs = triple_map(ca, triple_map(ca, triple_map(
-                ca, t3, s, 0), s, 1), s, 0)
-            rhs = triple_map(ca, triple_map(ca, triple_map(
-                ca, t3, s, 1), s, 0), s, 1)
-            assert canonical_triple(ca, lhs) == canonical_triple(ca, rhs), \
-                (a, b, c)
+def _generator_triples(cc):
+    oa = cc.omega_A
+    gens = _graded_generators(cc)
+    for (a, x), (b, y), (c, z) in itertools.product(gens, repeat=3):
+        yield (a, b, c), GradedTensor.of((oa,) * 3, x, y, z)
 
 
-def test_hexagons(torus, podles):
-    for ca, td in (torus, podles):
-        A = ca.A
-        gens = [g.name for g in A.generators]
-        for a, b, c in itertools.product(gens, repeat=3):
-            # sigma(xy (x) z) = (id (x) m)(sigma (x) id)(id (x) sigma)
-            xy = A.normal_word((a, b))
-            lhs1 = TensorPoly.zero((A, A))
-            for w, cc in xy.terms.items():
-                lhs1 = lhs1 + sigma(bt(ca, w, (c,)), td).raw.scale(cc)
-            t3 = TensorPoly.from_polys(
-                (A,) * 3, NCPoly.gen(a), NCPoly.gen(b), NCPoly.gen(c))
-            step = triple_map(ca, t3, lambda x: sigma(x, td), 1)
-            step = triple_map(ca, step, lambda x: sigma(x, td), 0)
-            rhs1 = TensorPoly.zero((A, A))
-            for (w1, w2, w3), cc in step.terms.items():
-                rhs1 = rhs1 + TensorPoly.from_polys(
-                    (A, A), NCPoly.word(w1),
-                    A.normal_word(w2 + w3)).scale(cc)
-            assert BalancedTensor(ca, raw=lhs1) == BalancedTensor(ca, raw=rhs1)
-            # sigma(x (x) yz) = (m (x) id)(id (x) sigma)(sigma (x) id)
-            yz = A.normal_word((b, c))
-            lhs2 = TensorPoly.zero((A, A))
-            for w, cc in yz.terms.items():
-                lhs2 = lhs2 + sigma(bt(ca, (a,), w), td).raw.scale(cc)
-            step = triple_map(ca, t3, lambda x: sigma(x, td), 0)
-            step = triple_map(ca, step, lambda x: sigma(x, td), 1)
-            rhs2 = TensorPoly.zero((A, A))
-            for (w1, w2, w3), cc in step.terms.items():
-                rhs2 = rhs2 + TensorPoly.from_polys(
-                    (A, A), A.normal_word(w1 + w2),
-                    NCPoly.word(w3)).scale(cc)
-            assert BalancedTensor(ca, raw=lhs2) == BalancedTensor(ca, raw=rhs2)
+@pytest.mark.parametrize("name", ["torus", "podles"])
+def test_braid_equation(name):
+    cc = build_example(name).cc
+    for names, t3 in _generator_triples(cc):
+        lhs = triple_apply(cc, triple_apply(cc, triple_apply(
+            cc, t3, sigma_piece, 0), sigma_piece, 1), sigma_piece, 0)
+        rhs = triple_apply(cc, triple_apply(cc, triple_apply(
+            cc, t3, sigma_piece, 1), sigma_piece, 0), sigma_piece, 1)
+        assert (canonical_triple_graded(cc, lhs)
+                == canonical_triple_graded(cc, rhs)), names
 
 
-def test_balanced_product_pullback(torus):
-    # chi is an algebra morphism for the pulled-back product
-    ca, td = torus
-    x = bt(ca, ("u",), ("v",))
-    y = bt(ca, ("vi",), ("ui",))
-    z = multiply_balanced(x, y)
-    assert z.canonical == x.canonical.tensor_mul(y.canonical)
+@pytest.mark.parametrize("name", ["torus", "podles"])
+def test_hexagons(name):
+    cc = build_example(name).cc
+    for names, t3 in _generator_triples(cc):
+        # sigma(xy (x) z) = (id (x) m)(sigma (x) id)(id (x) sigma)
+        lhs1 = sigma_bullet(cc, triple_wedge(cc, t3, 0))
+        step = triple_apply(cc, t3, sigma_piece, 1)
+        step = triple_apply(cc, step, sigma_piece, 0)
+        rhs1 = triple_wedge(cc, step, 1)
+        assert _balanced(cc, lhs1) == _balanced(cc, rhs1), names
+        # sigma(x (x) yz) = (m (x) id)(id (x) sigma)(sigma (x) id)
+        lhs2 = sigma_bullet(cc, triple_wedge(cc, t3, 1))
+        step = triple_apply(cc, t3, sigma_piece, 0)
+        step = triple_apply(cc, step, sigma_piece, 1)
+        rhs2 = triple_wedge(cc, step, 0)
+        assert _balanced(cc, lhs2) == _balanced(cc, rhs2), names
+
+
+# -- the degree-zero maps are the graded maps restricted to degree zero ----------
+
+def _degree_zero(t: TensorPoly) -> dict:
+    """The terms of a plain tensor, keyed as graded-tensor monomials."""
+    return {tuple((w, ()) for w in ws): c for ws, c in t.terms.items()}
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_graded_maps_restrict_to_degree_zero_maps(name):
+    bundle = build_example(name)
+    cc, ca, td = bundle.cc, bundle.ca, bundle.td
+    A, H = ca.A, ca.H.base
+    oa, oh = cc.omega_A, cc.omega_H
+    awords = list(A.irreducible_words(2))
+    hwords = list(H.irreducible_words(2))
+    for wh in hwords:
+        got = tau_bullet(cc, oh.of_poly(NCPoly.word(wh)))
+        assert got.terms == _degree_zero(td.tau_word(wh)), wh
+    for w1, w2 in itertools.product(awords, repeat=2):
+        x = TensorPoly.from_polys((A, A), NCPoly.word(w1), NCPoly.word(w2))
+        gx = GradedTensor((oa, oa), _degree_zero(x))
+        assert (sigma_bullet(cc, gx).terms
+                == _degree_zero(sigma(BalancedTensor(ca, raw=x), td).raw))
+        assert chi_bullet(cc, gx).terms == _degree_zero(chi(ca, x))
+    for wa, wh in itertools.product(awords, hwords):
+        y = TensorPoly.from_polys((A, H), NCPoly.word(wa), NCPoly.word(wh))
+        gy = GradedTensor((oa, oh), _degree_zero(y))
+        assert (chi_bullet_inv(cc, gy).raw.terms
+                == _degree_zero(chi_inv(ca, td, y).raw)), (wa, wh)

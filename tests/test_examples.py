@@ -28,6 +28,18 @@ def test_bundles_validate(name):
         assert rep.ok(), (name, rep.suite, rep.witnesses[:2])
 
 
+@pytest.mark.parametrize("name, suites", [
+    ("u1_q", ["hopf", "confluence", "comodule", "calculus"]),
+    ("classical_t2", ["hopf", "confluence", "comodule", "calculus"]),
+    ("torus", ["hopf", "confluence", "confluence", "comodule", "calculus",
+               "calculus"]),
+])
+def test_structural_validation_checks_each_object_once(name, suites):
+    # a total = hopf bundle has one algebra and one calculus
+    reps = build_example(name).structural_validation(2)
+    assert [rep.suite for rep in reps] == suites
+
+
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_oracles(name):
     bundle = build_example(name)

@@ -1,7 +1,12 @@
+import gc
+import pathlib
+import weakref
+
 import pytest
 
 from qpbcalc.calculus import GradedTensor, lambda_element
 from qpbcalc.examples import build_example
+from qpbcalc.fileformat import parse
 from qpbcalc.ncalg import NCPoly
 from qpbcalc.qpb import h_complete_delta
 from qpbcalc.scalars import Scalar
@@ -209,6 +214,20 @@ def test_xi_transported_product(u1):
                             c1 * c2 * c3 * c4 * c5
     rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
     assert lhs == rhs
+
+
+def test_dropped_bundle_frees_its_structure_calculus():
+    # the letter tables of h_complete_delta live on the calculus, so they
+    # keep no dropped bundle alive
+    data = pathlib.Path(__file__).resolve().parents[1] / "src/qpbcalc/data"
+    bundle = parse((data / "torus.qpb").read_text())
+    oh = bundle.cc.omega_H
+    assert h_complete_delta(oh, oh.form("dt")) == h_complete_delta(
+        oh, oh.form("dt"))
+    ref = weakref.ref(oh)
+    del bundle, oh
+    gc.collect()
+    assert ref() is None
 
 
 # -- the corrected DGA extension on the classical 2-torus ---------------------------
