@@ -273,16 +273,16 @@ def _balanced(cc, raw):
     return GradedBalancedTensor(cc, raw=raw)
 
 
-@pytest.mark.parametrize("name", ["torus", "podles"])
-def test_sigma_inverse(name):
-    cc = build_example(name).cc
-    gens = _graded_generators(cc)
-    for (n1, x1), (n2, x2) in itertools.product(gens, repeat=2):
-        x = raw_pair(cc, x1, x2)
-        back = sigma_bullet_inv(cc, sigma_bullet(cc, x))
-        fwd = sigma_bullet(cc, sigma_bullet_inv(cc, x))
-        assert _balanced(cc, back) == _balanced(cc, x), (n1, n2)
-        assert _balanced(cc, fwd) == _balanced(cc, x), (n1, n2)
+def test_sigma_inverse():
+    for name in ("torus", "podles"):
+        cc = build_example(name).cc
+        gens = _graded_generators(cc)
+        for (n1, x1), (n2, x2) in itertools.product(gens, repeat=2):
+            x = raw_pair(cc, x1, x2)
+            back = sigma_bullet_inv(cc, sigma_bullet(cc, x))
+            fwd = sigma_bullet(cc, sigma_bullet_inv(cc, x))
+            assert _balanced(cc, back) == _balanced(cc, x), (name, n1, n2)
+            assert _balanced(cc, fwd) == _balanced(cc, x), (name, n1, n2)
 
 
 def test_sigma_squared_torus(torus):
@@ -300,34 +300,46 @@ def _generator_triples(cc):
         yield (a, b, c), GradedTensor.of((oa,) * 3, x, y, z)
 
 
-@pytest.mark.parametrize("name", ["torus", "podles"])
-def test_braid_equation(name):
-    cc = build_example(name).cc
-    for names, t3 in _generator_triples(cc):
-        lhs = triple_apply(cc, triple_apply(cc, triple_apply(
-            cc, t3, sigma_piece, 0), sigma_piece, 1), sigma_piece, 0)
-        rhs = triple_apply(cc, triple_apply(cc, triple_apply(
-            cc, t3, sigma_piece, 1), sigma_piece, 0), sigma_piece, 1)
-        assert (canonical_triple_graded(cc, lhs)
-                == canonical_triple_graded(cc, rhs)), names
+def test_braid_equation():
+    for name in ("torus", "podles"):
+        cc = build_example(name).cc
+        for names, t3 in _generator_triples(cc):
+            lhs = triple_apply(cc, triple_apply(cc, triple_apply(
+                cc, t3, sigma_piece, 0), sigma_piece, 1), sigma_piece, 0)
+            rhs = triple_apply(cc, triple_apply(cc, triple_apply(
+                cc, t3, sigma_piece, 1), sigma_piece, 0), sigma_piece, 1)
+            assert (canonical_triple_graded(cc, lhs)
+                    == canonical_triple_graded(cc, rhs)), (name, names)
 
 
-@pytest.mark.parametrize("name", ["torus", "podles"])
-def test_hexagons(name):
-    cc = build_example(name).cc
-    for names, t3 in _generator_triples(cc):
-        # sigma(xy (x) z) = (id (x) m)(sigma (x) id)(id (x) sigma)
-        lhs1 = sigma_bullet(cc, triple_wedge(cc, t3, 0))
-        step = triple_apply(cc, t3, sigma_piece, 1)
-        step = triple_apply(cc, step, sigma_piece, 0)
-        rhs1 = triple_wedge(cc, step, 1)
-        assert _balanced(cc, lhs1) == _balanced(cc, rhs1), names
-        # sigma(x (x) yz) = (m (x) id)(id (x) sigma)(sigma (x) id)
-        lhs2 = sigma_bullet(cc, triple_wedge(cc, t3, 1))
-        step = triple_apply(cc, t3, sigma_piece, 0)
-        step = triple_apply(cc, step, sigma_piece, 1)
-        rhs2 = triple_wedge(cc, step, 0)
-        assert _balanced(cc, lhs2) == _balanced(cc, rhs2), names
+def test_hexagons():
+    for name in ("torus", "podles"):
+        cc = build_example(name).cc
+        for names, t3 in _generator_triples(cc):
+            # sigma(xy (x) z) = (id (x) m)(sigma (x) id)(id (x) sigma)
+            lhs1 = sigma_bullet(cc, triple_wedge(cc, t3, 0))
+            step = triple_apply(cc, t3, sigma_piece, 1)
+            step = triple_apply(cc, step, sigma_piece, 0)
+            rhs1 = triple_wedge(cc, step, 1)
+            assert _balanced(cc, lhs1) == _balanced(cc, rhs1), (name, names)
+            # sigma(x (x) yz) = (m (x) id)(id (x) sigma)(sigma (x) id)
+            lhs2 = sigma_bullet(cc, triple_wedge(cc, t3, 1))
+            step = triple_apply(cc, t3, sigma_piece, 0)
+            step = triple_apply(cc, step, sigma_piece, 1)
+            rhs2 = triple_wedge(cc, step, 0)
+            assert _balanced(cc, lhs2) == _balanced(cc, rhs2), (name, names)
+
+
+def test_balanced_product_pullback(torus):
+    # chi is an algebra morphism for the product pulled back through chi:
+    # chi(chi^-1(chi(x) chi(y))) = chi(x) chi(y)
+    ca, td = torus
+    x = bt(ca, ("u",), ("v",))
+    y = bt(ca, ("vi",), ("ui",))
+    product = x.canonical.tensor_mul(y.canonical)
+    z = chi_inv(ca, td, product)
+    assert chi(ca, z.raw) == product
+    assert z == BalancedTensor(ca, canonical=product)
 
 
 # -- the degree-zero maps are the graded maps restricted to degree zero ----------
