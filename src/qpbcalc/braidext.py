@@ -24,6 +24,8 @@ class UnsupportedDegreeError(Exception):
 
 MAX_TAU_DEGREE = 3
 
+UNIT = ((), ())   # the unit monomial: the empty word with no letters
+
 
 class GradedBalancedTensor:
     """Raw pair of total-space forms with canonical chi image."""
@@ -57,6 +59,34 @@ class GradedBalancedTensor:
 
 def raw_pair(cc, x: Element, y: Element) -> GradedTensor:
     return GradedTensor.of((cc.omega_A, cc.omega_A), x, y)
+
+
+def add_lift(terms: dict, legs, p, t: GradedTensor, q, c: Scalar) -> None:
+    """terms += c * (p (x) 1) t (1 (x) q) for a two-leg tensor t and
+    monomials p of legs[0] and q of legs[1], either of which may be UNIT.
+
+    Each leg reads the mono_mul table of its monomial by key; a UNIT leg is
+    left as it is.  The unit legs have degree 0, so the product carries no
+    Koszul sign.  terms is a dict the caller owns."""
+    lmul = None if p == UNIT else legs[0].mono_mul
+    rmul = None if q == UNIT else legs[1].mono_mul
+    for (t1, t2), c1 in t.terms.items():
+        c1 = c1 * c
+        if rmul is None:
+            if lmul is None:
+                add_term(terms, (t1, t2), c1)
+                continue
+            for m1, c2 in lmul(p, t1):
+                add_term(terms, (m1, t2), c1 * c2)
+        elif lmul is None:
+            for m2, c3 in rmul(t2, q):
+                add_term(terms, (t1, m2), c1 * c3)
+        else:
+            right = rmul(t2, q)
+            for m1, c2 in lmul(p, t1):
+                c2 = c1 * c2
+                for m2, c3 in right:
+                    add_term(terms, (m1, m2), c2 * c3)
 
 
 # -- extended translation map ----------------------------------------------------
@@ -93,12 +123,8 @@ def _tau_mono(cc, w, F) -> GradedTensor:
         xi = _tau_one_letter(cc, pairs[0][1])
         nxt = GradedTensor.zero(legs)
         for (p_mono, q_mono), c_xi in xi.terms.items():
-            left = GradedTensor(legs, {
-                (p_mono, ((), ())): Scalar.one()})
-            right = GradedTensor(legs, {
-                (((), ()), q_mono): Scalar.one()})
-            nxt.add_scaled(left.wedge(cur).wedge(right),
-                           c_xi * sign(i * len(p_mono[1])))
+            add_lift(nxt.terms, legs, p_mono, cur, q_mono,
+                     c_xi * sign(i * len(p_mono[1])))
         cur = nxt
     cc._taubul_cache[key] = cur
     return cur
@@ -133,9 +159,10 @@ def chi_piece(cc: CompleteCalculus, key) -> GradedTensor:
     piece = cc._chibul_cache.get(key)
     if piece is None:
         m1, m2 = key
-        legs = (cc.omega_A, cc.omega_H)
-        lifted = GradedTensor(legs, {(m1, ((), ())): Scalar.one()})
-        piece = cc._chibul_cache[key] = lifted.wedge(cc._delta_mono(*m2))
+        piece = GradedTensor.zero((cc.omega_A, cc.omega_H))
+        add_lift(piece.terms, piece.legs, m1, cc._delta_mono(*m2), UNIT,
+                 Scalar.one())
+        cc._chibul_cache[key] = piece
     return piece
 
 
@@ -153,9 +180,7 @@ def chi_bullet_inv(cc: CompleteCalculus, y: GradedTensor) -> GradedBalancedTenso
     legs = (oa, oa)
     out = GradedTensor.zero(legs)
     for (m1, m2), c in y.terms.items():
-        t = _tau_mono(cc, *m2)
-        lifted = GradedTensor(legs, {(m1, ((), ())): Scalar.one()})
-        out.add_scaled(lifted.wedge(t), c)
+        add_lift(out.terms, legs, m1, _tau_mono(cc, *m2), UNIT, c)
     return GradedBalancedTensor(cc, raw=out)
 
 
@@ -173,9 +198,9 @@ def sigma_piece(cc: CompleteCalculus, key) -> GradedTensor:
         deg_eta = len(m2[1])
         for (m0, (w1, f1)), c2 in cc._delta_mono(*m1).terms.items():
             t = _tau_mono(cc, w1, f1)
-            lifted = GradedTensor(legs, {(m, ((), ())): c
-                                         for m, c in oa.mono_mul(m0, m2)})
-            piece.add_scaled(lifted.wedge(t), c2 * sign(len(f1) * deg_eta))
+            c2 = c2 * sign(len(f1) * deg_eta)
+            for m, c in oa.mono_mul(m0, m2):
+                add_lift(piece.terms, legs, m, t, UNIT, c * c2)
         cc._sigbul_cache[key] = piece
     return piece
 
@@ -202,10 +227,9 @@ def sigma_bullet_inv(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
             sinv = graded_antipode(oh, Element(oh, {(w1, f1): Scalar.one()}),
                                    inverse=True)
             t = tau_bullet(cc, sinv)
-            lifted = GradedTensor(legs, {(((), ()), m): c3 for m, c3
-                                         in oa.mono_mul(m1, (w0, f0))})
-            out.add_scaled(t.wedge(lifted),
-                           c * c2 * sign((deg_omega + len(f0)) * len(f1)))
+            c4 = c * c2 * sign((deg_omega + len(f0)) * len(f1))
+            for m, c3 in oa.mono_mul(m1, (w0, f0)):
+                add_lift(out.terms, legs, UNIT, t, m, c3 * c4)
     return out
 
 
@@ -220,10 +244,8 @@ def wedge_otimes_b(cc: CompleteCalculus, x: GradedTensor,
     out = GradedTensor.zero(legs)
     for (a1, a2), c1 in x.terms.items():
         for (b1, b2), c2 in y.terms.items():
-            mid = sigma_piece(cc, (a2, b1))
-            left = GradedTensor(legs, {(a1, ((), ())): Scalar.one()})
-            right = GradedTensor(legs, {(((), ()), b2): Scalar.one()})
-            out.add_scaled(left.wedge(mid).wedge(right), c1 * c2)
+            add_lift(out.terms, legs, a1, sigma_piece(cc, (a2, b1)), b2,
+                     c1 * c2)
     return out
 
 
@@ -349,11 +371,8 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
                 ta = tau_bullet(cc, t1m)
                 tb = tau_bullet(cc, t2m)
                 for (b1, b2), cb in tb.terms.items():
-                    left = GradedTensor(legs2, {(b1, ((), ())): Scalar.one()})
-                    right = GradedTensor(legs2, {(((), ()), b2): Scalar.one()})
-                    rhs.add_scaled(
-                        left.wedge(ta).wedge(right),
-                        cb * sign(_element_degree(t1m) * len(b1[1])))
+                    add_lift(rhs.terms, legs2, b1, ta, b2,
+                             cb * sign(_element_degree(t1m) * len(b1[1])))
                 ok = (GradedBalancedTensor(cc, raw=lhs)
                       == GradedBalancedTensor(cc, raw=rhs))
                 rep.record(ok, f"TauBul3({n1};{n2})", "product rule holds",
@@ -415,10 +434,12 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
             t = tau_bullet(cc, theta)
             dt = _element_degree(theta)
             for i, xi in enumerate(base_forms):
-                dxi = _element_degree(xi)
-                left = GradedTensor.of(legs2, xi, oa.unit()).wedge(t)
-                right = t.wedge(GradedTensor.of(legs2, oa.unit(), xi)).scale(
-                    sign(dxi * dt))
+                s = sign(_element_degree(xi) * dt)
+                left = GradedTensor.zero(legs2)
+                right = GradedTensor.zero(legs2)
+                for m, c in xi.terms.items():
+                    add_lift(left.terms, legs2, m, t, UNIT, c)
+                    add_lift(right.terms, legs2, UNIT, t, m, c * s)
                 ok = (GradedBalancedTensor(cc, raw=left)
                       == GradedBalancedTensor(cc, raw=right))
                 rep.record(ok, f"central({hname};base{i})",

@@ -14,6 +14,17 @@ Laurent polynomial with int coefficients over the shared unit denominator,
 stays in machine ints; Fractions arise from non-integral constants and
 inside the rational-function path (division and the gcds that follow it).
 
+A product of two Laurent polynomials over the unit denominator where one
+operand is a unit, a single term c*x^m (or a constant c), and the other has
+the same parameters (or none) is a shift and a scale: the other operand's
+exponents move by m and its coefficients are multiplied by c, in one pass,
+and the result is built slot by slot over the shared unit denominator.  It
+keeps the canonical form of the general constructor: a parameter whose
+exponent cancels everywhere is dropped (q^k * q^-k is a constant with no
+names), an integral coefficient is an int, and equal values hash equal.
+Operands over different parameters, and products of two polynomials with
+several terms, take the general path.
+
 Reducing num/den takes polynomial gcds over Z.  A univariate gcd is found
 by heuristic GCD (Char, Geddes and Gonnet, J. Symb. Comput. 7 (1989)):
 the primitive parts are evaluated at a large integer, the integer gcd of
@@ -32,6 +43,7 @@ factors only and build their result already in lowest terms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -521,22 +533,24 @@ class Scalar:
             return _coerce(other)
         other = _coerce(other)
         if self.unit_den and other.unit_den:
-            if not self.num or not other.num:
+            an, bn = self.num, other.num
+            if not an or not bn:
                 return _ZERO
+            # a unit c*x^m (or a constant c) times a Laurent polynomial is a
+            # shift of its exponents by m and a scale of its coefficients
             if not self.names:
-                c = self.num[()]
-                if c == 1:
-                    return other
-                num = {m: a * c for m, a in other.num.items()}
-                return Scalar(other.names, _int_coeffs(num), other.den,
-                              _canonical=True)
+                c = an[()]
+                return other if c == 1 else _laurent(other.names,
+                                                     _scaled(bn, c))
             if not other.names:
-                c = other.num[()]
-                if c == 1:
-                    return self
-                num = {m: a * c for m, a in self.num.items()}
-                return Scalar(self.names, _int_coeffs(num), self.den,
-                              _canonical=True)
+                c = bn[()]
+                return self if c == 1 else _laurent(self.names,
+                                                    _scaled(an, c))
+            if self.names == other.names:
+                if len(bn) == 1:
+                    return _unit_mul(self.names, an, bn)
+                if len(an) == 1:
+                    return _unit_mul(self.names, bn, an)
             names, (an, _), (bn, _) = _align(self, other)
             return _from_laurent(names, _pmul(an, bn))
         if not self.num or not other.num:
@@ -784,18 +798,60 @@ class _UnitDens(dict):
 _UNIT_DENS = _UnitDens()
 
 
+def _laurent(names, num):
+    """The Scalar num over the shared unit denominator, built slot by slot.
+
+    num must be canonical already: no zero coefficient, every integral
+    coefficient an int, and every parameter of names used."""
+    s = object.__new__(Scalar)
+    s.names = names
+    s.num = num
+    s.den = _UNIT_DENS[len(names)]
+    s._hash = None
+    s.unit_den = True
+    return s
+
+
 def _from_laurent(names, num):
     """Canonical scalar with unit denominator from a Laurent dict.
 
-    num has no zero coefficients: _padd and _pmul drop them."""
+    num has no zero coefficients: _padd and _pmul drop them.  Over one
+    parameter, two or more terms have distinct exponents, so at least one
+    is nonzero and the parameter is used."""
     if not num:
         return _ZERO
-    if not all(map(any, zip(*num))):
+    if (len(names) != 1 or len(num) == 1) and not all(map(any, zip(*num))):
         used = [i for i, exps in enumerate(zip(*num)) if any(exps)]
         names = tuple(names[i] for i in used)
         num = {tuple(m[i] for i in used): c for m, c in num.items()}
-    return Scalar(names, _int_coeffs(num), _UNIT_DENS[len(names)],
-                  _canonical=True)
+    return _laurent(names, _int_coeffs(num))
+
+
+def _scaled(f, c):
+    """f times a nonzero coefficient c, integral coefficients as ints."""
+    return _int_coeffs({m: a * c for m, a in f.items()})
+
+
+def _unit_mul(names, f, unit):
+    """The Scalar f * c*x^m for the one-term Laurent dict unit = {m: c},
+    both over names: each exponent of f shifted by m, each coefficient
+    scaled by c."""
+    ((m, c),) = unit.items()
+    if len(names) == 1:
+        (e,) = m
+        if len(f) == 1:
+            (((k,), a),) = f.items()
+            a = a * c
+            if type(a) is not int and a.denominator == 1:
+                a = a.numerator
+            if k == -e:
+                return _laurent((), {(): a})
+            return _laurent(names, {(k + e,): a})
+        # distinct exponents stay distinct, so the parameter stays used
+        return _laurent(names, _int_coeffs({(k + e,): a * c
+                                            for (k,), a in f.items()}))
+    return _from_laurent(names, {tuple(map(operator.add, k, m)): a * c
+                                 for k, a in f.items()})
 
 
 _ZERO = Scalar((), {}, _UNIT_DENS[0], _canonical=True)

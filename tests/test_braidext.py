@@ -1,12 +1,17 @@
+import contextlib
+import io
 import itertools
+import json
 import pathlib
 
 import pytest
 
 from qpbcalc.braidext import (
+    UNIT,
     GradedBalancedTensor,
     UnsupportedDegreeError,
     _generator_elements,
+    add_lift,
     canonical_triple_graded,
     chi_bullet,
     chi_bullet_inv,
@@ -22,6 +27,7 @@ from qpbcalc.braidext import (
     triple_apply,
     wedge_otimes_b,
 )
+from qpbcalc.cli import main
 from qpbcalc.calculus import Element, GradedTensor
 from qpbcalc.examples import build_example
 from qpbcalc.fileformat import parse
@@ -264,9 +270,27 @@ def test_graded_suite_torus(torus):
     assert rep.ok(), [w.input for w in rep.witnesses[:4]]
 
 
-def test_graded_suite_podles(podles):
-    rep = graded_identity_suite(podles.cc, 3, "podles")
-    assert rep.ok(), [w.input for w in rep.witnesses[:4]]
+@pytest.fixture(scope="module")
+def podles_suite(podles):
+    """One run of the podles graded suite through the CLI: its exit code,
+    its JSON report, and the bundle whose memos the run filled."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", "graded", "--example", "podles", "--format",
+                     "json"])
+    return code, json.loads(out.getvalue()), podles.cc
+
+
+def test_graded_suite_podles(podles_suite):
+    # the report must match the frozen one, so a change that drops checks
+    # does not pass
+    fields = ("status", "checks", "truncation", "witnesses", "notes")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    frozen = json.loads((root / "perfbench/expected.json").read_text())
+    code, got, _ = podles_suite
+    assert code == 0
+    assert ([{f: r[f] for f in fields} for r in got]
+            == [{f: r[f] for f in fields} for r in frozen["podles:graded"]])
 
 
 def test_graded_suite_classical(t2):
@@ -333,3 +357,49 @@ def test_flipped_mono_mul_entry_fails_the_graded_suite():
     oa._mono_mul_cache[key] = tuple((m, -c) for m, c in oa.mono_mul(*key))
     failed = _failed_inputs(cc)
     assert any(w.startswith(("braid(", "hex")) for w in failed), failed
+
+
+# -- one-sided and two-sided lifts -------------------------------------------------
+
+def _wedge_lift(legs, p, t, q, c):
+    """c (p (x) 1) t (1 (x) q) as first written: each monomial wrapped in a
+    one-term tensor and multiplied in by GradedTensor.wedge."""
+    left = GradedTensor(legs, {(p, UNIT): one})
+    right = GradedTensor(legs, {(UNIT, q): one})
+    return left.wedge(t).wedge(right).scale(c)
+
+
+def _small_monomials(calc):
+    """The unit, the generators and the basis forms of degree <= 2."""
+    return ([UNIT] + [((g.name,), ()) for g in calc.pres.generators]
+            + [((), F) for k in (1, 2) for F in calc.basis_forms(k)])
+
+
+def _assert_lifts_match(tensors, c, two_sided=True):
+    for t in tensors:
+        left, right = t.legs
+        ps, qs = _small_monomials(left), _small_monomials(right)
+        # left lifts (q = UNIT), right lifts (p = UNIT), two-sided ones
+        if two_sided:
+            pairs = itertools.product(ps, qs)
+        else:
+            pairs = [(p, UNIT) for p in ps] + [(UNIT, q) for q in qs]
+        for p, q in pairs:
+            got = GradedTensor.zero(t.legs)
+            add_lift(got.terms, t.legs, p, t, q, c)
+            assert got == _wedge_lift(t.legs, p, t, q, c), (p, t, q)
+
+
+def test_lift_matches_one_term_wedges_torus(torus):
+    cc = torus.cc
+    graded_identity_suite(cc, 3, "torus")
+    _assert_lifts_match(list(cc._taubul_cache.values())
+                        + list(cc._delta_cache.values()), -L / 2)
+
+
+def test_lift_matches_one_term_wedges_podles(podles_suite):
+    cc = podles_suite[2]
+    # every pair on the translation pieces, the only tensors the suite lifts
+    # on both sides; left and right lifts on the hundreds of coaction pieces
+    _assert_lifts_match(cc._taubul_cache.values(), -q / 2)
+    _assert_lifts_match(cc._delta_cache.values(), qi, two_sided=False)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qpbcalc.scalars import (
+    _UNIT_DENS,
     DivisionByZeroError,
     Scalar,
     _align,
@@ -301,3 +302,134 @@ def test_cancelling_sums_reach_the_second_gcd():
     assert got == reference_add(x, y)
     assert got.num == {(0,): -1} and got.den == {(0,): 6, (1,): 5, (2,): 1}
     assert_canonical(got)
+
+
+# -- the Laurent unit path -------------------------------------------------------
+#
+# A unit c*x^m (or a constant c) times a Laurent polynomial over the same
+# parameters is a shift of the exponents and a scale of the coefficients,
+# built without the general constructor.  Operands are drawn mostly with one
+# term: units with negative exponents and int or non-integral Fraction
+# coefficients, constants, one- and two-parameter Laurent polynomials, and
+# pairs built to cancel: products that leave a constant or drop one
+# parameter, and sums that drop a parameter or leave one term.  Every product
+# and sum must equal sympy and the general constructor Scalar(names, num,
+# den), and be in canonical form with the shared unit denominator.
+
+coefficients = st.one_of(
+    small,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+        lambda c: c.denominator != 1),
+)
+laurent_exps = st.integers(min_value=-3, max_value=3)
+nonzero_exps = laurent_exps.filter(bool)
+
+
+def laurent(terms):
+    """The Scalar of a Laurent dict over (q, t), by the general constructor:
+    parameters it does not use are dropped."""
+    return Scalar(NAMES, dict(terms), UNIT)
+
+
+def q_only(exps):
+    return st.tuples(exps, st.just(0))
+
+
+def t_only(exps):
+    return st.tuples(st.just(0), exps)
+
+
+units = st.one_of(
+    st.builds(lambda k, c: laurent({(k, 0): c}), nonzero_exps, coefficients),
+    st.builds(lambda k, j, c: laurent({(k, j): c}), nonzero_exps,
+              nonzero_exps, coefficients),
+)
+laurent_constants = st.builds(lambda c: laurent({(0, 0): c}), coefficients)
+one_parameter = st.builds(laurent, st.dictionaries(
+    q_only(laurent_exps), coefficients, min_size=1, max_size=3))
+two_parameter = st.builds(laurent, st.dictionaries(
+    st.tuples(laurent_exps, laurent_exps), coefficients, min_size=1,
+    max_size=3))
+laurent_operands = st.one_of(units, units, laurent_constants, one_parameter,
+                             two_parameter)
+
+
+@st.composite
+def cancelling_units(draw):
+    """c q^k t^j and c' q^-k t^-j (j may be 0): the product is a constant,
+    an int when c c' is integral, as in q^k q^-k and (2q)(1/2 q^-1)."""
+    k, j = draw(nonzero_exps), draw(laurent_exps)
+    c = draw(coefficients)
+    c2 = draw(st.sampled_from((1 / Fraction(c), -1 / Fraction(c),
+                               draw(coefficients))))
+    return laurent({(k, j): c}), laurent({(-k, -j): c2})
+
+
+@st.composite
+def parameter_dropping_products(draw):
+    """q^a g(t) and c q^-a t^b: the product drops q."""
+    a, b = draw(nonzero_exps), draw(nonzero_exps)
+    g = draw(st.dictionaries(t_only(laurent_exps), coefficients, min_size=1,
+                             max_size=3))
+    return (laurent(_shift(g, (a, 0))),
+            laurent({(-a, b): draw(coefficients)}))
+
+
+@st.composite
+def parameter_dropping_sums(draw):
+    """A + B and C - B, A and C free of the parameter that B uses: the sum
+    drops it, or leaves one term or none."""
+    i = draw(st.sampled_from((0, 1)))
+    free = t_only(laurent_exps) if i == 0 else q_only(laurent_exps)
+    a = draw(st.dictionaries(free, coefficients, max_size=2))
+    c = draw(st.dictionaries(free, coefficients, max_size=2))
+    b = draw(st.dictionaries(st.tuples(laurent_exps, laurent_exps),
+                             coefficients, min_size=1, max_size=2))
+    return laurent(_padd(a, b)), laurent(_padd(c, {m: -v
+                                                   for m, v in b.items()}))
+
+
+unit_pairs = st.one_of(
+    st.tuples(units, laurent_operands),
+    st.tuples(laurent_operands, units),
+    st.tuples(laurent_operands, laurent_operands),
+    cancelling_units(),
+    parameter_dropping_products(),
+    parameter_dropping_sums(),
+)
+
+
+def assert_laurent_canonical(s):
+    """Every parameter used, every integral coefficient an int, and the
+    shared unit denominator of its arity."""
+    assert all(type(c) is int or c.denominator != 1 for c in s.num.values())
+    assert s.den is _UNIT_DENS[len(s.names)] and s.unit_den
+    used = {i for m in s.num for i, e in enumerate(m) if e}
+    assert used == set(range(len(s.names))), s.names
+    if not s.num:
+        assert s.names == ()
+
+
+@given(unit_pairs)
+@settings(max_examples=300, deadline=None)
+def test_unit_path_matches_sympy_and_the_reference(pair):
+    x, y = pair
+    (xn, _), (yn, _) = sympy_parts(x), sympy_parts(y)
+    for got, ref, want in ((x * y, reference_mul(x, y), xn * yn),
+                           (x + y, reference_add(x, y), xn + yn)):
+        assert got == ref and hash(got) == hash(ref), (x, y)
+        assert got.names == ref.names and got.num == ref.num
+        gn, gd = sympy_parts(got)
+        assert gd == 1 and sympy.expand(want - gn) == 0, (x, y)
+        assert_laurent_canonical(got)
+    assert y * x == x * y and y + x == x + y
+
+
+def test_unit_products_that_cancel_to_constants():
+    q = Scalar.param("q")
+    assert (q ** 3 * Scalar.param("q", -3)).names == ()
+    half = Scalar.from_fraction(Fraction(1, 2))
+    got = (q * 2) * (half * Scalar.param("q", -1))
+    assert got == Scalar.one() and got.names == () and got.num == {(): 1}
+    assert type(got.num[()]) is int and got.den is _UNIT_DENS[0]
+    assert hash(got) == hash(Scalar.one())
