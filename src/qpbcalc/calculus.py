@@ -10,9 +10,9 @@ product covers algebra multiplication and the wedge.
 from __future__ import annotations
 
 from .linalg import in_span, kernel, rref
-from .ncalg import NCPoly, SparseSum, add_term
+from .ncalg import NCPoly, SparseSum, add_flat, add_term
 from .report import CheckReport, timed
-from .scalars import Scalar, common_denominator, sign
+from .scalars import Scalar, common_denominator, flat_coeff, sign
 
 
 class CalculusError(Exception):
@@ -29,9 +29,9 @@ class Element(SparseSum):
     __slots__ = ("calc",)
     _context = "calc"
 
-    def __init__(self, calc, terms=None):
+    def __init__(self, calc, terms=None, flat=False):
         self.calc = calc
-        SparseSum.__init__(self, terms)
+        SparseSum.__init__(self, terms, flat)
 
     def degrees(self):
         return {len(F) for _, F in self.terms}
@@ -212,14 +212,17 @@ class DiffCalculus:
         return out
 
     def mono_mul(self, m1, m2) -> tuple:
-        """The memoised product of two monomials, as a tuple of
-        (monomial, coefficient) pairs: read-only, never an accumulator."""
+        """The memoised product of two monomials, as a tuple of flat terms
+        ((monomial, e), c) (see ncalg.SparseSum): read-only, never an
+        accumulator."""
         key = (m1, m2)
         table = self._mono_mul_cache.get(key)
         if table is None:
             terms = {}
             self._expand(terms, m1, m2, Scalar.one())
-            table = self._mono_mul_cache[key] = tuple(terms.items())
+            table = self._mono_mul_cache[key] = tuple(
+                ((m, e), a) for m, c in terms.items()
+                for e, a in flat_coeff(c))
         return table
 
     def product(self, *xs: Element) -> Element:
@@ -375,13 +378,13 @@ class GradedTensor(SparseSum):
     _context = "legs"
     __hash__ = None
 
-    def __init__(self, legs, terms=None):
+    def __init__(self, legs, terms=None, flat=False):
         self.legs = tuple(legs)
-        SparseSum.__init__(self, terms)
+        SparseSum.__init__(self, terms, flat)
 
     @staticmethod
-    def zero(legs):
-        return GradedTensor(legs)
+    def zero(legs, flat=False):
+        return GradedTensor(legs, flat=flat)
 
     @staticmethod
     def unit(legs):
@@ -393,25 +396,34 @@ class GradedTensor(SparseSum):
         return GradedTensor(legs).add_product(elements, Scalar.one())
 
     def wedge(self, other) -> "GradedTensor":
-        """(x1 (x) ... (x) xn)(y1 (x) ... (x) yn) with Koszul signs."""
+        """(x1 (x) ... (x) xn)(y1 (x) ... (x) yn) with Koszul signs, read
+        from the flat mono_mul tables; the result is flat if either factor
+        is."""
         assert self.legs == other.legs
-        out = GradedTensor(self.legs)
-        for key1, c1 in self.terms.items():
+        legs = self.legs
+        right = other.to_flat().terms.items()
+        terms = {}
+        for (key1, e1), c1 in self.to_flat().terms.items():
             degs1 = [len(F) for _, F in key1]
-            for key2, c2 in other.terms.items():
+            for (key2, e2), c2 in right:
                 degs2 = [len(F) for _, F in key2]
-                e = sum(degs1[i] * degs2[j]
-                        for i in range(len(self.legs))
-                        for j in range(i))
-                tables = [leg.mono_mul(m1, m2)
-                          for leg, m1, m2 in zip(self.legs, key1, key2)]
-                out.add_product(tables, c1 * c2 * sign(e))
-        return out
+                s = sum(degs1[i] * degs2[j]
+                        for i in range(len(legs)) for j in range(i))
+                c = c1 * c2
+                partial = [((), e1 + e2, -c if s & 1 else c)]
+                for leg, m1, m2 in zip(legs, key1, key2):
+                    partial = [(k + (m,), e + e3, a * a3)
+                               for k, e, a in partial
+                               for (m, e3), a3 in leg.mono_mul(m1, m2)]
+                for k, e, a in partial:
+                    add_flat(terms, (k, e), a)
+        out = GradedTensor(legs, terms, flat=True)
+        return out if self.flat or other.flat else out.to_scalar()
 
     def d(self) -> "GradedTensor":
         """Tensor differential with graded Leibniz signs across legs."""
         out = GradedTensor(self.legs)
-        for key, c in self.terms.items():
+        for key, c in self.to_scalar().terms.items():
             degs = [len(F) for _, F in key]
             for i, leg in enumerate(self.legs):
                 s = sign(sum(degs[:i]))

@@ -7,7 +7,10 @@ generator order; reduction to normal form then terminates and, for the
 shipped presentations, is confluent (checked by critical-pair enumeration).
 
 SparseSum is the finite-sum arithmetic that NCPoly shares with the form
-(calculus.Element) and tensor (TensorPoly, GradedTensor) types.
+(calculus.Element) and tensor (TensorPoly, GradedTensor) types.  Its
+coefficients are Scalars, or, in the flat mode the graded path uses, ints
+keyed by (key, packed exponent) and accumulated with add_flat; a
+coefficient with no flat form rides along as a Scalar.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 from dataclasses import dataclass
 
 from .report import CheckReport, timed
-from .scalars import Scalar
+from .scalars import Scalar, flat_coeff, from_flat
 
 Word = tuple  # tuple of generator names
 
@@ -63,25 +66,56 @@ def add_term(terms, key, c):
         terms[key] = c
 
 
+def add_flat(terms, key, c):
+    """Add the nonzero flat coefficient c at key = (monomial key, packed
+    exponent) of the flat terms dict; a key whose sum is zero is dropped."""
+    c += terms.get(key, 0)
+    if c:
+        terms[key] = c
+    else:
+        del terms[key]
+
+
 def _paren(cs, chars):
     return f"({cs})" if any(ch in cs for ch in chars) else cs
 
 
+def _all_int(terms):
+    return all(type(c) is int for c in terms.values())
+
+
 class SparseSum:
-    """Finite sum key -> Scalar with zero coefficients absent.
+    """Finite sum key -> coefficient with zero coefficients absent.
+
+    The coefficients come in one of two modes.  In the Scalar mode terms
+    maps key -> Scalar.  In the flat mode (flat=True) terms maps (key, e)
+    -> int, where e packs the exponent vector of a Laurent monomial
+    (scalars.flat_coeff), so a sum of Laurent polynomials with int
+    coefficients is accumulated with add_flat in machine ints.  A
+    coefficient that has no such form enters whole as a Scalar at e = 0
+    and is multiplied and added as a Scalar from then on.  to_flat and
+    to_scalar convert; a flat sum and a Scalar sum of the same value
+    compare equal and print the same.
 
     A subclass names the slot holding its context (the legs or the
     calculus) in _context; sums combine only within one context.  It also
     gives _key_str, the printed monomial of a key ("" for the unit), and
-    _sort_key, the printing order.  Accumulate with add_scaled or add_term
-    only into a sum the caller built: memoised sums are handed out shared.
+    _sort_key, the printing order.  Accumulate with add_scaled, add_term or
+    add_flat only into a sum the caller built: memoised sums are handed out
+    shared.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "flat")
     _context = None
     _constant_paren = " /"
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=None, flat=False):
+        """A Scalar sum copies terms, leaving out zeros; a flat sum adopts
+        the dict terms as given."""
+        self.flat = flat
+        if flat:
+            self.terms = {} if terms is None else terms
+            return
         self.terms = {}
         if terms:
             for key, c in terms.items():
@@ -91,27 +125,69 @@ class SparseSum:
     def _ctx(self):
         return getattr(self, self._context) if self._context else None
 
-    def _new(self, terms):
+    def _new(self, terms, flat=False):
         """A sum in the same context holding the dict terms as given."""
         out = object.__new__(type(self))
         if self._context:
             setattr(out, self._context, getattr(self, self._context))
         out.terms = terms
+        out.flat = flat
         return out
+
+    def to_flat(self):
+        """This sum in the flat mode (itself if it is flat)."""
+        if self.flat:
+            return self
+        out = {}
+        for key, c in self.terms.items():
+            for e, a in flat_coeff(c):
+                out[(key, e)] = a
+        return self._new(out, True)
+
+    def to_scalar(self):
+        """This sum in the Scalar mode (itself if it is one)."""
+        if not self.flat:
+            return self
+        by_key = {}
+        for (key, e), c in self.terms.items():
+            by_key.setdefault(key, []).append((e, c))
+        out = {}
+        for key, pairs in by_key.items():
+            c = from_flat(pairs)
+            if c:
+                out[key] = c
+        return self._new(out)
 
     def add_scaled(self, other, c=None):
         """self += c * other in place (c = 1 when None); returns self."""
         assert type(other) is type(self) and self._ctx() == other._ctx()
         if c is not None and c.is_zero():
             return self
-        for key, a in other.terms.items():
-            add_term(self.terms, key, a if c is None else a * c)
+        terms = self.terms
+        if not self.flat:
+            if other.flat:
+                other = other.to_scalar()
+            for key, a in other.terms.items():
+                add_term(terms, key, a if c is None else a * c)
+            return self
+        for (key, e), a in other.to_flat().terms.items():
+            for e2, c2 in ((0, 1),) if c is None else flat_coeff(c):
+                add_flat(terms, (key, e + e2), a * c2)
+        return self
+
+    def add_mapped(self, x, fn):
+        """self += sum of c x^e fn(key) over the terms of x, for a flat
+        self and a map fn from a key of x to a flat sum; returns self."""
+        terms = self.terms
+        for (key, e), c in x.to_flat().terms.items():
+            for (k2, e2), c2 in fn(key).terms.items():
+                add_flat(terms, (k2, e + e2), c * c2)
         return self
 
     def add_product(self, factors, coeff):
-        """self += coeff * (f_1 (x) ... (x) f_n), keyed by tuples of the
-        factors' keys.  A factor is a sum or a tuple of (key, coefficient)
-        pairs, the memoised product tables of DiffCalculus.mono_mul."""
+        """self += coeff * (f_1 (x) ... (x) f_n) for a Scalar sum, keyed by
+        tuples of the factors' keys.  A factor is a Scalar sum or a tuple
+        of (key, coefficient) pairs."""
         if coeff.is_zero():
             return self
         partial = [((), coeff)]
@@ -124,15 +200,17 @@ class SparseSum:
         return self
 
     def __add__(self, other):
-        return self._new(dict(self.terms)).add_scaled(other)
+        return self._new(dict(self.terms), self.flat).add_scaled(other)
 
     def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()})
+        return self._new({k: -c for k, c in self.terms.items()}, self.flat)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: Scalar):
+        if self.flat:
+            return self._new({}, True).add_scaled(self, c)
         if c.is_zero():
             return self._new({})
         return self._new({k: a * c for k, a in self.terms.items()})
@@ -141,13 +219,22 @@ class SparseSum:
         return not self.terms
 
     def __eq__(self, other):
-        return (type(other) is type(self) and self._ctx() == other._ctx()
-                and self.terms == other.terms)
+        if type(other) is not type(self) or self._ctx() != other._ctx():
+            return False
+        if not (self.flat or other.flat):
+            return self.terms == other.terms
+        a, b = self.to_flat().terms, other.to_flat().terms
+        if _all_int(a) and _all_int(b):
+            return a == b
+        return self.to_scalar().terms == other.to_scalar().terms
 
     def __hash__(self):
-        return hash((self._ctx(), tuple(sorted(self.terms.items()))))
+        return hash((self._ctx(),
+                     tuple(sorted(self.to_scalar().terms.items()))))
 
     def __str__(self):
+        if self.flat:
+            return str(self.to_scalar())
         if not self.terms:
             return "0"
         parts = []

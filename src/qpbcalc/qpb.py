@@ -29,7 +29,7 @@ from .comodule import (
 from .linalg import in_span, kernel, rref, span_in_window
 from .ncalg import NCPoly, add_term
 from .report import CheckReport, timed
-from .scalars import Scalar
+from .scalars import Scalar, flat_coeff
 from .tensors import TensorPoly
 
 
@@ -100,25 +100,28 @@ class CompleteCalculus:
         self._cm_cache = {}
         self._chibul_cache = {}
         self._sigbul_cache = {}
+        self._siginv_cache = {}
         self._taubul_cache = {}
         self._tauletter_cache = {}
 
     # -- extended coaction
 
     def delta_bullet(self, x: Element) -> GradedTensor:
-        out = GradedTensor.zero(self.legs)
-        for (w, F), c in x.terms.items():
-            out.add_scaled(self._delta_mono(w, F), c)
-        return out
+        """The extended coaction, in the coefficient mode of x."""
+        out = GradedTensor.zero(self.legs, flat=True).add_mapped(
+            x, lambda key: self._delta_mono(*key))
+        return out if x.flat else out.to_scalar()
 
     def _delta_mono(self, w, F) -> GradedTensor:
+        """The memoised flat coaction of one monomial; read-only."""
         key = (w, F)
         cached = self._delta_cache.get(key)
         if cached is not None:
             return cached
-        acc = GradedTensor.zero(self.legs)
+        acc = GradedTensor.zero(self.legs, flat=True)
         for (w0, w1), c in self.ca._coact_word(w).terms.items():
-            add_term(acc.terms, ((w0, ()), (w1, ())), c)
+            for e, a in flat_coeff(c):
+                acc.terms[(((w0, ()), (w1, ())), e)] = a
         for f in F:
             acc = acc.wedge(self.delta_letter[f])
         self._delta_cache[key] = acc
@@ -289,7 +292,7 @@ class CompleteCalculus:
                     lhs = self.delta_bullet(
                         oa.mul(oa.form(f), oa.of_poly(NCPoly.gen(g.name))))
                     rhs = self.delta_letter[f].wedge(
-                        self._delta_mono((g.name,), ()))
+                        self._delta_mono((g.name,), ()).to_scalar())
                     rep.record(lhs == rhs, f"raction({f},{g.name})",
                                "equal", "mismatch",
                                ref="coaction respects the bimodule relations")
@@ -304,7 +307,7 @@ class CompleteCalculus:
             # differential compatibility
             for g in self.ca.A.generators:
                 lhs = self.delta_bullet(oa.d_gen[g.name])
-                rhs = self._delta_mono((g.name,), ()).d()
+                rhs = self._delta_mono((g.name,), ()).to_scalar().d()
                 rep.record(lhs == rhs, f"d({g.name})", "equal", "mismatch",
                            ref="coaction intertwines the differentials")
             for f in oa.letters:
@@ -327,7 +330,7 @@ class CompleteCalculus:
                 lhs3 = {}
                 for ((wa, fa), (wh, fh)), c in \
                         self.delta_bullet(x).terms.items():
-                    inner = self._delta_mono(wa, fa)
+                    inner = self._delta_mono(wa, fa).to_scalar()
                     for key2, c2 in inner.terms.items():
                         add_term(lhs3, key2 + ((wh, fh),), c * c2)
                 rhs3 = {}

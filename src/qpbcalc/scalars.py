@@ -38,6 +38,16 @@ whose contents recurse down to the univariate case.
 Products and sums of rational functions cancel their operands against each
 other before multiplying out (Henrici), so they take gcds of the small
 factors only and build their result already in lowest terms.
+
+The graded path works on flat terms instead of Scalars: flat_coeff turns a
+Laurent polynomial with int coefficients into ((e, c), ...), with c an int
+and e its exponent vector packed into one int (Kronecker substitution, one
+balanced base-2**32 digit per parameter, no offset), and from_flat turns
+flat terms back into the canonical Scalar.  A coefficient with no such form
+(a Fraction, a non-unit denominator, an exponent of 2**16 or more) is never
+approximated: flat_coeff hands it back whole, to be carried as a Scalar.
+This follows the sparse distributed representation of Monagan and Pearce
+(J. Symb. Comput. 46 (2011)).
 """
 
 from __future__ import annotations
@@ -480,6 +490,9 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def is_one(self) -> bool:
         return self.unit_den and self.num == {(0,) * len(self.names): 1}
 
@@ -864,12 +877,133 @@ def sign(e: int) -> Scalar:
     return _MINUS_ONE if e & 1 else _ONE
 
 
+# ---------------------------------------------------------------------------
+# flat Laurent terms: the boundary converters Scalar <-> ((e, c), ...)
+# ---------------------------------------------------------------------------
+
+# A parameter takes the next slot the first time a conversion meets it and
+# keeps it for the life of the process.  The exponent of slot i is digit i of
+# e in balanced base 2**32 (digits in [-2**31, 2**31)), so packing needs no
+# offset and the product of two monomials is the sum of their packed
+# exponents.  Exponents enter below _EXP_LIMIT in magnitude (others are
+# carried as Scalars), a term of the graded path is a product of a few dozen
+# entered factors, so no digit nears 2**31; from_flat still checks the
+# digits it reads and raises on one that left the safe range.
+_EXP_BITS = 32
+_EXP_HALF = 1 << (_EXP_BITS - 1)
+_EXP_MASK = (1 << _EXP_BITS) - 1
+_EXP_LIMIT = 1 << 16
+_EXP_SAFE = 1 << 30
+_SLOT_NAMES = []          # parameter names by slot
+_SORTED_SLOTS = ((), ())  # (sorted names, their slots)
+_WEIGHTS = {(): ()}       # Scalar.names -> packed weight of each name
+
+
+def _weights(names):
+    w = _WEIGHTS.get(names)
+    if w is None:
+        global _SORTED_SLOTS
+        for n in names:
+            if n not in _SLOT_NAMES:
+                _SLOT_NAMES.append(n)
+        order = sorted(range(len(_SLOT_NAMES)), key=_SLOT_NAMES.__getitem__)
+        _SORTED_SLOTS = (tuple(_SLOT_NAMES[i] for i in order), tuple(order))
+        w = _WEIGHTS[names] = tuple(1 << (_EXP_BITS * _SLOT_NAMES.index(n))
+                                    for n in names)
+    return w
+
+
+def flat_coeff(s: Scalar) -> tuple:
+    """s as flat terms ((e, c), ...): c an int and e the packed exponent
+    vector of its monomial; () for zero.
+
+    A coefficient that is not a Laurent polynomial with int coefficients (a
+    Fraction, a non-unit denominator) or has an exponent of _EXP_LIMIT or
+    more is never approximated: it comes back whole as ((0, s),), and the
+    flat sums it enters carry it as a Scalar (their arithmetic on it is
+    Scalar arithmetic)."""
+    num = s.num
+    if not s.unit_den:
+        return ((0, s),)
+    names = s.names
+    if not names:
+        c = num.get(())
+        if c is None:
+            return ()
+        return ((0, c),) if type(c) is int else ((0, s),)
+    w = _weights(names)
+    out = []
+    if len(names) == 1:
+        (w,) = w
+        for (k,), c in num.items():
+            if type(c) is not int or not -_EXP_LIMIT < k < _EXP_LIMIT:
+                return ((0, s),)
+            out.append((k * w, c))
+        return tuple(out)
+    for m, c in num.items():
+        if type(c) is not int or any(
+                not -_EXP_LIMIT < k < _EXP_LIMIT for k in m):
+            return ((0, s),)
+        out.append((sum(map(operator.mul, m, w)), c))
+    return tuple(out)
+
+
+def _unpack(e, nslots):
+    """The exponent digits of a packed e, by slot."""
+    digits = []
+    for _ in range(nslots):
+        d = ((e + _EXP_HALF) & _EXP_MASK) - _EXP_HALF
+        if not -_EXP_SAFE < d < _EXP_SAFE:
+            raise ScalarError("exponent outside the packed range")
+        digits.append(d)
+        e = (e - d) >> _EXP_BITS
+    if e:
+        raise ScalarError("exponent outside the packed range")
+    return digits
+
+
+def from_flat(pairs) -> Scalar:
+    """The Scalar sum of flat terms (e, c): the inverse of flat_coeff.  A
+    carried Scalar c counts as c times the monomial of e."""
+    names, slots = _SORTED_SLOTS
+    n = len(slots)
+    if len(pairs) == 1:
+        # one int term: a constant, or c*x^e over one parameter
+        ((e, c),) = pairs
+        if type(c) is int:
+            if not e:
+                return _ONE if c == 1 else _MINUS_ONE if c == -1 else \
+                    _laurent((), {(): c})
+            if n == 1 and -_EXP_SAFE < e < _EXP_SAFE:
+                return _laurent(names, {(e,): c})
+    num = {}
+    carried = None
+    for e, c in pairs:
+        if n == 1 and -_EXP_SAFE < e < _EXP_SAFE:
+            m = (e,)
+        else:
+            d = _unpack(e, n)
+            m = tuple(d[i] for i in slots)
+        if type(c) is not int:
+            if any(m):
+                c = c * _from_laurent(names, {m: 1})
+            carried = c if carried is None else carried + c
+            continue
+        c += num.get(m, 0)
+        if c:
+            num[m] = c
+        else:
+            del num[m]
+    out = _from_laurent(names, num)
+    return out if carried is None else out + carried
+
+
 def common_denominator(coeffs) -> Scalar:
     """The lcm of the denominators of coeffs: every c in coeffs times it is
     a Laurent polynomial."""
     lcm = _ONE
     for c in coeffs:
-        if not c.unit_den and c.den != lcm.num:
+        if not c.unit_den and (c.names != lcm.names or c.den != lcm.num):
             # lcm(l, d) = l * d / gcd(l, d), and d / gcd(l, d) is the
             # denominator of l / d
             lcm = lcm * (lcm / c.denominator()).denominator()

@@ -15,12 +15,14 @@ from qpbcalc.braidext import (
     canonical_triple_graded,
     chi_bullet,
     chi_bullet_inv,
+    chi_piece,
     collapse_pair,
     d_otimes_b,
     graded_identity_suite,
     raw_pair,
     sigma_bullet,
     sigma_bullet_inv,
+    sigma_inv_piece,
     sigma_piece,
     sigma_squared_is_identity,
     tau_bullet,
@@ -33,7 +35,7 @@ from qpbcalc.examples import build_example
 from qpbcalc.fileformat import parse
 from qpbcalc.ncalg import NCPoly, add_term
 from qpbcalc.report import FAIL
-from qpbcalc.scalars import Scalar
+from qpbcalc.scalars import Scalar, flat_coeff
 
 q = Scalar.param("q")
 qi = Scalar.param("q", -1)
@@ -350,6 +352,14 @@ def test_flipped_sigma_piece_fails_braid_or_hexagon():
     assert "hex2(u,u,du)" in failed and "braid(u,ui,du)" in failed
 
 
+def test_flipped_sigma_inverse_piece_fails_sigma_inverse():
+    cc = _fresh_torus()
+    key = ((("u",), ()), ((), ("du",)))
+    cc._siginv_cache[key] = -sigma_inv_piece(cc, key)
+    failed = _failed_inputs(cc)
+    assert failed == ["sigma-inverse(u,du)", "sigma-inverse(du,u)"]
+
+
 def test_flipped_mono_mul_entry_fails_the_graded_suite():
     cc = _fresh_torus()
     oa = cc.omega_A
@@ -385,8 +395,9 @@ def _assert_lifts_match(tensors, c, two_sided=True):
         else:
             pairs = [(p, UNIT) for p in ps] + [(UNIT, q) for q in qs]
         for p, q in pairs:
-            got = GradedTensor.zero(t.legs)
-            add_lift(got.terms, t.legs, p, t, q, c)
+            got = GradedTensor.zero(t.legs, flat=True)
+            for e, a in flat_coeff(c):
+                add_lift(got.terms, t.legs, p, t, q, e, a)
             assert got == _wedge_lift(t.legs, p, t, q, c), (p, t, q)
 
 
@@ -403,3 +414,31 @@ def test_lift_matches_one_term_wedges_podles(podles_suite):
     # on both sides; left and right lifts on the hundreds of coaction pieces
     _assert_lifts_match(cc._taubul_cache.values(), -q / 2)
     _assert_lifts_match(cc._delta_cache.values(), qi, two_sided=False)
+
+
+# -- coefficients off the flat path --------------------------------------------------
+
+def test_non_laurent_coefficients_fall_back_to_scalars(torus):
+    # a Fraction and a non-unit denominator ride through the flat maps as
+    # Scalars: nothing is dropped, and the result is the Scalar-path sum of
+    # the memoised pieces
+    cc = torus.cc
+    oa = cc.omega_A
+    rational = one / (L + one)
+    x = GradedTensor((oa, oa), {
+        ((("u",), ()), ((), ("dv",))): -L / 2,
+        (((), ("du",)), (("v",), ())): rational,
+        ((("v",), ()), (("u",), ())): L * L - Li})
+    for apply, piece in ((chi_bullet, chi_piece), (sigma_bullet, sigma_piece),
+                         (sigma_bullet_inv, sigma_inv_piece)):
+        got = apply(cc, x)
+        assert not got.flat and apply(cc, x.to_flat()).flat
+        want = GradedTensor.zero(got.legs)
+        for key, c in x.terms.items():
+            for k2, c2 in piece(cc, key).to_scalar().terms.items():
+                add_term(want.terms, k2, c * c2)
+        assert got == want and str(got) == str(want)
+        assert any(not c.unit_den for c in got.terms.values())
+    flat = x.to_flat()
+    assert flat.terms[(((), ("du",)), (("v",), ())), 0] is rational
+    assert flat.to_scalar().terms == x.terms

@@ -355,4 +355,6 @@ def test_mono_mul_matches_mul(name):
                 assert isinstance(table, tuple)
                 want = calc.mul(Element(calc, {m1: one}),
                                 Element(calc, {m2: one}))
-                assert dict(table) == want.terms, (m1, m2)
+                # the table holds flat terms ((monomial, e), c)
+                got = Element(calc, dict(table), flat=True)
+                assert got == want and str(got) == str(want), (m1, m2)

@@ -65,18 +65,20 @@ def test_add_scaled_drops_cancelled_terms(kind):
 
 
 def _memo_snapshot(memo):
-    # a mono_mul table is a tuple of (monomial, coefficient) pairs
+    # a mono_mul table is a tuple of flat ((monomial, e), c) terms
     return {key: dict(getattr(value, "terms", value))
             for key, value in memo.items()}
 
 
 @pytest.mark.parametrize("which", ["delta_bullet", "tau_bullet", "mono_mul",
-                                   "chi_piece", "sigma_piece"])
+                                   "chi_piece", "sigma_piece",
+                                   "sigma_inv_piece"])
 def test_memoised_pieces_are_not_accumulators(which):
     # Torus suites only feed these maps single-term inputs; a two-term
     # input with non-unit coefficients shows an accumulator that aliases
     # the memoised piece of its first term.
-    from qpbcalc.braidext import chi_bullet, sigma_bullet, tau_bullet
+    from qpbcalc.braidext import (chi_bullet, sigma_bullet,
+                                  sigma_bullet_inv, tau_bullet)
 
     cc = build_example("torus").cc
     oa, oh = cc.omega_A, cc.omega_H
@@ -100,10 +102,14 @@ def test_memoised_pieces_are_not_accumulators(which):
         x = GradedTensor((oa, oa), pair)
         apply = lambda y: chi_bullet(cc, y)
         memo = cc._chibul_cache
-    else:
+    elif which == "sigma_piece":
         x = GradedTensor((oa, oa), pair)
         apply = lambda y: sigma_bullet(cc, y)
         memo = cc._sigbul_cache
+    else:
+        x = GradedTensor((oa, oa), pair)
+        apply = lambda y: sigma_bullet_inv(cc, y)
+        memo = cc._siginv_cache
     # memoise every term's piece, then freeze them
     for key in x.terms:
         apply(x._new({key: one}))
