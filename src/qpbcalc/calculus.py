@@ -9,10 +9,10 @@ product covers algebra multiplication and the wedge.
 
 from __future__ import annotations
 
-from .linalg import in_span, kernel, rref
+from .linalg import kernel, span_witnesses
 from .ncalg import NCPoly, SparseSum, add_flat, add_term
 from .report import CheckReport, timed
-from .scalars import Scalar, common_denominator, flat_coeff, sign
+from .scalars import Scalar, flat_coeff, sign
 
 
 class CalculusError(Exception):
@@ -633,8 +633,12 @@ def _is_one_poly(p: NCPoly) -> bool:
 
 def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
                              example: str = "") -> CheckReport:
-    """Compute ker(a (x) b -> a d(b)) over the truncated word basis and check
-    the wedge relations of degree 2 lie in the span of d(a_i) (x) d(b_i)."""
+    """Check the declared degree-2 wedge relations lie in d(x)d(ker V),
+    V: a (x) b -> a d(b) over the truncated word basis.
+
+    R lies there exactly when (0 || R) is in the row span of the pair rows
+    (a db || da (x) db), so one elimination of the pair rows decides every
+    relation.  Each witness it gives is certified by substitution."""
     pres = calc.pres
     rep = CheckReport(
         suite="prolong", example=example or calc.name,
@@ -644,60 +648,49 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
     with timed(rep):
         words = list(pres.irreducible_words(max_word_len))
         pairs = [(a, b) for a in words for b in words]
-        vectors = []
-        for a, b in pairs:
-            el = calc.mul(calc.of_poly(NCPoly.word(a)),
-                          calc.d_poly(NCPoly.word(b)))
-            vectors.append(dict(el.terms))
-        span_rows = []
-        for combo in kernel(vectors):
-            # clear denominators: the span is unchanged and its rows stay
-            # Laurent, so rref gets no rational input
-            lcm = common_denominator(combo.values())
-            combo = {idx: c * lcm for idx, c in combo.items()}
-            # certificate: the relation must hold exactly, so a faulty
-            # elimination gives INCONCLUSIVE, never a false PASS
-            image = {}
-            for idx, c in combo.items():
-                for k, v in vectors[idx].items():
-                    add_term(image, k, v * c)
-            if image:
-                rep.mark_inconclusive(
-                    f"kernel relation on pairs {sorted(combo)}",
-                    "sum of c_i v_i is not 0",
-                    ref="kernel certificate")
-                continue
-            vec = {}
-            for idx, c in combo.items():
-                a, b = pairs[idx]
-                da = calc.d_poly(NCPoly.word(a))
-                db = calc.d_poly(NCPoly.word(b))
-                for (w1, F1), c1 in da.terms.items():
-                    for (w2, F2), c2 in db.terms.items():
-                        moved = calc.act_word(F1, w2)
-                        for (w3, F3), c3 in moved.terms.items():
-                            prod = pres.normal_word(w1 + w3)
-                            for w4, c4 in prod.terms.items():
-                                # multiply the kernel coefficient in
-                                # last, so the monomial products stay on
-                                # the monomial path
-                                add_term(vec, (w4, F3 + F2),
-                                         c1 * c2 * c3 * c4 * c)
-            if vec:
-                span_rows.append(vec)
-        basis = rref(span_rows)
+        d = {w: calc.d_poly(NCPoly.word(w)) for w in words}
+
+        def pair_row(a, b):
+            """(a db || da (x) db), its columns tagged 0 and 1."""
+            db = d[b]
+            row = {(0, k): c for k, c in
+                   calc.mul(calc.of_poly(NCPoly.word(a)), db).terms.items()}
+            for (w1, F1), c1 in d[a].terms.items():
+                for (w2, F2), c2 in db.terms.items():
+                    moved = calc.act_word(F1, w2)
+                    for (w3, F3), c3 in moved.terms.items():
+                        prod = pres.normal_word(w1 + w3)
+                        for w4, c4 in prod.terms.items():
+                            add_term(row, (1, (w4, F3 + F2)),
+                                     c1 * c2 * c3 * c4)
+            return row
+
         # declared degree-2 relations as tensor-square elements
         relations = []
         for a in calc.letters:
-            relations.append((f"{a}(x){a}", {((), (a, a)): Scalar.one()}))
+            relations.append((f"{a}(x){a}", {(1, ((), (a, a))): Scalar.one()}))
         for (a, b), cswap in calc.swap.items():
-            vec = {((), (a, b)): Scalar.one(), ((), (b, a)): -cswap}
+            vec = {(1, ((), (a, b))): Scalar.one(), (1, ((), (b, a))): -cswap}
             relations.append((f"{a}(x){b} - ({cswap})*{b}(x){a}", vec))
-        for name, vec in relations:
-            if in_span(basis, vec):
-                rep.record(True, name, "in span", "in span")
-            else:
+        witnesses = span_witnesses((pair_row(a, b) for a, b in pairs),
+                                   [vec for _, vec in relations])
+        for (name, vec), lam in zip(relations, witnesses):
+            if lam is None:
                 rep.mark_inconclusive(
                     name, "not witnessed at this truncation",
                     ref="larger truncation may be required")
+                continue
+            # certificate: rebuild the named pair rows, so a faulty
+            # elimination or span test gives INCONCLUSIVE, never a false
+            # PASS
+            image = {}
+            for i, c in lam.items():
+                for k, v in pair_row(*pairs[i]).items():
+                    add_term(image, k, v * c)
+            if image == vec:
+                rep.record(True, name, "in span", "in span")
+            else:
+                rep.mark_inconclusive(
+                    name, "sum of c_i (a_i db_i || da_i (x) db_i) is not "
+                    "(0 || relation)", ref="span certificate")
     return rep

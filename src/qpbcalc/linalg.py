@@ -4,15 +4,21 @@ Vectors are dicts mapping hashable column keys to nonzero Scalars.  rref
 returns a canonical reduced basis of the row space, so two spans are equal
 iff their rrefs are equal.
 
-kernel and rref share one echelon core (_echelon).  It keeps the rows in
-insertion order, reduces each new row in place against the earlier pivot
-rows and scales it to 1 at its own pivot, so one pass reduces a vector.
-It pivots on a unit (a Laurent monomial) whenever the row has one, so rows
-of Laurent polynomials mostly stay off the rational-function path.  The
-kernel it gives does not depend on the pivots, and rref runs its keyed
-canonical Gauss-Jordan only on the independent rows the core leaves.
-in_span reduces against an rref basis in one pass.  Column keys are ranked
-once per call, so the key function runs once per column.
+kernel, rref and span_witnesses share one echelon core (_echelon).  It
+reads an iterable of rows once, keeps them in insertion order, reduces
+each new row in place against the earlier pivot rows and scales it to 1
+at its own pivot, so one pass reduces a vector.  It pivots on a unit (a
+Laurent monomial) whenever the row has one, so rows of Laurent polynomials
+mostly stay off the rational-function path.  It keeps no input row: for
+each basis row it records the input index, the pivot scale and the
+multiples of earlier basis rows it took.  _unwind turns those records,
+from the last basis row down, into a combination of input rows: kernel
+gives the relation of each dependent row (unique, so it does not depend
+on the pivots), and span_witnesses gives, for each target in the span, a
+combination that sums to it.  rref runs its keyed canonical Gauss-Jordan
+only on the independent rows the core leaves.  in_span reduces against an
+rref basis in one pass.  Columns are ranked on demand by a memoised key,
+so the key function runs once per column.
 """
 
 from __future__ import annotations
@@ -44,66 +50,95 @@ def _default_key(k):
     return repr(k)
 
 
-def _ranks(rows, key):
-    """Column -> position in key order, over every column of rows; key is
-    evaluated once per column."""
-    cols = {k for row in rows for k in row}
-    return {k: r for r, k in enumerate(sorted(cols, key=key))}
+def _ranker(key):
+    """key, memoised: it runs once per column, on demand.  Comparing its
+    values orders columns as sorting every column by key would."""
+    memo = {}
+
+    def rank(k):
+        try:
+            return memo[k]
+        except KeyError:
+            r = memo[k] = key(k)
+            return r
+    return rank
 
 
-def _echelon(rows, rank, track=False):
-    """Insertion-order echelon form of rows.
+def _reduce(row, basis):
+    """Reduce row in place against an echelon basis; returns the steps
+    [(j, s)], row having become row + sum s basis[j]."""
+    steps = []
+    for j, (p, b, _, _, _) in enumerate(basis):
+        c = row.get(p)
+        if c is not None:
+            c = -c
+            _axpy(row, b, c)
+            steps.append((j, c))
+    return steps
 
-    Returns (basis, relations).  basis holds (pivot, row, combo) for each
-    row independent of the rows before it: row is that row reduced against
-    the earlier pivots and scaled to 1 at its pivot, and combo (with track)
-    gives row as a combination of the input rows.  The pivot is the
+
+def _echelon(rows, rank, relations=False):
+    """Insertion-order echelon form of rows, an iterable read once.
+
+    Returns (basis, dependent).  basis holds (pivot, row, i, scale, steps)
+    for each input row i independent of the rows before it: row is
+    (rows[i] + sum s basis[j] over steps (j, s)) * scale, reduced against
+    the earlier pivots and 1 at its own pivot.  The pivot is the
     lowest-ranked column with a unit coefficient, or the lowest-ranked
-    column when there is none.  With track, relations holds, for each
-    dependent row i, the combination that sends it to zero."""
+    column when there is none.  With relations, dependent holds (i, steps)
+    for each row i that steps send to zero.  No input row is kept."""
     basis = []
-    relations = []
+    dependent = []
     for i, v in enumerate(rows):
         row = dict(v)
-        combo = {i: Scalar.one()} if track else None
-        for p, b, b_combo in basis:
-            c = row.get(p)
-            if c is not None:
-                c = -c
-                _axpy(row, b, c)
-                if track:
-                    _axpy(combo, b_combo, c)
+        steps = _reduce(row, basis)
         if not row:
-            if track:
-                relations.append(combo)
+            if relations:
+                dependent.append((i, steps))
             continue
         units = [k for k, a in row.items() if a.is_unit()]
-        p = min(units or row, key=rank.__getitem__)
+        p = min(units or row, key=rank)
         inv = row[p].inverse()
-        row = {k: a * inv for k, a in row.items()}
-        if track:
-            combo = {k: a * inv for k, a in combo.items()}
-        basis.append((p, row, combo))
-    return basis, relations
+        basis.append((p, {k: a * inv for k, a in row.items()}, i, inv,
+                      steps))
+    return basis, dependent
+
+
+def _unwind(basis, mu, out):
+    """Add to out the input-row combination equal to sum mu[j] basis[j].
+
+    Each basis row is its scale times its input row plus multiples of
+    earlier basis rows, so one pass from the last basis row down moves
+    every coefficient onto input rows.  mu is consumed."""
+    for j in range(max(mu, default=-1), -1, -1):
+        c = mu.pop(j, None)
+        if c is None:
+            continue
+        _, _, i, inv, steps = basis[j]
+        c = c * inv
+        add_term(out, i, c)
+        for k, s in steps:
+            add_term(mu, k, c * s)
+    return out
 
 
 def rref(rows, key=None):
     """Canonical reduced row echelon basis of the span of rows."""
-    rank = _ranks(rows, key or _default_key)
+    rank = _ranker(key or _default_key)
     basis, _ = _echelon(rows, rank)
     # keyed Gauss-Jordan on the independent rows: the pivot of each row is
     # its lowest-ranked column, made 1 and cleared from every other row
     pivots = {}
-    for _, row, _ in basis:
+    for _, row, _, _, _ in basis:
         while row:
-            p = min(row, key=rank.__getitem__)
+            p = min(row, key=rank)
             b = pivots.get(p)
             if b is None:
                 break
             _axpy(row, b, -row[p])
         if row:
             pivots[p] = vec_scale(row, row[p].inverse())
-    ps = sorted(pivots, key=rank.__getitem__)
+    ps = sorted(pivots, key=rank)
     # back substitution from the last pivot, whose row is already clear of
     # every later pivot
     for j in range(len(ps) - 1, 0, -1):
@@ -117,12 +152,12 @@ def rref(rows, key=None):
 
 def in_span(rref_basis, v, key=None):
     """Whether v lies in the span of a basis that rref returned."""
-    rank = _ranks(rref_basis, key or _default_key)
+    rank = _ranker(key or _default_key)
     v = dict(v)
     # each basis row is zero at the other rows' pivots, so one pass in row
     # order reduces v
     for b in rref_basis:
-        p = min(b, key=rank.__getitem__)
+        p = min(b, key=rank)
         c = v.get(p)
         if c is not None:
             _axpy(v, b, -c)
@@ -153,6 +188,24 @@ def kernel(vectors, key=None):
     ones: the relation with coefficient 1 at i supported on i and the
     earlier independent indices.  It is unique, so the pivots chosen do not
     change it."""
-    _, relations = _echelon(vectors, _ranks(vectors, key or _default_key),
-                            track=True)
-    return relations
+    basis, dependent = _echelon(vectors, _ranker(key or _default_key),
+                                relations=True)
+    return [_unwind(basis, dict(steps), {i: Scalar.one()})
+            for i, steps in dependent]
+
+
+def span_witnesses(rows, targets, key=None):
+    """For each target in the span of rows, a combination {i: c} with
+    sum c rows[i] == target; None for a target outside the span.
+
+    rows may be a one-shot iterable: the echelon reads each row once and
+    keeps only its reduced rows and their recorded steps."""
+    basis, _ = _echelon(rows, _ranker(key or _default_key))
+    out = []
+    for t in targets:
+        t = dict(t)
+        steps = _reduce(t, basis)
+        # t + sum s basis[j] is now zero when t is in the span
+        out.append(None if t else
+                   _unwind(basis, {j: -s for j, s in steps}, {}))
+    return out

@@ -501,14 +501,6 @@ class Scalar:
         of the Laurent polynomial ring, which divide without leaving it."""
         return self.unit_den and len(self.num) == 1
 
-    def denominator(self) -> "Scalar":
-        """The denominator as a scalar: self * self.denominator() is a
-        Laurent polynomial."""
-        if self.unit_den:
-            return _ONE
-        return Scalar(self.names, self.den, _UNIT_DENS[len(self.names)],
-                      _canonical=True)
-
     def as_fraction(self):
         """Return the value as a Fraction if parameter-free, else None."""
         if self.names:
@@ -996,18 +988,6 @@ def from_flat(pairs) -> Scalar:
             del num[m]
     out = _from_laurent(names, num)
     return out if carried is None else out + carried
-
-
-def common_denominator(coeffs) -> Scalar:
-    """The lcm of the denominators of coeffs: every c in coeffs times it is
-    a Laurent polynomial."""
-    lcm = _ONE
-    for c in coeffs:
-        if not c.unit_den and (c.names != lcm.names or c.den != lcm.num):
-            # lcm(l, d) = l * d / gcd(l, d), and d / gcd(l, d) is the
-            # denominator of l / d
-            lcm = lcm * (lcm / c.denominator()).denominator()
-    return lcm
 
 
 def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:

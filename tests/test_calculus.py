@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from qpbcalc import calculus
+from qpbcalc import calculus, linalg
 from qpbcalc.calculus import (
     Element,
     GradedTensor,
@@ -19,6 +19,7 @@ from qpbcalc.calculus import (
 )
 from qpbcalc.cli import main
 from qpbcalc.examples import build_example
+from qpbcalc.linalg import vec_add
 from qpbcalc.ncalg import NCPoly
 from qpbcalc.scalars import Scalar
 
@@ -182,22 +183,43 @@ def test_prolongation_podles(capsys):
             == [{f: r[f] for f in fields} for r in frozen["podles:prolong"]])
 
 
-def test_corrupted_kernel_vector_is_not_a_pass(torus_calc, monkeypatch):
-    real = calculus.kernel
+def test_corrupted_span_witness_is_not_a_pass(torus_calc, monkeypatch):
+    real = calculus.span_witnesses
 
-    def corrupted(vectors, key=None):
-        out = real(vectors, key)
-        assert out
-        # add e_j for a pair j with a nonzero image: the relation fails
-        j = next(j for j, v in enumerate(vectors) if v)
-        out[0][j] = out[0].get(j, Scalar.zero()) + one
+    def corrupted(rows, targets, key=None):
+        out = real(rows, targets, key)
+        # +1 at a pair the witness names: that pair's row is nonzero, so
+        # the combination no longer gives (0 || relation)
+        lam = out[0]
+        i = min(lam)
+        lam[i] = lam[i] + one
         return out
 
-    monkeypatch.setattr(calculus, "kernel", corrupted)
+    monkeypatch.setattr(calculus, "span_witnesses", corrupted)
     rep = max_prolongation_degree2(torus_calc, 2)
     assert rep.status != "pass"
-    assert any(w.input.startswith("kernel relation on pairs")
-               for w in rep.witnesses), rep.witnesses
+    assert [w.ref for w in rep.witnesses] == ["span certificate"]
+
+
+def test_corrupted_echelon_row_is_not_a_pass(torus_calc, monkeypatch):
+    real = linalg._echelon
+    du2 = (1, ((), ("du", "du")))
+
+    def corrupted(rows, rank, relations=False):
+        basis, dependent = real(rows, rank, relations)
+        # add the last basis row to the one pivoting at du(x)du: the basis
+        # still spans the same rows in echelon form, so every span answer
+        # is unchanged, but its recorded steps no longer build it
+        j = next(j for j, b in enumerate(basis) if b[0] == du2)
+        p, row, i, scale, steps = basis[j]
+        basis[j] = (p, vec_add(row, basis[-1][1]), i, scale, steps)
+        return basis, dependent
+
+    monkeypatch.setattr(linalg, "_echelon", corrupted)
+    rep = max_prolongation_degree2(torus_calc, 2)
+    assert rep.status != "pass"
+    assert [(w.input, w.ref) for w in rep.witnesses] == [
+        ("du(x)du", "span certificate")]
 
 
 # -- bicovariant coproduct and counterexample -------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q(q): kernel, rref and in_span.
+"""Exact linear algebra over Q(q): kernel, rref, in_span and span_witnesses.
 
 The rows are sparse dict vectors whose entries are rational functions in q
 with non-unit denominators, and some rows are rational combinations of
@@ -9,7 +9,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qpbcalc.linalg import in_span, kernel, rref, vec_add, vec_scale
+from qpbcalc.linalg import (
+    in_span,
+    kernel,
+    rref,
+    span_witnesses,
+    vec_add,
+    vec_scale,
+)
 from qpbcalc.scalars import Scalar
 
 q = Scalar.param("q")
@@ -228,6 +235,23 @@ def test_in_span_agrees_with_the_reference(rows, coeffs, col, c):
     inside = combine(rows, dict(enumerate(coeffs[:len(rows)])))
     for v in (inside, vec_add(inside, {col: c}), {col: c}):
         assert in_span(basis, v) == reference_in_span(basis, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(laurent_row_sets(), row_sets()),
+       st.lists(laurent_entries, min_size=9, max_size=9),
+       st.sampled_from(COLUMNS + ("z",)), laurent_entries)
+def test_span_witnesses_agree_with_the_reference(rows, coeffs, col, c):
+    inside = combine(rows, dict(enumerate(coeffs[:len(rows)])))
+    targets = [inside, vec_add(inside, {col: c}), {col: c}, {}]
+    got = span_witnesses(rows, targets)
+    basis = reference_rref(rows)
+    for t, lam in zip(targets, got):
+        assert (lam is not None) == reference_in_span(basis, t)
+        if lam is not None:
+            assert combine(rows, lam) == t
+    # a one-shot generator of the rows gives the same witnesses
+    assert span_witnesses((dict(r) for r in rows), targets) == got
 
 
 def test_rows_without_a_unit_entry():

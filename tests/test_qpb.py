@@ -1,4 +1,6 @@
+import collections
 import gc
+import json
 import pathlib
 import weakref
 
@@ -168,6 +170,27 @@ def test_strong_connection(torus, podles, u1):
     rep = podles.cc.strong_connection_check(podles.ell, 3)
     assert rep.ok(), [w.input for w in rep.witnesses[:3]]
     assert u1.cc.strong_connection_check(u1.ell, 3).ok()
+
+
+def test_strong_connection_evaluates_ell_once_per_word(torus):
+    # a counting ell: splitting, both colinearities and the tau agreement
+    # share one evaluation per word, and the report is the frozen one of
+    # `check all --example torus`
+    calls = collections.Counter()
+
+    def ell(w):
+        calls[w] += 1
+        return torus.ell(w)
+
+    rep = torus.cc.strong_connection_check(ell, 4, "torus")
+    assert set(calls) >= set(torus.ca.H.base.irreducible_words(4))
+    assert set(calls.values()) == {1}
+    fields = ("status", "checks", "truncation", "witnesses", "notes")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    frozen = json.loads((root / "perfbench/expected.json").read_text())
+    want = next(r for r in frozen["torus:all"] if r["suite"] == "strong")
+    got = rep.to_dict()
+    assert {f: got[f] for f in fields} == {f: want[f] for f in fields}
 
 
 # -- structure-calculus decomposition ----------------------------------------------

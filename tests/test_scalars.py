@@ -7,7 +7,6 @@ from qpbcalc.scalars import (
     DivisionByZeroError,
     Scalar,
     ScalarError,
-    common_denominator,
     q_binomial,
     scalar_arith,
     sign,
@@ -256,15 +255,3 @@ def test_sign_is_parity_of_exponent():
     assert sign(0) is one and sign(2) is one and sign(-4) is one
     assert sign(1) == Scalar.from_int(-1) and sign(1) is sign(-3)
     assert sign(5) * sign(5) == one
-
-
-@pytest.mark.parametrize("order", [1, -1])
-def test_common_denominator_across_parameter_names(order):
-    # denominators over different parameters whose dicts look alike:
-    # q + 1 and mu + 1 are both {(1,): 1, (0,): 1}
-    mu = Scalar.param("mu")
-    coeffs = [one / (q + one), one / (mu + one)][::order]
-    lcm = common_denominator(coeffs)
-    assert lcm == (q + one) * (mu + one)
-    for c in coeffs:
-        assert (c * lcm).denominator() == one
