@@ -18,7 +18,7 @@ suite converts its inputs once, so Scalars appear only in its witnesses.
 from __future__ import annotations
 
 from .calculus import Element, GradedTensor, graded_antipode
-from .ncalg import NCPoly, add_flat
+from .ncalg import NCPoly, add_flat, memo
 from .qpb import CompleteCalculus, h_complete_delta
 from .report import CheckReport, timed
 from .scalars import Scalar, flat_coeff
@@ -128,12 +128,9 @@ def tau_bullet(cc: CompleteCalculus, theta: Element) -> GradedTensor:
                          (oa, oa))
 
 
+@memo("_taubul_cache")
 def _tau_mono(cc, w, F) -> GradedTensor:
     """The memoised flat tau of one monomial; read-only."""
-    key = (w, F)
-    cached = cc._taubul_cache.get(key)
-    if cached is not None:
-        return cached
     oh, oa = cc.omega_H, cc.omega_A
     legs = (oa, oa)
     if len(F) > MAX_TAU_DEGREE:
@@ -149,28 +146,24 @@ def _tau_mono(cc, w, F) -> GradedTensor:
         if len(pairs) != 1 or pairs[0][0] != NCPoly.one():
             raise UnsupportedDegreeError(
                 f"letter {f} is not a differential of a generator")
-        xi = _tau_one_letter(cc, pairs[0][1])
+        xi = _tau_one_letter(cc, tuple(sorted(pairs[0][1].terms.items())))
         nxt = GradedTensor.zero(legs, flat=True)
         for ((p_mono, q_mono), e), c_xi in xi.terms.items():
             if i * len(p_mono[1]) & 1:
                 c_xi = -c_xi
             add_lift(nxt.terms, legs, p_mono, cur, q_mono, e, c_xi)
         cur = nxt
-    cc._taubul_cache[key] = cur
     return cur
 
 
-def _tau_one_letter(cc, b: NCPoly) -> GradedTensor:
-    """tau^1(d b) = d(b<1>) (x) b<2> + b<1> (x) d(b<2>) for a generator b,
-    memoised flat."""
-    key = tuple(sorted(b.terms.items()))
-    cached = cc._tauletter_cache.get(key)
-    if cached is not None:
-        return cached
+@memo("_tauletter_cache")
+def _tau_one_letter(cc, b_terms) -> GradedTensor:
+    """tau^1(d b) = d(b<1>) (x) b<2> + b<1> (x) d(b<2>) for a generator b
+    given by its sorted terms, memoised flat."""
     oa = cc.omega_A
     legs = (oa, oa)
     out = GradedTensor.zero(legs)
-    for wb, cb in cc.ca.H.base.reduce(b).terms.items():
+    for wb, cb in cc.ca.H.base.reduce(NCPoly(dict(b_terms))).terms.items():
         for (x1, x2), c in cc.td.tau_word(wb).terms.items():
             dx1 = oa.d_poly(NCPoly.word(x1))
             dx2 = oa.d_poly(NCPoly.word(x2))
@@ -178,22 +171,18 @@ def _tau_one_letter(cc, b: NCPoly) -> GradedTensor:
                 legs, dx1, oa.of_poly(NCPoly.word(x2))), c * cb)
             out.add_scaled(GradedTensor.of(
                 legs, oa.of_poly(NCPoly.word(x1)), dx2), c * cb)
-    out = cc._tauletter_cache[key] = out.to_flat()
-    return out
+    return out.to_flat()
 
 
 # -- canonical map on forms -------------------------------------------------------
 
 
+@memo("_chibul_cache")
 def chi_piece(cc: CompleteCalculus, key) -> GradedTensor:
     """The memoised flat chi of one pair monomial (m1, m2); read-only."""
-    piece = cc._chibul_cache.get(key)
-    if piece is None:
-        m1, m2 = key
-        piece = GradedTensor.zero((cc.omega_A, cc.omega_H), flat=True)
-        add_lift(piece.terms, piece.legs, m1, cc._delta_mono(*m2), UNIT,
-                 0, 1)
-        cc._chibul_cache[key] = piece
+    m1, m2 = key
+    piece = GradedTensor.zero((cc.omega_A, cc.omega_H), flat=True)
+    add_lift(piece.terms, piece.legs, m1, cc._delta_mono(*m2), UNIT, 0, 1)
     return piece
 
 
@@ -217,22 +206,20 @@ def chi_bullet_inv(cc: CompleteCalculus, y: GradedTensor) -> GradedBalancedTenso
 # -- extended braiding --------------------------------------------------------------
 
 
+@memo("_sigbul_cache")
 def sigma_piece(cc: CompleteCalculus, key) -> GradedTensor:
     """The memoised flat sigma of one pair monomial (m1, m2); read-only."""
-    piece = cc._sigbul_cache.get(key)
-    if piece is None:
-        oa = cc.omega_A
-        legs = (oa, oa)
-        m1, m2 = key
-        piece = GradedTensor.zero(legs, flat=True)
-        deg_eta = len(m2[1])
-        for ((m0, (w1, f1)), e2), c2 in cc._delta_mono(*m1).terms.items():
-            t = _tau_mono(cc, w1, f1)
-            if len(f1) * deg_eta & 1:
-                c2 = -c2
-            for (m, e3), c3 in oa.mono_mul(m0, m2):
-                add_lift(piece.terms, legs, m, t, UNIT, e2 + e3, c2 * c3)
-        cc._sigbul_cache[key] = piece
+    oa = cc.omega_A
+    legs = (oa, oa)
+    m1, m2 = key
+    piece = GradedTensor.zero(legs, flat=True)
+    deg_eta = len(m2[1])
+    for ((m0, (w1, f1)), e2), c2 in cc._delta_mono(*m1).terms.items():
+        t = _tau_mono(cc, w1, f1)
+        if len(f1) * deg_eta & 1:
+            c2 = -c2
+        for (m, e3), c3 in oa.mono_mul(m0, m2):
+            add_lift(piece.terms, legs, m, t, UNIT, e2 + e3, c2 * c3)
     return piece
 
 
@@ -244,24 +231,22 @@ def sigma_bullet(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
     return _apply_pieces(cc, x, sigma_piece, (oa, oa))
 
 
+@memo("_siginv_cache")
 def sigma_inv_piece(cc: CompleteCalculus, key) -> GradedTensor:
     """The memoised flat sigma^-1 of one pair monomial (m1, m2); read-only."""
-    piece = cc._siginv_cache.get(key)
-    if piece is None:
-        oa, oh = cc.omega_A, cc.omega_H
-        legs = (oa, oa)
-        m1, m2 = key
-        piece = GradedTensor.zero(legs, flat=True)
-        deg_omega = len(m1[1])
-        for (((w0, f0), h1), e2), c2 in cc._delta_mono(*m2).terms.items():
-            sinv = graded_antipode(oh, Element(oh, {h1: Scalar.one()}),
-                                   inverse=True)
-            t = tau_bullet(cc, sinv.to_flat())
-            if (deg_omega + len(f0)) * len(h1[1]) & 1:
-                c2 = -c2
-            for (m, e3), c3 in oa.mono_mul(m1, (w0, f0)):
-                add_lift(piece.terms, legs, UNIT, t, m, e2 + e3, c2 * c3)
-        cc._siginv_cache[key] = piece
+    oa, oh = cc.omega_A, cc.omega_H
+    legs = (oa, oa)
+    m1, m2 = key
+    piece = GradedTensor.zero(legs, flat=True)
+    deg_omega = len(m1[1])
+    for (((w0, f0), h1), e2), c2 in cc._delta_mono(*m2).terms.items():
+        sinv = graded_antipode(oh, Element(oh, {h1: Scalar.one()}),
+                               inverse=True)
+        t = tau_bullet(cc, sinv.to_flat())
+        if (deg_omega + len(f0)) * len(h1[1]) & 1:
+            c2 = -c2
+        for (m, e3), c3 in oa.mono_mul(m1, (w0, f0)):
+            add_lift(piece.terms, legs, UNIT, t, m, e2 + e3, c2 * c3)
     return piece
 
 

@@ -10,7 +10,7 @@ product covers algebra multiplication and the wedge.
 from __future__ import annotations
 
 from .linalg import kernel, span_witnesses
-from .ncalg import NCPoly, SparseSum, add_flat, add_term
+from .ncalg import NCPoly, SparseSum, add_flat, add_term, memo
 from .report import CheckReport, timed
 from .scalars import Scalar, flat_coeff, sign
 
@@ -119,14 +119,10 @@ class DiffCalculus:
 
     # -- straightening of letter words
 
+    @memo("_straight_cache")
     def straighten(self, letters):
         """Sort a letter word; returns list of (Scalar, sorted letters)."""
-        letters = tuple(letters)
-        cached = self._straight_cache.get(letters)
-        if cached is not None:
-            return cached
         if len(letters) > self.top_degree:
-            self._straight_cache[letters] = []
             return []
         coeff = Scalar.one()
         word = list(letters)
@@ -137,7 +133,6 @@ class DiffCalculus:
                 a, b = word[i], word[i + 1]
                 ia, ib = self.letter_index[a], self.letter_index[b]
                 if ia == ib:
-                    self._straight_cache[letters] = []
                     return []
                 if ia > ib:
                     c = self.swap.get((a, b))
@@ -147,9 +142,7 @@ class DiffCalculus:
                     coeff = coeff * c
                     word[i], word[i + 1] = b, a
                     changed = True
-        out = [(coeff, tuple(word))]
-        self._straight_cache[letters] = out
-        return out
+        return [(coeff, tuple(word))]
 
     # -- right action: move a coefficient word left past a letter word
 
@@ -169,25 +162,19 @@ class DiffCalculus:
                 add_term(out.terms, (w2, F2 + Fr), c * c2)
         return out
 
+    @memo("_act_cache")
     def act_word(self, F, w) -> Element:
         """F . w, coefficients moved fully to the left (letters unsorted)."""
-        F, w = tuple(F), tuple(w)
-        key = (F, w)
-        cached = self._act_cache.get(key)
-        if cached is not None:
-            return cached
         if not w:
-            out = Element(self, {((), F): Scalar.one()})
-        else:
-            first = self._act_gen(F, w[0])
-            out = Element(self)
-            for (w1, F1), c in first.terms.items():
-                rest = self.act_word(F1, w[1:])
-                for (w2, F2), c2 in rest.terms.items():
-                    prod = self.pres.normal_word(w1 + w2)
-                    for w3, c3 in prod.terms.items():
-                        add_term(out.terms, (w3, F2), c * c2 * c3)
-        self._act_cache[key] = out
+            return Element(self, {((), F): Scalar.one()})
+        first = self._act_gen(F, w[0])
+        out = Element(self)
+        for (w1, F1), c in first.terms.items():
+            rest = self.act_word(F1, w[1:])
+            for (w2, F2), c2 in rest.terms.items():
+                prod = self.pres.normal_word(w1 + w2)
+                for w3, c3 in prod.terms.items():
+                    add_term(out.terms, (w3, F2), c * c2 * c3)
         return out
 
     # -- product (algebra multiplication and wedge in one)
@@ -211,19 +198,15 @@ class DiffCalculus:
                 self._expand(out.terms, m1, m2, c1 * c2)
         return out
 
+    @memo("_mono_mul_cache")
     def mono_mul(self, m1, m2) -> tuple:
         """The memoised product of two monomials, as a tuple of flat terms
         ((monomial, e), c) (see ncalg.SparseSum): read-only, never an
         accumulator."""
-        key = (m1, m2)
-        table = self._mono_mul_cache.get(key)
-        if table is None:
-            terms = {}
-            self._expand(terms, m1, m2, Scalar.one())
-            table = self._mono_mul_cache[key] = tuple(
-                ((m, e), a) for m, c in terms.items()
-                for e, a in flat_coeff(c))
-        return table
+        terms = {}
+        self._expand(terms, m1, m2, Scalar.one())
+        return tuple(((m, e), a) for m, c in terms.items()
+                     for e, a in flat_coeff(c))
 
     def product(self, *xs: Element) -> Element:
         out = self.unit()
@@ -233,25 +216,17 @@ class DiffCalculus:
 
     # -- differential
 
+    @memo("_dword_cache")
     def d_word(self, w) -> Element:
-        w = tuple(w)
-        cached = self._dword_cache.get(w)
-        if cached is not None:
-            return cached
         g, rest = w[0], w[1:]
         dg = self.d_gen.get(g)
         if dg is None:
             raise CalculusError(f"{self.name}: no differential table for {g}")
-        out = self.mul(dg, self.of_poly(NCPoly.word(rest))) + \
+        return self.mul(dg, self.of_poly(NCPoly.word(rest))) + \
             self.mul(self.of_poly(NCPoly.gen(g)), self.d_word(rest))
-        self._dword_cache[w] = out
-        return out
 
+    @memo("_dletters_cache")
     def d_letters(self, F) -> Element:
-        F = tuple(F)
-        cached = self._dletters_cache.get(F)
-        if cached is not None:
-            return cached
         out = Element(self)
         for i, f in enumerate(F):
             df = self.d_letter.get(f)
@@ -259,7 +234,6 @@ class DiffCalculus:
                 raise CalculusError(f"{self.name}: no differential for {f}")
             piece = self.product(self.form(*F[:i]), df, self.form(*F[i + 1:]))
             out.add_scaled(piece, sign(i))
-        self._dletters_cache[F] = out
         return out
 
     def d(self, x: Element) -> Element:

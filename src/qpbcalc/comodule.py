@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .hopf import HopfPresentation
 from .linalg import kernel
-from .ncalg import NCPoly, add_term
+from .ncalg import NCPoly, add_term, memo
 from .report import CheckReport, timed
 from .tensors import TensorPoly
 
@@ -60,13 +60,9 @@ class ComoduleAlgebra:
             out.add_scaled(self._coact_word(w), c)
         return out
 
+    @memo("_coact_cache")
     def _coact_word(self, w) -> TensorPoly:
-        cached = self._coact_cache.get(w)
-        if cached is not None:
-            return cached
-        out = self._coact_word(w[:-1]).tensor_mul(self.coact_tab[w[-1]])
-        self._coact_cache[w] = out
-        return out
+        return self._coact_word(w[:-1]).tensor_mul(self.coact_tab[w[-1]])
 
     def htag(self, w) -> tuple:
         """The grouplike tag of an A-basis word, for diagonal coactions."""
@@ -162,21 +158,15 @@ class TranslationData:
             tab[g.name] = TensorPoly.from_polys((ca.A, ca.A), jinv(w), j(w))
         return TranslationData(ca, tab, cleaving=(j, jinv), label=label)
 
+    @memo("_cache")
     def tau_word(self, w) -> TensorPoly:
-        w = tuple(w)
-        cached = self._cache.get(w)
-        if cached is not None:
-            return cached
         if len(w) == 1:
             t = self.tab.get(w[0])
             if t is None:
                 raise TruncationError(
                     f"{self.label}: no translation data for {w[0]!r}")
-            self._cache[w] = t
             return t
-        out = self.product(self.tau_word(w[:-1]), self.tau_word(w[-1:]))
-        self._cache[w] = out
-        return out
+        return self.product(self.tau_word(w[:-1]), self.tau_word(w[-1:]))
 
     def product(self, th: TensorPoly, tg: TensorPoly) -> TensorPoly:
         """tau(hg) = g<1> h<1> (x) h<2> g<2> from th = tau(h), tg = tau(g)."""

@@ -299,8 +299,8 @@ def crossed_product(data: CrossedProductData,
     # right actions
     for f in data.omega_B.letters:
         for g in B.generators:
-            oa.raction[(f, g.name)] = _convert_element(
-                oa, data.omega_B.raction[(f, g.name)])
+            oa.raction[(f, g.name)] = Element(
+                oa, data.omega_B.raction[(f, g.name)].terms)
         cf = _diagonal_coeff(data, f)
         oa.raction[(f, "T")] = oa.of_poly(NCPoly.gen("T", cf.inverse()), (f,))
         oa.raction[(f, "Ti")] = oa.of_poly(NCPoly.gen("Ti", cf), (f,))
@@ -319,7 +319,7 @@ def crossed_product(data: CrossedProductData,
         NCPoly.gen("Ti", ratio * cm1), (hletter,))
     # differentials
     for g in B.generators:
-        oa.d_gen[g.name] = _convert_element(oa, data.omega_B.d_gen[g.name])
+        oa.d_gen[g.name] = Element(oa, data.omega_B.d_gen[g.name].terms)
     oa.d_gen["T"] = oa.form(hletter)
     e = hcal.d_gen[hg.inverse_of]
     ((wte, fte),) = e.terms.keys()
@@ -328,7 +328,7 @@ def crossed_product(data: CrossedProductData,
     coeff = ce * s(n_e, 1).inverse() * nu(n_e)
     oa.d_gen["Ti"] = oa.of_poly(NCPoly.word(iota_word(n_e), coeff), (hletter,))
     for f in data.omega_B.letters:
-        oa.d_letter[f] = _convert_element(oa, data.omega_B.d_letter[f])
+        oa.d_letter[f] = Element(oa, data.omega_B.d_letter[f].terms)
     oa.d_letter[hletter] = oa.zero()
     for f in data.omega_B.letters:
         oa.expansion[f] = list(data.omega_B.expansion[f])
@@ -381,13 +381,6 @@ def _h_action_coeff(hcal, gname) -> Scalar:
     el = hcal.raction[(hcal.letters[0], gname)]
     ((key, c),) = el.terms.items()
     return c
-
-
-def _convert_element(oa, el) -> Element:
-    out = Element(oa)
-    for (w, F), c in el.terms.items():
-        out.terms[(w, F)] = c
-    return out
 
 
 def _sigma_d_formula(data, A, j, bw1, a, bw2, c) -> TensorPoly:
@@ -516,7 +509,7 @@ _DATA = pathlib.Path(__file__).with_name("data")
 _CACHE = {}
 
 
-def build_example(name: str, validate: bool = True) -> ExampleBundle:
+def build_example(name: str) -> ExampleBundle:
     """The shipped bundle ``data/<name>.qpb``, parsed once per process."""
     if name not in EXAMPLE_NAMES:
         raise ExampleError(f"unknown example {name!r}; "
@@ -527,7 +520,7 @@ def build_example(name: str, validate: bool = True) -> ExampleBundle:
     from .fileformat import parse  # fileformat imports this module
 
     text = (_DATA / f"{name}.qpb").read_text(encoding="utf-8")
-    bundle = _CACHE[name] = parse(text, validate)
+    bundle = _CACHE[name] = parse(text)
     return bundle
 
 

@@ -13,6 +13,7 @@ from .ncalg import (
     NCPoly,
     UndeclaredSymbolError,
     add_term,
+    memo,
 )
 from .report import CheckReport, timed
 from .scalars import Scalar
@@ -50,17 +51,13 @@ class HopfPresentation:
             out.add_scaled(self._delta_word(w), c)
         return out
 
+    @memo("_delta_cache")
     def _delta_word(self, w) -> TensorPoly:
-        cached = self._delta_cache.get(w)
-        if cached is not None:
-            return cached
         head = self._delta_word(w[:-1])
         g = w[-1]
         if g not in self.delta_tab:
             raise UndeclaredSymbolError(f"no coproduct table for {g!r}")
-        out = head.tensor_mul(self.delta_tab[g])
-        self._delta_cache[w] = out
-        return out
+        return head.tensor_mul(self.delta_tab[g])
 
     def counit(self, p: NCPoly) -> Scalar:
         out = Scalar.zero()
@@ -84,6 +81,7 @@ class HopfPresentation:
         return out
 
     def _anti_word(self, w, tab, cache) -> NCPoly:
+        # not a memo(): one body serves _s_cache and _sinv_cache via cache
         cached = cache.get(w)
         if cached is not None:
             return cached

@@ -11,11 +11,18 @@ SparseSum is the finite-sum arithmetic that NCPoly shares with the form
 coefficients are Scalars, or, in the flat mode the graded path uses, ints
 keyed by (key, packed exponent) and accumulated with add_flat; a
 coefficient with no flat form rides along as a Scalar.
+
+memo(attr) memoises a map given on monomials, fn(owner, a) or
+fn(owner, a, b), in the dict owner.<attr>, keyed by a or by (a, b).  The
+memoised values are shared and read-only, never None, and every memo dict
+is named *_cache.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import types
 from dataclasses import dataclass
 
 from .report import CheckReport, timed
@@ -74,6 +81,46 @@ def add_flat(terms, key, c):
         terms[key] = c
     else:
         del terms[key]
+
+
+# Templates of the memo() wrappers.  memo() copies their code with the
+# dict's name in place of _memo_attr and binds fn, the map it memoises, as
+# the copy's one global.  So the interpreter specialises owner.<attr> as in
+# a hand-written lookup: getattr or attrgetter with the name in a variable
+# added about 35 ns to every hit, and compiling a wrapper from source about
+# 0.2 ms to each memo at import (Python 3.11 on a 2-core x86_64 VM).
+
+def _memo_one(owner, a):
+    cache = owner._memo_attr
+    value = cache.get(a)
+    if value is None:
+        value = cache[a] = fn(owner, a)  # noqa: F821
+    return value
+
+
+def _memo_two(owner, a, b):
+    key = (a, b)
+    cache = owner._memo_attr
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = fn(owner, a, b)  # noqa: F821
+    return value
+
+
+def memo(attr):
+    """Memoise fn(owner, a) or fn(owner, a, b) in the dict owner.<attr>,
+    keyed by a or by (a, b).  A hit returns the stored object itself; a
+    fill that raises stores nothing."""
+    def decorate(fn):
+        arity = fn.__code__.co_argcount - 1
+        if arity not in (1, 2):
+            raise TypeError(f"memo: {fn.__name__} takes {arity} arguments "
+                            f"besides its owner, not 1 or 2")
+        code = (_memo_one if arity == 1 else _memo_two).__code__
+        code = code.replace(co_names=tuple(
+            attr if name == "_memo_attr" else name for name in code.co_names))
+        return functools.wraps(fn)(types.FunctionType(code, {"fn": fn}))
+    return decorate
 
 
 def _paren(cs, chars):
@@ -383,6 +430,7 @@ class AlgebraPresentation:
     def normal_word(self, word) -> NCPoly:
         """Normal form of a single word, as an NCPoly."""
         word = tuple(word)
+        # not a memo(): the rewrite loop below reads _nf_cache for each word
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached

@@ -29,7 +29,7 @@ from .comodule import (
     right_colinear,
 )
 from .linalg import in_span, kernel, rref, span_in_window
-from .ncalg import NCPoly, add_term
+from .ncalg import NCPoly, add_term, memo
 from .report import CheckReport, timed
 from .scalars import Scalar, flat_coeff
 from .tensors import TensorPoly
@@ -114,19 +114,15 @@ class CompleteCalculus:
             x, lambda key: self._delta_mono(*key))
         return out if x.flat else out.to_scalar()
 
+    @memo("_delta_cache")
     def _delta_mono(self, w, F) -> GradedTensor:
         """The memoised flat coaction of one monomial; read-only."""
-        key = (w, F)
-        cached = self._delta_cache.get(key)
-        if cached is not None:
-            return cached
         acc = GradedTensor.zero(self.legs, flat=True)
         for (w0, w1), c in self.ca._coact_word(w).terms.items():
             for e, a in flat_coeff(c):
                 acc.terms[(((w0, ()), (w1, ())), e)] = a
         for f in F:
             acc = acc.wedge(self.delta_letter[f])
-        self._delta_cache[key] = acc
         return acc
 
     def ver(self, k: int, l: int, x: Element) -> GradedTensor:
@@ -145,49 +141,31 @@ class CompleteCalculus:
             add_term(out, (wa, fh), c)
         return out
 
+    @memo("_lam_act_cache")
     def lambda_act(self, F, hword) -> dict:
         """theta_F <- h = S(h) theta_F h decomposed over the lambda basis."""
-        key = (tuple(F), tuple(hword))
-        cached = self._lam_act_cache.get(key)
-        if cached is None:
-            oh = self.omega_H
-            hopf = oh.hopf
-            inv = hopf.grouplike_inverse_word(tuple(hword))
-            el = oh.product(oh.of_poly(NCPoly.word(inv)),
-                            lambda_element(oh, F),
-                            oh.of_poly(NCPoly.word(hword)))
-            cached = to_lambda(oh, el)
-            self._lam_act_cache[key] = cached
-        return cached
+        oh = self.omega_H
+        inv = oh.hopf.grouplike_inverse_word(hword)
+        return to_lambda(oh, oh.product(oh.of_poly(NCPoly.word(inv)),
+                                        lambda_element(oh, F),
+                                        oh.of_poly(NCPoly.word(hword))))
 
+    @memo("_lam_wedge_cache")
     def lambda_wedge(self, F1, F2) -> dict:
-        key = (tuple(F1), tuple(F2))
-        cached = self._lam_wedge_cache.get(key)
-        if cached is None:
-            oh = self.omega_H
-            cached = to_lambda(oh, oh.mul(lambda_element(oh, F1),
-                                          lambda_element(oh, F2)))
-            self._lam_wedge_cache[key] = cached
-        return cached
+        oh = self.omega_H
+        return to_lambda(oh, oh.mul(lambda_element(oh, F1),
+                                    lambda_element(oh, F2)))
 
+    @memo("_lam_d_cache")
     def lambda_d(self, F) -> dict:
-        key = tuple(F)
-        cached = self._lam_d_cache.get(key)
-        if cached is None:
-            oh = self.omega_H
-            cached = to_lambda(oh, oh.d(lambda_element(oh, F)))
-            self._lam_d_cache[key] = cached
-        return cached
+        oh = self.omega_H
+        return to_lambda(oh, oh.d(lambda_element(oh, F)))
 
+    @memo("_cm_cache")
     def cm_lambda(self, hword) -> dict:
         """varpi(pi_eps(h)) over the lambda basis."""
-        key = tuple(hword)
-        cached = self._cm_cache.get(key)
-        if cached is None:
-            cached = to_lambda(self.omega_H,
-                               cartan_maurer(self.omega_H, NCPoly.word(hword)))
-            self._cm_cache[key] = cached
-        return cached
+        return to_lambda(self.omega_H,
+                         cartan_maurer(self.omega_H, NCPoly.word(hword)))
 
     def ver_wedge(self, x: dict, y: dict) -> dict:
         """(a (x) theta)(a' (x) theta') = a a'_0 (x) (theta <- a'_1) theta'."""

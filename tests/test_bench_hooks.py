@@ -24,3 +24,19 @@ def test_tracer_hooks_find_every_name():
     out = json.loads(proc.stdout)
     for name in out["names"]:
         assert out["sites"].get(name), name
+
+
+def test_tracer_memo_names_are_present():
+    # memo_sizes reads *_cache dicts by name, so a renamed memo would read 0
+    code = ("import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "import tracer, qpbcalc; "
+            "print(json.dumps({'sizes': tracer.memo_sizes("
+            "qpbcalc.build_example('podles')), 'names': tracer.MEMOS}))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"),
+         str(ROOT / "perfbench")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    for name in out["names"]:
+        assert name in out["sizes"], name

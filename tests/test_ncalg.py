@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpbcalc.braidext import chi_piece
+from qpbcalc.comodule import TruncationError
 from qpbcalc.examples import build_example
 from qpbcalc.fileformat import parse
 from qpbcalc.ncalg import (
@@ -16,6 +18,7 @@ from qpbcalc.ncalg import (
     NCPoly,
     UndeclaredSymbolError,
     confluence_check,
+    memo,
     multiply,
     reduce,
     weight,
@@ -257,3 +260,73 @@ def test_reduce_idempotent(w):
     pres = build_example("torus").ca.A
     p = pres.reduce(NCPoly.word(w))
     assert pres.reduce(p) == p
+
+
+# -- the memo helper --------------------------------------------------------------
+
+class _Counted:
+    def __init__(self):
+        self._one_cache = {}
+        self._two_cache = {}
+        self.fills = 0
+
+    @memo("_one_cache")
+    def one(self, a):
+        self.fills += 1
+        return [a]
+
+    @memo("_two_cache")
+    def two(self, a, b):
+        self.fills += 1
+        return [a, b]
+
+
+def test_memo_hit_returns_the_stored_object():
+    o = _Counted()
+    x = o.one(("a",))
+    assert o.one(("a",)) is x
+    y = o.two(("a",), ("b",))
+    assert o.two(("a",), ("b",)) is y
+    assert o.fills == 2
+    # on the calculus: a product table and a coaction of a monomial
+    cc = build_example("torus").cc
+    oa = cc.omega_A
+    m = (("u",), ())
+    assert oa.mono_mul(m, m) is oa.mono_mul(m, m)
+    assert cc._delta_mono(("v",), ()) is cc._delta_mono(("v",), ())
+
+
+def test_memo_keys_one_argument_by_it_and_two_by_the_pair():
+    o = _Counted()
+    x, y = o.one(("a",)), o.two(("a",), ("b",))
+    assert o._one_cache == {("a",): x}
+    assert o._two_cache == {(("a",), ("b",)): y}
+    cc = build_example("torus").cc
+    oa = cc.omega_A
+    key = ((("u",), ()), (("v",), ()))
+    piece = chi_piece(cc, key)
+    assert cc._chibul_cache[key] is piece
+    coact = cc._delta_mono(("u", "v"), ())
+    assert cc._delta_cache[(("u", "v"), ())] is coact
+    acted = oa.act_word((), ("u",))
+    assert oa._act_cache[((), ("u",))] is acted
+    tau = cc.td.tau_word(("t",))
+    assert cc.td._cache[("t",)] is tau
+
+
+def test_memo_stores_nothing_when_the_fill_raises():
+    td = build_example("torus").td
+    before = dict(td._cache)
+    with pytest.raises(TruncationError):
+        td.tau_word(("nope",))
+    assert td._cache.keys() == before.keys()
+    assert all(td._cache[w] is t for w, t in before.items())
+    with pytest.raises(TruncationError):
+        td.tau_word(("t", "nope"))
+    assert ("t", "nope") not in td._cache
+    assert ("nope",) not in td._cache
+
+
+def test_memo_takes_one_or_two_arguments():
+    with pytest.raises(TypeError):
+        memo("_cache")(lambda owner, a, b, c: None)
