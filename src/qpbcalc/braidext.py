@@ -21,7 +21,7 @@ from .calculus import Element, GradedTensor, graded_antipode
 from .ncalg import NCPoly, add_flat, memo
 from .qpb import CompleteCalculus, h_complete_delta
 from .report import CheckReport, timed
-from .scalars import Scalar, flat_coeff
+from .scalars import Scalar
 
 
 class UnsupportedDegreeError(Exception):
@@ -137,10 +137,7 @@ def _tau_mono(cc, w, F) -> GradedTensor:
         raise UnsupportedDegreeError(
             f"translation map implemented for degree <= {MAX_TAU_DEGREE}")
     # degree-0 seed: tau of the coefficient word
-    cur = GradedTensor.zero(legs, flat=True)
-    for (x1, x2), c2 in cc.td.tau_word(w).terms.items():
-        for e, a in flat_coeff(c2):
-            cur.terms[(((x1, ()), (x2, ())), e)] = a
+    cur = GradedTensor.degree_zero(legs, cc.td.tau_word(w)).to_flat()
     for i, f in enumerate(F):
         pairs = oh.expansion[f]
         if len(pairs) != 1 or pairs[0][0] != NCPoly.one():
@@ -434,7 +431,7 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
                 for ((p0, p1), e2), c2 in cc._delta_mono(*m2).terms.items():
                     add_flat(lhs5.terms, ((m1, p0, p1), e + e2), c * c2)
             rhs5 = GradedTensor.zero(legs3, flat=True)
-            dtheta = h_complete_delta(oh, theta).to_flat()
+            dtheta = h_complete_delta(oh, theta.to_flat())
             for ((h1, h2), e), c in dtheta.terms.items():
                 for ((x1, x2), e2), c2 in _tau_mono(cc, *h1).terms.items():
                     add_flat(rhs5.terms, ((x1, x2, h2), e + e2), c * c2)

@@ -9,7 +9,7 @@ product covers algebra multiplication and the wedge.
 
 from __future__ import annotations
 
-from .linalg import kernel, span_witnesses
+from .linalg import kernel_on, span_witnesses
 from .ncalg import NCPoly, SparseSum, add_flat, add_term, memo
 from .report import CheckReport, timed
 from .scalars import Scalar, flat_coeff, sign
@@ -88,7 +88,7 @@ class DiffCalculus:
         self._dword_cache = {(): Element(self)}
         self._dletters_cache = {}
         self._mono_mul_cache = {}
-        self.h_delta_tables = None        # letter tables of qpb.h_complete_delta
+        self._hdelta_cache = {}           # qpb._hdelta_mono, on Omega(H)
 
     # -- constructors
 
@@ -365,6 +365,12 @@ class GradedTensor(SparseSum):
         return GradedTensor(legs, {(((), ()),) * len(legs): Scalar.one()})
 
     @staticmethod
+    def degree_zero(legs, t):
+        """The TensorPoly t read as a tensor of degree-0 forms."""
+        return GradedTensor(legs, {tuple((w, ()) for w in key): c
+                                   for key, c in t.terms.items()})
+
+    @staticmethod
     def of(legs, *elements):
         """Pure tensor of (independent) graded elements."""
         return GradedTensor(legs).add_product(elements, Scalar.one())
@@ -471,12 +477,9 @@ def cartan_maurer_equation_check(calc: DiffCalculus, max_word_len: int = 4,
                        str(got))
         # ideal reconstruction: combinations killed by the form must also
         # be killed by wedge(form (x) form) after the coproduct
-        vectors = [dict(cartan_maurer(calc, NCPoly.word(w)).terms)
-                   for w in words]
-        for combo in kernel(vectors):
-            h = NCPoly.zero()
-            for i, c in combo.items():
-                add_term(h.terms, words[i], c)
+        for combo in kernel_on(words, lambda w: dict(
+                cartan_maurer(calc, NCPoly.word(w)).terms)):
+            h = NCPoly(combo)
             quad = calc.zero()
             for (w1, w2), c in hopf.coproduct(h).terms.items():
                 quad.add_scaled(calc.mul(

@@ -64,7 +64,7 @@ def _suite_registry():
         return [b.cc.atiyah_check(n, b.name)]
 
     def bm(b, n, k):
-        return [b.cc.bm_check(n, degrees=(1, 2), example=b.name)]
+        return [b.cc.bm_check(n, example=b.name)]
 
     def vertical(b, n, k):
         return [b.cc.vertical_check(min(n, 3), b.name)]

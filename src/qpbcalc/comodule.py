@@ -14,7 +14,7 @@ suite and the strong-connection check share one implementation of each.
 from __future__ import annotations
 
 from .hopf import HopfPresentation
-from .linalg import kernel
+from .linalg import kernel_on
 from .ncalg import NCPoly, add_term, memo
 from .report import CheckReport, timed
 from .tensors import TensorPoly
@@ -84,20 +84,12 @@ class ComoduleAlgebra:
         return self._coinvariants_by_solve(max_word_len)
 
     def _coinvariants_by_solve(self, max_word_len: int) -> list:
-        words = list(self.A.irreducible_words(max_word_len))
-        vectors = []
-        for w in words:
-            diff = self.coact(NCPoly.word(w)) - TensorPoly.from_polys(
-                (self.A, self.H.base), NCPoly.word(w), NCPoly.one())
-            vectors.append(dict(diff.terms))
-        combos = kernel(vectors)
-        out = []
-        for combo in combos:
-            p = NCPoly.zero()
-            for i, c in combo.items():
-                add_term(p.terms, words[i], c)
-            out.append(p)
-        return out
+        """The kernel of Delta_A - id (x) 1 on the truncated words."""
+        def image(w):
+            return dict((self.coact(NCPoly.word(w)) - TensorPoly.from_polys(
+                (self.A, self.H.base), NCPoly.word(w), NCPoly.one())).terms)
+        return [NCPoly(combo) for combo in
+                kernel_on(self.A.irreducible_words(max_word_len), image)]
 
     # -- validation
 

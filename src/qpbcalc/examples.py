@@ -18,7 +18,7 @@ from .calculus import DiffCalculus, Element, GradedTensor
 from .comodule import ComoduleAlgebra, TranslationData
 from .exprs import eval_form, eval_tensor
 from .hopf import HopfPresentation
-from .linalg import in_span, kernel, rref, span_equal
+from .linalg import in_span, rref, span_equal
 from .ncalg import AlgebraPresentation, GeneratorSymbol, NCPoly, add_term
 from .qpb import CompleteCalculus
 from .report import CheckReport, timed
@@ -215,14 +215,12 @@ def _measure_poly(data, n, p: NCPoly) -> NCPoly:
     return out
 
 
-def crossed_product(data: CrossedProductData,
-                    validate: bool = True) -> ExampleBundle:
-    if validate:
-        rep = crossed_validation(data)
-        if not rep.ok():
-            raise ExampleError(
-                f"crossed product data fails validation: "
-                f"{rep.witnesses[0].input}")
+def crossed_product(data: CrossedProductData) -> ExampleBundle:
+    rep = crossed_validation(data)
+    if not rep.ok():
+        raise ExampleError(
+            f"crossed product data fails validation: "
+            f"{rep.witnesses[0].input}")
     B, H = data.B, data.H
     s = data.cocycle
     hg = H.base.generators[0]
@@ -459,22 +457,7 @@ def crossed_structure_check(bundle: ExampleBundle, max_word_len: int = 3,
                    "vertical forms", "missing targets",
                    ref="fundamental-theorem shape of the vertical forms")
         # horizontal forms: hor1 = Omega1(B) (x) H at truncation
-        domain = list(cc.omega_basis(1, max_word_len))
-        hvecs = []
-        for w, F in domain:
-            x = cc.element_of(w, F)
-            hvecs.append(dict(cc.ver(0, 1, x).terms))
-        combos = kernel(hvecs)
-        hor_rows = []
-        for combo in combos:
-            vec = {}
-            for i, cv in combo.items():
-                w, F = domain[i]
-                prev = vec.get((w, F))
-                prev = cv if prev is None else prev + cv
-                vec[(w, F)] = prev
-            hor_rows.append({k: v for k, v in vec.items()
-                             if not v.is_zero()})
+        hor_rows = cc.horizontal_basis(1, max_word_len)
         rows_h = []
         for w in bwords:
             for f in data.omega_B.letters:
@@ -544,7 +527,8 @@ def oracle_crosscheck(bundle: ExampleBundle,
                     want = eval_tensor(entry.expected, bundle.params,
                                        (oa, oa))
                 else:
-                    want = _tensorpoly_to_graded(cc, entry.expected)
+                    want = GradedTensor.degree_zero((oa, oa),
+                                                    entry.expected)
                 ok = (GradedBalancedTensor(cc, raw=got)
                       == GradedBalancedTensor(cc, raw=want))
                 rep.record(ok, f"sigma({xs},{ys})", str(want), str(got),
@@ -559,11 +543,3 @@ def oracle_crosscheck(bundle: ExampleBundle,
             else:
                 raise ExampleError(f"unknown oracle kind {entry.kind!r}")
     return rep
-
-
-def _tensorpoly_to_graded(cc, tp: TensorPoly) -> GradedTensor:
-    legs = (cc.omega_A, cc.omega_A)
-    out = GradedTensor.zero(legs)
-    for (w1, w2), c in tp.terms.items():
-        out.terms[((w1, ()), (w2, ()))] = c
-    return out

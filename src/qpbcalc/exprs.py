@@ -304,9 +304,16 @@ def eval_scalar(text, params, line=None) -> Scalar:
 
 
 def eval_poly(text, params, pres, line=None) -> NCPoly:
-    calc = _bare_calculus(pres)
-    ctx = Context(params, calc, line=line)
-    v = _to_form(ctx, eval_ast(parse_ast(text, line), ctx))
+    return eval_poly_ast(parse_ast(text, line), params, _bare_calculus(pres),
+                         line)
+
+
+def eval_poly_ast(node, params, bare, line=None) -> NCPoly:
+    """eval_poly on an expression parsed by parse_ast, in the degree-0
+    calculus bare (_bare_calculus): a caller that evaluates many
+    expressions over one algebra builds it once."""
+    ctx = Context(params, bare, line=line)
+    v = _to_form(ctx, eval_ast(node, ctx))
     out = NCPoly.zero()
     for (w, F), c in v.terms.items():
         if F:
@@ -325,13 +332,7 @@ def eval_tensor(text, params, legs, line=None) -> GradedTensor:
     return _to_tensor(ctx, eval_ast(parse_ast(text, line), ctx))
 
 
-_BARE = {}
-
-
 def _bare_calculus(pres) -> DiffCalculus:
-    """Degree-zero calculus wrapper for evaluating plain algebra text."""
-    calc = _BARE.get(id(pres))
-    if calc is None:
-        calc = DiffCalculus(f"alg({pres.name})", pres, (), 0, {}, {}, {}, {})
-        _BARE[id(pres)] = calc
-    return calc
+    """Degree-zero calculus wrapper for evaluating plain algebra text.  It
+    is built per call, so no module state keeps pres alive."""
+    return DiffCalculus(f"alg({pres.name})", pres, (), 0, {}, {}, {}, {})

@@ -32,8 +32,10 @@ from .examples import (
 )
 from .exprs import (
     ExprError,
+    _bare_calculus,
     eval_form,
     eval_poly,
+    eval_poly_ast,
     eval_scalar,
     eval_tensor,
     parse_ast,
@@ -103,12 +105,16 @@ def _algebra(name, sections, gen_section, rel_section, params):
     gens = _generators(sections.get(gen_section, []))
     if not gens:
         raise ParseError(f"missing [{gen_section}] section")
-    shell = AlgebraPresentation(name, gens, [])
+    # one degree-0 calculus over the free algebra reads every relation, so
+    # its product memo serves them all
+    bare = _bare_calculus(AlgebraPresentation(name, gens, []))
     rules = []
     for lineno, key, value in sections.get(rel_section, []):
         try:
-            lhs = eval_poly(key, params, shell, line=lineno)
-            rhs = eval_poly(value, params, shell, line=lineno)
+            lhs = eval_poly_ast(parse_ast(key, lineno), params, bare,
+                                line=lineno)
+            rhs = eval_poly_ast(parse_ast(value, lineno), params, bare,
+                                line=lineno)
         except ExprError as e:
             raise ParseError(str(e), lineno) from e
         if len(lhs.terms) != 1:
@@ -191,6 +197,7 @@ def _calculus(name, section_lines, pres, params, hopf=None):
 def _expansion_pairs(value, params, calc, lineno):
     """Parse a sum of (poly) * d(poly) terms into expansion pairs."""
     ast = parse_ast(value, lineno)
+    bare = _bare_calculus(calc.pres)
     pairs = []
 
     def walk(node, sign):
@@ -203,11 +210,9 @@ def _expansion_pairs(value, params, calc, lineno):
             walk(node[1], -sign)
             return
         coeff_node, d_node = _split_d_term(node, lineno)
-        a = (eval_poly(_ast_poly_text(coeff_node), params, calc.pres,
-                       line=lineno)
+        a = (eval_poly_ast(coeff_node, params, bare, line=lineno)
              if coeff_node is not None else NCPoly.one())
-        b = eval_poly(_ast_poly_text(d_node[2][0]), params, calc.pres,
-                      line=lineno)
+        b = eval_poly_ast(d_node[2][0], params, bare, line=lineno)
         if sign < 0:
             a = -a
         pairs.append((a, b))
@@ -231,27 +236,6 @@ def _split_d_term(node, lineno):
     raise ParseError("expansion terms must look like a * d(b)", lineno)
 
 
-def _ast_poly_text(node):
-    """Re-serialize a small AST back to expression text."""
-    kind = node[0]
-    if kind == "int":
-        return str(node[1])
-    if kind == "name":
-        return node[1]
-    if kind == "neg":
-        return f"-({_ast_poly_text(node[1])})"
-    if kind == "pow":
-        return f"({_ast_poly_text(node[1])})^{node[2]}" \
-            if node[2] >= 0 else f"({_ast_poly_text(node[1])})^-{-node[2]}"
-    if kind == "bin":
-        return (f"({_ast_poly_text(node[2])}{node[1]}"
-                f"{_ast_poly_text(node[3])})")
-    if kind == "call":
-        args = ",".join(_ast_poly_text(a) for a in node[1 + 1])
-        return f"{node[1]}({args})"
-    raise ParseError(f"cannot re-serialize {kind!r}")
-
-
 def _split_args(text, lineno):
     """Split 'f(a, b)' argument text at the top-level comma."""
     depth = 0
@@ -265,7 +249,7 @@ def _split_args(text, lineno):
     raise ParseError("expected two comma-separated arguments", lineno)
 
 
-def parse(text: str, validate: bool = True) -> ExampleBundle:
+def parse(text: str) -> ExampleBundle:
     sections, headers = _split_sections(text)
     params = {}
     for lineno, key, value in sections.get("params", []):
@@ -318,20 +302,19 @@ def parse(text: str, validate: bool = True) -> ExampleBundle:
         _reject(sections, headers, _TOTAL_SPACE,
                 "a crossed product, which builds its total space")
         bundle = _crossed_bundle(name, sections, headers, hopf, omega_H,
-                                 params, validate)
+                                 params)
     else:
         if total_line is not None:
             _reject(sections, headers, ("generators", "relations", "calculus"),
                     "total = hopf")
         bundle = _bundle(name, sections, hopf, omega_H, params,
                          total_line is not None)
-    if validate:
-        for rep in bundle.structural_validation():
-            if not rep.ok():
-                w = rep.witnesses[0]
-                raise ParseError(
-                    f"{name}: structural validation failed in {rep.suite}: "
-                    f"{w.input} expected {w.expected} got {w.got}")
+    for rep in bundle.structural_validation():
+        if not rep.ok():
+            w = rep.witnesses[0]
+            raise ParseError(
+                f"{name}: structural validation failed in {rep.suite}: "
+                f"{w.input} expected {w.expected} got {w.got}")
     return bundle
 
 
@@ -389,8 +372,7 @@ def _bundle(name, sections, hopf, omega_H, params, total_is_hopf):
                          _oracles(sections), strong_form=form)
 
 
-def _crossed_bundle(name, sections, headers, hopf, omega_H, params,
-                    validate):
+def _crossed_bundle(name, sections, headers, hopf, omega_H, params):
     """The crossed product of [crossed.*] B and Omega(B) by the structure
     group, with the [crossed] measure and bicharacter cocycle."""
     B = _algebra(f"{name}.B", sections, "crossed.generators",
@@ -421,7 +403,7 @@ def _crossed_bundle(name, sections, headers, hopf, omega_H, params,
         raise ParseError("[crossed] needs 'cocycle'", line)
     data = CrossedProductData(B, omega_B, hopf, omega_H, measure, base, name)
     try:
-        bundle = crossed_product(data, validate)
+        bundle = crossed_product(data)
     except ExampleError as e:
         raise ParseError(str(e), line) from e
     bundle.params = params
@@ -430,8 +412,6 @@ def _crossed_bundle(name, sections, headers, hopf, omega_H, params,
 
 
 def _bare_pair(p1, p2):
-    from .exprs import _bare_calculus
-
     return (_bare_calculus(p1), _bare_calculus(p2))
 
 

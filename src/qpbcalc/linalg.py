@@ -15,10 +15,12 @@ multiples of earlier basis rows it took.  _unwind turns those records,
 from the last basis row down, into a combination of input rows: kernel
 gives the relation of each dependent row (unique, so it does not depend
 on the pivots), and span_witnesses gives, for each target in the span, a
-combination that sums to it.  rref runs its keyed canonical Gauss-Jordan
-only on the independent rows the core leaves.  in_span reduces against an
-rref basis in one pass.  Columns are ranked on demand by a memoised key,
-so the key function runs once per column.
+combination that sums to it.  kernel_on gives kernel's relations keyed by
+the elements of a domain basis instead of by row index.  rref runs its
+keyed canonical Gauss-Jordan only on the independent rows the core
+leaves.  in_span reduces against an rref basis in one pass.  Columns are
+ranked on demand by a memoised key, so the key function runs once per
+column; only span_in_window orders them by anything but repr.
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ def _unwind(basis, mu, out):
 
 
 def rref(rows, key=None):
-    """Canonical reduced row echelon basis of the span of rows."""
+    """Canonical reduced row echelon basis of the span of rows, its
+    columns ranked by key (repr when None)."""
     rank = _ranker(key or _default_key)
     basis, _ = _echelon(rows, rank)
     # keyed Gauss-Jordan on the independent rows: the pivot of each row is
@@ -150,9 +153,10 @@ def rref(rows, key=None):
     return [pivots[p] for p in ps]
 
 
-def in_span(rref_basis, v, key=None):
-    """Whether v lies in the span of a basis that rref returned."""
-    rank = _ranker(key or _default_key)
+def in_span(rref_basis, v):
+    """Whether v lies in the span of a basis that rref returned with its
+    default column order."""
+    rank = _ranker(_default_key)
     v = dict(v)
     # each basis row is zero at the other rows' pivots, so one pass in row
     # order reduces v
@@ -164,43 +168,50 @@ def in_span(rref_basis, v, key=None):
     return not v
 
 
-def span_equal(rows_a, rows_b, key=None):
-    return rref(rows_a, key) == rref(rows_b, key)
+def span_equal(rows_a, rows_b):
+    return rref(rows_a) == rref(rows_b)
 
 
-def span_in_window(rows, in_window, key=None):
+def span_in_window(rows, in_window):
     """Canonical basis of span(rows) intersected with the coordinate
     subspace supported on in-window columns.
 
     Eliminating with out-of-window columns ordered first leaves the
     in-window pivot rows free of out-of-window support."""
-    key = key or _default_key
-    ordered = lambda k: (0 if not in_window(k) else 1, key(k))
+    ordered = lambda k: (0 if not in_window(k) else 1, _default_key(k))
     basis = rref(rows, key=ordered)
     inside = [r for r in basis if all(in_window(k) for k in r)]
-    return rref(inside, key=key)
+    return rref(inside)
 
 
-def kernel(vectors, key=None):
+def kernel(vectors):
     """Kernel of e_i -> vectors[i]; returns coefficient dicts {i: Scalar}.
 
     There is one vector for each i whose vector depends on the earlier
     ones: the relation with coefficient 1 at i supported on i and the
     earlier independent indices.  It is unique, so the pivots chosen do not
     change it."""
-    basis, dependent = _echelon(vectors, _ranker(key or _default_key),
+    basis, dependent = _echelon(vectors, _ranker(_default_key),
                                 relations=True)
     return [_unwind(basis, dict(steps), {i: Scalar.one()})
             for i, steps in dependent]
 
 
-def span_witnesses(rows, targets, key=None):
+def kernel_on(domain, image):
+    """Kernel of the linear map x -> image(x) on the basis domain, as
+    combinations {x: c} keyed by domain elements (see kernel)."""
+    domain = list(domain)
+    return [{domain[i]: c for i, c in combo.items()}
+            for combo in kernel([image(x) for x in domain])]
+
+
+def span_witnesses(rows, targets):
     """For each target in the span of rows, a combination {i: c} with
     sum c rows[i] == target; None for a target outside the span.
 
     rows may be a one-shot iterable: the echelon reads each row once and
     keeps only its reduced rows and their recorded steps."""
-    basis, _ = _echelon(rows, _ranker(key or _default_key))
+    basis, _ = _echelon(rows, _ranker(_default_key))
     out = []
     for t in targets:
         t = dict(t)

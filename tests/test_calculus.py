@@ -186,8 +186,8 @@ def test_prolongation_podles(capsys):
 def test_corrupted_span_witness_is_not_a_pass(torus_calc, monkeypatch):
     real = calculus.span_witnesses
 
-    def corrupted(rows, targets, key=None):
-        out = real(rows, targets, key)
+    def corrupted(rows, targets):
+        out = real(rows, targets)
         # +1 at a pair the witness names: that pair's row is nonzero, so
         # the combination no longer gives (0 || relation)
         lam = out[0]

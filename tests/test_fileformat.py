@@ -40,7 +40,7 @@ def test_shipped_equals_programmatic():
 def test_serialize_keeps_declared_strong_form():
     # the strong-connection form comes from the file, not the bundle name
     text = read("podles").replace("podles", "sphere")
-    assert serialize(parse(text, validate=False)) == text
+    assert serialize(parse(text)) == text
 
 
 def _line_of(text, marker):

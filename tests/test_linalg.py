@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qpbcalc.linalg import (
     in_span,
     kernel,
+    kernel_on,
     rref,
     span_witnesses,
     vec_add,
@@ -63,6 +64,19 @@ def test_kernel_vectors_map_to_zero(rows):
     for combo in kernel(rows):
         assert combo
         assert combine(rows, combo) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_sets())
+def test_kernel_on_is_kernel_keyed_by_the_domain(rows):
+    domain = [("x", i) for i in range(len(rows))]
+    image = dict(zip(domain, rows))
+    # the domain may be a one-shot iterable, as omega_basis is
+    got = kernel_on(iter(domain), image.__getitem__)
+    assert got == [{domain[i]: c for i, c in combo.items()}
+                   for combo in kernel(rows)]
+    assert all(set(combo) <= set(domain) for combo in got)
+    assert kernel_on([], image.__getitem__) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 from qpbcalc.calculus import GradedTensor, lambda_element
 from qpbcalc.examples import build_example
 from qpbcalc.fileformat import parse
+from qpbcalc.linalg import kernel, span_equal
 from qpbcalc.ncalg import NCPoly
 from qpbcalc.qpb import h_complete_delta
 from qpbcalc.scalars import Scalar
@@ -130,9 +131,9 @@ def test_atiyah_broken_table_fails(torus):
 
 
 def test_bm(torus, podles, u1):
-    assert torus.cc.bm_check(3, degrees=(1, 2)).ok()
-    assert podles.cc.bm_check(2, degrees=(1, 2)).ok()
-    assert u1.cc.bm_check(3, degrees=(1,)).ok()
+    assert torus.cc.bm_check(3).ok()
+    assert podles.cc.bm_check(2).ok()
+    assert u1.cc.bm_check(3).ok()
 
 
 def test_vertical(torus, podles, u1):
@@ -240,17 +241,34 @@ def test_xi_transported_product(u1):
 
 
 def test_dropped_bundle_frees_its_structure_calculus():
-    # the letter tables of h_complete_delta live on the calculus, so they
-    # keep no dropped bundle alive
+    # the memoised extension of the comultiplication lives on the calculus,
+    # and expression evaluation keeps no presentation in module state, so
+    # a dropped bundle frees its calculus and both of its algebras
     data = pathlib.Path(__file__).resolve().parents[1] / "src/qpbcalc/data"
-    bundle = parse((data / "torus.qpb").read_text())
-    oh = bundle.cc.omega_H
-    assert h_complete_delta(oh, oh.form("dt")) == h_complete_delta(
-        oh, oh.form("dt"))
-    ref = weakref.ref(oh)
-    del bundle, oh
-    gc.collect()
-    assert ref() is None
+    for name in ("torus", "u1_q", "crossed_demo"):
+        bundle = parse((data / f"{name}.qpb").read_text())
+        oh = bundle.cc.omega_H
+        theta = oh.form(oh.letters[0])
+        assert h_complete_delta(oh, theta) == h_complete_delta(oh, theta)
+        refs = {"omega_H": weakref.ref(oh),
+                "A": weakref.ref(bundle.ca.A),
+                "H.base": weakref.ref(bundle.ca.H.base)}
+        del bundle, oh, theta
+        gc.collect()
+        assert [k for k, ref in refs.items() if ref() is not None] == [], \
+            name
+
+
+def test_horizontal_basis_is_the_kernel_of_ver01(torus, podles):
+    # at degree 1 the terms with Omega(H) letters are the (0, 1) component
+    for bundle, n in ((torus, 3), (podles, 2)):
+        cc = bundle.cc
+        domain = list(cc.omega_basis(1, n))
+        want = [{domain[i]: c for i, c in combo.items()} for combo in
+                kernel([dict(cc.ver(0, 1, cc.element_of(*m)).terms)
+                        for m in domain])]
+        got = cc.horizontal_basis(1, n)
+        assert want and span_equal(got, want), bundle.name
 
 
 # -- the corrected DGA extension on the classical 2-torus ---------------------------
