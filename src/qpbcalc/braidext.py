@@ -17,6 +17,8 @@ suite converts its inputs once, so Scalars appear only in its witnesses.
 
 from __future__ import annotations
 
+import functools
+
 from .calculus import Element, GradedTensor, graded_antipode
 from .ncalg import NCPoly, add_flat, memo
 from .qpb import CompleteCalculus, h_complete_delta
@@ -109,11 +111,12 @@ def add_lift(terms: dict, legs, p, t: GradedTensor, q, e: int,
                     add_flat(terms, ((m1, m2), e2 + e3), c2 * c3)
 
 
-def _apply_pieces(cc, x, piece, legs) -> GradedTensor:
-    """The sum of c x^e piece(cc, key) over the terms of x, in the
-    coefficient mode of x."""
+def _apply_pieces(cc, x, piece, legs, slot=None) -> GradedTensor:
+    """The linear extension of the memoised flat pieces piece(cc, key)
+    over x, on whole keys (slot None) or on the pair of legs (slot,
+    slot+1), in the coefficient mode of x."""
     out = GradedTensor.zero(legs, flat=True).add_mapped(
-        x, lambda key: piece(cc, key))
+        x, functools.partial(piece, cc), slot=slot, width=2)
     return _as_mode(out, x.flat)
 
 
@@ -124,8 +127,9 @@ def tau_bullet(cc: CompleteCalculus, theta: Element) -> GradedTensor:
     """tau on structure-calculus forms of degree <= 3, raw pairs, in the
     coefficient mode of theta."""
     oa = cc.omega_A
-    return _apply_pieces(cc, theta, lambda cc, key: _tau_mono(cc, *key),
-                         (oa, oa))
+    out = GradedTensor.zero((oa, oa), flat=True).add_mapped(
+        theta, lambda key: _tau_mono(cc, *key))
+    return _as_mode(out, theta.flat)
 
 
 @memo("_taubul_cache")
@@ -316,16 +320,8 @@ def canonical_triple_graded(cc, t3: GradedTensor) -> GradedTensor:
     The inner chi runs first over all terms, so that equal (m1, p, theta)
     keys are merged before the outer chi is applied to them once."""
     oa, oh = cc.omega_A, cc.omega_H
-    inner = {}
-    for ((m1, m2, m3), e), c in t3.to_flat().terms.items():
-        for ((p, th), e2), c2 in chi_piece(cc, (m2, m3)).terms.items():
-            add_flat(inner, ((m1, p, th), e + e2), c * c2)
-    out = GradedTensor.zero((oa, oh, oh), flat=True)
-    terms = out.terms
-    for ((m1, p, th), e), c in inner.items():
-        for ((x0, x1), e3), c3 in chi_piece(cc, (m1, p)).terms.items():
-            add_flat(terms, ((x0, x1, th), e + e3), c * c3)
-    return _as_mode(out, t3.flat)
+    inner = _apply_pieces(cc, t3.to_flat(), chi_piece, (oa, oa, oh), 1)
+    return _as_mode(_canon12_graded(cc, inner), t3.flat)
 
 
 def triple_apply(cc, t3: GradedTensor, piece, slot: int) -> GradedTensor:
@@ -333,14 +329,7 @@ def triple_apply(cc, t3: GradedTensor, piece, slot: int) -> GradedTensor:
     piece(cc, key), to legs (slot, slot+1) of a triple, in the coefficient
     mode of t3."""
     oa = cc.omega_A
-    out = GradedTensor.zero((oa, oa, oa), flat=True)
-    terms = out.terms
-    for (key, e), c in t3.to_flat().terms.items():
-        res = piece(cc, (key[slot], key[slot + 1]))
-        pre, post = key[:slot], key[slot + 2:]
-        for ((p1, p2), e2), c2 in res.terms.items():
-            add_flat(terms, (pre + (p1, p2) + post, e + e2), c * c2)
-    return _as_mode(out, t3.flat)
+    return _apply_pieces(cc, t3, piece, (oa, oa, oa), slot)
 
 
 def triple_wedge(cc, t3: GradedTensor, slot: int) -> GradedTensor:
@@ -423,18 +412,14 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
             rep.record(col == want, f"TauBul4({hname})", str(want), str(col),
                        ref="wedge collapse equals the graded counit")
         # TauBul5 / TauBul6: coaction shifts across the translation map
-        legs3 = (oa, oh, oh)
+        legs3 = (oa, oa, oh)
         for hname, theta in hels:
             t = taus[hname]
-            lhs5 = GradedTensor.zero(legs3, flat=True)
-            for ((m1, m2), e), c in t.terms.items():
-                for ((p0, p1), e2), c2 in cc._delta_mono(*m2).terms.items():
-                    add_flat(lhs5.terms, ((m1, p0, p1), e + e2), c * c2)
-            rhs5 = GradedTensor.zero(legs3, flat=True)
+            lhs5 = GradedTensor.zero(legs3, flat=True).add_mapped(
+                t, lambda m: cc._delta_mono(*m), slot=1)
             dtheta = h_complete_delta(oh, theta.to_flat())
-            for ((h1, h2), e), c in dtheta.terms.items():
-                for ((x1, x2), e2), c2 in _tau_mono(cc, *h1).terms.items():
-                    add_flat(rhs5.terms, ((x1, x2, h2), e + e2), c * c2)
+            rhs5 = GradedTensor.zero(legs3, flat=True).add_mapped(
+                dtheta, lambda m: _tau_mono(cc, *m), slot=0)
             rep.record(_canon12_graded(cc, lhs5) == _canon12_graded(cc, rhs5),
                        f"TauBul5({hname})", "equal", "mismatch",
                        ref="coaction on the second translation leg")
@@ -530,15 +515,11 @@ def graded_identity_suite(cc: CompleteCalculus, max_degree: int = 3,
 
 
 def _canon12_graded(cc, t3: GradedTensor) -> GradedTensor:
-    """Canonicalize the balanced pair in slots (0, 1) of a flat triple, keep
+    """Canonicalize the balanced pair in slots (0, 1) of a triple, keep
     slot 2; flat."""
     oa, oh = cc.omega_A, cc.omega_H
-    out = GradedTensor.zero((oa, oh, oh), flat=True)
-    terms = out.terms
-    for ((m1, m2, tail), e), c in t3.terms.items():
-        for ((p0, p1), e2), c2 in chi_piece(cc, (m1, m2)).terms.items():
-            add_flat(terms, ((p0, p1, tail), e + e2), c * c2)
-    return out
+    return GradedTensor.zero((oa, oh, oh), flat=True).add_mapped(
+        t3, functools.partial(chi_piece, cc), slot=0, width=2)
 
 
 def collapse_pair(cc, t: GradedTensor) -> Element:

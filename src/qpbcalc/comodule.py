@@ -55,10 +55,8 @@ class ComoduleAlgebra:
     # -- coaction
 
     def coact(self, p: NCPoly) -> TensorPoly:
-        out = TensorPoly.zero((self.A, self.H.base))
-        for w, c in self.A.reduce(p).terms.items():
-            out.add_scaled(self._coact_word(w), c)
-        return out
+        return TensorPoly.zero((self.A, self.H.base)).add_mapped(
+            self.A.reduce(p), self._coact_word)
 
     @memo("_coact_cache")
     def _coact_word(self, w) -> TensorPoly:
@@ -109,14 +107,10 @@ class ComoduleAlgebra:
             for w in self.A.irreducible_words(max_word_len):
                 p = NCPoly.word(w)
                 d = self.coact(p)
-                lhs = d.map_terms(
-                    lambda ws: TensorPoly(
-                        legs, {pair + (ws[1],): c for pair, c in
-                               self._coact_word(ws[0]).terms.items()}), legs)
-                rhs = d.map_terms(
-                    lambda ws: TensorPoly(
-                        legs, {(ws[0],) + pair: c for pair, c in
-                               self.H._delta_word(ws[1]).terms.items()}), legs)
+                lhs = TensorPoly(legs).add_mapped(d, self._coact_word,
+                                                  slot=0)
+                rhs = TensorPoly(legs).add_mapped(d, self.H._delta_word,
+                                                  slot=1)
                 rep.record(lhs == rhs, f"coassoc({'*'.join(w) or '1'})",
                            "equal", "mismatch",
                            ref="(Delta_A (x) id)Delta_A = (id (x) Delta)Delta_A")
@@ -172,10 +166,8 @@ class TranslationData:
         return out
 
     def tau(self, h: NCPoly) -> TensorPoly:
-        out = TensorPoly.zero((self.ca.A, self.ca.A))
-        for w, c in self.ca.H.base.reduce(h).terms.items():
-            out.add_scaled(self.tau_word(w), c)
-        return out
+        return TensorPoly.zero((self.ca.A, self.ca.A)).add_mapped(
+            self.ca.H.base.reduce(h), self.tau_word)
 
 
 class BalancedTensor:
@@ -270,20 +262,9 @@ def collapse(x: BalancedTensor) -> NCPoly:
 
 def right_colinear(ca: ComoduleAlgebra, fn, w) -> tuple:
     """fn(h)<1> (x) fn(h)<2>_0 (x) fn(h)<2>_1 and fn(h<1>) (x) h<2>."""
-    A, H = ca.A, ca.H
-    legs = (A, A, H.base)
-    lhs = TensorPoly.zero(legs)
-    for (x1, x2), c in fn(w).terms.items():
-        for (y0, y1), c2 in ca._coact_word(x2).terms.items():
-            lhs.add_scaled(TensorPoly.from_polys(
-                legs, NCPoly.word(x1), NCPoly.word(y0), NCPoly.word(y1)),
-                c * c2)
-    rhs = TensorPoly.zero(legs)
-    for (h1, h2), c in H._delta_word(w).terms.items():
-        for (x1, x2), c2 in fn(h1).terms.items():
-            rhs.add_scaled(TensorPoly.from_polys(
-                legs, NCPoly.word(x1), NCPoly.word(x2), NCPoly.word(h2)),
-                c * c2)
+    legs = (ca.A, ca.A, ca.H.base)
+    lhs = TensorPoly(legs).add_mapped(fn(w), ca._coact_word, slot=1)
+    rhs = TensorPoly(legs).add_mapped(ca.H._delta_word(w), fn, slot=0)
     return lhs, rhs
 
 
@@ -353,10 +334,8 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
             for w2 in hw:
                 if len(w1) + len(w2) > max_word_len:
                     continue
-                prod = H.base.normal_word(w1 + w2)
-                lhs = TensorPoly.zero((A, A))
-                for wp, c in prod.terms.items():
-                    lhs.add_scaled(td.tau_word(wp), c)
+                lhs = TensorPoly.zero((A, A)).add_mapped(
+                    H.base.normal_word(w1 + w2), td.tau_word)
                 rhs = td.product(td.tau_word(w1), td.tau_word(w2))
                 name = f"{'*'.join(w1) or '1'},{'*'.join(w2) or '1'}"
                 rep.record(BalancedTensor(ca, raw=lhs) ==

@@ -10,6 +10,7 @@ oracle tables of expected braiding/vertical values for double-entry checks.
 
 from __future__ import annotations
 
+import functools
 import pathlib
 from dataclasses import dataclass, field
 
@@ -84,12 +85,11 @@ def _gt(cc, *pairs):
 # -- the quantum Hopf fibration -----------------------------------------------------
 
 
-def qbinomial_strong_connection(ca: ComoduleAlgebra):
+def qbinomial_strong_connection(ca: ComoduleAlgebra, q: Scalar):
     """The deformed-binomial strong connection on grouplike powers of the
-    quantum Hopf fibration, bound to the given total space algebra."""
+    quantum Hopf fibration with deformation parameter q, bound to the given
+    total space algebra."""
     A = ca.A
-    q = Scalar.param("q")
-    qi = Scalar.param("q", -1)
 
     def ell(w):
         if not w:
@@ -97,15 +97,14 @@ def qbinomial_strong_connection(ca: ComoduleAlgebra):
         n = len(w) if w[0] == "t" else -len(w)
         out = TensorPoly.zero((A, A))
         base = q * q
+        step = q if n > 0 else q.inverse()
         m = abs(n)
         for k in range(m + 1):
-            coeff = q_binomial(m, k, base) * sign(k)
+            coeff = q_binomial(m, k, base) * sign(k) * (step ** k)
             if n > 0:
-                coeff = coeff * (q ** k)
                 left = ("beta",) * k + ("delta",) * (m - k)
                 right = ("alpha",) * (m - k) + ("gamma",) * k
             else:
-                coeff = coeff * (qi ** k)
                 left = ("alpha",) * (m - k) + ("gamma",) * k
                 right = ("beta",) * k + ("delta",) * (m - k)
             out.add_scaled(TensorPoly.from_polys(
@@ -209,10 +208,8 @@ def crossed_validation(data: CrossedProductData, bound: int = 2,
 
 
 def _measure_poly(data, n, p: NCPoly) -> NCPoly:
-    out = NCPoly.zero()
-    for w, c in p.terms.items():
-        out.add_scaled(data.measure_word(n, w), c)
-    return out
+    measure = functools.partial(data.measure_word, n)
+    return NCPoly.zero().add_mapped(p, measure)
 
 
 def crossed_product(data: CrossedProductData) -> ExampleBundle:

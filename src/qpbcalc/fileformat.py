@@ -367,7 +367,7 @@ def _bundle(name, sections, hopf, omega_H, params, total_is_hopf):
         except ExprError as e:
             raise ParseError(str(e), lineno) from e
 
-    form, ell = _strong(sections, ca, td)
+    form, ell = _strong(sections, ca, td, params)
     return ExampleBundle(name, ca, td, cc, params, connection, ell,
                          _oracles(sections), strong_form=form)
 
@@ -453,8 +453,10 @@ def _translation(sections, ca, params, name):
     raise ParseError("need a [translation] or [cleaving] section")
 
 
-def _strong(sections, ca, td):
-    """The declared strong-connection form and the map it names."""
+def _strong(sections, ca, td, params):
+    """The declared strong-connection form and the map it names.  The
+    qbinomial form names its deformation parameter, a scalar expression
+    over [params]: qbinomial(q)."""
     form, line = "none", None
     for lineno, key, value in sections.get("strong", []):
         if key == "form":
@@ -463,8 +465,12 @@ def _strong(sections, ca, td):
         return form, None
     if form == "translation":
         return form, td.tau_word
-    if form == "qbinomial":
-        return form, qbinomial_strong_connection(ca)
+    if form.startswith("qbinomial(") and form.endswith(")"):
+        try:
+            q = eval_scalar(form[len("qbinomial("):-1], params, line=line)
+        except ExprError as e:
+            raise ParseError(str(e), line) from e
+        return form, qbinomial_strong_connection(ca, q)
     raise ParseError(f"unknown strong-connection form {form!r}", line)
 
 

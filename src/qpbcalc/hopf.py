@@ -46,10 +46,8 @@ class HopfPresentation:
     # -- structure maps (multiplicative / anti-multiplicative extensions)
 
     def coproduct(self, p: NCPoly) -> TensorPoly:
-        out = TensorPoly.zero((self.base, self.base))
-        for w, c in self.base.reduce(p).terms.items():
-            out.add_scaled(self._delta_word(w), c)
-        return out
+        return TensorPoly.zero((self.base, self.base)).add_mapped(
+            self.base.reduce(p), self._delta_word)
 
     @memo("_delta_cache")
     def _delta_word(self, w) -> TensorPoly:
@@ -69,28 +67,26 @@ class HopfPresentation:
         return out
 
     def antipode(self, p: NCPoly) -> NCPoly:
-        return self._anti(p, self.s_tab, self._s_cache)
+        return NCPoly.zero().add_mapped(self.base.reduce(p), self._s_word)
 
     def antipode_inv(self, p: NCPoly) -> NCPoly:
-        return self._anti(p, self.sinv_tab, self._sinv_cache)
+        return NCPoly.zero().add_mapped(self.base.reduce(p), self._sinv_word)
 
-    def _anti(self, p, tab, cache) -> NCPoly:
-        out = NCPoly.zero()
-        for w, c in self.base.reduce(p).terms.items():
-            out.add_scaled(self._anti_word(w, tab, cache), c)
-        return out
+    @memo("_s_cache")
+    def _s_word(self, w) -> NCPoly:
+        return self._anti_step(w, self.s_tab, self._s_word)
 
-    def _anti_word(self, w, tab, cache) -> NCPoly:
-        # not a memo(): one body serves _s_cache and _sinv_cache via cache
-        cached = cache.get(w)
-        if cached is not None:
-            return cached
+    @memo("_sinv_cache")
+    def _sinv_word(self, w) -> NCPoly:
+        return self._anti_step(w, self.sinv_tab, self._sinv_word)
+
+    def _anti_step(self, w, tab, anti_word) -> NCPoly:
+        """S(g w') = S(w') S(g) for the antipode given by tab on
+        generators and by anti_word on shorter words."""
         g = w[0]
         if g not in tab:
             raise UndeclaredSymbolError(f"no antipode table for {g!r}")
-        out = self.base.multiply(self._anti_word(w[1:], tab, cache), tab[g])
-        cache[w] = out
-        return out
+        return self.base.multiply(anti_word(w[1:]), tab[g])
 
     # -- derived maps
 
@@ -100,28 +96,25 @@ class HopfPresentation:
 
     def coproduct_iter(self, p: NCPoly, n: int) -> TensorPoly:
         """(n+1)-fold Sweedler legs via repeated coproduct on the last leg."""
-        legs = (self.base,) * (n + 1)
         if n == 0:
             return TensorPoly.from_polys((self.base,), self.base.reduce(p))
         cur = self.coproduct(p)
         for k in range(2, n + 1):
-            cur = cur.map_terms(
-                lambda ws: _splice_last(self, ws, k),
-                (self.base,) * (k + 1))
-        return TensorPoly(legs, cur.terms)
+            cur = TensorPoly((self.base,) * (k + 1)).add_mapped(
+                cur, self._delta_word, slot=k - 1)
+        return cur
 
     def adjoint_coaction(self, p: NCPoly) -> TensorPoly:
         """Ad(h) = h_2 (x) S(h_1) h_3."""
-        triple = self.coproduct_iter(p, 2)
+        legs = (self.base, self.base)
 
         def contract(ws):
             w1, w2, w3 = ws
-            right = self.base.multiply(self.antipode(NCPoly.word(w1)),
-                                       NCPoly.word(w3))
-            return TensorPoly.from_polys((self.base, self.base),
-                                         NCPoly.word(w2), right)
+            right = self.base.multiply(self._s_word(w1), NCPoly.word(w3))
+            return TensorPoly.from_polys(legs, NCPoly.word(w2), right)
 
-        return triple.map_terms(contract, (self.base, self.base))
+        return TensorPoly(legs).add_mapped(self.coproduct_iter(p, 2),
+                                           contract)
 
     # -- grouplike structure (structure groups are group algebras here)
 
@@ -157,16 +150,10 @@ class HopfPresentation:
                 p = NCPoly.word(w)
                 name = "*".join(w) or "1"
                 d = self.coproduct(p)
-                lhs = d.map_terms(
-                    lambda ws: TensorPoly(
-                        legs3,
-                        {k + (ws[1],): c for k, c in
-                         self._delta_word(ws[0]).terms.items()}), legs3)
-                rhs = d.map_terms(
-                    lambda ws: TensorPoly(
-                        legs3,
-                        {(ws[0],) + k: c for k, c in
-                         self._delta_word(ws[1]).terms.items()}), legs3)
+                lhs = TensorPoly(legs3).add_mapped(d, self._delta_word,
+                                                   slot=0)
+                rhs = TensorPoly(legs3).add_mapped(d, self._delta_word,
+                                                   slot=1)
                 rep.record(lhs == rhs, f"coassoc({name})", "equal legs",
                            "mismatch", ref="(Delta (x) id)Delta = (id (x) Delta)Delta")
                 left = _apply_counit(self, d, 0)
@@ -197,8 +184,7 @@ class HopfPresentation:
                            f"eps-respects({'*'.join(rule.lhs)})",
                            "equal scalars", "mismatch",
                            ref="eps well defined on the quotient")
-                rep.record(self._anti_word(rule.lhs, self.s_tab, self._s_cache)
-                           == self.antipode(rule.rhs),
+                rep.record(self._s_word(rule.lhs) == self.antipode(rule.rhs),
                            f"antipode-respects({'*'.join(rule.lhs)})",
                            "equal elements", "mismatch",
                            ref="S well defined on the quotient")
@@ -212,14 +198,6 @@ class HopfPresentation:
                                "eps(gh)=eps(g)eps(h)", "mismatch",
                                ref="counit is an algebra character")
         return rep
-
-
-def _splice_last(hopf, ws, k):
-    """Replace the last leg of a k-leg term by its coproduct."""
-    head = ws[:-1]
-    d = hopf._delta_word(ws[-1])
-    legs = (hopf.base,) * (k + 1)
-    return TensorPoly(legs, {head + pair: c for pair, c in d.terms.items()})
 
 
 def _apply_counit(hopf, t: TensorPoly, leg: int) -> NCPoly:

@@ -294,30 +294,22 @@ class CompleteCalculus:
                 rep.record(lhs == rhs, f"d({f})", "equal", "mismatch",
                            ref="coaction intertwines the differentials")
             # counitality and the coaction square on letters
+            legs3 = (oa, oh, oh)
             for f in oa.letters:
                 x = oa.form(f)
+                dx = self.delta_bullet(x)
                 collapsed = Element(oa)
-                for ((wa, fa), (wh, fh)), c in \
-                        self.delta_bullet(x).terms.items():
+                for ((wa, fa), (wh, fh)), c in dx.terms.items():
                     if fh:
                         continue
                     e = oh.hopf.counit(NCPoly.word(wh))
                     add_term(collapsed.terms, (wa, fa), c * e)
                 rep.record(collapsed == x, f"counit({f})", str(x),
                            str(collapsed), ref="(id (x) eps) Delta = id")
-                lhs3 = {}
-                for ((wa, fa), (wh, fh)), c in \
-                        self.delta_bullet(x).terms.items():
-                    inner = self._delta_mono(wa, fa).to_scalar()
-                    for key2, c2 in inner.terms.items():
-                        add_term(lhs3, key2 + ((wh, fh),), c * c2)
-                rhs3 = {}
-                for ((wa, fa), (wh, fh)), c in \
-                        self.delta_bullet(x).terms.items():
-                    inner = h_complete_delta(
-                        oh, Element(oh, {(wh, fh): Scalar.one()}))
-                    for key2, c2 in inner.terms.items():
-                        add_term(rhs3, ((wa, fa),) + key2, c * c2)
+                lhs3 = GradedTensor.zero(legs3, flat=True).add_mapped(
+                    dx, lambda m: self._delta_mono(*m), slot=0)
+                rhs3 = GradedTensor.zero(legs3, flat=True).add_mapped(
+                    dx, lambda m: _hdelta_mono(oh, *m), slot=1)
                 rep.record(lhs3 == rhs3, f"coassoc({f})", "equal", "mismatch",
                            ref="coaction square commutes")
             # higher vertical maps decompose on letter pairs

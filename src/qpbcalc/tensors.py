@@ -1,10 +1,10 @@
 """Tensor products of presented algebras (plain, degree-zero legs).
 
 A TensorPoly is a finite sum of scalar-weighted tuples of normal-form words,
-one word per leg.  Leg-wise multiplication gives the tensor product algebra;
-map_terms is the universal linear-extension hook used for coproducts,
-coactions and Sweedler-style contractions.  The sum arithmetic is
-ncalg.SparseSum's.
+one word per leg.  Leg-wise multiplication gives the tensor product algebra.
+The sum arithmetic is ncalg.SparseSum's, whose add_mapped extends a map on
+words or on some legs linearly: coproducts, coactions, id (x) f (x) id and
+Sweedler-style contractions.
 """
 
 from __future__ import annotations
@@ -50,15 +50,6 @@ class TensorPoly(SparseSum):
                 pieces = [leg.normal_word(w1 + w2)
                           for leg, w1, w2 in zip(self.legs, ws1, ws2)]
                 out.add_product(pieces, c1 * c2)
-        return out
-
-    # -- linear extension machinery
-
-    def map_terms(self, fn, out_legs) -> "TensorPoly":
-        """Linear extension of fn(words)->TensorPoly over out_legs."""
-        out = TensorPoly(out_legs)
-        for ws, c in self.terms.items():
-            out.add_scaled(fn(ws), c)
         return out
 
     @staticmethod

@@ -253,6 +253,32 @@ def test_wrong_translation_row_fails(tmp_path, capsys, row, pinned, suite):
         w["input"].split("(")[0] for w in rep["witnesses"]) == witnesses
 
 
+# the first witness of each suite that rejects the wrong du row below
+WRONG_DU_ROW = {"complete": "raction(du,v)", "vertical": "diagram(du)",
+                "connection": "section(('dt',))", "oracle": "sigma(du,u)",
+                "atiyah": "ker pi_v = hor1", "graded": "TauBul1(dt)"}
+
+
+def test_wrong_letter_coaction_row_fails(tmp_path, capsys):
+    # a wrong row of torus's extended coaction still parses; every suite
+    # that reads the row fails with a witness naming a broken identity
+    text = (DATA / "torus.qpb").read_text()
+    row = "delta du = tensor(u, dt) + tensor(du, t)\n"
+    assert text.count(row) == 1
+    f = tmp_path / "mutant.qpb"
+    f.write_text(text.replace(row, row[:-1] + " + tensor(u*u, dt)\n"))
+    code, out, _ = run(capsys, "check", "all", "--file", str(f),
+                       "--format", "json")
+    reports = json.loads(out)
+    failed = {r["suite"]: r for r in reports if r["status"] != "pass"}
+    assert code == 1
+    assert {s: r["witnesses"][0]["input"] for s, r in failed.items()} == \
+        WRONG_DU_ROW
+    assert all(r["status"] == "fail" for r in failed.values())
+    complete = [w["input"] for w in failed["complete"]["witnesses"]]
+    assert len(complete) == 8 and "coassoc(du)" in complete
+
+
 def test_report_schema_golden_file():
     import pathlib
 

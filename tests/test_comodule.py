@@ -18,6 +18,7 @@ from qpbcalc.braidext import (
 from qpbcalc.calculus import GradedTensor
 from qpbcalc.comodule import (
     BalancedTensor,
+    ComoduleAlgebra,
     TranslationData,
     chi,
     chi_inv,
@@ -72,6 +73,20 @@ def test_coact_values(torus, podles):
 def test_comodule_validation(torus, podles, u1):
     for ca, _ in (torus, podles, u1):
         assert ca.validate(max_word_len=2).ok()
+
+
+def test_non_coassociative_coaction_fails(torus):
+    # u -> u (x) (t + t^2) is built directly, since parsing validates it;
+    # the comodule suite names the broken identities
+    ca, _ = torus
+    A, Hb = ca.A, ca.H.base
+    tab = dict(ca.coact_tab)
+    tab["u"] = TensorPoly.from_polys(
+        (A, Hb), NCPoly.gen("u"), NCPoly.gen("t") + NCPoly.word(("t", "t")))
+    rep = ComoduleAlgebra("mutant", A, ca.H, tab).validate(3)
+    assert rep.status == "fail"
+    inputs = [w.input for w in rep.witnesses]
+    assert "coassoc(u)" in inputs and "counit(u)" in inputs
 
 
 def test_coinvariant_basis_torus(torus):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from qpbcalc.cli import main
+from qpbcalc.cli import DEFAULT_WORD_LEN, SUITES, main
 from qpbcalc.comodule import tau_identity_suite
 from qpbcalc.examples import EXAMPLE_NAMES, build_example, oracle_crosscheck
 from qpbcalc.fileformat import ParseError, parse, serialize
@@ -69,6 +69,10 @@ def _line_of(text, marker):
     ("crossed_demo", "name = crossed_demo",
      "name = crossed_demo\ntotal = hopf", "total = hopf",
      "builds its own total space"),
+    ("podles", "form = qbinomial(q)", "form = qbinomial", "form = qbinomial",
+     "unknown strong-connection form"),
+    ("podles", "form = qbinomial(q)", "form = qbinomial(s)",
+     "form = qbinomial(s)", "unknown symbol 's'"),
 ])
 def test_malformed_declarations_have_line_numbers(name, old, new, marker,
                                                   why):
@@ -141,6 +145,37 @@ def test_edits_keep_every_report(tmp_path, capsys, name, param, renamed):
         got = [(r["suite"], r["status"], r["checks"])
                for r in json.loads(capsys.readouterr().out)]
         assert got == want, edit
+
+
+ALL_BUT_GRADED = tuple(s for s in SUITES if s != "graded")
+
+
+@pytest.mark.parametrize("name, param, value, suites", [
+    ("torus", "L", "(3)", ALL_BUT_GRADED),
+    ("u1_q", "q", "(3)", ALL_BUT_GRADED),
+    ("podles", "q", "(3)", ALL_BUT_GRADED),
+    ("podles", "q", "r", ("strong",))],
+    ids=["torus-3", "u1_q-3", "podles-3", "podles-r"])
+def test_substituted_parameter_keeps_every_report(name, param, value,
+                                                  suites):
+    # q -> 3 is a ring map, so a bundle that holds over Z[q, 1/q] holds at
+    # q = 3, there on the constant path of scalars; q -> r renames.  Both
+    # keep every report's status and check count.  graded is left out: at
+    # q = 3 podles's q^-1 = 1/3 rides the flat path as a Scalar, and the
+    # suite takes about four times as long.  The qbinomial strong
+    # connection reads its parameter from the file, so podles's renamed
+    # strong report holds too.
+    def reports(bundle):
+        n = DEFAULT_WORD_LEN[name]
+        return [(r.suite, r.status, r.checks)
+                for suite in suites for r in SUITES[suite](bundle, n, 3)]
+
+    text = read(name)
+    if not value.isidentifier():
+        text = re.sub(rf"^{param} = invertible\n", "", text, flags=re.M)
+    want = reports(build_example(name))
+    assert all(status == "pass" for _, status, _ in want)
+    assert reports(parse(re.sub(rf"\b{param}\b", value, text))) == want
 
 
 def test_parsed_bundle_runs_suites():

@@ -158,6 +158,19 @@ def test_hopf_axioms_sl2(sl2):
     assert rep.ok(), rep.witnesses[:2]
 
 
+def test_non_coassociative_coproduct_fails():
+    # t -> t (x) (t + t^2) on torus's structure group
+    H = build_example("torus").ca.H
+    delta = dict(H.delta_tab)
+    delta["t"] = TensorPoly.from_polys(
+        (H.base, H.base), NCPoly.gen("t"),
+        NCPoly.gen("t") + NCPoly.word(("t", "t")))
+    bad = HopfPresentation(H.base, delta, H.eps_tab, H.s_tab, H.sinv_tab)
+    rep = bad.verify_hopf_axioms(2, "mutant")
+    assert rep.status == "fail"
+    assert rep.witnesses[0].input == "coassoc(t)"
+
+
 def test_mutated_antipode_fails(sl2):
     good = sl2
     bad_s = dict(good.s_tab)

@@ -1,13 +1,14 @@
 """The shared sparse-sum arithmetic of NCPoly, Element, TensorPoly and
 GradedTensor: in-place accumulation agrees with the copying operators."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
 from qpbcalc.calculus import Element, GradedTensor
 from qpbcalc.examples import build_example
-from qpbcalc.ncalg import NCPoly
+from qpbcalc.ncalg import NCPoly, add_term
 from qpbcalc.scalars import Scalar
 from qpbcalc.tensors import TensorPoly
 
@@ -124,3 +125,76 @@ def test_memoised_pieces_are_not_accumulators(which):
     for key, c in x.terms.items():
         want.add_scaled(apply(x._new({key: one})), c)
     assert first == want
+
+
+# -- add_mapped: one linear extension for whole keys and for some legs ----------
+
+
+def _splice_reference(x, fn, slot, width):
+    """id (x) fn (x) id written out on Scalar terms (fn on whole keys when
+    slot is None)."""
+    out = {}
+    for key, c in x.to_scalar().terms.items():
+        if slot is None:
+            pre, legs, post = (), key, ()
+        else:
+            pre, post = key[:slot], key[slot + width:]
+            legs = key[slot] if width == 1 else key[slot:slot + width]
+        for k2, c2 in fn(legs).to_scalar().terms.items():
+            add_term(out, k2 if slot is None else pre + k2 + post, c * c2)
+    return out
+
+
+def _mapped_cases():
+    """(x, fn, slot, width, an empty Scalar sum for the result) for every
+    slot and width the package uses, on torus."""
+    from qpbcalc.braidext import chi_piece, sigma_piece
+
+    bundle = build_example("torus")
+    cc, H = bundle.cc, bundle.ca.H
+    oa, oh, Hb = cc.omega_A, cc.omega_H, H.base
+    L = Scalar.param("L")
+    h = NCPoly({("t",): L, ("t", "t"): half})
+    dh = H.coproduct(h)
+    u = oa.of_poly(NCPoly.gen("u"))
+    x1 = u.scale(L) + oa.form("du").scale(half)
+    x2 = oa.of_poly(NCPoly.gen("v")) - oa.form("dv").scale(q)
+    x3 = oa.form("du") + u
+    pair = GradedTensor.of((oa, oa), x1, x2)
+    triple = GradedTensor.of((oa, oa, oa), x1, x2, x3)
+    delta = lambda m: cc._delta_mono(*m)
+    sigma = functools.partial(sigma_piece, cc)
+    chi = functools.partial(chi_piece, cc)
+    g = lambda *legs: GradedTensor(legs)
+    return {
+        "coproduct": (h, H._delta_word, None, 1, TensorPoly((Hb, Hb))),
+        "antipode": (h, H._s_word, None, 1, NCPoly()),
+        "chi": (pair, chi, None, 1, g(oa, oh)),
+        "coassoc-0": (dh, H._delta_word, 0, 1, TensorPoly((Hb,) * 3)),
+        "coassoc-1": (dh, H._delta_word, 1, 1, TensorPoly((Hb,) * 3)),
+        "delta-0": (triple, delta, 0, 1, g(oa, oh, oa, oa)),
+        "delta-1": (triple, delta, 1, 1, g(oa, oa, oh, oa)),
+        "delta-2": (triple, delta, 2, 1, g(oa, oa, oa, oh)),
+        "sigma-0": (triple, sigma, 0, 2, g(oa, oa, oa)),
+        "sigma-1": (triple, sigma, 1, 2, g(oa, oa, oa)),
+        "chi-1": (triple, chi, 1, 2, g(oa, oa, oh)),
+    }
+
+
+@pytest.mark.parametrize("case", ["coproduct", "antipode", "chi",
+                                  "coassoc-0", "coassoc-1", "delta-0",
+                                  "delta-1", "delta-2", "sigma-0", "sigma-1",
+                                  "chi-1"])
+def test_add_mapped_is_the_written_out_splice(case):
+    # every mix of modes of self, x and fn's values gives the written-out
+    # sum, in the mode of self
+    x, fn, slot, width, zero = _mapped_cases()[case]
+    want = _splice_reference(x, fn, slot, width)
+    assert want
+    for x_in in (x.to_scalar(), x.to_flat()):
+        for fn_in in (lambda k: fn(k).to_scalar(), lambda k: fn(k).to_flat()):
+            for out in (zero._new({}), zero._new({}, True)):
+                got = out.add_mapped(x_in, fn_in, slot, width)
+                assert got is out
+                assert got.to_scalar().terms == want
+                assert got == zero._new(dict(want))
