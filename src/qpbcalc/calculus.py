@@ -614,8 +614,9 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
     V: a (x) b -> a d(b) over the truncated word basis.
 
     R lies there exactly when (0 || R) is in the row span of the pair rows
-    (a db || da (x) db), so one elimination of the pair rows decides every
-    relation.  Each witness it gives is certified by substitution."""
+    (a db || da (x) db), so span_witnesses decides every relation, finding
+    the pair rows of each witness modulo p and solving on them exactly.
+    Each witness it gives is certified by substitution."""
     pres = calc.pres
     rep = CheckReport(
         suite="prolong", example=example or calc.name,
@@ -649,7 +650,7 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
         for (a, b), cswap in calc.swap.items():
             vec = {(1, ((), (a, b))): Scalar.one(), (1, ((), (b, a))): -cswap}
             relations.append((f"{a}(x){b} - ({cswap})*{b}(x){a}", vec))
-        witnesses = span_witnesses((pair_row(a, b) for a, b in pairs),
+        witnesses = span_witnesses(lambda i: pair_row(*pairs[i]), len(pairs),
                                    [vec for _, vec in relations])
         for (name, vec), lam in zip(relations, witnesses):
             if lam is None:

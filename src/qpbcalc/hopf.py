@@ -94,28 +94,6 @@ class HopfPresentation:
         """h - eps(h) 1, the projection onto the counit kernel."""
         return self.base.reduce(p) - NCPoly.one().scale(self.counit(p))
 
-    def coproduct_iter(self, p: NCPoly, n: int) -> TensorPoly:
-        """(n+1)-fold Sweedler legs via repeated coproduct on the last leg."""
-        if n == 0:
-            return TensorPoly.from_polys((self.base,), self.base.reduce(p))
-        cur = self.coproduct(p)
-        for k in range(2, n + 1):
-            cur = TensorPoly((self.base,) * (k + 1)).add_mapped(
-                cur, self._delta_word, slot=k - 1)
-        return cur
-
-    def adjoint_coaction(self, p: NCPoly) -> TensorPoly:
-        """Ad(h) = h_2 (x) S(h_1) h_3."""
-        legs = (self.base, self.base)
-
-        def contract(ws):
-            w1, w2, w3 = ws
-            right = self.base.multiply(self._s_word(w1), NCPoly.word(w3))
-            return TensorPoly.from_polys(legs, NCPoly.word(w2), right)
-
-        return TensorPoly(legs).add_mapped(self.coproduct_iter(p, 2),
-                                           contract)
-
     # -- grouplike structure (structure groups are group algebras here)
 
     def is_grouplike_word(self, w) -> bool:
@@ -238,10 +216,6 @@ def antipode_inv(h: NCPoly, hopf: HopfPresentation) -> NCPoly:
 
 def pi_epsilon(h: NCPoly, hopf: HopfPresentation) -> NCPoly:
     return hopf.pi_epsilon(h)
-
-
-def adjoint_coaction(h: NCPoly, hopf: HopfPresentation) -> TensorPoly:
-    return hopf.adjoint_coaction(h)
 
 
 def verify_hopf_axioms(hopf: HopfPresentation, max_word_len: int = 4,

@@ -14,19 +14,36 @@ each basis row it records the input index, the pivot scale and the
 multiples of earlier basis rows it took.  _unwind turns those records,
 from the last basis row down, into a combination of input rows: kernel
 gives the relation of each dependent row (unique, so it does not depend
-on the pivots), and span_witnesses gives, for each target in the span, a
-combination that sums to it.  kernel_on gives kernel's relations keyed by
-the elements of a domain basis instead of by row index.  rref runs its
-keyed canonical Gauss-Jordan only on the independent rows the core
-leaves.  in_span reduces against an rref basis in one pass.  Columns are
-ranked on demand by a memoised key, so the key function runs once per
-column; only span_in_window orders them by anything but repr.
+on the pivots).  kernel_on gives kernel's relations keyed by the elements
+of a domain basis instead of by row index.  rref runs its keyed canonical
+Gauss-Jordan only on the independent rows the core leaves.  in_span
+reduces against an rref basis in one pass.  Columns are ranked on demand
+by a memoised key, so the key function runs once per column; only
+span_in_window orders them by anything but repr.
+
+span_witnesses finds modulo p and solves exactly on what it found.  It
+sends every row and target to F_p at scalars.residue (one ring map for
+every parameter), runs the same echelon and unwinding there on ints, and
+keeps only the set of input rows each witness uses.  Over the scalar
+field it then eliminates those rows alone and solves for every target.
+The finite field only chooses rows: a witness is always an exact solve,
+so a wrong choice costs time and never a wrong answer.  The full exact
+elimination answers every target that this leaves unwitnessed, and every
+target when a row or a target has no image mod p (a denominator or a
+Fraction vanishes there) or a target is outside the span mod p.  A
+target truly outside the span therefore always pays for the full
+elimination.  This is the certifying pattern of McConnell, Mehlhorn,
+Naher and Schweitzer (Comput. Sci. Rev. 5 (2011)); on modular methods and
+lucky primes see von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 5.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .ncalg import add_term
-from .scalars import Scalar
+from .scalars import RESIDUE_PRIME, Scalar, residue
 
 
 def _axpy(u, v, c):
@@ -205,12 +222,106 @@ def kernel_on(domain, image):
             for combo in kernel([image(x) for x in domain])]
 
 
-def span_witnesses(rows, targets):
-    """For each target in the span of rows, a combination {i: c} with
-    sum c rows[i] == target; None for a target outside the span.
+def _residues(v):
+    """v with each entry sent to F_p (zeros dropped); None when an entry
+    has no image there."""
+    out = {}
+    for k, a in v.items():
+        r = residue(a)
+        if r is None:
+            return None
+        if r:
+            out[k] = r
+    return out
 
-    rows may be a one-shot iterable: the echelon reads each row once and
-    keeps only its reduced rows and their recorded steps."""
+
+def _reduce_mod(row, basis, where):
+    """_reduce over F_p, on a row of ints mod RESIDUE_PRIME; where maps
+    each pivot to its basis index.
+
+    Basis row j is zero at every earlier pivot, so taking the pivots the
+    row reaches from a heap, smallest index first, gives _reduce's steps
+    without scanning the whole basis."""
+    p = RESIDUE_PRIME
+    heap = [j for j in map(where.get, row) if j is not None]
+    heapify(heap)
+    steps = []
+    while heap:
+        j = heappop(heap)
+        piv, b, _, _, _ = basis[j]
+        c = row.get(piv)
+        if c is None:
+            continue
+        c = p - c
+        for k, a in b.items():
+            old = row.get(k)
+            if old is None:
+                row[k] = a * c % p
+                jk = where.get(k)
+                if jk is not None:
+                    heappush(heap, jk)
+            else:
+                a = (old + a * c) % p
+                if a:
+                    row[k] = a
+                else:
+                    del row[k]
+        steps.append((j, c))
+    return steps
+
+
+def _echelon_mod(rows, rank):
+    """_echelon over F_p, on rows of ints mod RESIDUE_PRIME: the same basis
+    records, and the map from each pivot to its basis index; None when a
+    row is None.  Every nonzero entry is a unit, so each pivot is the
+    lowest-ranked column."""
+    basis = []
+    where = {}
+    for i, row in enumerate(rows):
+        if row is None:
+            return None
+        steps = _reduce_mod(row, basis, where)
+        if row:
+            piv = min(row, key=rank)
+            inv = pow(row[piv], -1, RESIDUE_PRIME)
+            where[piv] = len(basis)
+            basis.append((piv, {k: a * inv % RESIDUE_PRIME
+                                for k, a in row.items()}, i, inv, steps))
+    return basis, where
+
+
+def _support_mod_p(row, n, targets):
+    """The sorted indices of the input rows that the targets' witnesses
+    use at the residue point: those _unwind reaches there from each
+    target.  None when a row or a target has no image there, or a target
+    is outside the span there."""
+    echelon = _echelon_mod((_residues(row(i)) for i in range(n)),
+                           _ranker(_default_key))
+    if echelon is None:
+        return None
+    basis, where = echelon
+    support = set()
+    for t in targets:
+        t = _residues(t)
+        if t is None:
+            return None
+        mu = {j: RESIDUE_PRIME - s for j, s in _reduce_mod(t, basis, where)}
+        if t:
+            return None
+        for j in range(max(mu, default=-1), -1, -1):
+            c = mu.pop(j, 0)
+            if c:
+                _, _, i, inv, steps = basis[j]
+                support.add(i)
+                c = c * inv % RESIDUE_PRIME
+                for k, s in steps:
+                    mu[k] = (mu.get(k, 0) + c * s) % RESIDUE_PRIME
+    return sorted(support)
+
+
+def _exact_witnesses(rows, targets):
+    """span_witnesses by one exact elimination of rows, an iterable read
+    once."""
     basis, _ = _echelon(rows, _ranker(_default_key))
     out = []
     for t in targets:
@@ -219,4 +330,29 @@ def span_witnesses(rows, targets):
         # t + sum s basis[j] is now zero when t is in the span
         out.append(None if t else
                    _unwind(basis, {j: -s for j, s in steps}, {}))
+    return out
+
+
+def span_witnesses(row, n, targets):
+    """For each target in the span of the rows row(0), ..., row(n - 1), a
+    combination {i: c} with sum c row(i) == target; None for a target
+    outside the span.
+
+    row(i) builds row i, so no exact row outlives its use: each row is
+    built once to be sent to F_p, the rows the witnesses use there once
+    more for the exact solve, and every row again only when that solve
+    leaves a target unwitnessed."""
+    targets = list(targets)
+    out = [None] * len(targets)
+    support = _support_mod_p(row, n, targets)
+    if support is not None:
+        found = _exact_witnesses(map(row, support), targets)
+        out = [None if lam is None else
+               {support[j]: c for j, c in lam.items()} for lam in found]
+    missing = [k for k, lam in enumerate(out) if lam is None]
+    if missing:
+        found = _exact_witnesses(map(row, range(n)),
+                                 [targets[k] for k in missing])
+        for k, lam in zip(missing, found):
+            out[k] = lam
     return out

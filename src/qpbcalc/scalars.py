@@ -48,6 +48,10 @@ flat terms back into the canonical Scalar.  A coefficient with no such form
 approximated: flat_coeff hands it back whole, to be carried as a Scalar.
 This follows the sparse distributed representation of Monagan and Pearce
 (J. Symb. Comput. 46 (2011)).
+
+residue sends a Scalar to F_p, p = 2**61 - 1, each parameter to a fixed
+value that depends on its name alone, or to None when it has no image
+there; linalg uses it to choose rows that it then solves exactly.
 """
 
 from __future__ import annotations
@@ -988,6 +992,60 @@ def from_flat(pairs) -> Scalar:
             del num[m]
     out = _from_laurent(names, num)
     return out if carried is None else out + carried
+
+
+# ---------------------------------------------------------------------------
+# residues at a point of F_p
+# ---------------------------------------------------------------------------
+# Evaluating every parameter at a point of F_p is a ring map from the
+# Laurent polynomials, and from every rational function whose denominator
+# does not vanish there.  linalg uses it to choose rows and certifies what
+# it finds over Q(q), so the point need only be fixed, for runs to repeat.
+# Each parameter's value depends on its name alone, never on the order in
+# which a process met the names.
+
+RESIDUE_PRIME = (1 << 61) - 1
+RESIDUE_POINT = 1234567891
+
+
+def residue_point(name: str) -> int:
+    """The value in F_p of the parameter name: RESIDUE_POINT plus the
+    name's UTF-8 bytes read as one big-endian integer."""
+    return (RESIDUE_POINT
+            + int.from_bytes(name.encode(), "big")) % RESIDUE_PRIME
+
+
+_POWERS = {}  # (name, exponent) -> residue of the parameter's power
+
+
+def _poly_residue(f, names):
+    p = RESIDUE_PRIME
+    total = 0
+    for m, c in f.items():
+        if type(c) is not int:
+            c = c.numerator * pow(c.denominator, -1, p)
+        for n, e in zip(names, m):
+            if e:
+                r = _POWERS.get((n, e))
+                if r is None:
+                    r = _POWERS[n, e] = pow(residue_point(n), e, p)
+                c = c * r % p
+        total += c
+    return total % p
+
+
+def residue(s: Scalar):
+    """s at the residue point, an int in [0, RESIDUE_PRIME); None when s
+    has no image there, because its denominator, the denominator of a
+    Fraction coefficient, or a parameter with a negative power vanishes."""
+    try:
+        num = _poly_residue(s.num, s.names)
+        if s.unit_den:
+            return num
+        return num * pow(_poly_residue(s.den, s.names), -1,
+                         RESIDUE_PRIME) % RESIDUE_PRIME
+    except ValueError:  # pow(x, -1, p) of an x that is 0 mod p
+        return None
 
 
 def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:

@@ -21,7 +21,7 @@ from qpbcalc.cli import main
 from qpbcalc.examples import build_example
 from qpbcalc.linalg import vec_add
 from qpbcalc.ncalg import NCPoly
-from qpbcalc.scalars import Scalar
+from qpbcalc.scalars import Scalar, residue_point
 
 q = Scalar.param("q")
 qi = Scalar.param("q", -1)
@@ -186,8 +186,8 @@ def test_prolongation_podles(capsys):
 def test_corrupted_span_witness_is_not_a_pass(torus_calc, monkeypatch):
     real = calculus.span_witnesses
 
-    def corrupted(rows, targets):
-        out = real(rows, targets)
+    def corrupted(row, n, targets):
+        out = real(row, n, targets)
         # +1 at a pair the witness names: that pair's row is nonzero, so
         # the combination no longer gives (0 || relation)
         lam = out[0]
@@ -204,8 +204,10 @@ def test_corrupted_span_witness_is_not_a_pass(torus_calc, monkeypatch):
 def test_corrupted_echelon_row_is_not_a_pass(torus_calc, monkeypatch):
     real = linalg._echelon
     du2 = (1, ((), ("du", "du")))
+    calls = []
 
     def corrupted(rows, rank, relations=False):
+        calls.append(rank)
         basis, dependent = real(rows, rank, relations)
         # add the last basis row to the one pivoting at du(x)du: the basis
         # still spans the same rows in echelon form, so every span answer
@@ -220,6 +222,41 @@ def test_corrupted_echelon_row_is_not_a_pass(torus_calc, monkeypatch):
     assert rep.status != "pass"
     assert [(w.input, w.ref) for w in rep.witnesses] == [
         ("du(x)du", "span certificate")]
+    # the corrupted echelon is the one exact solve, on the rows found at
+    # the residue point, and its witness is the one the certificate judged
+    assert len(calls) == 1
+
+
+def test_corrupted_residue_records_are_not_a_pass(torus_calc, monkeypatch):
+    # dv(x)du + L0 du(x)dv, with L0 the residue point of L: true at the
+    # residue point, false over Q(L)
+    c = Scalar.from_int(-residue_point("L"))
+    monkeypatch.setitem(torus_calc.swap, ("dv", "du"), c)
+
+    def verdict():
+        rep = max_prolongation_degree2(torus_calc, 2)
+        return rep.status, rep.checks, [(w.input, w.ref)
+                                        for w in rep.witnesses]
+
+    with monkeypatch.context() as m:
+        # no rows found at the residue point: the full exact elimination
+        m.setattr(linalg, "_support_mod_p", lambda row, n, targets: None)
+        exact = verdict()
+    assert exact == ("inconclusive", 3, [
+        (f"dv(x)du - ({c})*du(x)dv", "larger truncation may be required")])
+    assert verdict() == exact
+
+    real = linalg._echelon_mod
+
+    def corrupted(rows, rank):
+        basis, where = real(rows, rank)
+        # every record names input row 0 and no steps, so every support
+        # found at the residue point is wrong
+        basis[:] = [(p, row, 0, scale, []) for p, row, _, scale, _ in basis]
+        return basis, where
+
+    monkeypatch.setattr(linalg, "_echelon_mod", corrupted)
+    assert verdict() == exact
 
 
 # -- bicovariant coproduct and counterexample -------------------------------------------

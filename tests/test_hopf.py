@@ -3,7 +3,6 @@ import pytest
 from qpbcalc.examples import build_example
 from qpbcalc.hopf import (
     HopfPresentation,
-    adjoint_coaction,
     antipode,
     antipode_inv,
     coproduct,
@@ -125,27 +124,6 @@ def test_pi_epsilon(u1):
     t = NCPoly.gen("t")
     assert pi_epsilon(t, u1) == t - NCPoly.one()
     assert pi_epsilon(NCPoly.one(), u1) == NCPoly.zero()
-
-
-def test_adjoint_grouplike(u1):
-    H = u1.base
-    for n in range(-4, 5):
-        w = ("t",) * n if n >= 0 else ("ti",) * (-n)
-        p = NCPoly.word(w)
-        assert adjoint_coaction(p, u1) == TensorPoly.from_polys(
-            (H, H), p, NCPoly.one())
-
-
-def test_adjoint_sl2(sl2):
-    # Ad(h) = h2 (x) S(h1) h3 is a right coaction; spot check counitality
-    H = sl2.base
-    for g in H.generators:
-        ad = adjoint_coaction(NCPoly.gen(g.name), sl2)
-        collapsed = NCPoly.zero()
-        for (w1, w2), c in ad.terms.items():
-            collapsed = collapsed + NCPoly.word(
-                w1, c * sl2.counit(NCPoly.word(w2)))
-        assert H.reduce(collapsed) == H.reduce(NCPoly.gen(g.name))
 
 
 def test_hopf_axioms_u1(u1):

@@ -7,8 +7,10 @@ others, so elimination runs on the rational scalar path.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpbcalc import linalg
 from qpbcalc.linalg import (
     in_span,
     kernel,
@@ -18,7 +20,13 @@ from qpbcalc.linalg import (
     vec_add,
     vec_scale,
 )
-from qpbcalc.scalars import Scalar
+from qpbcalc.scalars import (
+    RESIDUE_POINT,
+    RESIDUE_PRIME,
+    Scalar,
+    residue,
+    residue_point,
+)
 
 q = Scalar.param("q")
 one = Scalar.one()
@@ -253,19 +261,103 @@ def test_in_span_agrees_with_the_reference(rows, coeffs, col, c):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(laurent_row_sets(), row_sets()),
-       st.lists(laurent_entries, min_size=9, max_size=9),
+       st.lists(st.one_of(laurent_entries, entries), min_size=9, max_size=9),
        st.sampled_from(COLUMNS + ("z",)), laurent_entries)
 def test_span_witnesses_agree_with_the_reference(rows, coeffs, col, c):
     inside = combine(rows, dict(enumerate(coeffs[:len(rows)])))
     targets = [inside, vec_add(inside, {col: c}), {col: c}, {}]
-    got = span_witnesses(rows, targets)
+    # the Fraction and rational entries have images at the residue point,
+    # so the modular pass finds the rows of the target in the span
+    assert all(residue(a) is not None for r in rows for a in r.values())
+    assert linalg._support_mod_p(rows.__getitem__, len(rows),
+                                 [inside]) is not None
+    got = span_witnesses(rows.__getitem__, len(rows), targets)
     basis = reference_rref(rows)
     for t, lam in zip(targets, got):
         assert (lam is not None) == reference_in_span(basis, t)
         if lam is not None:
             assert combine(rows, lam) == t
-    # a one-shot generator of the rows gives the same witnesses
-    assert span_witnesses((dict(r) for r in rows), targets) == got
+    # building the rows on demand gives the same witnesses
+    assert span_witnesses(lambda i: dict(rows[i]), len(rows), targets) == got
+
+
+# -- span_witnesses: what the modular pass cannot decide, the exact one does
+
+POLE = one / (q - residue_point("q"))         # no image at the residue point
+TINY = Scalar.from_fraction(Fraction(1, RESIDUE_PRIME))     # nor has 1/p
+PLANE = [{"a": one, "b": q}, {"b": one / (q + 1), "c": one}]
+PLANE.append(vec_add(vec_scale(PLANE[0], q), PLANE[1], one / (q + 2)))
+
+
+def exact_sizes(monkeypatch):
+    """The number of rows of each exact elimination span_witnesses runs."""
+    sizes = []
+    real = linalg._exact_witnesses
+
+    def spy(rows, targets):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return real(rows, targets)
+
+    monkeypatch.setattr(linalg, "_exact_witnesses", spy)
+    return sizes
+
+
+def test_residue_is_one_ring_map():
+    assert residue(POLE) is None and residue(TINY) is None
+    assert residue(q - residue_point("q")) == 0
+    assert residue(Scalar.from_fraction(Fraction(2, 3)) / q) == (
+        2 * pow(3 * residue_point("q"), -1, RESIDUE_PRIME) % RESIDUE_PRIME)
+    # each parameter's value depends on its name alone, whatever other
+    # parameters a Scalar has
+    assert residue_point("q") == RESIDUE_POINT + ord("q")
+    L = Scalar.param("L")
+    for x in POOL:
+        for y in (L, (q + L) / (L * L + 2), L ** -1 * Fraction(3, 4) + q):
+            assert residue(x * y) == residue(x) * residue(y) % RESIDUE_PRIME
+            assert residue(x + y) == (residue(x) + residue(y)) % RESIDUE_PRIME
+
+
+@pytest.mark.parametrize("entry", [POLE, TINY])
+@pytest.mark.parametrize("where", ["row", "target"])
+def test_an_entry_without_a_residue_takes_the_exact_path(monkeypatch, entry,
+                                                        where):
+    rows = PLANE + [{"d": one}]
+    if where == "row":
+        rows[3] = {"c": q, "d": entry}
+    inside = combine(rows, {0: q, 2: one / (q + 2), 3: entry})
+    sizes = exact_sizes(monkeypatch)
+    got = span_witnesses(rows.__getitem__, len(rows), [inside, {"z": one}])
+    assert combine(rows, got[0]) == inside and got[1] is None
+    # one elimination, of every row
+    assert sizes == [len(rows)]
+
+
+def test_a_wrong_support_falls_back_to_the_exact_elimination(monkeypatch):
+    rows = PLANE + [vec_add(PLANE[0], PLANE[1], q)]
+    targets = [combine(rows, {1: q, 2: one}), {"a": q}]
+    want = linalg._exact_witnesses(rows, targets)
+    monkeypatch.setattr(linalg, "_support_mod_p",
+                        lambda row, n, targets: [0])
+    sizes = exact_sizes(monkeypatch)
+    got = span_witnesses(rows.__getitem__, len(rows), targets)
+    assert got == want
+    assert combine(rows, got[0]) == targets[0] and got[1] is None
+    # the rows guessed, then every row
+    assert sizes == [1, len(rows)]
+
+
+@pytest.mark.parametrize("target, sizes_wanted", [
+    # outside the span at the residue point too: no rows are guessed
+    ({"a": one, "c": one}, [3]),
+    # inside it there, by q - c vanishing: rows are guessed and fail
+    ({"a": one, "b": q, "d": q - residue_point("q")}, [1, 3]),
+])
+def test_a_target_outside_the_span_is_none_through_the_exact_path(
+        monkeypatch, target, sizes_wanted):
+    sizes = exact_sizes(monkeypatch)
+    assert span_witnesses(PLANE.__getitem__, 3, [target]) == [None]
+    assert sizes == sizes_wanted
 
 
 def test_rows_without_a_unit_entry():
