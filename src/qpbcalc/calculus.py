@@ -5,6 +5,11 @@ coefficients between letters (wedge relations), right-action rules moving
 generators left past letters, and differential tables for generators and
 letters.  Higher basis forms are strictly increasing letter words; a single
 product covers algebra multiplication and the wedge.
+
+A monomial is a pair (w, F) of a coefficient word and a letter word.  The
+flat graded path keys each monomial by a small int id that its calculus
+gives (DiffCalculus.intern): id 0 is the unit ((), ()), and the others
+follow in the order the monomials are first met.
 """
 
 from __future__ import annotations
@@ -13,6 +18,10 @@ from .linalg import kernel_on, span_witnesses
 from .ncalg import NCPoly, SparseSum, add_flat, add_term, memo
 from .report import CheckReport, timed
 from .scalars import Scalar, flat_coeff, sign
+
+
+UNIT = ((), ())   # the unit monomial: the empty word with no letters
+UNIT_ID = 0       # its id in every calculus
 
 
 class CalculusError(Exception):
@@ -32,6 +41,12 @@ class Element(SparseSum):
     def __init__(self, calc, terms=None, flat=False):
         self.calc = calc
         SparseSum.__init__(self, terms, flat)
+
+    def _key_to_id(self):
+        return self.calc.intern
+
+    def _id_to_key(self):
+        return self.calc.monos.__getitem__
 
     def degrees(self):
         return {len(F) for _, F in self.terms}
@@ -89,6 +104,20 @@ class DiffCalculus:
         self._dletters_cache = {}
         self._mono_mul_cache = {}
         self._hdelta_cache = {}           # qpb._hdelta_mono, on Omega(H)
+        # the flat path's monomial ids: mono_id maps a monomial to its id,
+        # monos and mono_deg give an id's monomial and its degree len(F)
+        self.mono_id = {UNIT: UNIT_ID}
+        self.monos = [UNIT]
+        self.mono_deg = [0]
+
+    def intern(self, m) -> int:
+        """The id of the monomial m = (w, F), given on first sight."""
+        i = self.mono_id.get(m)
+        if i is None:
+            i = self.mono_id[m] = len(self.monos)
+            self.monos.append(m)
+            self.mono_deg.append(len(m[1]))
+        return i
 
     # -- constructors
 
@@ -96,7 +125,7 @@ class DiffCalculus:
         return Element(self)
 
     def unit(self) -> Element:
-        return Element(self, {((), ()): Scalar.one()})
+        return Element(self, {UNIT: Scalar.one()})
 
     def of_poly(self, p: NCPoly, letters=()) -> Element:
         letters = tuple(letters)
@@ -199,13 +228,15 @@ class DiffCalculus:
         return out
 
     @memo("_mono_mul_cache")
-    def mono_mul(self, m1, m2) -> tuple:
-        """The memoised product of two monomials, as a tuple of flat terms
-        ((monomial, e), c) (see ncalg.SparseSum): read-only, never an
-        accumulator."""
+    def mono_mul(self, i1, i2) -> tuple:
+        """The memoised product of the monomials of ids i1 and i2, as a
+        tuple of flat terms ((id, e), c) (see ncalg.SparseSum): read-only,
+        never an accumulator."""
         terms = {}
-        self._expand(terms, m1, m2, Scalar.one())
-        return tuple(((m, e), a) for m, c in terms.items()
+        monos = self.monos
+        self._expand(terms, monos[i1], monos[i2], Scalar.one())
+        intern = self.intern
+        return tuple(((intern(m), e), a) for m, c in terms.items()
                      for e, a in flat_coeff(c))
 
     def product(self, *xs: Element) -> Element:
@@ -362,7 +393,7 @@ class GradedTensor(SparseSum):
 
     @staticmethod
     def unit(legs):
-        return GradedTensor(legs, {(((), ()),) * len(legs): Scalar.one()})
+        return GradedTensor(legs, {(UNIT,) * len(legs): Scalar.one()})
 
     @staticmethod
     def degree_zero(legs, t):
@@ -375,18 +406,27 @@ class GradedTensor(SparseSum):
         """Pure tensor of (independent) graded elements."""
         return GradedTensor(legs).add_product(elements, Scalar.one())
 
+    def _key_to_id(self):
+        interns = [leg.intern for leg in self.legs]
+        return lambda key: tuple([f(m) for f, m in zip(interns, key)])
+
+    def _id_to_key(self):
+        monos = [leg.monos for leg in self.legs]
+        return lambda key: tuple([t[i] for t, i in zip(monos, key)])
+
     def wedge(self, other) -> "GradedTensor":
         """(x1 (x) ... (x) xn)(y1 (x) ... (x) yn) with Koszul signs, read
-        from the flat mono_mul tables; the result is flat if either factor
-        is."""
+        from the flat mono_mul tables and the legs' id degrees; the result
+        is flat if either factor is."""
         assert self.legs == other.legs
         legs = self.legs
+        mono_degs = [leg.mono_deg for leg in legs]
         right = other.to_flat().terms.items()
         terms = {}
         for (key1, e1), c1 in self.to_flat().terms.items():
-            degs1 = [len(F) for _, F in key1]
+            degs1 = [d[i] for d, i in zip(mono_degs, key1)]
             for (key2, e2), c2 in right:
-                degs2 = [len(F) for _, F in key2]
+                degs2 = [d[i] for d, i in zip(mono_degs, key2)]
                 s = sum(degs1[i] * degs2[j]
                         for i in range(len(legs)) for j in range(i))
                 c = c1 * c2

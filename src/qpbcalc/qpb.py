@@ -51,16 +51,22 @@ def _extend(legs, seed, letters) -> GradedTensor:
     return acc
 
 
+def _letter_id(calc: DiffCalculus, f) -> int:
+    """The id of the monomial of the one letter f."""
+    return calc.intern(((), (f,)))
+
+
 @memo("_hdelta_cache")
-def _hdelta_mono(calc: DiffCalculus, w, F) -> GradedTensor:
-    """The memoised flat DGA extension of the comultiplication on one
-    monomial of Omega(H); read-only.  A single letter's entry is its table,
-    sum Delta(a_i) d(Delta(b_i)) over the letter's expansion."""
+def _hdelta_mono(calc: DiffCalculus, i) -> GradedTensor:
+    """The memoised flat DGA extension of the comultiplication on the
+    monomial of id i of Omega(H); read-only.  A single letter's entry is
+    its table, sum Delta(a_i) d(Delta(b_i)) over the letter's expansion."""
     hopf = calc.hopf
     legs = (calc, calc)
+    w, F = calc.monos[i]
     if w or len(F) != 1:
         return _extend(legs, hopf._delta_word(w),
-                       (_hdelta_mono(calc, (), (f,)) for f in F))
+                       (_hdelta_mono(calc, _letter_id(calc, f)) for f in F))
     acc = GradedTensor.zero(legs, flat=True)
     for a, b in calc.expansion[F[0]]:
         acc.add_scaled(
@@ -72,7 +78,7 @@ def _hdelta_mono(calc: DiffCalculus, w, F) -> GradedTensor:
 def h_delta_letter_table(calc: DiffCalculus) -> dict:
     """Letter tables of the DGA extension of the comultiplication,
     Delta(letter) = sum Delta(a_i) d_x(Delta(b_i)) from the expansions."""
-    return {f: _hdelta_mono(calc, (), (f,)).to_scalar()
+    return {f: _hdelta_mono(calc, _letter_id(calc, f)).to_scalar()
             for f in calc.letters}
 
 
@@ -80,7 +86,7 @@ def h_complete_delta(calc: DiffCalculus, x: Element) -> GradedTensor:
     """The DGA morphism extension of the comultiplication on Omega(H), in
     the coefficient mode of x."""
     out = GradedTensor.zero((calc, calc), flat=True).add_mapped(
-        x, lambda key: _hdelta_mono(calc, *key))
+        x, functools.partial(_hdelta_mono, calc))
     return out if x.flat else out.to_scalar()
 
 
@@ -113,12 +119,14 @@ class CompleteCalculus:
     def delta_bullet(self, x: Element) -> GradedTensor:
         """The extended coaction, in the coefficient mode of x."""
         out = GradedTensor.zero(self.legs, flat=True).add_mapped(
-            x, lambda key: self._delta_mono(*key))
+            x, self._delta_mono)
         return out if x.flat else out.to_scalar()
 
     @memo("_delta_cache")
-    def _delta_mono(self, w, F) -> GradedTensor:
-        """The memoised flat coaction of one monomial; read-only."""
+    def _delta_mono(self, i) -> GradedTensor:
+        """The memoised flat coaction of the monomial of id i of Omega(A);
+        read-only."""
+        w, F = self.omega_A.monos[i]
         return _extend(self.legs, self.ca._coact_word(w),
                        (self.delta_letter[f] for f in F))
 
@@ -269,8 +277,8 @@ class CompleteCalculus:
                 for g in self.ca.A.generators:
                     lhs = self.delta_bullet(
                         oa.mul(oa.form(f), oa.of_poly(NCPoly.gen(g.name))))
-                    rhs = self.delta_letter[f].wedge(
-                        self._delta_mono((g.name,), ()).to_scalar())
+                    gen = self._delta_mono(oa.intern(((g.name,), ())))
+                    rhs = self.delta_letter[f].wedge(gen.to_scalar())
                     rep.record(lhs == rhs, f"raction({f},{g.name})",
                                "equal", "mismatch",
                                ref="coaction respects the bimodule relations")
@@ -285,7 +293,8 @@ class CompleteCalculus:
             # differential compatibility
             for g in self.ca.A.generators:
                 lhs = self.delta_bullet(oa.d_gen[g.name])
-                rhs = self._delta_mono((g.name,), ()).to_scalar().d()
+                rhs = self._delta_mono(
+                    oa.intern(((g.name,), ()))).to_scalar().d()
                 rep.record(lhs == rhs, f"d({g.name})", "equal", "mismatch",
                            ref="coaction intertwines the differentials")
             for f in oa.letters:
@@ -307,9 +316,9 @@ class CompleteCalculus:
                 rep.record(collapsed == x, f"counit({f})", str(x),
                            str(collapsed), ref="(id (x) eps) Delta = id")
                 lhs3 = GradedTensor.zero(legs3, flat=True).add_mapped(
-                    dx, lambda m: self._delta_mono(*m), slot=0)
+                    dx, self._delta_mono, slot=0)
                 rhs3 = GradedTensor.zero(legs3, flat=True).add_mapped(
-                    dx, lambda m: _hdelta_mono(oh, *m), slot=1)
+                    dx, functools.partial(_hdelta_mono, oh), slot=1)
                 rep.record(lhs3 == rhs3, f"coassoc({f})", "equal", "mismatch",
                            ref="coaction square commutes")
             # higher vertical maps decompose on letter pairs

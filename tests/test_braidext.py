@@ -7,7 +7,6 @@ import pathlib
 import pytest
 
 from qpbcalc.braidext import (
-    UNIT,
     GradedBalancedTensor,
     UnsupportedDegreeError,
     _generator_elements,
@@ -17,7 +16,6 @@ from qpbcalc.braidext import (
     chi_bullet_inv,
     chi_piece,
     collapse_pair,
-    d_otimes_b,
     graded_identity_suite,
     raw_pair,
     sigma_bullet,
@@ -27,10 +25,9 @@ from qpbcalc.braidext import (
     sigma_squared_is_identity,
     tau_bullet,
     triple_apply,
-    wedge_otimes_b,
 )
 from qpbcalc.cli import main
-from qpbcalc.calculus import Element, GradedTensor
+from qpbcalc.calculus import UNIT, Element, GradedTensor
 from qpbcalc.examples import build_example
 from qpbcalc.fileformat import parse
 from qpbcalc.ncalg import NCPoly, add_term
@@ -206,6 +203,19 @@ def test_sigma_inverse_graded(podles):
 
 # -- calculus on the balanced square -----------------------------------------------
 
+def wedge_otimes_b(cc, x, y):
+    """(omega (x) omega')(eta (x) eta') = omega ^ sigma(omega' (x) eta) ^ eta',
+    flat, from the memoised sigma pieces."""
+    oa = cc.omega_A
+    legs = (oa, oa)
+    out = GradedTensor.zero(legs, flat=True)
+    for ((a1, a2), e1), c1 in x.to_flat().terms.items():
+        for ((b1, b2), e2), c2 in y.to_flat().terms.items():
+            add_lift(out.terms, legs, a1, sigma_piece(cc, (a2, b1)), b2,
+                     e1 + e2, c1 * c2)
+    return out
+
+
 def test_wedge_otimes_b_unit(torus):
     cc = torus.cc
     oa = cc.omega_A
@@ -219,8 +229,8 @@ def test_d_otimes_b_translation(torus):
     # d(tau(t)) = d(u^-1) (x) u + u^-1 (x) du
     cc = torus.cc
     oa = cc.omega_A
-    got = d_otimes_b(cc, raw_pair(cc, oa.of_poly(NCPoly.gen("ui")),
-                                  oa.of_poly(NCPoly.gen("u"))))
+    got = raw_pair(cc, oa.of_poly(NCPoly.gen("ui")),
+                   oa.of_poly(NCPoly.gen("u"))).d()
     want = tau_bullet(cc, cc.omega_H.form("dt"))
     assert balanced(cc, got) == balanced(cc, want)
 
@@ -231,7 +241,7 @@ def test_d_otimes_b_squares_to_zero(torus):
     for x in (raw_pair(cc, oa.of_poly(NCPoly.gen("u")),
                        oa.of_poly(NCPoly.gen("v"))),
               raw_pair(cc, oa.form("du"), oa.of_poly(NCPoly.gen("vi")))):
-        got = d_otimes_b(cc, d_otimes_b(cc, x))
+        got = x.d().d()
         assert balanced(cc, got) == balanced(
             cc, GradedTensor.zero((oa, oa)))
 
@@ -252,9 +262,29 @@ def test_chi_intertwines_differential(torus):
     oa = cc.omega_A
     x = raw_pair(cc, oa.of_poly(NCPoly.gen("ui")),
                  oa.of_poly(NCPoly.gen("u")))
-    lhs = chi_bullet(cc, d_otimes_b(cc, x))
+    lhs = chi_bullet(cc, x.d())
     rhs = chi_bullet(cc, x).d()
     assert lhs == rhs
+
+
+def test_equal_raw_terms_are_equal_without_chi(torus):
+    cc = torus.cc
+    oa = cc.omega_A
+    raw = raw_pair(cc, oa.form("du"), oa.of_poly(NCPoly.gen("v"))).to_flat()
+    same = GradedTensor(raw.legs, dict(raw.terms), flat=True)
+    a, b = GradedBalancedTensor(cc, raw=raw), GradedBalancedTensor(cc, raw=same)
+    assert a == b and a._canonical is None and b._canonical is None
+    # unequal raw terms are compared on their chi images: the braiding
+    # moves u (x) v, and its inverse brings it back to another raw pair of
+    # the same class
+    pair = raw_pair(cc, oa.of_poly(NCPoly.gen("u")),
+                    oa.of_poly(NCPoly.gen("v"))).to_flat()
+    moved = sigma_bullet(cc, pair)
+    back = sigma_bullet_inv(cc, moved)
+    assert moved.terms != pair.terms and back.terms != pair.terms
+    assert balanced(cc, moved) != balanced(cc, pair)
+    a, b = balanced(cc, back), balanced(cc, pair)
+    assert a == b and a._canonical is not None
 
 
 def test_volume_squared_vanishes(torus):
@@ -344,9 +374,14 @@ def _failed_inputs(cc):
     return [w.input for w in rep.witnesses]
 
 
+def _id_pair(calc, m1, m2):
+    """The memo key of a pair of monomials of calc: their ids."""
+    return calc.intern(m1), calc.intern(m2)
+
+
 def test_flipped_sigma_piece_fails_braid_or_hexagon():
     cc = _fresh_torus()
-    key = ((("u",), ()), ((), ("du",)))
+    key = _id_pair(cc.omega_A, (("u",), ()), ((), ("du",)))
     cc._sigbul_cache[key] = sigma_piece(cc, key).scale(-one)
     failed = _failed_inputs(cc)
     assert "hex2(u,u,du)" in failed and "braid(u,ui,du)" in failed
@@ -354,7 +389,7 @@ def test_flipped_sigma_piece_fails_braid_or_hexagon():
 
 def test_flipped_sigma_inverse_piece_fails_sigma_inverse():
     cc = _fresh_torus()
-    key = ((("u",), ()), ((), ("du",)))
+    key = _id_pair(cc.omega_A, (("u",), ()), ((), ("du",)))
     cc._siginv_cache[key] = -sigma_inv_piece(cc, key)
     failed = _failed_inputs(cc)
     assert failed == ["sigma-inverse(u,du)", "sigma-inverse(du,u)"]
@@ -363,7 +398,7 @@ def test_flipped_sigma_inverse_piece_fails_sigma_inverse():
 def test_flipped_mono_mul_entry_fails_the_graded_suite():
     cc = _fresh_torus()
     oa = cc.omega_A
-    key = (((), ("du",)), (("u",), ()))
+    key = _id_pair(oa, ((), ("du",)), (("u",), ()))
     oa._mono_mul_cache[key] = tuple((m, -c) for m, c in oa.mono_mul(*key))
     failed = _failed_inputs(cc)
     assert any(w.startswith(("braid(", "hex")) for w in failed), failed
@@ -389,15 +424,17 @@ def _assert_lifts_match(tensors, c, two_sided=True):
     for t in tensors:
         left, right = t.legs
         ps, qs = _small_monomials(left), _small_monomials(right)
-        # left lifts (q = UNIT), right lifts (p = UNIT), two-sided ones
+        # left lifts (q = 1), right lifts (p = 1), two-sided ones
         if two_sided:
             pairs = itertools.product(ps, qs)
         else:
             pairs = [(p, UNIT) for p in ps] + [(UNIT, q) for q in qs]
         for p, q in pairs:
+            # add_lift takes monomial ids
             got = GradedTensor.zero(t.legs, flat=True)
             for e, a in flat_coeff(c):
-                add_lift(got.terms, t.legs, p, t, q, e, a)
+                add_lift(got.terms, t.legs, left.intern(p), t,
+                         right.intern(q), e, a)
             assert got == _wedge_lift(t.legs, p, t, q, c), (p, t, q)
 
 
@@ -435,10 +472,11 @@ def test_non_laurent_coefficients_fall_back_to_scalars(torus):
         assert not got.flat and apply(cc, x.to_flat()).flat
         want = GradedTensor.zero(got.legs)
         for key, c in x.terms.items():
-            for k2, c2 in piece(cc, key).to_scalar().terms.items():
+            ids = _id_pair(oa, *key)
+            for k2, c2 in piece(cc, ids).to_scalar().terms.items():
                 add_term(want.terms, k2, c * c2)
         assert got == want and str(got) == str(want)
         assert any(not c.unit_den for c in got.terms.values())
     flat = x.to_flat()
-    assert flat.terms[(((), ("du",)), (("v",), ())), 0] is rational
+    assert flat.terms[_id_pair(oa, ((), ("du",)), (("v",), ())), 0] is rational
     assert flat.to_scalar().terms == x.terms

@@ -11,15 +11,25 @@ non-unit denominator), which are carried whole as Scalars.
 """
 
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbcalc.braidext import UNIT, chi_piece, sigma_inv_piece, sigma_piece
-from qpbcalc.calculus import Element, GradedTensor
+from qpbcalc.braidext import (
+    chi_bullet,
+    chi_piece,
+    graded_identity_suite,
+    sigma_bullet,
+    sigma_bullet_inv,
+    sigma_inv_piece,
+    sigma_piece,
+)
+from qpbcalc.calculus import UNIT, Element, GradedTensor
 from qpbcalc.examples import build_example
-from qpbcalc.ncalg import add_flat, add_term
+from qpbcalc.fileformat import parse
+from qpbcalc.ncalg import NCPoly, add_flat, add_term
 from qpbcalc.scalars import (
     Scalar,
     ScalarError,
@@ -29,6 +39,7 @@ from qpbcalc.scalars import (
 )
 
 BUNDLES = {"torus": ("L",), "podles": ("q",), "crossed_demo": ("mu", "q")}
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src/qpbcalc/data"
 one = Scalar.one()
 half = Scalar.from_fraction(Fraction(1, 2))
 
@@ -36,7 +47,7 @@ _POOLS = {}
 
 
 def _pool(name):
-    """(bundle, memoised flat pieces, mono_mul keys) on small monomials."""
+    """(bundle, memoised flat pieces, pairs of small monomials)."""
     if name not in _POOLS:
         cc = build_example(name).cc
         oa = cc.omega_A
@@ -44,7 +55,8 @@ def _pool(name):
                  + [((), F) for F in oa.basis_forms(1)])
         pairs = list(itertools.product(monos, repeat=2))
         pieces = []
-        for key in pairs:
+        for m1, m2 in pairs:
+            key = (oa.intern(m1), oa.intern(m2))
             pieces += [chi_piece(cc, key), sigma_piece(cc, key),
                        sigma_inv_piece(cc, key)]
         pieces += list(cc._taubul_cache.values())
@@ -142,7 +154,10 @@ def test_flat_sums_and_products_match_the_scalar_path(case):
     by_key = {}
     for (key, e), a in prod.items():
         by_key.setdefault(key, []).append((e, a))
-    got = {k: from_flat(pairs) for k, pairs in by_key.items()}
+    # the flat keys hold monomial ids; read them back leg by leg
+    key1, key2 = p1._id_to_key(), p2._id_to_key()
+    got = {(key1(k1), key2(k2)): from_flat(pairs)
+           for (k1, k2), pairs in by_key.items()}
     assert {k: c for k, c in got.items() if c} == want
     # mono_mul tables against the unmemoised Scalar product, and a product
     # of two tables scaled by a unit and its inverse, which cancels the
@@ -152,7 +167,7 @@ def test_flat_sums_and_products_match_the_scalar_path(case):
     ((ue, _),), ((uie, _),) = flat_coeff(u), flat_coeff(ui)
     assert ue + uie == 0
     for m1, m2 in tables:
-        table = oa.mono_mul(m1, m2)
+        table = oa.mono_mul(oa.intern(m1), oa.intern(m2))
         ref = {}
         oa._expand(ref, m1, m2, one)
         assert Element(oa, dict(table), flat=True) == Element(oa, ref)
@@ -195,3 +210,100 @@ def test_packed_exponents_out_of_range_raise():
     ((e, _),) = flat_coeff(Scalar.param("q", _EXP_LIMIT - 1))
     with pytest.raises(ScalarError):
         from_flat([(e << 15, 1)])
+
+
+# -- monomial ids: the keys of the flat mode ---------------------------------------
+
+
+def _small_monomials(calc):
+    """The unit, the generators and the basis forms of degree <= 2."""
+    return ([UNIT] + [((g.name,), ()) for g in calc.pres.generators]
+            + [((), F) for k in (1, 2) for F in calc.basis_forms(k)])
+
+
+@st.composite
+def _tensors(draw):
+    """A Scalar-mode two- or three-leg tensor over the calculi of a bundle,
+    and a flat one of all-int terms on ids its legs have given."""
+    name = draw(st.sampled_from(sorted(BUNDLES)))
+    names = BUNDLES[name]
+    cc = _pool(name)[0]
+    oa, oh = cc.omega_A, cc.omega_H
+    legs = draw(st.sampled_from([(oa, oh), (oa, oa), (oa, oa, oh),
+                                 (oh, oa, oa)]))
+    keys = st.tuples(*[st.sampled_from(_small_monomials(leg)) for leg in legs])
+    x = GradedTensor(legs, draw(st.dictionaries(
+        keys, _coefficients(names).filter(bool), min_size=1, max_size=5)))
+    ids = st.tuples(*[st.sampled_from(range(len(leg.monos))) for leg in legs])
+    exps = st.sampled_from([e for n in names for k in (-2, 0, 3)
+                            for e, _ in flat_coeff(Scalar.param(n, k))])
+    flat = GradedTensor(legs, draw(st.dictionaries(
+        st.tuples(ids, exps), st.integers(-3, 3).filter(bool), max_size=5)),
+        flat=True)
+    return x, flat
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tensors())
+def test_sums_round_trip_through_monomial_ids(case):
+    x, flat = case
+    # Scalar -> flat -> Scalar keeps every monomial and coefficient
+    there = x.to_flat()
+    assert all(type(i) is int for (key, _) in there.terms for i in key)
+    assert there.to_scalar().terms == x.terms
+    assert there == x and str(there) == str(x)
+    # flat -> Scalar -> flat gives back the same ids and int terms
+    back = flat.to_scalar()
+    assert all(m in leg.mono_id for key in back.terms
+               for leg, m in zip(flat.legs, key))
+    assert back.to_flat().terms == flat.terms
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_an_id_means_its_own_calculus_monomial(name):
+    cc = _pool(name)[0]
+    oa, oh = cc.omega_A, cc.omega_H
+    shared = range(min(len(oa.monos), len(oh.monos)))
+    assert any(oa.monos[i] != oh.monos[i] for i in shared)
+    for i in shared:
+        a = Element(oa, {(i, 0): 1}, flat=True)
+        h = Element(oh, {(i, 0): 1}, flat=True)
+        assert a != h and h != a
+        assert a.to_scalar().terms == {oa.monos[i]: one}
+        assert h.to_scalar().terms == {oh.monos[i]: one}
+        # the same id key on legs of other calculi
+        ah = GradedTensor((oa, oh), {((i, i), 0): 1}, flat=True)
+        aa = GradedTensor((oa, oa), {((i, i), 0): 1}, flat=True)
+        assert ah != aa and aa != ah
+    # id 0 is the unit in both, and the units still differ
+    assert oa.monos[0] == oh.monos[0] == UNIT
+    assert oa.unit().to_flat() != oh.unit().to_flat()
+
+
+def _torus_values(cc):
+    """chi, sigma and sigma^-1 of torus raw pairs, as Scalar terms."""
+    oa = cc.omega_A
+    forms = [oa.of_poly(NCPoly.gen("u")), oa.form("du"),
+             oa.form("dv") + oa.of_poly(NCPoly.gen("vi"))]
+    out = []
+    for x, y in itertools.product(forms, repeat=2):
+        pair = GradedTensor.of((oa, oa), x, y)
+        for apply in (chi_bullet, sigma_bullet, sigma_bullet_inv):
+            out.append(apply(cc, pair.to_flat()).to_scalar().terms)
+    return out
+
+
+def test_a_later_bundle_leaves_earlier_ids_alone():
+    # ids are given per calculus: a podles bundle built and run after a
+    # torus one in the same process changes no torus value
+    torus = parse((DATA / "torus.qpb").read_text(encoding="utf-8")).cc
+    before = _torus_values(torus)
+    monos = list(torus.omega_A.monos)
+    podles = parse((DATA / "podles.qpb").read_text(encoding="utf-8")).cc
+    graded_identity_suite(podles, 2, "podles")
+    assert len(podles.omega_A.monos) > len(monos)
+    assert torus.omega_A.monos == monos
+    assert _torus_values(torus) == before
+    # a torus bundle of its own, built after podles, gives the same values
+    again = parse((DATA / "torus.qpb").read_text(encoding="utf-8")).cc
+    assert _torus_values(again) == before

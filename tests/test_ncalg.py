@@ -291,9 +291,11 @@ def test_memo_hit_returns_the_stored_object():
     # on the calculus: a product table and a coaction of a monomial
     cc = build_example("torus").cc
     oa = cc.omega_A
-    m = (("u",), ())
+    # both keyed by monomial ids
+    m = oa.intern((("u",), ()))
     assert oa.mono_mul(m, m) is oa.mono_mul(m, m)
-    assert cc._delta_mono(("v",), ()) is cc._delta_mono(("v",), ())
+    v = oa.intern((("v",), ()))
+    assert cc._delta_mono(v) is cc._delta_mono(v)
 
 
 def test_memo_keys_one_argument_by_it_and_two_by_the_pair():
@@ -303,11 +305,12 @@ def test_memo_keys_one_argument_by_it_and_two_by_the_pair():
     assert o._two_cache == {(("a",), ("b",)): y}
     cc = build_example("torus").cc
     oa = cc.omega_A
-    key = ((("u",), ()), (("v",), ()))
+    key = (oa.intern((("u",), ())), oa.intern((("v",), ())))
     piece = chi_piece(cc, key)
     assert cc._chibul_cache[key] is piece
-    coact = cc._delta_mono(("u", "v"), ())
-    assert cc._delta_cache[(("u", "v"), ())] is coact
+    uv = oa.intern((("u", "v"), ()))
+    coact = cc._delta_mono(uv)
+    assert cc._delta_cache[uv] is coact
     acted = oa.act_word((), ("u",))
     assert oa._act_cache[((), ("u",))] is acted
     tau = cc.td.tau_word(("t",))

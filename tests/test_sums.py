@@ -65,8 +65,30 @@ def test_add_scaled_drops_cancelled_terms(kind):
     assert a.terms == {} and a.is_zero() and str(a) == "0"
 
 
+def test_flat_sums_compare_by_value():
+    # equal flat terms are equal sums; a carried Scalar and int terms of
+    # the same value are equal through the Scalar mode, and other values
+    # are not
+    a, _ = _sums("element")
+    flat = a.to_flat()
+    assert flat == flat._new(dict(flat.terms), True)
+    kb = a._key_to_id()(((), ("du",)))   # its coefficient is q + 1
+    carried = flat._new({k: c for k, c in flat.terms.items() if k[0] != kb},
+                        True)
+    carried.terms[kb, 0] = q + one
+    assert carried.terms != flat.terms
+    assert carried == flat and flat == carried and carried == a
+    carried.terms[kb, 0] = q + half
+    assert carried != flat and flat != carried
+    # the same keys as the int terms, one value carried
+    carried = flat._new(dict(flat.terms), True)
+    carried.terms[kb, 0] = half
+    assert carried.terms.keys() == flat.terms.keys()
+    assert carried != flat and flat != carried
+
+
 def _memo_snapshot(memo):
-    # a mono_mul table is a tuple of flat ((monomial, e), c) terms
+    # a mono_mul table is a tuple of flat ((monomial id, e), c) terms
     return {key: dict(getattr(value, "terms", value))
             for key, value in memo.items()}
 
@@ -116,7 +138,9 @@ def test_memoised_pieces_are_not_accumulators(which):
         apply(x._new({key: one}))
     before = _memo_snapshot(memo)
     if which != "mono_mul":
-        assert all(key in before for key in x.terms)
+        # the memos are keyed by monomial ids
+        to_id = x._key_to_id()
+        assert all(to_id(key) in before for key in x.terms)
     first = apply(x)
     second = apply(x)
     assert first == second
@@ -146,8 +170,10 @@ def _splice_reference(x, fn, slot, width):
 
 
 def _mapped_cases():
-    """(x, fn, slot, width, an empty Scalar sum for the result) for every
-    slot and width the package uses, on torus."""
+    """(x, fn, slot, width, an empty Scalar sum for the result, the map
+    from the legs fn reads to their id keys) for every slot and width the
+    package uses, on torus.  fn takes the id keys of a flat sum: monomial
+    ids on the graded types, the keys themselves on the others."""
     from qpbcalc.braidext import chi_piece, sigma_piece
 
     bundle = build_example("torus")
@@ -162,22 +188,24 @@ def _mapped_cases():
     x3 = oa.form("du") + u
     pair = GradedTensor.of((oa, oa), x1, x2)
     triple = GradedTensor.of((oa, oa, oa), x1, x2, x3)
-    delta = lambda m: cc._delta_mono(*m)
+    delta = cc._delta_mono
     sigma = functools.partial(sigma_piece, cc)
     chi = functools.partial(chi_piece, cc)
     g = lambda *legs: GradedTensor(legs)
+    same = lambda key: key
+    pair_ids = lambda key: (oa.intern(key[0]), oa.intern(key[1]))
     return {
-        "coproduct": (h, H._delta_word, None, 1, TensorPoly((Hb, Hb))),
-        "antipode": (h, H._s_word, None, 1, NCPoly()),
-        "chi": (pair, chi, None, 1, g(oa, oh)),
-        "coassoc-0": (dh, H._delta_word, 0, 1, TensorPoly((Hb,) * 3)),
-        "coassoc-1": (dh, H._delta_word, 1, 1, TensorPoly((Hb,) * 3)),
-        "delta-0": (triple, delta, 0, 1, g(oa, oh, oa, oa)),
-        "delta-1": (triple, delta, 1, 1, g(oa, oa, oh, oa)),
-        "delta-2": (triple, delta, 2, 1, g(oa, oa, oa, oh)),
-        "sigma-0": (triple, sigma, 0, 2, g(oa, oa, oa)),
-        "sigma-1": (triple, sigma, 1, 2, g(oa, oa, oa)),
-        "chi-1": (triple, chi, 1, 2, g(oa, oa, oh)),
+        "coproduct": (h, H._delta_word, None, 1, TensorPoly((Hb, Hb)), same),
+        "antipode": (h, H._s_word, None, 1, NCPoly(), same),
+        "chi": (pair, chi, None, 1, g(oa, oh), pair_ids),
+        "coassoc-0": (dh, H._delta_word, 0, 1, TensorPoly((Hb,) * 3), same),
+        "coassoc-1": (dh, H._delta_word, 1, 1, TensorPoly((Hb,) * 3), same),
+        "delta-0": (triple, delta, 0, 1, g(oa, oh, oa, oa), oa.intern),
+        "delta-1": (triple, delta, 1, 1, g(oa, oa, oh, oa), oa.intern),
+        "delta-2": (triple, delta, 2, 1, g(oa, oa, oa, oh), oa.intern),
+        "sigma-0": (triple, sigma, 0, 2, g(oa, oa, oa), pair_ids),
+        "sigma-1": (triple, sigma, 1, 2, g(oa, oa, oa), pair_ids),
+        "chi-1": (triple, chi, 1, 2, g(oa, oa, oh), pair_ids),
     }
 
 
@@ -187,14 +215,18 @@ def _mapped_cases():
                                   "chi-1"])
 def test_add_mapped_is_the_written_out_splice(case):
     # every mix of modes of self, x and fn's values gives the written-out
-    # sum, in the mode of self
-    x, fn, slot, width, zero = _mapped_cases()[case]
-    want = _splice_reference(x, fn, slot, width)
+    # sum, in the mode of self; a Scalar self hands fn keys and a flat one
+    # id keys
+    x, fn, slot, width, zero, to_id = _mapped_cases()[case]
+    on_keys = lambda k: fn(to_id(k))
+    want = _splice_reference(x, on_keys, slot, width)
     assert want
     for x_in in (x.to_scalar(), x.to_flat()):
-        for fn_in in (lambda k: fn(k).to_scalar(), lambda k: fn(k).to_flat()):
-            for out in (zero._new({}), zero._new({}, True)):
-                got = out.add_mapped(x_in, fn_in, slot, width)
+        for mode in (lambda v: v.to_scalar(), lambda v: v.to_flat()):
+            for out, fn_out in ((zero._new({}), on_keys),
+                                (zero._new({}, True), fn)):
+                got = out.add_mapped(x_in, lambda k: mode(fn_out(k)), slot,
+                                     width)
                 assert got is out
                 assert got.to_scalar().terms == want
                 assert got == zero._new(dict(want))
