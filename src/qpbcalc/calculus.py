@@ -6,18 +6,29 @@ generators left past letters, and differential tables for generators and
 letters.  Higher basis forms are strictly increasing letter words; a single
 product covers algebra multiplication and the wedge.
 
-A monomial is a pair (w, F) of a coefficient word and a letter word.  The
-flat graded path keys each monomial by a small int id that its calculus
-gives (DiffCalculus.intern): id 0 is the unit ((), ()), and the others
-follow in the order the monomials are first met.
+A monomial is a pair (w, F) of a coefficient word and a letter word.  A
+form (Element) holds Scalars keyed by monomials.  A graded tensor
+(GradedTensor) is always flat (ncalg.FlatSum): it keys each monomial by a
+small int id that its calculus gives (DiffCalculus.intern), id 0 the unit
+((), ()) and the others in the order the monomials are first met, and
+reads the Koszul signs of its product and differential from the ids'
+degrees (DiffCalculus.mono_deg).
 """
 
 from __future__ import annotations
 
 from .linalg import kernel_on, span_witnesses
-from .ncalg import NCPoly, SparseSum, add_flat, add_term, memo
+from .ncalg import (
+    FlatSum,
+    NCPoly,
+    SparseSum,
+    add_flat,
+    add_term,
+    flat_of,
+    memo,
+)
 from .report import CheckReport, timed
-from .scalars import Scalar, flat_coeff, sign
+from .scalars import Scalar, sign
 
 
 UNIT = ((), ())   # the unit monomial: the empty word with no letters
@@ -38,15 +49,12 @@ class Element(SparseSum):
     __slots__ = ("calc",)
     _context = "calc"
 
-    def __init__(self, calc, terms=None, flat=False):
+    def __init__(self, calc, terms=None):
         self.calc = calc
-        SparseSum.__init__(self, terms, flat)
+        SparseSum.__init__(self, terms)
 
     def _key_to_id(self):
         return self.calc.intern
-
-    def _id_to_key(self):
-        return self.calc.monos.__getitem__
 
     def degrees(self):
         return {len(F) for _, F in self.terms}
@@ -56,10 +64,6 @@ class Element(SparseSum):
         if len(degs) > 1:
             raise CalculusError(f"inhomogeneous element: {self}")
         return degs.pop() if degs else 0
-
-    def homogeneous(self, k):
-        return Element(self.calc, {(w, F): c for (w, F), c in self.terms.items()
-                                   if len(F) == k})
 
     def coefficient_poly(self, F) -> NCPoly:
         out = NCPoly.zero()
@@ -230,14 +234,12 @@ class DiffCalculus:
     @memo("_mono_mul_cache")
     def mono_mul(self, i1, i2) -> tuple:
         """The memoised product of the monomials of ids i1 and i2, as a
-        tuple of flat terms ((id, e), c) (see ncalg.SparseSum): read-only,
+        tuple of flat terms ((id, e), c) (see ncalg.FlatSum): read-only,
         never an accumulator."""
         terms = {}
         monos = self.monos
         self._expand(terms, monos[i1], monos[i2], Scalar.one())
-        intern = self.intern
-        return tuple(((intern(m), e), a) for m, c in terms.items()
-                     for e, a in flat_coeff(c))
+        return tuple(flat_of(terms, self.intern).items())
 
     def product(self, *xs: Element) -> Element:
         out = self.unit()
@@ -280,11 +282,6 @@ class DiffCalculus:
 
     def d_poly(self, p: NCPoly) -> Element:
         return self.d(self.of_poly(p))
-
-    # -- public wedge table (derived from the letter model)
-
-    def wedge_table(self, f1, f2) -> Element:
-        return self.mul(self.form(*_as_letters(f1)), self.form(*_as_letters(f2)))
 
     # -- expansions
 
@@ -369,42 +366,54 @@ class DiffCalculus:
         return f"DiffCalculus({self.name}, letters={self.letters})"
 
 
-def _as_letters(f):
-    return (f,) if isinstance(f, str) else tuple(f)
-
-
 # -- graded tensors over several calculi ----------------------------------------
 
 
-class GradedTensor(SparseSum):
-    """Sum of tensors of form monomials with Koszul-signed product."""
+class GradedTensor(FlatSum):
+    """Sum of tensors of form monomials with Koszul-signed product, flat:
+    terms map ((id, ...), e) -> int, one monomial id per leg."""
 
     __slots__ = ("legs",)
     _context = "legs"
-    __hash__ = None
 
-    def __init__(self, legs, terms=None, flat=False):
+    def __init__(self, legs, terms=None):
         self.legs = tuple(legs)
-        SparseSum.__init__(self, terms, flat)
+        FlatSum.__init__(self, terms)
 
     @staticmethod
-    def zero(legs, flat=False):
-        return GradedTensor(legs, flat=flat)
+    def zero(legs):
+        return GradedTensor(legs)
 
     @staticmethod
     def unit(legs):
-        return GradedTensor(legs, {(UNIT,) * len(legs): Scalar.one()})
+        return GradedTensor(legs, {((UNIT_ID,) * len(legs), 0): 1})
+
+    @staticmethod
+    def from_scalars(legs, terms):
+        """The tensor of Scalar terms {(monomial, ...): Scalar}."""
+        out = GradedTensor(legs)
+        out.terms = flat_of(terms, out._key_to_id())
+        return out
 
     @staticmethod
     def degree_zero(legs, t):
         """The TensorPoly t read as a tensor of degree-0 forms."""
-        return GradedTensor(legs, {tuple((w, ()) for w in key): c
-                                   for key, c in t.terms.items()})
+        return GradedTensor.from_scalars(legs, {
+            tuple((w, ()) for w in key): c for key, c in t.terms.items()})
 
     @staticmethod
     def of(legs, *elements):
         """Pure tensor of (independent) graded elements."""
-        return GradedTensor(legs).add_product(elements, Scalar.one())
+        partial = [((), 0, 1)]
+        for leg, x in zip(legs, elements):
+            assert x.calc is leg
+            items = x.flat_terms().items()
+            partial = [(k + (m,), e + e2, c * c2)
+                       for k, e, c in partial for (m, e2), c2 in items]
+        terms = {}
+        for k, e, c in partial:
+            add_flat(terms, (k, e), c)
+        return GradedTensor(legs, terms)
 
     def _key_to_id(self):
         interns = [leg.intern for leg in self.legs]
@@ -416,14 +425,13 @@ class GradedTensor(SparseSum):
 
     def wedge(self, other) -> "GradedTensor":
         """(x1 (x) ... (x) xn)(y1 (x) ... (x) yn) with Koszul signs, read
-        from the flat mono_mul tables and the legs' id degrees; the result
-        is flat if either factor is."""
+        from the flat mono_mul tables and the legs' id degrees."""
         assert self.legs == other.legs
         legs = self.legs
         mono_degs = [leg.mono_deg for leg in legs]
-        right = other.to_flat().terms.items()
+        right = other.terms.items()
         terms = {}
-        for (key1, e1), c1 in self.to_flat().terms.items():
+        for (key1, e1), c1 in self.terms.items():
             degs1 = [d[i] for d, i in zip(mono_degs, key1)]
             for (key2, e2), c2 in right:
                 degs2 = [d[i] for d, i in zip(mono_degs, key2)]
@@ -437,33 +445,36 @@ class GradedTensor(SparseSum):
                                for (m, e3), a3 in leg.mono_mul(m1, m2)]
                 for k, e, a in partial:
                     add_flat(terms, (k, e), a)
-        out = GradedTensor(legs, terms, flat=True)
-        return out if self.flat or other.flat else out.to_scalar()
+        return GradedTensor(legs, terms)
 
     def d(self) -> "GradedTensor":
-        """Tensor differential with graded Leibniz signs across legs."""
-        out = GradedTensor(self.legs)
-        for key, c in self.to_scalar().terms.items():
-            degs = [len(F) for _, F in key]
-            for i, leg in enumerate(self.legs):
-                s = sign(sum(degs[:i]))
-                dx = leg.d(Element(leg, {key[i]: Scalar.one()}))
-                for mono, c2 in dx.terms.items():
-                    add_term(out.terms, key[:i] + (mono,) + key[i + 1:],
-                             c * c2 * s)
-        return out
+        """Tensor differential with graded Leibniz signs across legs; each
+        leg's differential of a monomial is taken once per call."""
+        legs = self.legs
+        dleg = [{} for _ in legs]
+        terms = {}
+        for (key, e), c in self.terms.items():
+            odd = 0
+            for i, leg in enumerate(legs):
+                m = key[i]
+                dm = dleg[i].get(m)
+                if dm is None:
+                    dx = leg.d(Element(leg, {leg.monos[m]: Scalar.one()}))
+                    dm = dleg[i][m] = dx.flat_terms().items()
+                cs = -c if odd else c
+                pre, post = key[:i], key[i + 1:]
+                for (m2, e2), c2 in dm:
+                    add_flat(terms, (pre + (m2,) + post, e + e2), cs * c2)
+                odd ^= leg.mono_deg[m] & 1
+        return GradedTensor(legs, terms)
 
     def component(self, degrees) -> "GradedTensor":
+        """The terms whose legs have the given degrees."""
         degrees = tuple(degrees)
+        mono_degs = [leg.mono_deg for leg in self.legs]
         return GradedTensor(self.legs, {
-            key: c for key, c in self.terms.items()
-            if tuple(len(F) for _, F in key) == degrees})
-
-    def bidegrees(self):
-        return {tuple(len(F) for _, F in key) for key in self.terms}
-
-    def leg_element(self, key, i) -> Element:
-        return Element(self.legs[i], {key[i]: Scalar.one()})
+            (key, e): c for (key, e), c in self.terms.items()
+            if tuple([d[i] for d, i in zip(mono_degs, key)]) == degrees})
 
     @staticmethod
     def _key_str(key):
@@ -599,20 +610,19 @@ def to_lambda(calc: DiffCalculus, x: Element) -> dict:
 def bc_coproduct(calc: DiffCalculus, x: Element) -> GradedTensor:
     """Right-plus-left coaction extension of the comultiplication."""
     hopf = calc.hopf
-    legs = (calc, calc)
-    out = GradedTensor.zero(legs)
+    terms = {}
     for (w, F), c in x.terms.items():
         if not F:
             for (w1, w2), c2 in hopf._delta_word(w).terms.items():
-                add_term(out.terms, (((w1), ()), ((w2), ())), c * c2)
+                add_term(terms, (((w1), ()), ((w2), ())), c * c2)
             continue
         rt = hopf.base.normal_word(w + right_tag(calc, F))
         for wr, cr in rt.terms.items():
-            add_term(out.terms, ((w, F), (wr, ())), c * cr)
+            add_term(terms, ((w, F), (wr, ())), c * cr)
         lt = hopf.base.normal_word(w + left_tag(calc, F))
         for wl, cl in lt.terms.items():
-            add_term(out.terms, ((wl, ()), (w, F)), c * cl)
-    return out
+            add_term(terms, ((wl, ()), (w, F)), c * cl)
+    return GradedTensor.from_scalars((calc, calc), terms)
 
 
 def graded_antipode(calc: DiffCalculus, x: Element, inverse=False) -> Element:

@@ -138,7 +138,7 @@ def _gen_table(lines, params, evaluate):
 
 def _tensorpoly(gt: GradedTensor, legs) -> TensorPoly:
     out = TensorPoly.zero(legs)
-    for key, c in gt.terms.items():
+    for key, c in gt.scalar_terms().items():
         words = []
         for (w, F) in key:
             if F:
@@ -543,7 +543,7 @@ def _mono_str(mono):
 
 
 def _tensor_str(gt) -> str:
-    terms = getattr(gt, "terms", None)
+    terms = gt.scalar_terms()
     if not terms:
         return "0"
     parts = []

@@ -202,22 +202,6 @@ def _convolve(hopf, d: TensorPoly, anti_left: bool) -> NCPoly:
 
 # -- operation fronts ---------------------------------------------------------
 
-def coproduct(h: NCPoly, hopf: HopfPresentation) -> TensorPoly:
-    return hopf.coproduct(h)
-
-
-def antipode(h: NCPoly, hopf: HopfPresentation) -> NCPoly:
-    return hopf.antipode(h)
-
-
-def antipode_inv(h: NCPoly, hopf: HopfPresentation) -> NCPoly:
-    return hopf.antipode_inv(h)
-
-
-def pi_epsilon(h: NCPoly, hopf: HopfPresentation) -> NCPoly:
-    return hopf.pi_epsilon(h)
-
-
 def verify_hopf_axioms(hopf: HopfPresentation, max_word_len: int = 4,
                        example: str = "") -> CheckReport:
     return hopf.verify_hopf_axioms(max_word_len, example)

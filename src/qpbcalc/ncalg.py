@@ -6,14 +6,16 @@ smaller than lhs in the degree-lexicographic order induced by the declared
 generator order; reduction to normal form then terminates and, for the
 shipped presentations, is confluent (checked by critical-pair enumeration).
 
-SparseSum is the finite-sum arithmetic that NCPoly shares with the form
-(calculus.Element) and tensor (TensorPoly, GradedTensor) types.  Its
-coefficients are Scalars, or, in the flat mode the graded path uses, ints
-keyed by (id key, packed exponent) and accumulated with add_flat; a
-coefficient with no flat form rides along as a Scalar.  The id key of a
-form or graded tensor holds a small int for each monomial, given by its
-calculus (calculus.DiffCalculus.intern), so the graded path hashes ints,
-not nested tuples of words and letters.
+SparseSum is the finite-sum arithmetic of NCPoly and of the form
+(calculus.Element) and tensor (tensors.TensorPoly) types, whose
+coefficients are Scalars.  FlatSum, the sum type of the graded tensors
+(calculus.GradedTensor), keys ints by (id key, packed exponent) and
+accumulates them with add_flat; a coefficient with no flat form rides
+along as a Scalar.  The id key of a graded tensor holds a small int for
+each monomial, given by its calculus (calculus.DiffCalculus.intern), so
+the graded path hashes ints, not nested tuples of words and letters.  A
+Scalar sum enters the flat form by flat_terms and a flat sum leaves it by
+scalar_terms; flat_of and scalars_of are the two conversions.
 
 memo(attr) memoises a map given on monomials, fn(owner, a) or
 fn(owner, a, b), in the dict owner.<attr>, keyed by a or by (a, b).  The
@@ -136,28 +138,52 @@ def _splice_fixed(terms, items, fn, slot, width):
     if width == 1:
         if slot:
             for ((a, b), e), c in items:
-                v = fn(b)
-                v = v if v.flat else v.to_flat()
-                for ((p, q), e2), c2 in v.terms.items():
+                for ((p, q), e2), c2 in fn(b).terms.items():
                     add_flat(terms, ((a, p, q), e + e2), c * c2)
         else:
             for ((a, b), e), c in items:
-                v = fn(a)
-                v = v if v.flat else v.to_flat()
-                for ((p, q), e2), c2 in v.terms.items():
+                for ((p, q), e2), c2 in fn(a).terms.items():
                     add_flat(terms, ((p, q, b), e + e2), c * c2)
     elif slot:
         for ((a, b, d), e), c in items:
-            v = fn((b, d))
-            v = v if v.flat else v.to_flat()
-            for ((p, q), e2), c2 in v.terms.items():
+            for ((p, q), e2), c2 in fn((b, d)).terms.items():
                 add_flat(terms, ((a, p, q), e + e2), c * c2)
     else:
         for ((a, b, d), e), c in items:
-            v = fn((a, b))
-            v = v if v.flat else v.to_flat()
-            for ((p, q), e2), c2 in v.terms.items():
+            for ((p, q), e2), c2 in fn((a, b)).terms.items():
                 add_flat(terms, ((p, q, d), e + e2), c * c2)
+
+
+def _legs_of(slot, width):
+    """The getter of legs slot .. slot+width-1 of a key: the leg itself
+    when width is 1, a tuple of legs otherwise."""
+    return operator.itemgetter(slot if width == 1
+                               else slice(slot, slot + width))
+
+
+def flat_of(terms, to_id) -> dict:
+    """Scalar terms {key: Scalar} in the flat form {(to_id(key), e): c}
+    (see FlatSum); to_id is one-to-one."""
+    out = {}
+    for key, c in terms.items():
+        key = to_id(key)
+        for e, a in flat_coeff(c):
+            out[(key, e)] = a
+    return out
+
+
+def scalars_of(terms, to_key) -> dict:
+    """Flat terms {(id key, e): c} as Scalar terms {to_key(id key):
+    Scalar}, zeros left out: the inverse of flat_of."""
+    by_key = {}
+    for (key, e), c in terms.items():
+        by_key.setdefault(key, []).append((e, c))
+    out = {}
+    for key, pairs in by_key.items():
+        c = from_flat(pairs)
+        if c:
+            out[to_key(key)] = c
+    return out
 
 
 def _paren(cs, chars):
@@ -168,48 +194,26 @@ def _all_int(terms):
     return all(type(c) is int for c in terms.values())
 
 
-def _same_key(key):
-    return key
-
-
 class SparseSum:
-    """Finite sum key -> coefficient with zero coefficients absent.
+    """Finite sum key -> Scalar coefficient with zero coefficients absent.
 
-    The coefficients come in one of two modes.  In the Scalar mode terms
-    maps key -> Scalar.  In the flat mode (flat=True) terms maps (id key,
-    e) -> int, where e packs the exponent vector of a Laurent monomial
-    (scalars.flat_coeff), so a sum of Laurent polynomials with int
-    coefficients is accumulated with add_flat in machine ints.  A
-    coefficient that has no such form enters whole as a Scalar at e = 0
-    and is multiplied and added as a Scalar from then on.  to_flat and
-    to_scalar convert; a flat sum and a Scalar sum of the same value
-    compare equal and print the same.
-
-    The id key of a key is the key itself unless the subclass gives
-    _key_to_id and _id_to_key, its maps between the two: an Element's id
-    key is the int id of its monomial (w, F) in its calculus, and a
-    GradedTensor's the tuple of its legs' ids.  Ids are given per calculus,
-    so flat sums of different contexts never share a meaning for an id.
+    flat_terms gives the sum in the flat form of FlatSum (flat_of), each
+    key turned into its id key by the subclass's _key_to_id: an Element's
+    id key is the int id of its monomial (w, F) in its calculus.
 
     A subclass names the slot holding its context (the legs or the
     calculus) in _context; sums combine only within one context.  It also
     gives _key_str, the printed monomial of a key ("" for the unit), and
-    _sort_key, the printing order.  Accumulate with add_scaled, add_term or
-    add_flat only into a sum the caller built: memoised sums are handed out
-    shared.
+    _sort_key, the printing order.  Accumulate with add_scaled or add_term
+    only into a sum the caller built: memoised sums are handed out shared.
     """
 
-    __slots__ = ("terms", "flat")
+    __slots__ = ("terms",)
     _context = None
     _constant_paren = " /"
 
-    def __init__(self, terms=None, flat=False):
-        """A Scalar sum copies terms, leaving out zeros; a flat sum adopts
-        the dict terms as given."""
-        self.flat = flat
-        if flat:
-            self.terms = {} if terms is None else terms
-            return
+    def __init__(self, terms=None):
+        """A sum holding a copy of terms, zeros left out."""
         self.terms = {}
         if terms:
             for key, c in terms.items():
@@ -219,49 +223,22 @@ class SparseSum:
     def _ctx(self):
         return getattr(self, self._context) if self._context else None
 
-    def _new(self, terms, flat=False):
+    def _new(self, terms):
         """A sum in the same context holding the dict terms as given."""
         out = object.__new__(type(self))
         if self._context:
             setattr(out, self._context, getattr(self, self._context))
         out.terms = terms
-        out.flat = flat
         return out
 
-    def _key_to_id(self):
-        """The map from this sum's keys to its id keys."""
-        return _same_key
+    def flat_terms(self) -> dict:
+        """This sum's terms in the flat form {(id key, e): c} of FlatSum,
+        through the subclass's _key_to_id."""
+        return flat_of(self.terms, self._key_to_id())
 
-    def _id_to_key(self):
-        """The map from this sum's id keys to its keys."""
-        return _same_key
-
-    def to_flat(self):
-        """This sum in the flat mode (itself if it is flat)."""
-        if self.flat:
-            return self
-        to_id = self._key_to_id()
-        out = {}
-        for key, c in self.terms.items():
-            key = to_id(key)
-            for e, a in flat_coeff(c):
-                out[(key, e)] = a
-        return self._new(out, True)
-
-    def to_scalar(self):
-        """This sum in the Scalar mode (itself if it is one)."""
-        if not self.flat:
-            return self
-        by_key = {}
-        for (key, e), c in self.terms.items():
-            by_key.setdefault(key, []).append((e, c))
-        to_key = self._id_to_key()
-        out = {}
-        for key, pairs in by_key.items():
-            c = from_flat(pairs)
-            if c:
-                out[to_key(key)] = c
-        return self._new(out)
+    def scalar_terms(self) -> dict:
+        """This sum's terms {key: Scalar}: the dict itself, read-only."""
+        return self.terms
 
     def add_scaled(self, other, c=None):
         """self += c * other in place (c = 1 when None); returns self."""
@@ -269,15 +246,8 @@ class SparseSum:
         if c is not None and c.is_zero():
             return self
         terms = self.terms
-        if not self.flat:
-            if other.flat:
-                other = other.to_scalar()
-            for key, a in other.terms.items():
-                add_term(terms, key, a if c is None else a * c)
-            return self
-        for (key, e), a in other.to_flat().terms.items():
-            for e2, c2 in ((0, 1),) if c is None else flat_coeff(c):
-                add_flat(terms, (key, e + e2), a * c2)
+        for key, a in other.terms.items():
+            add_term(terms, key, a if c is None else a * c)
         return self
 
     def add_mapped(self, x, fn, slot=None, width=1):
@@ -288,53 +258,26 @@ class SparseSum:
         of x are tuples of legs, and fn maps legs slot .. slot+width-1 of a
         key, the leg itself when width is 1 and a tuple of legs otherwise,
         to a sum keyed by tuples of legs, spliced into the place of those
-        legs: id (x) fn (x) id.  A flat self reads x and the values of fn
-        flat and hands fn id keys (monomial ids, for the graded types); a
-        Scalar self reads them as Scalars and hands fn keys.  The values of
-        fn are taken as normal forms; nothing is reduced again."""
+        legs: id (x) fn (x) id.  The values of fn are taken as normal
+        forms; nothing is reduced again."""
         terms = self.terms
-        if slot is not None:
-            end = slot + width
-            legs = operator.itemgetter(slot if width == 1
-                                       else slice(slot, end))
-        if self.flat:
-            # the graded path's hot loops read a flat value of fn without
-            # calling to_flat, which costs about 60 ns a term (Python 3.11
-            # on a 2-core x86_64 VM)
-            items = x.to_flat().terms.items()
-            if slot is None:
-                for (key, e), c in items:
-                    v = fn(key)
-                    v = v if v.flat else v.to_flat()
-                    for (k2, e2), c2 in v.terms.items():
-                        add_flat(terms, (k2, e + e2), c * c2)
-                return self
-            if len(x._ctx()) - width == 1 and len(self._ctx()) == 3:
-                _splice_fixed(terms, items, fn, slot, width)
-                return self
-            for (key, e), c in items:
-                pre, post = key[:slot], key[end:]
-                v = fn(legs(key))
-                v = v if v.flat else v.to_flat()
-                for (k2, e2), c2 in v.terms.items():
-                    add_flat(terms, (pre + k2 + post, e + e2), c * c2)
-            return self
-        items = x.to_scalar().terms.items()
         if slot is None:
-            for key, c in items:
-                for k2, c2 in fn(key).to_scalar().terms.items():
+            for key, c in x.terms.items():
+                for k2, c2 in fn(key).terms.items():
                     add_term(terms, k2, c * c2)
             return self
-        for key, c in items:
+        end = slot + width
+        legs = _legs_of(slot, width)
+        for key, c in x.terms.items():
             pre, post = key[:slot], key[end:]
-            for k2, c2 in fn(legs(key)).to_scalar().terms.items():
+            for k2, c2 in fn(legs(key)).terms.items():
                 add_term(terms, pre + k2 + post, c * c2)
         return self
 
     def add_product(self, factors, coeff):
-        """self += coeff * (f_1 (x) ... (x) f_n) for a Scalar sum, keyed by
-        tuples of the factors' keys.  A factor is a Scalar sum or a tuple
-        of (key, coefficient) pairs."""
+        """self += coeff * (f_1 (x) ... (x) f_n), keyed by tuples of the
+        factors' keys.  A factor is a sum or a tuple of (key, coefficient)
+        pairs."""
         if coeff.is_zero():
             return self
         partial = [((), coeff)]
@@ -347,17 +290,15 @@ class SparseSum:
         return self
 
     def __add__(self, other):
-        return self._new(dict(self.terms), self.flat).add_scaled(other)
+        return self._new(dict(self.terms)).add_scaled(other)
 
     def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()}, self.flat)
+        return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: Scalar):
-        if self.flat:
-            return self._new({}, True).add_scaled(self, c)
         if c.is_zero():
             return self._new({})
         return self._new({k: a * c for k, a in self.terms.items()})
@@ -366,33 +307,20 @@ class SparseSum:
         return not self.terms
 
     def __eq__(self, other):
-        if type(other) is not type(self) or self._ctx() != other._ctx():
-            return False
-        if not (self.flat or other.flat):
-            return self.terms == other.terms
-        a, b = self.to_flat().terms, other.to_flat().terms
-        # equal flat terms are equal sums; only all-int flat terms are
-        # canonical, so unequal ones with a carried Scalar are compared in
-        # the Scalar mode
-        if a == b:
-            return True
-        if _all_int(a) and _all_int(b):
-            return False
-        return self.to_scalar().terms == other.to_scalar().terms
+        return (type(other) is type(self) and self._ctx() == other._ctx()
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self._ctx(),
-                     tuple(sorted(self.to_scalar().terms.items()))))
+        return hash((self._ctx(), tuple(sorted(self.terms.items()))))
 
     def __str__(self):
-        if self.flat:
-            return str(self.to_scalar())
-        if not self.terms:
+        terms = self.scalar_terms()
+        if not terms:
             return "0"
         parts = []
-        for key in sorted(self.terms, key=self._sort_key):
+        for key in sorted(terms, key=self._sort_key):
             body = self._key_str(key)
-            cs = str(self.terms[key])
+            cs = str(terms[key])
             if cs == "1":
                 parts.append(body or "1")
             elif cs == "-1":
@@ -407,6 +335,89 @@ class SparseSum:
         return out
 
     __repr__ = __str__
+
+
+class FlatSum(SparseSum):
+    """A SparseSum whose terms map (id key, e) -> int, in the flat form.
+
+    e packs the exponent vector of a Laurent monomial (scalars.flat_coeff),
+    so a sum of Laurent polynomials with int coefficients is accumulated
+    with add_flat in machine ints.  A coefficient that has no such form
+    enters whole as a Scalar at e = 0 and is multiplied and added as a
+    Scalar from then on.  A Scalar sum enters by its flat_terms; the id
+    keys are the monomial ids of the graded types
+    (calculus.DiffCalculus.intern), and ids are given per calculus, so
+    flat sums of different contexts never share a meaning for an id.
+
+    scalar_terms gives the sum as {key: Scalar} (scalars_of) through
+    _id_to_key, the inverse of _key_to_id: it is for reports, linear
+    algebra and printing.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, terms=None):
+        """A sum adopting the flat dict terms as given."""
+        self.terms = {} if terms is None else terms
+
+    def flat_terms(self) -> dict:
+        """This sum's own flat terms, read-only."""
+        return self.terms
+
+    def scalar_terms(self) -> dict:
+        """This sum's terms as a new dict {key: Scalar}."""
+        return scalars_of(self.terms, self._id_to_key())
+
+    def add_scaled(self, other, c=None):
+        """self += c * other in place (c = 1 when None); returns self."""
+        assert type(other) is type(self) and self._ctx() == other._ctx()
+        terms = self.terms
+        scale = ((0, 1),) if c is None else flat_coeff(c)
+        for (key, e), a in other.terms.items():
+            for e2, c2 in scale:
+                add_flat(terms, (key, e + e2), a * c2)
+        return self
+
+    def add_mapped(self, x, fn, slot=None, width=1):
+        """self += the linear extension of fn over the terms of x; returns
+        self.
+
+        As SparseSum.add_mapped, on the flat terms of x (a Scalar sum gives
+        its flat_terms): fn is handed id keys and gives flat sums."""
+        terms = self.terms
+        items = x.flat_terms().items()
+        if slot is None:
+            for (key, e), c in items:
+                for (k2, e2), c2 in fn(key).terms.items():
+                    add_flat(terms, (k2, e + e2), c * c2)
+            return self
+        if len(x._ctx()) - width == 1 and len(self._ctx()) == 3:
+            _splice_fixed(terms, items, fn, slot, width)
+            return self
+        end = slot + width
+        legs = _legs_of(slot, width)
+        for (key, e), c in items:
+            pre, post = key[:slot], key[end:]
+            for (k2, e2), c2 in fn(legs(key)).terms.items():
+                add_flat(terms, (pre + k2 + post, e + e2), c * c2)
+        return self
+
+    def scale(self, c: Scalar):
+        return self._new({}).add_scaled(self, c)
+
+    def __eq__(self, other):
+        if type(other) is not type(self) or self._ctx() != other._ctx():
+            return False
+        a, b = self.terms, other.terms
+        # equal flat terms are equal sums; only all-int flat terms are
+        # canonical, so unequal ones with a carried Scalar are compared as
+        # Scalars
+        if a == b:
+            return True
+        if _all_int(a) and _all_int(b):
+            return False
+        return self.scalar_terms() == other.scalar_terms()
 
 
 class NCPoly(SparseSum):

@@ -5,6 +5,10 @@ Hopf algebra.  The extended coaction is computed multiplicatively from
 per-letter tensor tables; well-definedness against every calculus relation
 is the completeness check.  Vertical forms are A (x) Lambda with the
 twisted product; horizontal and base forms are bidegree conditions.
+
+The coactions take forms and return flat graded tensors
+(calculus.GradedTensor); the vertical maps, the kernels and the checks
+that read coefficients take their scalar_terms.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ class QPBError(Exception):
 
 
 def _extend(legs, seed, letters) -> GradedTensor:
-    """Delta(w) ^ Delta(f_1) ^ ... ^ Delta(f_k), flat, from the word
-    coaction seed (a TensorPoly) and the letter coactions in order."""
-    acc = GradedTensor.degree_zero(legs, seed).to_flat()
+    """Delta(w) ^ Delta(f_1) ^ ... ^ Delta(f_k) from the word coaction seed
+    (a TensorPoly) and the letter coactions in order."""
+    acc = GradedTensor.degree_zero(legs, seed)
     for t in letters:
         acc = acc.wedge(t)
     return acc
@@ -58,8 +62,8 @@ def _letter_id(calc: DiffCalculus, f) -> int:
 
 @memo("_hdelta_cache")
 def _hdelta_mono(calc: DiffCalculus, i) -> GradedTensor:
-    """The memoised flat DGA extension of the comultiplication on the
-    monomial of id i of Omega(H); read-only.  A single letter's entry is
+    """The memoised DGA extension of the comultiplication on the monomial
+    of id i of Omega(H); read-only.  A single letter's entry is
     its table, sum Delta(a_i) d(Delta(b_i)) over the letter's expansion."""
     hopf = calc.hopf
     legs = (calc, calc)
@@ -67,7 +71,7 @@ def _hdelta_mono(calc: DiffCalculus, i) -> GradedTensor:
     if w or len(F) != 1:
         return _extend(legs, hopf._delta_word(w),
                        (_hdelta_mono(calc, _letter_id(calc, f)) for f in F))
-    acc = GradedTensor.zero(legs, flat=True)
+    acc = GradedTensor.zero(legs)
     for a, b in calc.expansion[F[0]]:
         acc.add_scaled(
             GradedTensor.degree_zero(legs, hopf.coproduct(a)).wedge(
@@ -78,16 +82,13 @@ def _hdelta_mono(calc: DiffCalculus, i) -> GradedTensor:
 def h_delta_letter_table(calc: DiffCalculus) -> dict:
     """Letter tables of the DGA extension of the comultiplication,
     Delta(letter) = sum Delta(a_i) d_x(Delta(b_i)) from the expansions."""
-    return {f: _hdelta_mono(calc, _letter_id(calc, f)).to_scalar()
-            for f in calc.letters}
+    return {f: _hdelta_mono(calc, _letter_id(calc, f)) for f in calc.letters}
 
 
 def h_complete_delta(calc: DiffCalculus, x: Element) -> GradedTensor:
-    """The DGA morphism extension of the comultiplication on Omega(H), in
-    the coefficient mode of x."""
-    out = GradedTensor.zero((calc, calc), flat=True).add_mapped(
+    """The DGA morphism extension of the comultiplication on Omega(H)."""
+    return GradedTensor.zero((calc, calc)).add_mapped(
         x, functools.partial(_hdelta_mono, calc))
-    return out if x.flat else out.to_scalar()
 
 
 # -- the bundle object ----------------------------------------------------------
@@ -117,14 +118,12 @@ class CompleteCalculus:
     # -- extended coaction
 
     def delta_bullet(self, x: Element) -> GradedTensor:
-        """The extended coaction, in the coefficient mode of x."""
-        out = GradedTensor.zero(self.legs, flat=True).add_mapped(
-            x, self._delta_mono)
-        return out if x.flat else out.to_scalar()
+        """The extended coaction."""
+        return GradedTensor.zero(self.legs).add_mapped(x, self._delta_mono)
 
     @memo("_delta_cache")
     def _delta_mono(self, i) -> GradedTensor:
-        """The memoised flat coaction of the monomial of id i of Omega(A);
+        """The memoised coaction of the monomial of id i of Omega(A);
         read-only."""
         w, F = self.omega_A.monos[i]
         return _extend(self.legs, self.ca._coact_word(w),
@@ -139,7 +138,7 @@ class CompleteCalculus:
     def pi_v(self, x: Element) -> dict:
         """Vertical projection into A (x) Lambda, keyed (word, letter word)."""
         out = {}
-        for key, c in self.delta_bullet(x).terms.items():
+        for key, c in self.delta_bullet(x).scalar_terms().items():
             (wa, fa), (wh, fh) = key
             if fa:
                 continue
@@ -210,7 +209,7 @@ class CompleteCalculus:
         for (w, F), c in x.items():
             g = h_complete_delta(oh, lambda_element(oh, F))
             bucket = {}
-            for ((w1, F1), (w2, F2)), c2 in g.terms.items():
+            for ((w1, F1), (w2, F2)), c2 in g.scalar_terms().items():
                 piece = bucket.setdefault((w2, F2), Element(oh))
                 add_term(piece.terms, (w1, F1), c2)
             for (w2, F2), piece in bucket.items():
@@ -226,7 +225,10 @@ class CompleteCalculus:
     # -- membership predicates
 
     def is_horizontal(self, x: Element) -> bool:
-        return all(l == 0 for _, l in self.delta_bullet(x).bidegrees())
+        """Whether no term of the extended coaction of x has an Omega(H)
+        leg of positive degree."""
+        deg = self.omega_H.mono_deg
+        return all(deg[h] == 0 for (_, h), _ in self.delta_bullet(x).terms)
 
     def is_base(self, x: Element) -> bool:
         want = GradedTensor.of(self.legs, x, self.omega_H.unit())
@@ -247,8 +249,8 @@ class CompleteCalculus:
         the kernel of Delta - id (x) 1."""
         def image(m):
             x = self.element_of(*m)
-            return dict((self.delta_bullet(x) - GradedTensor.of(
-                self.legs, x, self.omega_H.unit())).terms)
+            return (self.delta_bullet(x) - GradedTensor.of(
+                self.legs, x, self.omega_H.unit())).scalar_terms()
         return [Element(self.omega_A, combo) for combo in
                 kernel_on(self.omega_basis(degree, max_word_len), image)]
 
@@ -258,7 +260,7 @@ class CompleteCalculus:
         extended coaction whose Omega(H) leg has letters."""
         return kernel_on(self.omega_basis(degree, max_word_len), lambda m: {
             key: c for key, c in
-            self.delta_bullet(self.element_of(*m)).terms.items()
+            self.delta_bullet(self.element_of(*m)).scalar_terms().items()
             if key[1][1]})
 
     # -- suites --------------------------------------------------------------
@@ -278,7 +280,7 @@ class CompleteCalculus:
                     lhs = self.delta_bullet(
                         oa.mul(oa.form(f), oa.of_poly(NCPoly.gen(g.name))))
                     gen = self._delta_mono(oa.intern(((g.name,), ())))
-                    rhs = self.delta_letter[f].wedge(gen.to_scalar())
+                    rhs = self.delta_letter[f].wedge(gen)
                     rep.record(lhs == rhs, f"raction({f},{g.name})",
                                "equal", "mismatch",
                                ref="coaction respects the bimodule relations")
@@ -293,8 +295,7 @@ class CompleteCalculus:
             # differential compatibility
             for g in self.ca.A.generators:
                 lhs = self.delta_bullet(oa.d_gen[g.name])
-                rhs = self._delta_mono(
-                    oa.intern(((g.name,), ()))).to_scalar().d()
+                rhs = self._delta_mono(oa.intern(((g.name,), ()))).d()
                 rep.record(lhs == rhs, f"d({g.name})", "equal", "mismatch",
                            ref="coaction intertwines the differentials")
             for f in oa.letters:
@@ -308,16 +309,16 @@ class CompleteCalculus:
                 x = oa.form(f)
                 dx = self.delta_bullet(x)
                 collapsed = Element(oa)
-                for ((wa, fa), (wh, fh)), c in dx.terms.items():
+                for ((wa, fa), (wh, fh)), c in dx.scalar_terms().items():
                     if fh:
                         continue
                     e = oh.hopf.counit(NCPoly.word(wh))
                     add_term(collapsed.terms, (wa, fa), c * e)
                 rep.record(collapsed == x, f"counit({f})", str(x),
                            str(collapsed), ref="(id (x) eps) Delta = id")
-                lhs3 = GradedTensor.zero(legs3, flat=True).add_mapped(
+                lhs3 = GradedTensor.zero(legs3).add_mapped(
                     dx, self._delta_mono, slot=0)
-                rhs3 = GradedTensor.zero(legs3, flat=True).add_mapped(
+                rhs3 = GradedTensor.zero(legs3).add_mapped(
                     dx, functools.partial(_hdelta_mono, oh), slot=1)
                 rep.record(lhs3 == rhs3, f"coassoc({f})", "equal", "mismatch",
                            ref="coaction square commutes")
@@ -429,7 +430,7 @@ class CompleteCalculus:
             for x in items:
                 lhs = {}
                 for ((wa, fa), (wh, fh)), c in \
-                        self.delta_bullet(x).terms.items():
+                        self.delta_bullet(x).scalar_terms().items():
                     piv = self.pi_v(self.element_of(wa, fa))
                     for vkey, c2 in piv.items():
                         add_term(lhs, (vkey, (wh, fh)), c * c2)

@@ -205,12 +205,12 @@ def test_sigma_inverse_graded(podles):
 
 def wedge_otimes_b(cc, x, y):
     """(omega (x) omega')(eta (x) eta') = omega ^ sigma(omega' (x) eta) ^ eta',
-    flat, from the memoised sigma pieces."""
+    from the memoised sigma pieces."""
     oa = cc.omega_A
     legs = (oa, oa)
-    out = GradedTensor.zero(legs, flat=True)
-    for ((a1, a2), e1), c1 in x.to_flat().terms.items():
-        for ((b1, b2), e2), c2 in y.to_flat().terms.items():
+    out = GradedTensor.zero(legs)
+    for ((a1, a2), e1), c1 in x.terms.items():
+        for ((b1, b2), e2), c2 in y.terms.items():
             add_lift(out.terms, legs, a1, sigma_piece(cc, (a2, b1)), b2,
                      e1 + e2, c1 * c2)
     return out
@@ -270,15 +270,15 @@ def test_chi_intertwines_differential(torus):
 def test_equal_raw_terms_are_equal_without_chi(torus):
     cc = torus.cc
     oa = cc.omega_A
-    raw = raw_pair(cc, oa.form("du"), oa.of_poly(NCPoly.gen("v"))).to_flat()
-    same = GradedTensor(raw.legs, dict(raw.terms), flat=True)
+    raw = raw_pair(cc, oa.form("du"), oa.of_poly(NCPoly.gen("v")))
+    same = GradedTensor(raw.legs, dict(raw.terms))
     a, b = GradedBalancedTensor(cc, raw=raw), GradedBalancedTensor(cc, raw=same)
     assert a == b and a._canonical is None and b._canonical is None
     # unequal raw terms are compared on their chi images: the braiding
     # moves u (x) v, and its inverse brings it back to another raw pair of
     # the same class
     pair = raw_pair(cc, oa.of_poly(NCPoly.gen("u")),
-                    oa.of_poly(NCPoly.gen("v"))).to_flat()
+                    oa.of_poly(NCPoly.gen("v")))
     moved = sigma_bullet(cc, pair)
     back = sigma_bullet_inv(cc, moved)
     assert moved.terms != pair.terms and back.terms != pair.terms
@@ -337,14 +337,16 @@ def _nested_canonical_triple(cc, t3):
     inner term, each key wrapped in a one-term tensor."""
     oa, oh = cc.omega_A, cc.omega_H
     legs2 = (oa, oa)
-    out = GradedTensor.zero((oa, oh, oh))
-    for (m1, m2, m3), c in t3.terms.items():
-        inner = chi_bullet(cc, GradedTensor(legs2, {(m2, m3): one}))
-        for (p, th), c2 in inner.terms.items():
-            outer = chi_bullet(cc, GradedTensor(legs2, {(m1, p): one}))
-            for (x0, x1), c3 in outer.terms.items():
-                add_term(out.terms, (x0, x1, th), c * c2 * c3)
-    return out
+    out = {}
+    for (m1, m2, m3), c in t3.scalar_terms().items():
+        inner = chi_bullet(cc, GradedTensor.from_scalars(legs2,
+                                                         {(m2, m3): one}))
+        for (p, th), c2 in inner.scalar_terms().items():
+            outer = chi_bullet(cc, GradedTensor.from_scalars(legs2,
+                                                             {(m1, p): one}))
+            for (x0, x1), c3 in outer.scalar_terms().items():
+                add_term(out, (x0, x1, th), c * c2 * c3)
+    return GradedTensor.from_scalars((oa, oh, oh), out)
 
 
 @pytest.mark.parametrize("name", ["torus", "podles"])
@@ -409,8 +411,8 @@ def test_flipped_mono_mul_entry_fails_the_graded_suite():
 def _wedge_lift(legs, p, t, q, c):
     """c (p (x) 1) t (1 (x) q) as first written: each monomial wrapped in a
     one-term tensor and multiplied in by GradedTensor.wedge."""
-    left = GradedTensor(legs, {(p, UNIT): one})
-    right = GradedTensor(legs, {(UNIT, q): one})
+    left = GradedTensor.from_scalars(legs, {(p, UNIT): one})
+    right = GradedTensor.from_scalars(legs, {(UNIT, q): one})
     return left.wedge(t).wedge(right).scale(c)
 
 
@@ -431,7 +433,7 @@ def _assert_lifts_match(tensors, c, two_sided=True):
             pairs = [(p, UNIT) for p in ps] + [(UNIT, q) for q in qs]
         for p, q in pairs:
             # add_lift takes monomial ids
-            got = GradedTensor.zero(t.legs, flat=True)
+            got = GradedTensor.zero(t.legs)
             for e, a in flat_coeff(c):
                 add_lift(got.terms, t.legs, left.intern(p), t,
                          right.intern(q), e, a)
@@ -462,21 +464,21 @@ def test_non_laurent_coefficients_fall_back_to_scalars(torus):
     cc = torus.cc
     oa = cc.omega_A
     rational = one / (L + one)
-    x = GradedTensor((oa, oa), {
+    terms = {
         ((("u",), ()), ((), ("dv",))): -L / 2,
         (((), ("du",)), (("v",), ())): rational,
-        ((("v",), ()), (("u",), ())): L * L - Li})
+        ((("v",), ()), (("u",), ())): L * L - Li}
+    x = GradedTensor.from_scalars((oa, oa), terms)
     for apply, piece in ((chi_bullet, chi_piece), (sigma_bullet, sigma_piece),
                          (sigma_bullet_inv, sigma_inv_piece)):
         got = apply(cc, x)
-        assert not got.flat and apply(cc, x.to_flat()).flat
-        want = GradedTensor.zero(got.legs)
-        for key, c in x.terms.items():
+        want = {}
+        for key, c in terms.items():
             ids = _id_pair(oa, *key)
-            for k2, c2 in piece(cc, ids).to_scalar().terms.items():
-                add_term(want.terms, k2, c * c2)
+            for k2, c2 in piece(cc, ids).scalar_terms().items():
+                add_term(want, k2, c * c2)
+        want = GradedTensor.from_scalars(got.legs, want)
         assert got == want and str(got) == str(want)
-        assert any(not c.unit_den for c in got.terms.values())
-    flat = x.to_flat()
-    assert flat.terms[_id_pair(oa, ((), ("du",)), (("v",), ())), 0] is rational
-    assert flat.to_scalar().terms == x.terms
+        assert any(not c.unit_den for c in got.scalar_terms().values())
+    assert x.terms[_id_pair(oa, ((), ("du",)), (("v",), ())), 0] is rational
+    assert x.scalar_terms() == terms

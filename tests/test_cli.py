@@ -164,11 +164,26 @@ def test_unknown_example_exit_2(capsys):
     assert exc.value.code == 2
 
 
+BRAIDS = [
+    ("torus", "du", "dv", "-L^-1*dv(x)du", "-u*dv(x)dt + du*dv(x)t"),
+    ("podles", "ep", "alpha",
+     "(-1 - q^-2)*beta*ep(x)gamma*alpha + q^-1*delta*ep(x)alpha*alpha"
+     " + q^-1*beta*beta*alpha*ep(x)gamma*gamma"
+     " + (-q^-1 - q^-3)*beta*beta*gamma*ep(x)gamma*alpha"
+     " + q^-2*beta*gamma*delta*ep(x)alpha*alpha",
+     "q*alpha*ep(x)t*t"),
+]
+
+
 def test_braid(capsys):
-    code, out, _ = run(capsys, "braid", "--example", "torus",
-                       "--lhs", "du", "--rhs", "dv")
-    assert code == 0
-    assert "-L^-1*dv(x)du" in out
+    # the whole output: the raw braiding and its canonical image
+    for example, lhs, rhs, raw, canonical in BRAIDS:
+        code, out, err = run(capsys, "braid", "--example", example,
+                             "--lhs", lhs, "--rhs", rhs)
+        assert code == 0 and err == ""
+        assert out == (f"sigma({lhs} (x) {rhs}) =\n"
+                       f"  raw:       {raw}\n"
+                       f"  canonical: {canonical}\n")
 
 
 def test_table_braiding_json(capsys):

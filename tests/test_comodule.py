@@ -374,15 +374,15 @@ def test_graded_maps_restrict_to_degree_zero_maps(name):
     hwords = list(H.irreducible_words(2))
     for wh in hwords:
         got = tau_bullet(cc, oh.of_poly(NCPoly.word(wh)))
-        assert got.terms == _degree_zero(td.tau_word(wh)), wh
+        assert got.scalar_terms() == _degree_zero(td.tau_word(wh)), wh
     for w1, w2 in itertools.product(awords, repeat=2):
         x = TensorPoly.from_polys((A, A), NCPoly.word(w1), NCPoly.word(w2))
-        gx = GradedTensor((oa, oa), _degree_zero(x))
-        assert (sigma_bullet(cc, gx).terms
+        gx = GradedTensor.from_scalars((oa, oa), _degree_zero(x))
+        assert (sigma_bullet(cc, gx).scalar_terms()
                 == _degree_zero(sigma(BalancedTensor(ca, raw=x), td).raw))
-        assert chi_bullet(cc, gx).terms == _degree_zero(chi(ca, x))
+        assert chi_bullet(cc, gx).scalar_terms() == _degree_zero(chi(ca, x))
     for wa, wh in itertools.product(awords, hwords):
         y = TensorPoly.from_polys((A, H), NCPoly.word(wa), NCPoly.word(wh))
-        gy = GradedTensor((oa, oh), _degree_zero(y))
-        assert (chi_bullet_inv(cc, gy).raw.terms
+        gy = GradedTensor.from_scalars((oa, oh), _degree_zero(y))
+        assert (chi_bullet_inv(cc, gy).raw.scalar_terms()
                 == _degree_zero(chi_inv(ca, td, y).raw)), (wa, wh)

@@ -7,7 +7,9 @@ random coefficients, multiplied leg-wise and summed in the flat form
 result must equal the same arithmetic done on their Scalar forms.  The
 coefficients include negative exponents, units that cancel a parameter
 down to a constant, and coefficients with no flat form (a Fraction, a
-non-unit denominator), which are carried whole as Scalars.
+non-unit denominator), which are carried whole as Scalars.  The graded
+tensor's own constructors, differential, components, equality and printing
+are checked against plain {key: Scalar} references in the same way.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from qpbcalc.braidext import (
 from qpbcalc.calculus import UNIT, Element, GradedTensor
 from qpbcalc.examples import build_example
 from qpbcalc.fileformat import parse
-from qpbcalc.ncalg import NCPoly, add_flat, add_term
+from qpbcalc.ncalg import NCPoly, SparseSum, add_flat, add_term, scalars_of
 from qpbcalc.scalars import (
     Scalar,
     ScalarError,
@@ -102,9 +104,27 @@ def _scaled_flat(piece, c):
 
 def _scaled_scalar(piece, c):
     out = {}
-    for key, a in piece.to_scalar().terms.items():
+    for key, a in piece.scalar_terms().items():
         add_term(out, key, a * c)
     return out
+
+
+def _monomials(calc, flat):
+    """Flat terms {(monomial id, e): c} of calc as Scalar terms."""
+    return scalars_of(flat, calc.monos.__getitem__)
+
+
+class _RefTensor(SparseSum):
+    """Scalar terms keyed by tuples of monomials, printed as a graded
+    tensor: the reference for GradedTensor's str."""
+
+    __slots__ = ()
+    _key_str = staticmethod(GradedTensor._key_str)
+    _sort_key = staticmethod(GradedTensor._sort_key)
+
+
+def _ref_str(terms):
+    return str(_RefTensor(terms))
 
 
 @st.composite
@@ -129,17 +149,19 @@ def test_flat_sums_and_products_match_the_scalar_path(case):
     for piece, c in items:
         by_legs.setdefault(piece.legs, []).append((piece, c))
     for legs, group in by_legs.items():
-        flat = GradedTensor(legs, flat=True)
-        want = GradedTensor(legs)
+        flat = GradedTensor(legs)
+        want_terms = {}
         for piece, c in group:
             for k, a in _scaled_flat(piece, c).items():
                 add_flat(flat.terms, k, a)
             for k, a in _scaled_scalar(piece, c).items():
-                add_term(want.terms, k, a)
-        assert flat.to_scalar().terms == want.terms
-        assert flat == want and want == flat and str(flat) == str(want)
+                add_term(want_terms, k, a)
+        assert flat.scalar_terms() == want_terms
+        want = GradedTensor.from_scalars(legs, want_terms)
+        assert flat == want and want == flat
+        assert str(flat) == str(want) == _ref_str(want_terms)
         # the round trip through the Scalar form is exact
-        assert want.to_flat() == flat
+        assert GradedTensor.from_scalars(legs, flat.scalar_terms()) == flat
     # a product of two scaled pieces, key by key
     (p1, c1), (p2, c2) = items[0], items[-1]
     f1, f2 = _scaled_flat(p1, c1), _scaled_flat(p2, c2)
@@ -170,11 +192,11 @@ def test_flat_sums_and_products_match_the_scalar_path(case):
         table = oa.mono_mul(oa.intern(m1), oa.intern(m2))
         ref = {}
         oa._expand(ref, m1, m2, one)
-        assert Element(oa, dict(table), flat=True) == Element(oa, ref)
+        assert Element(oa, _monomials(oa, dict(table))) == Element(oa, ref)
         flat = {}
         for (m, e), a in table:
             add_flat(flat, (m, e + ue + uie), a)
-        assert Element(oa, flat, flat=True) == Element(
+        assert Element(oa, _monomials(oa, flat)) == Element(
             oa, {m: c * u * ui for m, c in ref.items()})
 
 
@@ -223,8 +245,9 @@ def _small_monomials(calc):
 
 @st.composite
 def _tensors(draw):
-    """A Scalar-mode two- or three-leg tensor over the calculi of a bundle,
-    and a flat one of all-int terms on ids its legs have given."""
+    """Scalar terms of a two- or three-leg tensor over the calculi of a
+    bundle, its legs, and a graded tensor of all-int terms on ids its legs
+    have given."""
     name = draw(st.sampled_from(sorted(BUNDLES)))
     names = BUNDLES[name]
     cc = _pool(name)[0]
@@ -232,31 +255,32 @@ def _tensors(draw):
     legs = draw(st.sampled_from([(oa, oh), (oa, oa), (oa, oa, oh),
                                  (oh, oa, oa)]))
     keys = st.tuples(*[st.sampled_from(_small_monomials(leg)) for leg in legs])
-    x = GradedTensor(legs, draw(st.dictionaries(
-        keys, _coefficients(names).filter(bool), min_size=1, max_size=5)))
+    x = draw(st.dictionaries(
+        keys, _coefficients(names).filter(bool), min_size=1, max_size=5))
     ids = st.tuples(*[st.sampled_from(range(len(leg.monos))) for leg in legs])
     exps = st.sampled_from([e for n in names for k in (-2, 0, 3)
                             for e, _ in flat_coeff(Scalar.param(n, k))])
     flat = GradedTensor(legs, draw(st.dictionaries(
-        st.tuples(ids, exps), st.integers(-3, 3).filter(bool), max_size=5)),
-        flat=True)
-    return x, flat
+        st.tuples(ids, exps), st.integers(-3, 3).filter(bool), max_size=5)))
+    return x, legs, flat
 
 
 @settings(max_examples=60, deadline=None)
 @given(_tensors())
 def test_sums_round_trip_through_monomial_ids(case):
-    x, flat = case
+    x, legs, flat = case
     # Scalar -> flat -> Scalar keeps every monomial and coefficient
-    there = x.to_flat()
+    there = GradedTensor.from_scalars(legs, x)
     assert all(type(i) is int for (key, _) in there.terms for i in key)
-    assert there.to_scalar().terms == x.terms
-    assert there == x and str(there) == str(x)
+    assert there.scalar_terms() == x
+    # the same terms given in another order are the same tensor
+    again = GradedTensor.from_scalars(legs, dict(reversed(x.items())))
+    assert there == again and str(there) == str(again) == _ref_str(x)
     # flat -> Scalar -> flat gives back the same ids and int terms
-    back = flat.to_scalar()
-    assert all(m in leg.mono_id for key in back.terms
+    back = flat.scalar_terms()
+    assert all(m in leg.mono_id for key in back
                for leg, m in zip(flat.legs, key))
-    assert back.to_flat().terms == flat.terms
+    assert GradedTensor.from_scalars(flat.legs, back).terms == flat.terms
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLES))
@@ -266,18 +290,22 @@ def test_an_id_means_its_own_calculus_monomial(name):
     shared = range(min(len(oa.monos), len(oh.monos)))
     assert any(oa.monos[i] != oh.monos[i] for i in shared)
     for i in shared:
-        a = Element(oa, {(i, 0): 1}, flat=True)
-        h = Element(oh, {(i, 0): 1}, flat=True)
+        # the same id key on one leg of either calculus
+        a = GradedTensor((oa,), {((i,), 0): 1})
+        h = GradedTensor((oh,), {((i,), 0): 1})
         assert a != h and h != a
-        assert a.to_scalar().terms == {oa.monos[i]: one}
-        assert h.to_scalar().terms == {oh.monos[i]: one}
+        assert a.scalar_terms() == {(oa.monos[i],): one}
+        assert h.scalar_terms() == {(oh.monos[i],): one}
+        # a form enters by the id of its own calculus
+        assert Element(oa, {oa.monos[i]: one}).flat_terms() == {(i, 0): 1}
+        assert Element(oh, {oh.monos[i]: one}).flat_terms() == {(i, 0): 1}
         # the same id key on legs of other calculi
-        ah = GradedTensor((oa, oh), {((i, i), 0): 1}, flat=True)
-        aa = GradedTensor((oa, oa), {((i, i), 0): 1}, flat=True)
+        ah = GradedTensor((oa, oh), {((i, i), 0): 1})
+        aa = GradedTensor((oa, oa), {((i, i), 0): 1})
         assert ah != aa and aa != ah
     # id 0 is the unit in both, and the units still differ
     assert oa.monos[0] == oh.monos[0] == UNIT
-    assert oa.unit().to_flat() != oh.unit().to_flat()
+    assert GradedTensor.unit((oa,)) != GradedTensor.unit((oh,))
 
 
 def _torus_values(cc):
@@ -289,7 +317,7 @@ def _torus_values(cc):
     for x, y in itertools.product(forms, repeat=2):
         pair = GradedTensor.of((oa, oa), x, y)
         for apply in (chi_bullet, sigma_bullet, sigma_bullet_inv):
-            out.append(apply(cc, pair.to_flat()).to_scalar().terms)
+            out.append(apply(cc, pair).scalar_terms())
     return out
 
 
@@ -307,3 +335,112 @@ def test_a_later_bundle_leaves_earlier_ids_alone():
     # a torus bundle of its own, built after podles, gives the same values
     again = parse((DATA / "torus.qpb").read_text(encoding="utf-8")).cc
     assert _torus_values(again) == before
+
+
+# -- the graded tensor's own maps against Scalar references ------------------------
+
+
+def _ref_of(*xs):
+    """x_1 (x) ... (x) x_n on Scalar terms, keyed by tuples of monomials."""
+    out = {(): one}
+    for x in xs:
+        prod = {}
+        for k, c in out.items():
+            for m, c2 in x.terms.items():
+                add_term(prod, k + (m,), c * c2)
+        out = prod
+    return out
+
+
+def _ref_d(legs, terms):
+    """The tensor differential on Scalar terms, leg by leg through
+    DiffCalculus.d, with the sign (-1)^(degree of the legs before)."""
+    out = {}
+    for key, c in terms.items():
+        before = 0
+        for i, leg in enumerate(legs):
+            dx = leg.d(Element(leg, {key[i]: one}))
+            s = -c if before % 2 else c
+            for m, c2 in dx.terms.items():
+                add_term(out, key[:i] + (m,) + key[i + 1:], s * c2)
+            before += len(key[i][1])
+    return out
+
+
+def _bundle_forms(name):
+    """Forms of both calculi of a bundle with the carried coefficients
+    -p/2 and 1/(p+1), p the bundle's last parameter, besides Laurent
+    ones."""
+    cc = _pool(name)[0]
+    oa, oh = cc.omega_A, cc.omega_H
+    p = Scalar.param(BUNDLES[name][-1])
+    minus_half, inv = -p * half, one / (p + one)
+
+    def forms(calc):
+        gens = calc.pres.generators
+        g0, g1 = gens[0].name, gens[-1].name
+        f0 = calc.letters[0]
+        return [
+            calc.of_poly(NCPoly.gen(g0)).scale(minus_half) + calc.form(f0),
+            calc.mul(calc.of_poly(NCPoly.gen(g1)), calc.form(f0)).scale(inv)
+            + calc.unit().scale(p),
+            calc.form(f0).scale(p) + calc.of_poly(NCPoly.gen(g1)),
+        ]
+    return cc, forms(oa), forms(oh), (minus_half, inv)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_graded_tensor_maps_match_scalar_references(name):
+    cc, a_forms, h_forms, carried = _bundle_forms(name)
+    oa, oh = cc.omega_A, cc.omega_H
+    cases = ([((oa, oh), (x, y)) for x in a_forms for y in h_forms]
+             + [((oa, oa), (x, y)) for x in a_forms for y in a_forms]
+             + [((oa, oa, oh), (a_forms[0], a_forms[1], h_forms[2]))])
+    carrying = 0
+    for legs, xs in cases:
+        t = GradedTensor.of(legs, *xs)
+        ref = _ref_of(*xs)
+        assert ref
+        carrying += any(type(c) is not int for c in t.terms.values())
+        # of, ==, str
+        assert t.scalar_terms() == ref
+        assert t == GradedTensor.from_scalars(legs, ref)
+        assert str(t) == _ref_str(ref)
+        key = next(iter(ref))
+        other = dict(ref)
+        other[key] = ref[key] + one
+        assert t != GradedTensor.from_scalars(legs, other)
+        # carried Scalars equal in value to int terms compare equal
+        for c in carried:
+            back = t.scale(c).scale(c.inverse())
+            assert back.terms != t.terms and back == t and t == back
+        # d
+        dt = t.d()
+        want = _ref_d(legs, ref)
+        assert dt.scalar_terms() == want, (legs, xs)
+        assert str(dt) == _ref_str(want)
+        assert dt.d().is_zero()
+        # component, on every degree tuple the terms have
+        degrees = {tuple(len(F) for _, F in k) for k in ref}
+        for degs in degrees:
+            part = {k: c for k, c in ref.items()
+                    if tuple(len(F) for _, F in k) == degs}
+            assert t.component(degs).scalar_terms() == part
+        assert t.component((9,) * len(legs)).is_zero()
+    assert carrying > len(cases) // 2
+    # unit and degree_zero
+    for legs in ((oa, oh), (oa, oa), (oa, oa, oh)):
+        unit = GradedTensor.unit(legs)
+        assert unit.scalar_terms() == {(UNIT,) * len(legs): one}
+        assert unit == GradedTensor.of(legs, *(leg.unit() for leg in legs))
+        assert str(unit) == _ref_str({(UNIT,) * len(legs): one})
+    H = cc.ca.H
+    for g in H.base.generators:
+        for c in carried:
+            t = H.coproduct(NCPoly.gen(g.name)).scale(c)
+            got = GradedTensor.degree_zero((oh, oh), t)
+            ref = {tuple((w, ()) for w in key): a
+                   for key, a in t.terms.items()}
+            assert got.scalar_terms() == ref
+            assert GradedTensor.unit((oh, oh)).wedge(got) == got
+            assert str(got) == _ref_str(ref)

@@ -265,7 +265,7 @@ def test_horizontal_basis_is_the_kernel_of_ver01(torus, podles):
         cc = bundle.cc
         domain = list(cc.omega_basis(1, n))
         want = [{domain[i]: c for i, c in combo.items()} for combo in
-                kernel([dict(cc.ver(0, 1, cc.element_of(*m)).terms)
+                kernel([cc.ver(0, 1, cc.element_of(*m)).scalar_terms()
                         for m in domain])]
         got = cc.horizontal_basis(1, n)
         assert want and span_equal(got, want), bundle.name
@@ -329,7 +329,8 @@ def test_yetter_drinfeld_compatibility(podles, torus):
 
                 lhs = h_complete_delta(oh, conj(theta))
                 rhs = {}
-                for (m1, m2), c in h_complete_delta(oh, theta).terms.items():
+                for (m1, m2), c in \
+                        h_complete_delta(oh, theta).scalar_terms().items():
                     e1 = conj(Element(oh, {m1: Scalar.one()}))
                     e2 = conj(Element(oh, {m2: Scalar.one()}))
                     for k1, c1 in e1.terms.items():
@@ -337,4 +338,4 @@ def test_yetter_drinfeld_compatibility(podles, torus):
                             key = (k1, k2)
                             rhs[key] = rhs.get(key, Scalar.zero()) + c * c1 * c2
                 rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
-                assert lhs.terms == rhs, (bundle.name, F, g.name)
+                assert lhs.scalar_terms() == rhs, (bundle.name, F, g.name)

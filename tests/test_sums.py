@@ -36,7 +36,7 @@ def _sums(kind):
         "ncpoly": lambda t: NCPoly(t),
         "element": lambda t: Element(oa, t),
         "tensor": lambda t: TensorPoly((A, A), t),
-        "graded": lambda t: GradedTensor((oa, oa), t),
+        "graded": lambda t: GradedTensor.from_scalars((oa, oa), t),
     }[kind]
     return make(ta), make(tb)
 
@@ -67,21 +67,22 @@ def test_add_scaled_drops_cancelled_terms(kind):
 
 def test_flat_sums_compare_by_value():
     # equal flat terms are equal sums; a carried Scalar and int terms of
-    # the same value are equal through the Scalar mode, and other values
-    # are not
-    a, _ = _sums("element")
-    flat = a.to_flat()
-    assert flat == flat._new(dict(flat.terms), True)
-    kb = a._key_to_id()(((), ("du",)))   # its coefficient is q + 1
-    carried = flat._new({k: c for k, c in flat.terms.items() if k[0] != kb},
-                        True)
+    # the same value are equal through their Scalar terms, and other
+    # values are not
+    flat, _ = _sums("graded")
+    assert flat == flat._new(dict(flat.terms))
+    scalars = flat.scalar_terms()
+    # its coefficient is q + 1
+    kb = flat._key_to_id()(((((), ("du",)), (("v",), ()))))
+    carried = flat._new({k: c for k, c in flat.terms.items() if k[0] != kb})
     carried.terms[kb, 0] = q + one
     assert carried.terms != flat.terms
-    assert carried == flat and flat == carried and carried == a
+    assert carried == flat and flat == carried
+    assert carried.scalar_terms() == scalars
     carried.terms[kb, 0] = q + half
     assert carried != flat and flat != carried
     # the same keys as the int terms, one value carried
-    carried = flat._new(dict(flat.terms), True)
+    carried = flat._new(dict(flat.terms))
     carried.terms[kb, 0] = half
     assert carried.terms.keys() == flat.terms.keys()
     assert carried != flat and flat != carried
@@ -106,8 +107,9 @@ def test_memoised_pieces_are_not_accumulators(which):
     cc = build_example("torus").cc
     oa, oh = cc.omega_A, cc.omega_H
     L = Scalar.param("L")
-    pair = {(((), ("du",)), (("v",), ())): L,
-            ((("u",), ("dv",)), ((), ("du",))): -half}
+    pair = GradedTensor.from_scalars((oa, oa), {
+        (((), ("du",)), (("v",), ())): L,
+        ((("u",), ("dv",)), ((), ("du",))): -half})
     if which == "delta_bullet":
         x = Element(oa, {((), ("du",)): L, (("v",), ("dv",)): -half})
         apply, memo = cc.delta_bullet, cc._delta_cache
@@ -117,37 +119,44 @@ def test_memoised_pieces_are_not_accumulators(which):
         memo = cc._taubul_cache
     elif which == "mono_mul":
         # GradedTensor.wedge reads one mono_mul table per leg
-        x = GradedTensor((oa, oa), pair)
-        right = GradedTensor((oa, oa), {(((), ("dv",)), (("u",), ())): q})
+        x = pair
+        right = GradedTensor.from_scalars(
+            (oa, oa), {(((), ("dv",)), (("u",), ())): q})
         apply = lambda y: y.wedge(right)
         memo = oa._mono_mul_cache
     elif which == "chi_piece":
-        x = GradedTensor((oa, oa), pair)
+        x = pair
         apply = lambda y: chi_bullet(cc, y)
         memo = cc._chibul_cache
     elif which == "sigma_piece":
-        x = GradedTensor((oa, oa), pair)
+        x = pair
         apply = lambda y: sigma_bullet(cc, y)
         memo = cc._sigbul_cache
     else:
-        x = GradedTensor((oa, oa), pair)
+        x = pair
         apply = lambda y: sigma_bullet_inv(cc, y)
         memo = cc._siginv_cache
+
+    def single(key):
+        """The term of x at the Scalar key, with coefficient 1."""
+        if isinstance(x, Element):
+            return Element(x.calc, {key: one})
+        return GradedTensor.from_scalars(x.legs, {key: one})
+
     # memoise every term's piece, then freeze them
-    for key in x.terms:
-        apply(x._new({key: one}))
+    for key in x.scalar_terms():
+        apply(single(key))
     before = _memo_snapshot(memo)
     if which != "mono_mul":
         # the memos are keyed by monomial ids
-        to_id = x._key_to_id()
-        assert all(to_id(key) in before for key in x.terms)
+        assert all(ids in before for ids, _ in x.flat_terms())
     first = apply(x)
     second = apply(x)
     assert first == second
     assert _memo_snapshot(memo) == before
     want = GradedTensor.zero(first.legs)
-    for key, c in x.terms.items():
-        want.add_scaled(apply(x._new({key: one})), c)
+    for key, c in x.scalar_terms().items():
+        want.add_scaled(apply(single(key)), c)
     assert first == want
 
 
@@ -158,22 +167,22 @@ def _splice_reference(x, fn, slot, width):
     """id (x) fn (x) id written out on Scalar terms (fn on whole keys when
     slot is None)."""
     out = {}
-    for key, c in x.to_scalar().terms.items():
+    for key, c in x.scalar_terms().items():
         if slot is None:
             pre, legs, post = (), key, ()
         else:
             pre, post = key[:slot], key[slot + width:]
             legs = key[slot] if width == 1 else key[slot:slot + width]
-        for k2, c2 in fn(legs).to_scalar().terms.items():
+        for k2, c2 in fn(legs).scalar_terms().items():
             add_term(out, k2 if slot is None else pre + k2 + post, c * c2)
     return out
 
 
 def _mapped_cases():
-    """(x, fn, slot, width, an empty Scalar sum for the result, the map
-    from the legs fn reads to their id keys) for every slot and width the
-    package uses, on torus.  fn takes the id keys of a flat sum: monomial
-    ids on the graded types, the keys themselves on the others."""
+    """(x, fn, slot, width, an empty sum for the result, the map from the
+    legs fn reads to the keys fn takes) for every slot and width the
+    package uses, on torus.  A Scalar sum hands fn its keys, and a graded
+    one the monomial ids of its flat keys."""
     from qpbcalc.braidext import chi_piece, sigma_piece
 
     bundle = build_example("torus")
@@ -197,6 +206,7 @@ def _mapped_cases():
     return {
         "coproduct": (h, H._delta_word, None, 1, TensorPoly((Hb, Hb)), same),
         "antipode": (h, H._s_word, None, 1, NCPoly(), same),
+        "delta": (x1, delta, None, 1, g(oa, oh), oa.intern),
         "chi": (pair, chi, None, 1, g(oa, oh), pair_ids),
         "coassoc-0": (dh, H._delta_word, 0, 1, TensorPoly((Hb,) * 3), same),
         "coassoc-1": (dh, H._delta_word, 1, 1, TensorPoly((Hb,) * 3), same),
@@ -209,24 +219,22 @@ def _mapped_cases():
     }
 
 
-@pytest.mark.parametrize("case", ["coproduct", "antipode", "chi",
+@pytest.mark.parametrize("case", ["coproduct", "antipode", "delta", "chi",
                                   "coassoc-0", "coassoc-1", "delta-0",
                                   "delta-1", "delta-2", "sigma-0", "sigma-1",
                                   "chi-1"])
 def test_add_mapped_is_the_written_out_splice(case):
-    # every mix of modes of self, x and fn's values gives the written-out
-    # sum, in the mode of self; a Scalar self hands fn keys and a flat one
-    # id keys
+    # add_mapped gives the written-out sum: a Scalar self reads Scalar
+    # terms and hands fn keys; a graded self reads the flat terms of x, a
+    # form's included, and hands fn monomial ids
     x, fn, slot, width, zero, to_id = _mapped_cases()[case]
-    on_keys = lambda k: fn(to_id(k))
-    want = _splice_reference(x, on_keys, slot, width)
+    want = _splice_reference(x, lambda k: fn(to_id(k)), slot, width)
     assert want
-    for x_in in (x.to_scalar(), x.to_flat()):
-        for mode in (lambda v: v.to_scalar(), lambda v: v.to_flat()):
-            for out, fn_out in ((zero._new({}), on_keys),
-                                (zero._new({}, True), fn)):
-                got = out.add_mapped(x_in, lambda k: mode(fn_out(k)), slot,
-                                     width)
-                assert got is out
-                assert got.to_scalar().terms == want
-                assert got == zero._new(dict(want))
+    out = zero._new({})
+    got = out.add_mapped(x, fn, slot, width)
+    assert got is out
+    assert got.scalar_terms() == want
+    if isinstance(zero, GradedTensor):
+        assert got == GradedTensor.from_scalars(zero.legs, want)
+    else:
+        assert got == zero._new(dict(want))
