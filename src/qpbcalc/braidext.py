@@ -220,6 +220,15 @@ def sigma_bullet(cc: CompleteCalculus, x: GradedTensor) -> GradedTensor:
     return _apply_pieces(cc, x, sigma_piece, (oa, oa))
 
 
+@memo("_tausinv_cache")
+def _tau_antipode_inv(cc: CompleteCalculus, h) -> GradedTensor:
+    """The memoised tau(S^-1(h)) of the monomial of id h of Omega(H);
+    read-only."""
+    oh = cc.omega_H
+    return tau_bullet(cc, graded_antipode(
+        oh, Element(oh, {oh.monos[h]: Scalar.one()}), inverse=True))
+
+
 @memo("_siginv_cache")
 def sigma_inv_piece(cc: CompleteCalculus, key) -> GradedTensor:
     """The memoised sigma^-1 of one pair of monomial ids (m1, m2);
@@ -231,9 +240,7 @@ def sigma_inv_piece(cc: CompleteCalculus, key) -> GradedTensor:
     deg_a = oa.mono_deg
     deg_omega = deg_a[m1]
     for ((m0, h1), e2), c2 in cc._delta_mono(m2).terms.items():
-        sinv = graded_antipode(
-            oh, Element(oh, {oh.monos[h1]: Scalar.one()}), inverse=True)
-        t = tau_bullet(cc, sinv)
+        t = _tau_antipode_inv(cc, h1)
         if (deg_omega + deg_a[m0]) * oh.mono_deg[h1] & 1:
             c2 = -c2
         for (m, e3), c3 in oa.mono_mul(m1, m0):

@@ -4,65 +4,105 @@ Vectors are dicts mapping hashable column keys to nonzero Scalars.  rref
 returns a canonical reduced basis of the row space, so two spans are equal
 iff their rrefs are equal.
 
-kernel, rref and span_witnesses share one echelon core (_echelon).  It
-reads an iterable of rows once, keeps them in insertion order, reduces
-each new row in place against the earlier pivot rows and scales it to 1
-at its own pivot, so one pass reduces a vector.  It pivots on a unit (a
-Laurent monomial) whenever the row has one, so rows of Laurent polynomials
-mostly stay off the rational-function path.  It keeps no input row: for
-each basis row it records the input index, the pivot scale and the
-multiples of earlier basis rows it took.  _unwind turns those records,
-from the last basis row down, into a combination of input rows: kernel
-gives the relation of each dependent row (unique, so it does not depend
-on the pivots).  kernel_on gives kernel's relations keyed by the elements
-of a domain basis instead of by row index.  rref runs its keyed canonical
-Gauss-Jordan only on the independent rows the core leaves.  in_span
-reduces against an rref basis in one pass.  Columns are ranked on demand
-by a memoised key, so the key function runs once per column; only
-span_in_window orders them by anything but repr.
+One elimination core serves two fields, each its arithmetic alone: _QQ,
+the scalar field Q(q) on Scalars, and _FP, F_p on ints mod RESIDUE_PRIME.
+Each caller takes the field it computes on.  _echelon reads an iterable of
+rows once, keeps them in insertion order, reduces each new row in place
+(_reduce) and scales it to 1 at its pivot.  _reduce takes the pivots a row
+reaches from a heap, smallest basis index first: basis row j is zero at
+every earlier pivot, so this takes the steps of a scan of the whole basis
+without the scan.  No input row is kept: each basis row records its input
+index, its pivot scale and the multiples of earlier basis rows it took,
+and _unwind turns the records, from the last basis row down, into a
+combination of input rows.  kernel pivots on a unit (a Laurent monomial)
+whenever the row has one, so rows of Laurent polynomials mostly stay off
+the rational-function path, and unwinds the relation of each dependent
+row (unique, so it does not depend on the pivots).  rref eliminates the
+independent rows once more, on their lowest-ranked columns, and
+back-substitutes.  Columns are ranked on demand by a memoised key, repr
+except in span_in_window.
 
-span_witnesses finds modulo p and solves exactly on what it found.  It
+span_witnesses finds modulo p and solves exactly on what it found: it
 sends every row and target to F_p at scalars.residue (one ring map for
-every parameter), runs the same echelon and unwinding there on ints, and
-keeps only the set of input rows each witness uses.  Over the scalar
-field it then eliminates those rows alone and solves for every target.
-The finite field only chooses rows: a witness is always an exact solve,
-so a wrong choice costs time and never a wrong answer.  The full exact
-elimination answers every target that this leaves unwitnessed, and every
-target when a row or a target has no image mod p (a denominator or a
-Fraction vanishes there) or a target is outside the span mod p.  A
-target truly outside the span therefore always pays for the full
-elimination.  This is the certifying pattern of McConnell, Mehlhorn,
-Naher and Schweitzer (Comput. Sci. Rev. 5 (2011)); on modular methods and
-lucky primes see von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 5.
+every parameter), keeps the input rows each witness uses there, and over
+Q(q) eliminates those rows alone and solves for every target.  A wrong
+choice of rows costs time, never a wrong answer.  The full exact
+elimination answers every target left unwitnessed, and every target when
+a row or a target has no image mod p (a denominator or a Fraction
+vanishes there) or a target is outside the span mod p.  This is the
+certifying pattern of McConnell, Mehlhorn, Naher and Schweitzer (Comput.
+Sci. Rev. 5 (2011)); on modular methods and lucky primes see von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 5.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import mul, neg
 
 from .ncalg import add_term
 from .scalars import RESIDUE_PRIME, Scalar, residue
 
 
-def _axpy(u, v, c):
-    """u += c v, in place."""
-    for k, a in v.items():
-        add_term(u, k, a * c)
+class _QQ:
+    """The scalar field Q(q), on Scalars."""
+
+    neg = staticmethod(neg)
+    mul = staticmethod(mul)
+    inverse = staticmethod(Scalar.inverse)
+    add_term = staticmethod(add_term)
+
+    @staticmethod
+    def axpy(row, b, c, where, heap):
+        """row += c b, in place, pushing onto heap the basis index of each
+        pivot in where that row reaches anew."""
+        for k, a in b.items():
+            old = row.get(k)
+            if old is None:
+                row[k] = a * c
+                j = where.get(k)
+                if j is not None:
+                    heappush(heap, j)
+            else:
+                a = old + a * c
+                if a.is_zero():
+                    del row[k]
+                else:
+                    row[k] = a
 
 
-def vec_add(u, v, c=None):
-    out = dict(u)
-    for k, a in v.items():
-        add_term(out, k, a * c if c is not None else a)
-    return out
+class _FP:
+    """F_p at p = RESIDUE_PRIME, on ints in [0, p)."""
 
+    neg = staticmethod(lambda c: -c % RESIDUE_PRIME)
+    mul = staticmethod(lambda a, b: a * b % RESIDUE_PRIME)
+    inverse = staticmethod(lambda a: pow(a, -1, RESIDUE_PRIME))
 
-def vec_scale(u, c):
-    if c.is_zero():
-        return {}
-    return {k: a * c for k, a in u.items()}
+    @staticmethod
+    def add_term(terms, key, c):
+        c = (terms.get(key, 0) + c) % RESIDUE_PRIME
+        if c:
+            terms[key] = c
+        else:
+            terms.pop(key, None)
+
+    @staticmethod
+    def axpy(row, b, c, where, heap):
+        """_QQ.axpy mod p."""
+        p = RESIDUE_PRIME
+        for k, a in b.items():
+            old = row.get(k)
+            if old is None:
+                row[k] = a * c % p
+                j = where.get(k)
+                if j is not None:
+                    heappush(heap, j)
+            else:
+                a = (old + a * c) % p
+                if a:
+                    row[k] = a
+                else:
+                    del row[k]
 
 
 def _default_key(k):
@@ -83,110 +123,130 @@ def _ranker(key):
     return rank
 
 
-def _reduce(row, basis):
-    """Reduce row in place against an echelon basis; returns the steps
-    [(j, s)], row having become row + sum s basis[j]."""
+def _lowest(rank):
+    """The pivot rule taking a row's lowest-ranked column."""
+    return lambda row: min(row, key=rank)
+
+
+def _unit_first(rank):
+    """The pivot rule taking a row's lowest-ranked column with a unit
+    Scalar coefficient, or its lowest-ranked column when there is none."""
+    def pivot(row):
+        units = [k for k, a in row.items() if a.is_unit()]
+        return min(units or row, key=rank)
+    return pivot
+
+
+def _reduce(row, basis, where, field):
+    """Reduce row in place against an echelon basis, where mapping each
+    pivot to its basis index; returns the steps [(j, s)], row having become
+    row + sum s basis[j]."""
+    heap = [j for j in map(where.get, row) if j is not None]
+    heapify(heap)
+    neg, axpy = field.neg, field.axpy
     steps = []
-    for j, (p, b, _, _, _) in enumerate(basis):
-        c = row.get(p)
-        if c is not None:
-            c = -c
-            _axpy(row, b, c)
-            steps.append((j, c))
+    while heap:
+        j = heappop(heap)
+        b = basis[j]
+        c = row.get(b[0])
+        if c is None:
+            continue
+        c = neg(c)
+        axpy(row, b[1], c, where, heap)
+        steps.append((j, c))
     return steps
 
 
-def _echelon(rows, rank, relations=False):
-    """Insertion-order echelon form of rows, an iterable read once.
+def _echelon(rows, pivot, field, relations=False):
+    """Insertion-order echelon form of rows over field, an iterable read
+    once.
 
-    Returns (basis, dependent).  basis holds (pivot, row, i, scale, steps)
-    for each input row i independent of the rows before it: row is
-    (rows[i] + sum s basis[j] over steps (j, s)) * scale, reduced against
-    the earlier pivots and 1 at its own pivot.  The pivot is the
-    lowest-ranked column with a unit coefficient, or the lowest-ranked
-    column when there is none.  With relations, dependent holds (i, steps)
+    Returns (basis, where, dependent), or None when a row is None (it has
+    no image in field).  basis holds (pivot, row, i, scale, steps) for each
+    input row i independent of the rows before it: row is (rows[i] + sum s
+    basis[j] over steps (j, s)) * scale, reduced against the earlier pivots
+    and 1 at its own pivot, chosen by the rule pivot.  where maps each
+    pivot to its basis index.  With relations, dependent holds (i, steps)
     for each row i that steps send to zero.  No input row is kept."""
     basis = []
+    where = {}
     dependent = []
+    mul = field.mul
     for i, v in enumerate(rows):
+        if v is None:
+            return None
         row = dict(v)
-        steps = _reduce(row, basis)
+        steps = _reduce(row, basis, where, field)
         if not row:
             if relations:
                 dependent.append((i, steps))
             continue
-        units = [k for k, a in row.items() if a.is_unit()]
-        p = min(units or row, key=rank)
-        inv = row[p].inverse()
-        basis.append((p, {k: a * inv for k, a in row.items()}, i, inv,
+        p = pivot(row)
+        inv = field.inverse(row[p])
+        where[p] = len(basis)
+        basis.append((p, {k: mul(a, inv) for k, a in row.items()}, i, inv,
                       steps))
-    return basis, dependent
+    return basis, where, dependent
 
 
-def _unwind(basis, mu, out):
+def _unwind(basis, mu, out, field):
     """Add to out the input-row combination equal to sum mu[j] basis[j].
 
     Each basis row is its scale times its input row plus multiples of
     earlier basis rows, so one pass from the last basis row down moves
     every coefficient onto input rows.  mu is consumed."""
+    mul, add = field.mul, field.add_term
     for j in range(max(mu, default=-1), -1, -1):
         c = mu.pop(j, None)
         if c is None:
             continue
         _, _, i, inv, steps = basis[j]
-        c = c * inv
-        add_term(out, i, c)
+        c = mul(c, inv)
+        add(out, i, c)
         for k, s in steps:
-            add_term(mu, k, c * s)
+            add(mu, k, mul(c, s))
     return out
+
+
+def _witness(echelon, t, field):
+    """The input-row combination equal to the row t over field, or None
+    when t is outside the span; t is consumed."""
+    basis, where, _ = echelon
+    steps = _reduce(t, basis, where, field)
+    # t + sum s basis[j] is now zero when t is in the span
+    if t:
+        return None
+    return _unwind(basis, {j: field.neg(s) for j, s in steps}, {}, field)
 
 
 def rref(rows, key=None):
     """Canonical reduced row echelon basis of the span of rows, its
     columns ranked by key (repr when None)."""
     rank = _ranker(key or _default_key)
-    basis, _ = _echelon(rows, rank)
-    # keyed Gauss-Jordan on the independent rows: the pivot of each row is
-    # its lowest-ranked column, made 1 and cleared from every other row
-    pivots = {}
-    for _, row, _, _, _ in basis:
-        while row:
-            p = min(row, key=rank)
-            b = pivots.get(p)
-            if b is None:
-                break
-            _axpy(row, b, -row[p])
-        if row:
-            pivots[p] = vec_scale(row, row[p].inverse())
-    ps = sorted(pivots, key=rank)
-    # back substitution from the last pivot, whose row is already clear of
-    # every later pivot
-    for j in range(len(ps) - 1, 0, -1):
-        b = pivots[ps[j]]
-        for p2 in ps[:j]:
-            c = pivots[p2].get(ps[j])
-            if c is not None:
-                _axpy(pivots[p2], b, -c)
-    return [pivots[p] for p in ps]
+    basis, _, _ = _echelon(rows, _unit_first(rank), _QQ)
+    # each independent row again, pivoting on its lowest-ranked column: a
+    # row is then zero at every lower-ranked pivot
+    basis, _, _ = _echelon((b[1] for b in basis), _lowest(rank), _QQ)
+    basis.sort(key=lambda b: rank(b[0]))
+    # back substitution from the last pivot: the rows after a row are
+    # already zero at each other's pivots, so one reduction clears it
+    done, where = [], {}
+    for b in reversed(basis):
+        _reduce(b[1], done, where, _QQ)
+        where[b[0]] = len(done)
+        done.append(b)
+    return [b[1] for b in reversed(done)]
 
 
 def in_span(rref_basis, v):
     """Whether v lies in the span of a basis that rref returned with its
     default column order."""
     rank = _ranker(_default_key)
+    basis = [(min(b, key=rank), b) for b in rref_basis]
     v = dict(v)
-    # each basis row is zero at the other rows' pivots, so one pass in row
-    # order reduces v
-    for b in rref_basis:
-        p = min(b, key=rank)
-        c = v.get(p)
-        if c is not None:
-            _axpy(v, b, -c)
+    # each basis row is zero at the other rows' pivots, so one pass reduces v
+    _reduce(v, basis, {p: j for j, (p, _) in enumerate(basis)}, _QQ)
     return not v
-
-
-def span_equal(rows_a, rows_b):
-    return rref(rows_a) == rref(rows_b)
 
 
 def span_in_window(rows, in_window):
@@ -208,9 +268,9 @@ def kernel(vectors):
     ones: the relation with coefficient 1 at i supported on i and the
     earlier independent indices.  It is unique, so the pivots chosen do not
     change it."""
-    basis, dependent = _echelon(vectors, _ranker(_default_key),
-                                relations=True)
-    return [_unwind(basis, dict(steps), {i: Scalar.one()})
+    basis, _, dependent = _echelon(
+        vectors, _unit_first(_ranker(_default_key)), _QQ, relations=True)
+    return [_unwind(basis, dict(steps), {i: Scalar.one()}, _QQ)
             for i, steps in dependent]
 
 
@@ -235,102 +295,29 @@ def _residues(v):
     return out
 
 
-def _reduce_mod(row, basis, where):
-    """_reduce over F_p, on a row of ints mod RESIDUE_PRIME; where maps
-    each pivot to its basis index.
-
-    Basis row j is zero at every earlier pivot, so taking the pivots the
-    row reaches from a heap, smallest index first, gives _reduce's steps
-    without scanning the whole basis."""
-    p = RESIDUE_PRIME
-    heap = [j for j in map(where.get, row) if j is not None]
-    heapify(heap)
-    steps = []
-    while heap:
-        j = heappop(heap)
-        piv, b, _, _, _ = basis[j]
-        c = row.get(piv)
-        if c is None:
-            continue
-        c = p - c
-        for k, a in b.items():
-            old = row.get(k)
-            if old is None:
-                row[k] = a * c % p
-                jk = where.get(k)
-                if jk is not None:
-                    heappush(heap, jk)
-            else:
-                a = (old + a * c) % p
-                if a:
-                    row[k] = a
-                else:
-                    del row[k]
-        steps.append((j, c))
-    return steps
-
-
-def _echelon_mod(rows, rank):
-    """_echelon over F_p, on rows of ints mod RESIDUE_PRIME: the same basis
-    records, and the map from each pivot to its basis index; None when a
-    row is None.  Every nonzero entry is a unit, so each pivot is the
-    lowest-ranked column."""
-    basis = []
-    where = {}
-    for i, row in enumerate(rows):
-        if row is None:
-            return None
-        steps = _reduce_mod(row, basis, where)
-        if row:
-            piv = min(row, key=rank)
-            inv = pow(row[piv], -1, RESIDUE_PRIME)
-            where[piv] = len(basis)
-            basis.append((piv, {k: a * inv % RESIDUE_PRIME
-                                for k, a in row.items()}, i, inv, steps))
-    return basis, where
-
-
 def _support_mod_p(row, n, targets):
     """The sorted indices of the input rows that the targets' witnesses
-    use at the residue point: those _unwind reaches there from each
-    target.  None when a row or a target has no image there, or a target
-    is outside the span there."""
-    echelon = _echelon_mod((_residues(row(i)) for i in range(n)),
-                           _ranker(_default_key))
+    use at the residue point.  None when a row or a target has no image
+    there, or a target is outside the span there."""
+    echelon = _echelon((_residues(row(i)) for i in range(n)),
+                       _lowest(_ranker(_default_key)), _FP)
     if echelon is None:
         return None
-    basis, where = echelon
     support = set()
     for t in targets:
         t = _residues(t)
-        if t is None:
+        lam = None if t is None else _witness(echelon, t, _FP)
+        if lam is None:
             return None
-        mu = {j: RESIDUE_PRIME - s for j, s in _reduce_mod(t, basis, where)}
-        if t:
-            return None
-        for j in range(max(mu, default=-1), -1, -1):
-            c = mu.pop(j, 0)
-            if c:
-                _, _, i, inv, steps = basis[j]
-                support.add(i)
-                c = c * inv % RESIDUE_PRIME
-                for k, s in steps:
-                    mu[k] = (mu.get(k, 0) + c * s) % RESIDUE_PRIME
+        support.update(lam)
     return sorted(support)
 
 
 def _exact_witnesses(rows, targets):
     """span_witnesses by one exact elimination of rows, an iterable read
     once."""
-    basis, _ = _echelon(rows, _ranker(_default_key))
-    out = []
-    for t in targets:
-        t = dict(t)
-        steps = _reduce(t, basis)
-        # t + sum s basis[j] is now zero when t is in the span
-        out.append(None if t else
-                   _unwind(basis, {j: -s for j, s in steps}, {}))
-    return out
+    echelon = _echelon(rows, _unit_first(_ranker(_default_key)), _QQ)
+    return [_witness(echelon, dict(t), _QQ) for t in targets]
 
 
 def span_witnesses(row, n, targets):

@@ -112,6 +112,7 @@ class CompleteCalculus:
         self._chibul_cache = {}
         self._sigbul_cache = {}
         self._siginv_cache = {}
+        self._tausinv_cache = {}
         self._taubul_cache = {}
         self._tauletter_cache = {}
 
@@ -399,10 +400,11 @@ class CompleteCalculus:
                                 rows.append(dict(prod.terms))
                 window = lambda key: len(key[0]) <= max_word_len
                 bm_span = span_in_window(rows, window)
-                rep.record(rref(hor_vecs) == bm_span,
+                hor_span = rref(hor_vecs)
+                rep.record(hor_span == bm_span,
                            f"hor{k} = A Omega{k}(B) A",
                            f"span dim {len(bm_span)}",
-                           f"span dim {len(rref(hor_vecs))}",
+                           f"span dim {len(hor_span)}",
                            ref="windowed comparison of truncated spans")
         return rep
 

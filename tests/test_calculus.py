@@ -19,8 +19,7 @@ from qpbcalc.calculus import (
 )
 from qpbcalc.cli import main
 from qpbcalc.examples import build_example
-from qpbcalc.linalg import vec_add
-from qpbcalc.ncalg import NCPoly, scalars_of
+from qpbcalc.ncalg import NCPoly, add_term, scalars_of
 from qpbcalc.scalars import Scalar, residue_point
 
 q = Scalar.param("q")
@@ -208,16 +207,22 @@ def test_corrupted_echelon_row_is_not_a_pass(torus_calc, monkeypatch):
     du2 = (1, ((), ("du", "du")))
     calls = []
 
-    def corrupted(rows, rank, relations=False):
-        calls.append(rank)
-        basis, dependent = real(rows, rank, relations)
+    def corrupted(rows, pivot, field, relations=False):
+        echelon = real(rows, pivot, field, relations)
+        if field is not linalg._QQ:
+            return echelon
+        calls.append(pivot)
+        basis = echelon[0]
         # add the last basis row to the one pivoting at du(x)du: the basis
         # still spans the same rows in echelon form, so every span answer
         # is unchanged, but its recorded steps no longer build it
         j = next(j for j, b in enumerate(basis) if b[0] == du2)
         p, row, i, scale, steps = basis[j]
-        basis[j] = (p, vec_add(row, basis[-1][1]), i, scale, steps)
-        return basis, dependent
+        row = dict(row)
+        for k, a in basis[-1][1].items():
+            add_term(row, k, a)
+        basis[j] = (p, row, i, scale, steps)
+        return echelon
 
     monkeypatch.setattr(linalg, "_echelon", corrupted)
     rep = max_prolongation_degree2(torus_calc, 2)
@@ -248,16 +253,18 @@ def test_corrupted_residue_records_are_not_a_pass(torus_calc, monkeypatch):
         (f"dv(x)du - ({c})*du(x)dv", "larger truncation may be required")])
     assert verdict() == exact
 
-    real = linalg._echelon_mod
+    real = linalg._echelon
 
-    def corrupted(rows, rank):
-        basis, where = real(rows, rank)
-        # every record names input row 0 and no steps, so every support
-        # found at the residue point is wrong
-        basis[:] = [(p, row, 0, scale, []) for p, row, _, scale, _ in basis]
-        return basis, where
+    def corrupted(rows, pivot, field, relations=False):
+        echelon = real(rows, pivot, field, relations)
+        if field is linalg._FP and echelon is not None:
+            # every record names input row 0 and no steps, so every support
+            # found at the residue point is wrong
+            echelon[0][:] = [(p, row, 0, scale, [])
+                             for p, row, _, scale, _ in echelon[0]]
+        return echelon
 
-    monkeypatch.setattr(linalg, "_echelon_mod", corrupted)
+    monkeypatch.setattr(linalg, "_echelon", corrupted)
     assert verdict() == exact
 
 

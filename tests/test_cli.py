@@ -64,6 +64,29 @@ def test_check_json_schema(capsys):
         assert rep["status"] == "pass"
 
 
+CARTAN_NOTE = ("the classifying right ideal is reconstructed at truncation "
+               "as the kernel of the coinvariant-valued form on basis words")
+
+
+def test_podles_linalg_suites(capsys):
+    # the suites whose verdicts exact elimination decides, at their default
+    # truncations
+    want = {
+        "atiyah": (2, {"max_word_len": 3}, []),
+        "bm": (2, {"degrees": [1, 2], "max_word_len": 3}, []),
+        "cartan": (13, {"max_word_len": 3}, [CARTAN_NOTE]),
+        "connection": (122, {"max_word_len": 3}, []),
+    }
+    for suite, (checks, truncation, notes) in want.items():
+        code, out, _ = run(capsys, "check", suite, "--example", "podles",
+                           "--format", "json")
+        assert code == 0, suite
+        [rep] = json.loads(out)
+        got = (rep["status"], rep["checks"], rep["truncation"],
+               rep["witnesses"], rep["notes"])
+        assert got == ("pass", checks, truncation, [], notes), suite
+
+
 def test_check_all_report_order(capsys):
     code, out, _ = run(capsys, "check", "all", "--example", "u1_q",
                        "--max-word-len", "2", "--max-degree", "2",

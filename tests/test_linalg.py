@@ -1,4 +1,5 @@
-"""Exact linear algebra over Q(q): kernel, rref, in_span and span_witnesses.
+"""Exact linear algebra over Q(q): kernel, rref, in_span and span_witnesses,
+and the elimination core they share with the residue pass over F_p.
 
 The rows are sparse dict vectors whose entries are rational functions in q
 with non-unit denominators, and some rows are rational combinations of
@@ -8,7 +9,7 @@ others, so elimination runs on the rational scalar path.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qpbcalc import linalg
 from qpbcalc.linalg import (
@@ -17,8 +18,6 @@ from qpbcalc.linalg import (
     kernel_on,
     rref,
     span_witnesses,
-    vec_add,
-    vec_scale,
 )
 from qpbcalc.scalars import (
     RESIDUE_POINT,
@@ -42,6 +41,22 @@ POOL = [
 ]
 COLUMNS = ("a", "b", "c", "d", "e")
 
+def reference_vec_add(u, v, c=one):
+    out = dict(u)
+    for k, a in v.items():
+        b = out.get(k)
+        b = a * c if b is None else b + a * c
+        if b.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = b
+    return out
+
+
+def reference_vec_scale(u, c):
+    return {k: a * c for k, a in u.items()}
+
+
 entries = st.sampled_from(POOL)
 sparse_rows = st.dictionaries(st.sampled_from(COLUMNS), entries,
                               min_size=1, max_size=4)
@@ -54,7 +69,7 @@ def row_sets(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         combo = {}
         for row in rows:
-            combo = vec_add(combo, row, draw(entries))
+            combo = reference_vec_add(combo, row, draw(entries))
         rows.append(combo)
     return rows
 
@@ -62,7 +77,7 @@ def row_sets(draw):
 def combine(vectors, coeffs):
     out = {}
     for i, c in coeffs.items():
-        out = vec_add(out, vectors[i], c)
+        out = reference_vec_add(out, vectors[i], c)
     return out
 
 
@@ -102,7 +117,7 @@ def test_rref_is_canonical(rows, rnd, c):
     assert rref(shuffled) == basis
     scaled = list(rows)
     k = rnd.randrange(len(rows))
-    scaled[k] = vec_scale(scaled[k], c)
+    scaled[k] = reference_vec_scale(scaled[k], c)
     assert rref(scaled) == basis
 
 
@@ -113,7 +128,7 @@ def test_in_span(rows, coeffs, c):
     inside = combine(rows, dict(enumerate(coeffs[:len(rows)])))
     assert in_span(basis, inside)
     # no row has support on column "z"
-    outside = vec_add(inside, {"z": c})
+    outside = reference_vec_add(inside, {"z": c})
     assert not in_span(basis, outside)
 
 
@@ -123,7 +138,7 @@ def test_in_span_on_a_plane_in_three_columns():
     r2 = {"b": one / (q + 1), "c": one}
     basis = rref([r1, r2])
     assert len(basis) == 2
-    assert in_span(basis, vec_add(r1, r2, (q - 1) / q))
+    assert in_span(basis, reference_vec_add(r1, r2, (q - 1) / q))
     # each would need the coefficient of r1 (read at a) and of r2 (read at
     # c) to produce a different b
     assert not in_span(basis, {"a": one})
@@ -137,22 +152,6 @@ def test_in_span_on_a_plane_in_three_columns():
 # the core pivots on, and non-units; some rows have no unit entry at all,
 # and some share the polynomial factor 1 + q^2.  kernel and rref must be
 # equal to the reference, not merely span the same space.
-
-
-def reference_vec_add(u, v, c):
-    out = dict(u)
-    for k, a in v.items():
-        b = out.get(k)
-        b = a * c if b is None else b + a * c
-        if b.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = b
-    return out
-
-
-def reference_vec_scale(u, c):
-    return {k: a * c for k, a in u.items()}
 
 
 def reference_rref(rows, key=repr):
@@ -225,7 +224,7 @@ laurent_rows = st.one_of(
     st.dictionaries(st.sampled_from(COLUMNS), laurent_entries,
                     min_size=1, max_size=4),
     unit_free_rows,
-    unit_free_rows.map(lambda r: vec_scale(r, FACTOR)),
+    unit_free_rows.map(lambda r: reference_vec_scale(r, FACTOR)),
 )
 
 
@@ -237,7 +236,7 @@ def laurent_row_sets(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         combo = {}
         for row in rows:
-            combo = vec_add(combo, row, draw(laurent_entries))
+            combo = reference_vec_add(combo, row, draw(laurent_entries))
         rows.append(combo)
     return draw(st.permutations(rows))
 
@@ -249,13 +248,82 @@ def test_kernel_and_rref_equal_the_reference(rows):
     assert rref(rows) == reference_rref(rows)
 
 
+# -- the heap reduction against the scan it replaced -------------------------
+#
+# scan_echelon is the echelon the core ran before it took the pivots a row
+# reaches from a heap: each new row is reduced against every earlier basis
+# row in order.  ops is the field's arithmetic, written out here: negation,
+# product, sum, the zero test, the inverse and the pivot rule.
+
+P = RESIDUE_PRIME
+QQ_OPS = (lambda c: -c, lambda a, b: a * b, lambda a, b: a + b,
+          Scalar.is_zero, Scalar.inverse,
+          lambda row: min([k for k, a in row.items() if a.is_unit()] or row,
+                          key=repr))
+FP_OPS = (lambda c: P - c, lambda a, b: a * b % P, lambda a, b: (a + b) % P,
+          lambda a: a == 0, lambda a: pow(a, -1, P),
+          lambda row: min(row, key=repr))
+
+
+def scan_reduce(row, basis, ops):
+    neg, mul, add, is_zero, _, _ = ops
+    steps = []
+    for j, (p, b, _, _, _) in enumerate(basis):
+        c = row.get(p)
+        if c is not None:
+            c = neg(c)
+            for k, a in b.items():
+                x = mul(a, c) if k not in row else add(row[k], mul(a, c))
+                if is_zero(x):
+                    del row[k]
+                else:
+                    row[k] = x
+            steps.append((j, c))
+    return steps
+
+
+def scan_echelon(rows, ops):
+    """The records (pivot, row, i, scale, steps) and the dependent rows'
+    (i, steps) of the scanning echelon."""
+    _, mul, _, _, inverse, pivot = ops
+    basis = []
+    dependent = []
+    for i, v in enumerate(rows):
+        row = dict(v)
+        steps = scan_reduce(row, basis, ops)
+        if not row:
+            dependent.append((i, steps))
+            continue
+        p = pivot(row)
+        inv = inverse(row[p])
+        basis.append((p, {k: mul(a, inv) for k, a in row.items()}, i, inv,
+                      steps))
+    return basis, dependent
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(row_sets(), laurent_row_sets()))
+def test_heap_reduction_takes_the_steps_of_the_scan(rows):
+    rank = linalg._ranker(linalg._default_key)
+    basis, where, dependent = linalg._echelon(
+        rows, linalg._unit_first(rank), linalg._QQ, relations=True)
+    assert (basis, dependent) == scan_echelon(rows, QQ_OPS)
+    assert where == {b[0]: j for j, b in enumerate(basis)}
+    residues = [linalg._residues(r) for r in rows]
+    assume(None not in residues)
+    basis, where, dependent = linalg._echelon(
+        residues, linalg._lowest(rank), linalg._FP, relations=True)
+    assert (basis, dependent) == scan_echelon(residues, FP_OPS)
+    assert where == {b[0]: j for j, b in enumerate(basis)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(laurent_row_sets(), st.lists(laurent_entries, min_size=5, max_size=5),
        st.sampled_from(COLUMNS + ("z",)), laurent_entries)
 def test_in_span_agrees_with_the_reference(rows, coeffs, col, c):
     basis = rref(rows)
     inside = combine(rows, dict(enumerate(coeffs[:len(rows)])))
-    for v in (inside, vec_add(inside, {col: c}), {col: c}):
+    for v in (inside, reference_vec_add(inside, {col: c}), {col: c}):
         assert in_span(basis, v) == reference_in_span(basis, v)
 
 
@@ -265,7 +333,7 @@ def test_in_span_agrees_with_the_reference(rows, coeffs, col, c):
        st.sampled_from(COLUMNS + ("z",)), laurent_entries)
 def test_span_witnesses_agree_with_the_reference(rows, coeffs, col, c):
     inside = combine(rows, dict(enumerate(coeffs[:len(rows)])))
-    targets = [inside, vec_add(inside, {col: c}), {col: c}, {}]
+    targets = [inside, reference_vec_add(inside, {col: c}), {col: c}, {}]
     # the Fraction and rational entries have images at the residue point,
     # so the modular pass finds the rows of the target in the span
     assert all(residue(a) is not None for r in rows for a in r.values())
@@ -286,7 +354,8 @@ def test_span_witnesses_agree_with_the_reference(rows, coeffs, col, c):
 POLE = one / (q - residue_point("q"))         # no image at the residue point
 TINY = Scalar.from_fraction(Fraction(1, RESIDUE_PRIME))     # nor has 1/p
 PLANE = [{"a": one, "b": q}, {"b": one / (q + 1), "c": one}]
-PLANE.append(vec_add(vec_scale(PLANE[0], q), PLANE[1], one / (q + 2)))
+PLANE.append(reference_vec_add(reference_vec_scale(PLANE[0], q), PLANE[1],
+                               one / (q + 2)))
 
 
 def exact_sizes(monkeypatch):
@@ -334,7 +403,7 @@ def test_an_entry_without_a_residue_takes_the_exact_path(monkeypatch, entry,
 
 
 def test_a_wrong_support_falls_back_to_the_exact_elimination(monkeypatch):
-    rows = PLANE + [vec_add(PLANE[0], PLANE[1], q)]
+    rows = PLANE + [reference_vec_add(PLANE[0], PLANE[1], q)]
     targets = [combine(rows, {1: q, 2: one}), {"a": q}]
     want = linalg._exact_witnesses(rows, targets)
     monkeypatch.setattr(linalg, "_support_mod_p",
@@ -364,7 +433,7 @@ def test_rows_without_a_unit_entry():
     # every entry is a multiple of 1 + q^2, and no entry is a unit
     r1 = {"a": FACTOR, "b": FACTOR * (q + 1)}
     r2 = {"a": FACTOR * (q - 2), "c": 1 + q ** 2}
-    r3 = vec_add(vec_scale(r1, q - 2), r2, -one)
+    r3 = reference_vec_add(reference_vec_scale(r1, q - 2), r2, -one)
     rows = [r1, r2, r3]
     assert kernel(rows) == reference_kernel(rows)
     assert len(kernel(rows)) == 1
