@@ -6,7 +6,7 @@ calculi, vertical/horizontal/base decompositions, connections, and the
 extended braiding, verified at configurable truncation on built-in bundles.
 """
 
-from .scalars import Parameter, Scalar, q_binomial, scalar_arith
+from .scalars import Parameter, Scalar, q_binomial
 from .ncalg import (
     AlgebraPresentation,
     GeneratorSymbol,
@@ -35,7 +35,6 @@ from .calculus import (
     GradedTensor,
     cartan_maurer,
     cartan_maurer_equation_check,
-    lambda_basis,
     max_prolongation_degree2,
 )
 from .qpb import CompleteCalculus
@@ -69,8 +68,7 @@ __all__ = [
     "TensorPoly", "TranslationData", "build_example", "cartan_maurer",
     "cartan_maurer_equation_check", "chi", "chi_bullet", "chi_bullet_inv",
     "chi_inv", "confluence_check", "crossed_product", "graded_identity_suite",
-    "lambda_basis", "max_prolongation_degree2", "multiply",
-    "oracle_crosscheck", "parse", "q_binomial", "reduce", "scalar_arith",
-    "serialize", "sigma", "sigma_bullet", "tau", "tau_bullet",
-    "tau_identity_suite", "verify_hopf_axioms", "weight",
+    "max_prolongation_degree2", "multiply", "oracle_crosscheck", "parse",
+    "q_binomial", "reduce", "serialize", "sigma", "sigma_bullet", "tau",
+    "tau_bullet", "tau_identity_suite", "verify_hopf_axioms", "weight",
 ]

@@ -59,12 +59,6 @@ class Element(SparseSum):
     def degrees(self):
         return {len(F) for _, F in self.terms}
 
-    def degree(self):
-        degs = self.degrees()
-        if len(degs) > 1:
-            raise CalculusError(f"inhomogeneous element: {self}")
-        return degs.pop() if degs else 0
-
     def coefficient_poly(self, F) -> NCPoly:
         out = NCPoly.zero()
         for (w, F2), c in self.terms.items():
@@ -543,10 +537,6 @@ def cartan_maurer_equation_check(calc: DiffCalculus, max_word_len: int = 4,
     return rep
 
 
-def grouplike_word_inverse(calc: DiffCalculus, w) -> tuple:
-    return calc.hopf.grouplike_inverse_word(tuple(w))
-
-
 def left_tag(calc: DiffCalculus, F) -> tuple:
     """Left coaction tag of a letter word (grouplike structure groups)."""
     H = calc.pres
@@ -575,13 +565,8 @@ def lambda_element(calc: DiffCalculus, F) -> Element:
     F = tuple(F)
     if not F:
         return calc.unit()
-    inv = grouplike_word_inverse(calc, left_tag(calc, F))
+    inv = calc.hopf.grouplike_inverse_word(left_tag(calc, F))
     return calc.of_poly(NCPoly.word(inv), F)
-
-
-def lambda_basis(calc: DiffCalculus, k: int):
-    """Spanning set of left-coinvariant degree-k forms."""
-    return [lambda_element(calc, F) for F in calc.basis_forms(k)]
 
 
 def pi_lambda(calc: DiffCalculus, x: Element) -> dict:
@@ -638,7 +623,7 @@ def graded_antipode(calc: DiffCalculus, x: Element, inverse=False) -> Element:
         gens = []
         for f in F:
             pairs = calc.expansion[f]
-            if len(pairs) != 1 or not _is_one_poly(pairs[0][0]):
+            if len(pairs) != 1 or pairs[0][0] != NCPoly.one():
                 raise CalculusError(
                     f"graded antipode needs d(generator) letters, got {f}")
             gens.append(pairs[0][1])
@@ -649,10 +634,6 @@ def graded_antipode(calc: DiffCalculus, x: Element, inverse=False) -> Element:
         piece = calc.mul(piece, calc.of_poly(anti(NCPoly.word(w))))
         out.add_scaled(piece, c * sign(k * (k - 1) // 2))
     return out
-
-
-def _is_one_poly(p: NCPoly) -> bool:
-    return p == NCPoly.one()
 
 
 # -- maximal prolongation: degree-2 relations from first order -------------------

@@ -1,6 +1,9 @@
 """Right comodule algebras, coinvariants, the Hopf-Galois canonical map and
 the degree-zero braiding.
 
+The coinvariant subalgebra B = A^{co H} is computed on the truncated word
+basis as the kernel of Delta_A - id (x) 1, diagonal coaction or not.
+
 Equality in the balanced tensor product A (x)_B A is decided on canonical
 representatives: the images under the canonical map chi(a (x) a') =
 a a'_0 (x) a'_1, which is bijective for a Hopf-Galois extension.  The
@@ -38,19 +41,6 @@ class ComoduleAlgebra:
             if g.name not in self.coact_tab:
                 raise ComoduleError(f"missing coaction entry for {g.name}")
         self._coact_cache = {(): TensorPoly.unit((A, H.base))}
-        self.diagonal = self._detect_diagonal()
-
-    def _detect_diagonal(self):
-        for g in self.A.generators:
-            t = self.coact_tab[g.name]
-            if len(t.terms) != 1:
-                return False
-            ((wa, wh), c) = next(iter(t.terms.items()))
-            if wa != (g.name,) or not c.is_one():
-                return False
-            if not self.H.is_grouplike_word(wh):
-                return False
-        return True
 
     # -- coaction
 
@@ -62,29 +52,13 @@ class ComoduleAlgebra:
     def _coact_word(self, w) -> TensorPoly:
         return self._coact_word(w[:-1]).tensor_mul(self.coact_tab[w[-1]])
 
-    def htag(self, w) -> tuple:
-        """The grouplike tag of an A-basis word, for diagonal coactions."""
-        t = self._coact_word(tuple(w))
-        if len(t.terms) != 1:
-            raise ComoduleError(f"coaction not diagonal on {w}")
-        ((wa, wh), c) = next(iter(t.terms.items()))
-        return wh
-
     # -- coinvariants
 
     def coinvariant_basis(self, max_word_len: int) -> list:
-        if self.diagonal:
-            out = []
-            for w in self.A.irreducible_words(max_word_len):
-                if not self.htag(w):
-                    out.append(NCPoly.word(w))
-            return out
-        return self._coinvariants_by_solve(max_word_len)
-
-    def _coinvariants_by_solve(self, max_word_len: int) -> list:
-        """The kernel of Delta_A - id (x) 1 on the truncated words."""
+        """A basis of B = A^{co H} on the words of length <= max_word_len:
+        the kernel of Delta_A - id (x) 1."""
         def image(w):
-            return dict((self.coact(NCPoly.word(w)) - TensorPoly.from_polys(
+            return dict((self._coact_word(w) - TensorPoly.from_polys(
                 (self.A, self.H.base), NCPoly.word(w), NCPoly.one())).terms)
         return [NCPoly(combo) for combo in
                 kernel_on(self.A.irreducible_words(max_word_len), image)]

@@ -473,14 +473,6 @@ def crossed_structure_check(bundle: ExampleBundle, max_word_len: int = 3,
     return rep
 
 
-def smash_braiding_formula(data: CrossedProductData, A, j, bw1, a, bw2, c):
-    """Trivial-cocycle simplification of the braiding formula."""
-    left = A.multiply(NCPoly.word(bw1),
-                      _embed(data, A, j, data.measure_word(a, bw2), c))
-    right = _embed(data, A, j, NCPoly.one(), a)
-    return TensorPoly.from_polys((A, A), left, right)
-
-
 # -- registry and oracle crosscheck --------------------------------------------------
 
 

@@ -96,12 +96,6 @@ class HopfPresentation:
 
     # -- grouplike structure (structure groups are group algebras here)
 
-    def is_grouplike_word(self, w) -> bool:
-        t = TensorPoly.from_polys((self.base, self.base),
-                                  NCPoly.word(w), NCPoly.word(w))
-        return (self._delta_word(tuple(w)) == t
-                and self.counit(NCPoly.word(w)).is_one())
-
     def grouplike_inverse_word(self, w):
         """S(w) for a grouplike basis word, as a word."""
         s = self.antipode(NCPoly.word(w))

@@ -130,11 +130,12 @@ def memo(attr):
 
 
 def _splice_fixed(terms, items, fn, slot, width):
-    """terms += id (x) fn (x) id over the flat items of x, for keys of x
-    that keep one leg besides the width legs at slot, and two-leg values of
-    fn, as in every slot map of the graded path.  The keys are unpacked at
-    their fixed width: slicing them and joining the slices cost about 14%
-    more (warm podles braid loop, Python 3.11 on a 2-core x86_64 VM)."""
+    """terms += id (x) fn (x) id over the flat items of x, the one slot
+    shape of the graded path: keys of x keep one leg besides the width legs
+    at slot (width 1 or 2), and the values of fn have two legs.  The keys
+    are unpacked at their fixed width: slicing them and joining the slices
+    cost about 14% more (warm podles braid loop, Python 3.11 on a 2-core
+    x86_64 VM)."""
     if width == 1:
         if slot:
             for ((a, b), e), c in items:
@@ -152,13 +153,6 @@ def _splice_fixed(terms, items, fn, slot, width):
         for ((a, b, d), e), c in items:
             for ((p, q), e2), c2 in fn((a, b)).terms.items():
                 add_flat(terms, ((p, q, d), e + e2), c * c2)
-
-
-def _legs_of(slot, width):
-    """The getter of legs slot .. slot+width-1 of a key: the leg itself
-    when width is 1, a tuple of legs otherwise."""
-    return operator.itemgetter(slot if width == 1
-                               else slice(slot, slot + width))
 
 
 def flat_of(terms, to_id) -> dict:
@@ -267,7 +261,7 @@ class SparseSum:
                     add_term(terms, k2, c * c2)
             return self
         end = slot + width
-        legs = _legs_of(slot, width)
+        legs = operator.itemgetter(slot if width == 1 else slice(slot, end))
         for key, c in x.terms.items():
             pre, post = key[:slot], key[end:]
             for k2, c2 in fn(legs(key)).terms.items():
@@ -349,6 +343,10 @@ class FlatSum(SparseSum):
     (calculus.DiffCalculus.intern), and ids are given per calculus, so
     flat sums of different contexts never share a meaning for an id.
 
+    add_mapped with a slot has one shape, that of every slot map of the
+    graded path (_splice_fixed): a key of x keeps one leg besides the
+    width legs it maps, and the result has three legs.
+
     scalar_terms gives the sum as {key: Scalar} (scalars_of) through
     _id_to_key, the inverse of _key_to_id: it is for reports, linear
     algebra and printing.
@@ -384,23 +382,16 @@ class FlatSum(SparseSum):
         self.
 
         As SparseSum.add_mapped, on the flat terms of x (a Scalar sum gives
-        its flat_terms): fn is handed id keys and gives flat sums."""
+        its flat_terms): fn is handed id keys and gives flat sums, and a
+        slot map has the one shape of the class docstring."""
         terms = self.terms
         items = x.flat_terms().items()
         if slot is None:
             for (key, e), c in items:
                 for (k2, e2), c2 in fn(key).terms.items():
                     add_flat(terms, (k2, e + e2), c * c2)
-            return self
-        if len(x._ctx()) - width == 1 and len(self._ctx()) == 3:
+        else:
             _splice_fixed(terms, items, fn, slot, width)
-            return self
-        end = slot + width
-        legs = _legs_of(slot, width)
-        for (key, e), c in items:
-            pre, post = key[:slot], key[end:]
-            for (k2, e2), c2 in fn(legs(key)).terms.items():
-                add_flat(terms, (pre + k2 + post, e + e2), c * c2)
         return self
 
     def scale(self, c: Scalar):
@@ -441,15 +432,6 @@ class NCPoly(SparseSum):
     @staticmethod
     def gen(name: str, coeff: Scalar | None = None) -> "NCPoly":
         return NCPoly.word((name,), coeff)
-
-    def coefficient(self, w) -> Scalar:
-        return self.terms.get(tuple(w), Scalar.zero())
-
-    def symbols(self):
-        out = set()
-        for w in self.terms:
-            out.update(w)
-        return out
 
     @staticmethod
     def _key_str(w):
@@ -591,12 +573,6 @@ class AlgebraPresentation:
         for w1, c1 in p.terms.items():
             for w2, c2 in r.terms.items():
                 out.add_scaled(self.normal_word(w1 + w2), c1 * c2)
-        return out
-
-    def product(self, *polys: NCPoly) -> NCPoly:
-        out = NCPoly.one()
-        for p in polys:
-            out = self.multiply(out, p)
         return out
 
     def irreducible_words(self, max_len: int):

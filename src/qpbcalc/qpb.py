@@ -223,18 +223,6 @@ class CompleteCalculus:
                                      c * c3 * c4 * c5)
         return out
 
-    # -- membership predicates
-
-    def is_horizontal(self, x: Element) -> bool:
-        """Whether no term of the extended coaction of x has an Omega(H)
-        leg of positive degree."""
-        deg = self.omega_H.mono_deg
-        return all(deg[h] == 0 for (_, h), _ in self.delta_bullet(x).terms)
-
-    def is_base(self, x: Element) -> bool:
-        want = GradedTensor.of(self.legs, x, self.omega_H.unit())
-        return self.delta_bullet(x) == want
-
     # -- truncated bases
 
     def omega_basis(self, degree: int, max_word_len: int):

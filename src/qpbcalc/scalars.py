@@ -1048,19 +1048,6 @@ def residue(s: Scalar):
         return None
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Field arithmetic dispatch; op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ScalarError(f"unknown op {op!r}")
-
-
 def q_binomial(n: int, k: int, base: Scalar) -> Scalar:
     """Deformed binomial coefficient via the product formula.
 

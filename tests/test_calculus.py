@@ -11,7 +11,6 @@ from qpbcalc.calculus import (
     cartan_maurer,
     cartan_maurer_equation_check,
     graded_antipode,
-    lambda_basis,
     lambda_element,
     max_prolongation_degree2,
     pi_lambda,
@@ -135,11 +134,14 @@ def test_cartan_maurer_equation(u1q, two_var):
 # -- coinvariant forms --------------------------------------------------------------
 
 def test_lambda_basis_u1(u1q):
-    lam1 = lambda_basis(u1q, 1)
+    def lam(k):
+        return [lambda_element(u1q, F) for F in u1q.basis_forms(k)]
+
+    lam1 = lam(1)
     assert len(lam1) == 1
     assert lam1[0] == u1q.of_poly(NCPoly.gen("ti"), ("dt",))
-    assert lambda_basis(u1q, 0) == [u1q.unit()]
-    assert lambda_basis(u1q, 2) == []
+    assert lam(0) == [u1q.unit()]
+    assert lam(2) == []
 
 
 def test_pi_lambda_collapses(u1q):

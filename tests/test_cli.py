@@ -66,16 +66,20 @@ def test_check_json_schema(capsys):
 
 CARTAN_NOTE = ("the classifying right ideal is reconstructed at truncation "
                "as the kernel of the coinvariant-valued form on basis words")
+TAU_NOTE = "faithful flatness of the extension is assumed, not tested"
 
 
 def test_podles_linalg_suites(capsys):
-    # the suites whose verdicts exact elimination decides, at their default
-    # truncations
+    # podles suites at their default truncations: those whose verdicts exact
+    # elimination decides, tau, whose tau7 reads the coinvariant kernel, and
+    # strong, which shares tau's colinearity identities
     want = {
         "atiyah": (2, {"max_word_len": 3}, []),
         "bm": (2, {"degrees": [1, 2], "max_word_len": 3}, []),
         "cartan": (13, {"max_word_len": 3}, [CARTAN_NOTE]),
         "connection": (122, {"max_word_len": 3}, []),
+        "tau": (111, {"max_word_len": 3}, [TAU_NOTE]),
+        "strong": (25, {"max_n": 3}, []),
     }
     for suite, (checks, truncation, notes) in want.items():
         code, out, _ = run(capsys, "check", suite, "--example", "podles",

@@ -5,12 +5,12 @@ from qpbcalc.examples import (
     EXAMPLE_NAMES,
     CrossedProductData,
     ExampleError,
+    _sigma_d_formula,
     build_example,
     crossed_product,
     crossed_structure_check,
     crossed_validation,
     oracle_crosscheck,
-    smash_braiding_formula,
 )
 from qpbcalc.ncalg import NCPoly
 from qpbcalc.scalars import Scalar
@@ -89,7 +89,8 @@ def test_crossed_translation_map():
 
 
 def test_smash_case_matches_general_formula():
-    # trivial cocycle: the closed braiding formula reduces to the smash one
+    # trivial cocycle: sigma is the closed braiding formula on the smash
+    # product
     data = build_example("crossed_demo").crossed
     trivial = CrossedProductData(
         data.B, data.omega_B, data.H, data.omega_H, data.measure,
@@ -105,7 +106,7 @@ def test_smash_case_matches_general_formula():
                 ca.A.reduce(_as_element(ca.A, trivial, j, bw1, a)),
                 ca.A.reduce(_as_element(ca.A, trivial, j, bw2, c)))
             got = sigma(BalancedTensor(ca, raw=lhs_raw), td)
-            want = BalancedTensor(ca, raw=smash_braiding_formula(
+            want = BalancedTensor(ca, raw=_sigma_d_formula(
                 trivial, ca.A, j, bw1, a, bw2, c))
             assert got == want, (bw1, a, bw2, c)
 

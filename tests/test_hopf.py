@@ -1,5 +1,6 @@
 import pytest
 
+from qpbcalc.comodule import ComoduleAlgebra
 from qpbcalc.examples import build_example
 from qpbcalc.hopf import HopfPresentation, verify_hopf_axioms
 from qpbcalc.ncalg import NCPoly
@@ -127,6 +128,15 @@ def test_hopf_axioms_u1(u1):
 def test_hopf_axioms_sl2(sl2):
     rep = verify_hopf_axioms(sl2, max_word_len=3, example="sl2q")
     assert rep.ok(), rep.witnesses[:2]
+
+
+def test_regular_coaction_coinvariants_are_scalars(sl2):
+    # Delta itself as a coaction of sl2 on its algebra: not diagonal, and
+    # its coinvariants are the multiples of 1 (a in A with Delta(a) =
+    # a (x) 1 gives a = eps(a) 1 by the counit law)
+    ca = ComoduleAlgebra("sl2-regular", sl2.base, sl2, sl2.delta_tab)
+    for n in (2, 3):
+        assert ca.coinvariant_basis(n) == [NCPoly.one()]
 
 
 def test_non_coassociative_coproduct_fails():

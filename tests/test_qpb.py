@@ -95,12 +95,16 @@ def test_horizontal_and_base(torus, podles):
     oa = cc.omega_A
     b = NCPoly.word(("u", "v"))
     el = oa.mul(oa.of_poly(b), oa.d_poly(b))
-    assert cc.is_horizontal(el) and cc.is_base(el)
+    # a base form coacts as x (x) 1, so it is horizontal too
+    assert cc.delta_bullet(el) == GradedTensor.of(cc.legs, el,
+                                                  cc.omega_H.unit())
     cc2 = podles.cc
     oa2 = cc2.omega_A
     vol = oa2.form("ep", "em")
-    assert cc2.is_horizontal(vol) and cc2.is_base(vol)
-    assert not cc2.is_horizontal(oa2.form("e0"))
+    assert cc2.delta_bullet(vol) == GradedTensor.of(cc2.legs, vol,
+                                                    cc2.omega_H.unit())
+    # e0 has a vertical part, so it is not horizontal
+    assert not cc2.ver(0, 1, oa2.form("e0")).is_zero()
 
 
 # -- suites -----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from qpbcalc.scalars import (
     Scalar,
     ScalarError,
     q_binomial,
-    scalar_arith,
     sign,
 )
 
@@ -38,15 +37,7 @@ def test_inverse_pair_is_structural():
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZeroError):
-        scalar_arith(one, zero, "div")
-
-
-def test_scalar_arith_dispatch():
-    assert scalar_arith(q, qi, "mul") == one
-    assert scalar_arith(q, q, "sub") == zero
-    assert scalar_arith(one, one, "add") == Scalar.from_int(2)
-    with pytest.raises(ScalarError):
-        scalar_arith(q, q, "xor")
+        one / zero
 
 
 def test_mixed_parameters_align():
