@@ -6,27 +6,24 @@ generators left past letters, and differential tables for generators and
 letters.  Higher basis forms are strictly increasing letter words; a single
 product covers algebra multiplication and the wedge.
 
-A monomial is a pair (w, F) of a coefficient word and a letter word.  A
-form (Element) holds Scalars keyed by monomials.  A graded tensor
-(GradedTensor) is always flat (ncalg.FlatSum): it keys each monomial by a
-small int id that its calculus gives (DiffCalculus.intern), id 0 the unit
-((), ()) and the others in the order the monomials are first met, and
-reads the Koszul signs of its product and differential from the ids'
-degrees (DiffCalculus.mono_deg).
+A monomial is a pair (w, F) of a coefficient word and a letter word.
+Forms (Element) and graded tensors (GradedTensor) are flat sums
+(ncalg.FlatSum): they key each monomial by a small int id that its
+calculus gives (DiffCalculus.intern), id 0 the unit ((), ()) and the others
+in the order the monomials are first met, and read the Koszul signs of
+their products and differentials from the ids' degrees
+(DiffCalculus.mono_deg).  The product of two monomials is memoised as a
+flat table (DiffCalculus.mono_mul), which every product of forms and of
+graded tensors reads.  Scalar terms {(w, F): Scalar} enter a form by
+Element.from_scalars and leave it by scalar_terms; the tables that fill
+mono_mul (act_word, straighten, the presentation's normal_word) stay
+Scalar.
 """
 
 from __future__ import annotations
 
 from .linalg import kernel_on, span_witnesses
-from .ncalg import (
-    FlatSum,
-    NCPoly,
-    SparseSum,
-    add_flat,
-    add_term,
-    flat_of,
-    memo,
-)
+from .ncalg import FlatSum, NCPoly, add_flat, add_term, flat_of, memo
 from .report import CheckReport, timed
 from .scalars import Scalar, sign
 
@@ -43,28 +40,32 @@ class MissingActionError(CalculusError):
     pass
 
 
-class Element(SparseSum):
-    """Sum of scalar-weighted (coefficient word, letter word) monomials."""
+class Element(FlatSum):
+    """A form: flat terms (monomial id, e) -> int in its calculus."""
 
     __slots__ = ("calc",)
     _context = "calc"
 
     def __init__(self, calc, terms=None):
         self.calc = calc
-        SparseSum.__init__(self, terms)
+        FlatSum.__init__(self, terms)
 
-    def _key_to_id(self):
-        return self.calc.intern
+    @staticmethod
+    def from_scalars(calc, terms) -> "Element":
+        """The form of Scalar terms {(w, F): Scalar} of calc."""
+        return Element(calc, flat_of(terms, calc.intern))
+
+    def _id_to_key(self):
+        return self.calc.monos.__getitem__
 
     def degrees(self):
-        return {len(F) for _, F in self.terms}
+        deg = self.calc.mono_deg
+        return {deg[i] for i, _ in self.terms}
 
     def coefficient_poly(self, F) -> NCPoly:
-        out = NCPoly.zero()
-        for (w, F2), c in self.terms.items():
-            if F2 == tuple(F):
-                add_term(out.terms, w, c)
-        return out
+        F = tuple(F)
+        return NCPoly({w: c for (w, F2), c in self.scalar_terms().items()
+                       if F2 == F})
 
     @staticmethod
     def _key_str(key):
@@ -102,8 +103,8 @@ class DiffCalculus:
         self._dletters_cache = {}
         self._mono_mul_cache = {}
         self._hdelta_cache = {}           # qpb._hdelta_mono, on Omega(H)
-        # the flat path's monomial ids: mono_id maps a monomial to its id,
-        # monos and mono_deg give an id's monomial and its degree len(F)
+        # the monomial ids: mono_id maps a monomial to its id, monos and
+        # mono_deg give an id's monomial and its degree len(F)
         self.mono_id = {UNIT: UNIT_ID}
         self.monos = [UNIT]
         self.mono_deg = [0]
@@ -123,14 +124,12 @@ class DiffCalculus:
         return Element(self)
 
     def unit(self) -> Element:
-        return Element(self, {UNIT: Scalar.one()})
+        return Element(self, {(UNIT_ID, 0): 1})
 
     def of_poly(self, p: NCPoly, letters=()) -> Element:
         letters = tuple(letters)
-        out = Element(self)
-        for w, c in self.pres.reduce(p).terms.items():
-            add_term(out.terms, (w, letters), c)
-        return out
+        return Element.from_scalars(self, {
+            (w, letters): c for w, c in self.pres.reduce(p).terms.items()})
 
     def form(self, *letters) -> Element:
         return self.of_poly(NCPoly.one(), tuple(letters))
@@ -173,57 +172,52 @@ class DiffCalculus:
 
     # -- right action: move a coefficient word left past a letter word
 
-    def _act_gen(self, F, g) -> Element:
-        """F . g as sum of (word, letter word of the same length)."""
+    def _act_gen(self, F, g) -> dict:
+        """F . g as Scalar terms {(word, letter word of the same length):
+        c}."""
         if not F:
-            return Element(self, {((g,), ()): Scalar.one()})
+            return {((g,), ()): Scalar.one()}
         last = F[-1]
         rule = self.raction.get((last, g))
         if rule is None:
             raise MissingActionError(
                 f"{self.name}: no right-action rule for ({last}, {g})")
-        out = Element(self)
-        for (wr, Fr), c in rule.terms.items():
+        out = {}
+        for (wr, Fr), c in rule.scalar_terms().items():
             head = self.act_word(F[:-1], wr)
-            for (w2, F2), c2 in head.terms.items():
-                add_term(out.terms, (w2, F2 + Fr), c * c2)
+            for (w2, F2), c2 in head.items():
+                add_term(out, (w2, F2 + Fr), c * c2)
         return out
 
     @memo("_act_cache")
-    def act_word(self, F, w) -> Element:
-        """F . w, coefficients moved fully to the left (letters unsorted)."""
+    def act_word(self, F, w) -> dict:
+        """F . w as Scalar terms {(w', F'): c}, coefficients moved fully to
+        the left (letters unsorted); read-only."""
         if not w:
-            return Element(self, {((), F): Scalar.one()})
-        first = self._act_gen(F, w[0])
-        out = Element(self)
-        for (w1, F1), c in first.terms.items():
+            return {((), F): Scalar.one()}
+        out = {}
+        for (w1, F1), c in self._act_gen(F, w[0]).items():
             rest = self.act_word(F1, w[1:])
-            for (w2, F2), c2 in rest.terms.items():
+            for (w2, F2), c2 in rest.items():
                 prod = self.pres.normal_word(w1 + w2)
                 for w3, c3 in prod.terms.items():
-                    add_term(out.terms, (w3, F2), c * c2 * c3)
+                    add_term(out, (w3, F2), c * c2 * c3)
         return out
 
     # -- product (algebra multiplication and wedge in one)
 
     def _expand(self, terms, m1, m2, c):
-        """terms += c * m1 m2 for monomials m1 = (w1, F1), m2 = (w2, F2)."""
+        """Scalar terms += c * m1 m2 for monomials m1 = (w1, F1), m2 =
+        (w2, F2): the fill of mono_mul."""
         (w1, F1), (w2, F2) = m1, m2
         if len(F1) + len(F2) > self.top_degree:
             return
         moved = self.act_word(F1, w2)
-        for (w3, F3), c3 in moved.terms.items():
+        for (w3, F3), c3 in moved.items():
             for c4, F4 in self.straighten(F3 + F2):
                 prod = self.pres.normal_word(w1 + w3)
                 for w5, c5 in prod.terms.items():
                     add_term(terms, (w5, F4), c * c3 * c4 * c5)
-
-    def mul(self, x: Element, y: Element) -> Element:
-        out = Element(self)
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                self._expand(out.terms, m1, m2, c1 * c2)
-        return out
 
     @memo("_mono_mul_cache")
     def mono_mul(self, i1, i2) -> tuple:
@@ -234,6 +228,20 @@ class DiffCalculus:
         monos = self.monos
         self._expand(terms, monos[i1], monos[i2], Scalar.one())
         return tuple(flat_of(terms, self.intern).items())
+
+    def add_mono_mul(self, terms, i1, i2, e, c):
+        """terms += c x^e (monomial i1)(monomial i2), for a flat term (e, c)
+        and a flat dict terms the caller owns."""
+        for (m, e2), c2 in self.mono_mul(i1, i2):
+            add_flat(terms, (m, e + e2), c * c2)
+
+    def mul(self, x: Element, y: Element) -> Element:
+        terms = {}
+        right = y.terms.items()
+        for (i1, e1), c1 in x.terms.items():
+            for (i2, e2), c2 in right:
+                self.add_mono_mul(terms, i1, i2, e1 + e2, c1 * c2)
+        return Element(self, terms)
 
     def product(self, *xs: Element) -> Element:
         out = self.unit()
@@ -263,16 +271,17 @@ class DiffCalculus:
             out.add_scaled(piece, sign(i))
         return out
 
-    def d(self, x: Element) -> Element:
-        out = Element(self)
-        for (w, F), c in x.terms.items():
-            dw = self.d_word(w)
-            piece = self.mul(dw, self.form(*F))
-            if F:
-                piece.add_scaled(self.mul(self.of_poly(NCPoly.word(w)),
-                                          self.d_letters(F)))
-            out.add_scaled(piece, c)
+    def d_mono(self, i) -> Element:
+        """d of the monomial of id i."""
+        w, F = self.monos[i]
+        out = self.mul(self.d_word(w), self.form(*F))
+        if F:
+            out.add_scaled(self.mul(self.of_poly(NCPoly.word(w)),
+                                    self.d_letters(F)))
         return out
+
+    def d(self, x: Element) -> Element:
+        return Element(self).add_mapped(x, self.d_mono)
 
     def d_poly(self, p: NCPoly) -> Element:
         return self.d(self.of_poly(p))
@@ -302,10 +311,10 @@ class DiffCalculus:
                 x = self.of_poly(NCPoly.word(w))
                 got = self.d(self.d(x))
                 rep.record(got.is_zero(), f"dd({'*'.join(w) or '1'})", "0",
-                           str(got), ref="d 1-form of algebra element")
+                           got, ref="d 1-form of algebra element")
             for f in self.letters:
                 got = self.d(self.d(self.form(f)))
-                rep.record(got.is_zero(), f"dd({f})", "0", str(got),
+                rep.record(got.is_zero(), f"dd({f})", "0", got,
                            ref="d squared on letters")
             # graded Leibniz on (form, generator) pairs
             for f in self.letters:
@@ -315,7 +324,7 @@ class DiffCalculus:
                     lhs = self.d(self.mul(x, y))
                     rhs = self.mul(self.d(x), y) - self.mul(x, self.d(y))
                     rep.record(lhs == rhs, f"leibniz({f},{g.name})",
-                               str(rhs), str(lhs),
+                               rhs, lhs,
                                ref="d(w y) = dw y + (-1)^|w| w dy")
             # wedge associativity on letter triples
             for a in self.letters:
@@ -326,16 +335,15 @@ class DiffCalculus:
                         rhs = self.mul(self.form(a),
                                        self.mul(self.form(b), self.form(c)))
                         rep.record(lhs == rhs, f"assoc({a},{b},{c})",
-                                   str(rhs), str(lhs), ref="wedge associativity")
+                                   rhs, lhs, ref="wedge associativity")
             # right action respects the algebra relations
             for f in self.letters:
                 for rule in self.pres.rules:
-                    lhs = self.act_word((f,), rule.lhs)
-                    rhs = Element(self)
-                    for w, c in rule.rhs.terms.items():
-                        rhs.add_scaled(self.act_word((f,), w), c)
-                    lhs = self._sortkey_terms(lhs)
-                    rhs = self._sortkey_terms(rhs)
+                    lhs = self._sortkey_terms(
+                        self.act_word((f,), rule.lhs).items())
+                    rhs = self._sortkey_terms(
+                        (key, c * c2) for w, c in rule.rhs.terms.items()
+                        for key, c2 in self.act_word((f,), w).items())
                     rep.record(lhs == rhs,
                                f"raction({f},{'*'.join(rule.lhs)})",
                                "relation respected", "mismatch",
@@ -345,15 +353,16 @@ class DiffCalculus:
                 if f in self.expansion:
                     got = self.expansion_element(f)
                     want = self.form(f)
-                    rep.record(got == want, f"expansion({f})", str(want),
-                               str(got), ref="sum a_i d(b_i) = form")
+                    rep.record(got == want, f"expansion({f})", want, got,
+                               ref="sum a_i d(b_i) = form")
         return rep
 
-    def _sortkey_terms(self, x: Element) -> Element:
-        out = Element(self)
-        for (w, F), c in x.terms.items():
+    def _sortkey_terms(self, items) -> dict:
+        """The Scalar terms ((w, F), c) summed with each F straightened."""
+        out = {}
+        for (w, F), c in items:
             for c2, F2 in self.straighten(F):
-                add_term(out.terms, (w, F2), c * c2)
+                add_term(out, (w, F2), c * c2)
         return out
 
     def __repr__(self):
@@ -401,7 +410,7 @@ class GradedTensor(FlatSum):
         partial = [((), 0, 1)]
         for leg, x in zip(legs, elements):
             assert x.calc is leg
-            items = x.flat_terms().items()
+            items = x.terms.items()
             partial = [(k + (m,), e + e2, c * c2)
                        for k, e, c in partial for (m, e2), c2 in items]
         terms = {}
@@ -453,8 +462,7 @@ class GradedTensor(FlatSum):
                 m = key[i]
                 dm = dleg[i].get(m)
                 if dm is None:
-                    dx = leg.d(Element(leg, {leg.monos[m]: Scalar.one()}))
-                    dm = dleg[i][m] = dx.flat_terms().items()
+                    dm = dleg[i][m] = leg.d_mono(m).terms.items()
                 cs = -c if odd else c
                 pre, post = key[:i], key[i + 1:]
                 for (m2, e2), c2 in dm:
@@ -519,19 +527,18 @@ def cartan_maurer_equation_check(calc: DiffCalculus, max_word_len: int = 4,
                     cartan_maurer(calc, NCPoly.word(w1)),
                     cartan_maurer(calc, NCPoly.word(w2))), c)
             rep.record(got.is_zero(), f"cm({'*'.join(w) or '1'})", "0",
-                       str(got))
+                       got)
         # ideal reconstruction: combinations killed by the form must also
         # be killed by wedge(form (x) form) after the coproduct
-        for combo in kernel_on(words, lambda w: dict(
-                cartan_maurer(calc, NCPoly.word(w)).terms)):
+        for combo in kernel_on(words, lambda w: cartan_maurer(
+                calc, NCPoly.word(w)).scalar_terms()):
             h = NCPoly(combo)
             quad = calc.zero()
             for (w1, w2), c in hopf.coproduct(h).terms.items():
                 quad.add_scaled(calc.mul(
                     cartan_maurer(calc, NCPoly.word(w1)),
                     cartan_maurer(calc, NCPoly.word(w2))), c)
-            rep.record(quad.is_zero(), f"ideal-relation({h})", "0",
-                       str(quad),
+            rep.record(quad.is_zero(), f"ideal-relation({h})", "0", quad,
                        ref="quadratic coinvariant-form relations on the "
                            "reconstructed ideal")
     return rep
@@ -572,7 +579,7 @@ def lambda_element(calc: DiffCalculus, F) -> Element:
 def pi_lambda(calc: DiffCalculus, x: Element) -> dict:
     """Projection S(w_-1) w_0; collapses coefficients, keyed by letter word."""
     out = {}
-    for (w, F), c in x.terms.items():
+    for (w, F), c in x.scalar_terms().items():
         add_term(out, F, c)
     return out
 
@@ -596,7 +603,7 @@ def bc_coproduct(calc: DiffCalculus, x: Element) -> GradedTensor:
     """Right-plus-left coaction extension of the comultiplication."""
     hopf = calc.hopf
     terms = {}
-    for (w, F), c in x.terms.items():
+    for (w, F), c in x.scalar_terms().items():
         if not F:
             for (w1, w2), c2 in hopf._delta_word(w).terms.items():
                 add_term(terms, (((w1), ()), ((w2), ())), c * c2)
@@ -619,7 +626,7 @@ def graded_antipode(calc: DiffCalculus, x: Element, inverse=False) -> Element:
     hopf = calc.hopf
     anti = hopf.antipode_inv if inverse else hopf.antipode
     out = calc.zero()
-    for (w, F), c in x.terms.items():
+    for (w, F), c in x.scalar_terms().items():
         gens = []
         for f in F:
             pairs = calc.expansion[f]
@@ -658,16 +665,17 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
         words = list(pres.irreducible_words(max_word_len))
         pairs = [(a, b) for a in words for b in words]
         d = {w: calc.d_poly(NCPoly.word(w)) for w in words}
+        d_scalars = {w: x.scalar_terms().items() for w, x in d.items()}
 
         def pair_row(a, b):
             """(a db || da (x) db), its columns tagged 0 and 1."""
-            db = d[b]
-            row = {(0, k): c for k, c in
-                   calc.mul(calc.of_poly(NCPoly.word(a)), db).terms.items()}
-            for (w1, F1), c1 in d[a].terms.items():
-                for (w2, F2), c2 in db.terms.items():
+            db = d_scalars[b]
+            row = {(0, k): c for k, c in calc.mul(
+                calc.of_poly(NCPoly.word(a)), d[b]).scalar_terms().items()}
+            for (w1, F1), c1 in d_scalars[a]:
+                for (w2, F2), c2 in db:
                     moved = calc.act_word(F1, w2)
-                    for (w3, F3), c3 in moved.terms.items():
+                    for (w3, F3), c3 in moved.items():
                         prod = pres.normal_word(w1 + w3)
                         for w4, c4 in prod.terms.items():
                             add_term(row, (1, (w4, F3 + F2)),

@@ -284,11 +284,11 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
             got = bt.canonical
             want = TensorPoly.from_polys((A, H.base), NCPoly.one(),
                                          NCPoly.word(w))
-            rep.record(got == want, f"tau6({name})", str(want), str(got),
+            rep.record(got == want, f"tau6({name})", want, got,
                        ref="chi(tau(h)) = 1 (x) h")
             prod = collapse(bt)
             want1 = NCPoly.one().scale(H.counit(NCPoly.word(w)))
-            rep.record(prod == want1, f"tau1({name})", str(want1), str(prod),
+            rep.record(prod == want1, f"tau1({name})", want1, prod,
                        ref="h<1> h<2> = eps(h) 1")
         # tau5: a_0 tau(a_1) = 1 (x)_B a on A basis words
         for w in A.irreducible_words(max_word_len):
@@ -301,8 +301,8 @@ def tau_identity_suite(ca: ComoduleAlgebra, td: TranslationData,
                 continue
             rhs = BalancedTensor(ca, raw=TensorPoly.from_polys(
                 (A, A), NCPoly.one(), NCPoly.word(w)))
-            rep.record(lhs == rhs, f"tau5({name})", str(rhs.canonical),
-                       str(lhs.canonical), ref="a0 tau(a1) = 1 (x)_B a")
+            rep.record(lhs == rhs, f"tau5({name})", rhs.canonical,
+                       lhs.canonical, ref="a0 tau(a1) = 1 (x)_B a")
         # tau2 on pairs of H words
         for w1 in hw:
             for w2 in hw:

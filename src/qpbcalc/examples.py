@@ -175,7 +175,7 @@ def crossed_validation(data: CrossedProductData, bound: int = 2,
                     lhs = s(a, b) * s(a + b, c)
                     rhs = s(b, c) * s(a, b + c)
                     rep.record(lhs == rhs, f"cocycle({a},{b},{c})",
-                               str(rhs), str(lhs), ref="cocycle identity")
+                               rhs, lhs, ref="cocycle identity")
                     for g in data.B.generators:
                         # twisted module with central scalar cocycle values:
                         # h (h' b) = sigma(h, h') (hh' b) sigma^-1(h, h')
@@ -183,8 +183,7 @@ def crossed_validation(data: CrossedProductData, bound: int = 2,
                             data, a, data.measure_word(b, (g.name,))))
                         rhs2 = data.measure_word(a + b, (g.name,))
                         rep.record(lhs2 == rhs2,
-                                   f"twisted({a},{b},{g.name})",
-                                   str(rhs2), str(lhs2),
+                                   f"twisted({a},{b},{g.name})", rhs2, lhs2,
                                    ref="scalar cocycles drop out of the "
                                        "twisted-module law")
         # measure is multiplicative across the B relations
@@ -193,7 +192,7 @@ def crossed_validation(data: CrossedProductData, bound: int = 2,
                 lhs = data.measure_word(n, rule.lhs)
                 rhs = _measure_poly(data, n, rule.rhs)
                 rep.record(lhs == rhs, f"measure-respects({n},"
-                           f"{'*'.join(rule.lhs)})", str(rhs), str(lhs),
+                           f"{'*'.join(rule.lhs)})", rhs, lhs,
                            ref="module algebra law on relations")
         # measure commutes with the B differential on generators
         for g in data.B.generators:
@@ -202,8 +201,8 @@ def crossed_validation(data: CrossedProductData, bound: int = 2,
                 moved.add_scaled(data.omega_B.d_poly(NCPoly.word(w)), c)
             want = moved
             got = data.omega_B.d_poly(data.measure_word(1, (g.name,)))
-            rep.record(got == want, f"d-measure({g.name})", str(want),
-                       str(got), ref="differential intertwines the measure")
+            rep.record(got == want, f"d-measure({g.name})", want, got,
+                       ref="differential intertwines the measure")
     return rep
 
 
@@ -294,8 +293,8 @@ def crossed_product(data: CrossedProductData) -> ExampleBundle:
     # right actions
     for f in data.omega_B.letters:
         for g in B.generators:
-            oa.raction[(f, g.name)] = Element(
-                oa, data.omega_B.raction[(f, g.name)].terms)
+            oa.raction[(f, g.name)] = Element.from_scalars(
+                oa, data.omega_B.raction[(f, g.name)].scalar_terms())
         cf = _diagonal_coeff(data, f)
         oa.raction[(f, "T")] = oa.of_poly(NCPoly.gen("T", cf.inverse()), (f,))
         oa.raction[(f, "Ti")] = oa.of_poly(NCPoly.gen("Ti", cf), (f,))
@@ -314,16 +313,16 @@ def crossed_product(data: CrossedProductData) -> ExampleBundle:
         NCPoly.gen("Ti", ratio * cm1), (hletter,))
     # differentials
     for g in B.generators:
-        oa.d_gen[g.name] = Element(oa, data.omega_B.d_gen[g.name].terms)
+        oa.d_gen[g.name] = Element.from_scalars(
+            oa, data.omega_B.d_gen[g.name].scalar_terms())
     oa.d_gen["T"] = oa.form(hletter)
-    e = hcal.d_gen[hg.inverse_of]
-    ((wte, fte),) = e.terms.keys()
-    ce = e.terms[(wte, fte)]
+    (((wte, fte), ce),) = hcal.d_gen[hg.inverse_of].scalar_terms().items()
     n_e = -len(wte)
     coeff = ce * s(n_e, 1).inverse() * nu(n_e)
     oa.d_gen["Ti"] = oa.of_poly(NCPoly.word(iota_word(n_e), coeff), (hletter,))
     for f in data.omega_B.letters:
-        oa.d_letter[f] = Element(oa, data.omega_B.d_letter[f].terms)
+        oa.d_letter[f] = Element.from_scalars(
+            oa, data.omega_B.d_letter[f].scalar_terms())
     oa.d_letter[hletter] = oa.zero()
     for f in data.omega_B.letters:
         oa.expansion[f] = list(data.omega_B.expansion[f])
@@ -374,7 +373,7 @@ def _diagonal_coeff(data, f) -> Scalar:
 
 def _h_action_coeff(hcal, gname) -> Scalar:
     el = hcal.raction[(hcal.letters[0], gname)]
-    ((key, c),) = el.terms.items()
+    ((key, c),) = el.scalar_terms().items()
     return c
 
 
@@ -428,8 +427,8 @@ def crossed_structure_check(bundle: ExampleBundle, max_word_len: int = 3,
         for w in bwords:
             for f in data.omega_B.letters:
                 el = oa.mul(oa.of_poly(NCPoly.word(w)), oa.form(f))
-                rows_b.append(dict(el.terms))
-        rep.record(rref([dict(x.terms) for x in base1]) == rref(rows_b),
+                rows_b.append(el.scalar_terms())
+        rep.record(rref([x.scalar_terms() for x in base1]) == rref(rows_b),
                    "base1 = Omega1(B)", "span equality", "mismatch",
                    ref="coinvariant horizontal forms")
         # vertical forms: images of B (x) Omega(H) basis span ver1 targets
@@ -461,7 +460,7 @@ def crossed_structure_check(bundle: ExampleBundle, max_word_len: int = 3,
                 for n in range(-emax, emax + 1):
                     el = oa.product(oa.of_poly(NCPoly.word(w)), oa.form(f),
                                     oa.of_poly(jpoly(n)))
-                    vec = dict(el.terms)
+                    vec = el.scalar_terms()
                     if vec and all(len(ww) <= max_word_len
                                    for ww, _ in vec):
                         rows_h.append(vec)
@@ -520,15 +519,14 @@ def oracle_crosscheck(bundle: ExampleBundle,
                                                     entry.expected)
                 ok = (GradedBalancedTensor(cc, raw=got)
                       == GradedBalancedTensor(cc, raw=want))
-                rep.record(ok, f"sigma({xs},{ys})", str(want), str(got),
-                           ref=entry.ref)
+                rep.record(ok, f"sigma({xs},{ys})", want, got, ref=entry.ref)
             elif entry.kind == "ver":
                 k, l, xs = entry.args
                 x = eval_form(xs, bundle.params, oa)
                 got = cc.ver(k, l, x)
                 want = eval_tensor(entry.expected, bundle.params, (oa, oh))
-                rep.record(got == want, f"ver{k}{l}({xs})", str(want),
-                           str(got), ref=entry.ref)
+                rep.record(got == want, f"ver{k}{l}({xs})", want, got,
+                           ref=entry.ref)
             else:
                 raise ExampleError(f"unknown oracle kind {entry.kind!r}")
     return rep

@@ -315,7 +315,7 @@ def eval_poly_ast(node, params, bare, line=None) -> NCPoly:
     ctx = Context(params, bare, line=line)
     v = _to_form(ctx, eval_ast(node, ctx))
     out = NCPoly.zero()
-    for (w, F), c in v.terms.items():
+    for (w, F), c in v.scalar_terms().items():
         if F:
             raise ExprError("form letters not allowed here", line)
         add_term(out.terms, w, c)

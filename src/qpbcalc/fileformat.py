@@ -519,11 +519,12 @@ def _poly_str(p: NCPoly) -> str:
 
 
 def _form_str(el: Element) -> str:
-    if el.is_zero():
+    terms = el.scalar_terms()
+    if not terms:
         return "0"
     parts = []
-    for (w, F) in sorted(el.terms, key=lambda k: (k[1], len(k[0]), k[0])):
-        c = el.terms[(w, F)]
+    for (w, F) in sorted(terms, key=lambda k: (k[1], len(k[0]), k[0])):
+        c = terms[(w, F)]
         cs = str(c)
         bits = [x for x in (_word_str(w),) if x != "1"] + list(F)
         body = "*".join(bits) if bits else "1"

@@ -132,18 +132,18 @@ class HopfPresentation:
                 right = _apply_counit(self, d, 1)
                 pn = H.reduce(p)
                 rep.record(left == pn and right == pn, f"counit({name})",
-                           str(pn), f"{left} / {right}",
+                           pn, f"{left} / {right}",
                            ref="(eps (x) id)Delta = id = (id (x) eps)Delta")
                 e1 = NCPoly.one().scale(self.counit(p))
                 s_left = _convolve(self, d, anti_left=True)
                 s_right = _convolve(self, d, anti_left=False)
                 rep.record(s_left == e1 and s_right == e1,
-                           f"antipode({name})", str(e1),
+                           f"antipode({name})", e1,
                            f"{s_left} / {s_right}",
                            ref="S(h1)h2 = eps(h)1 = h1 S(h2)")
                 rep.record(self.antipode_inv(self.antipode(p)) == pn
                            and self.antipode(self.antipode_inv(p)) == pn,
-                           f"antipode_inverse({name})", str(pn), "mismatch",
+                           f"antipode_inverse({name})", pn, "mismatch",
                            ref="S^-1 S = id = S S^-1")
             # morphism property on the defining relations
             for rule in H.rules:

@@ -6,16 +6,16 @@ smaller than lhs in the degree-lexicographic order induced by the declared
 generator order; reduction to normal form then terminates and, for the
 shipped presentations, is confluent (checked by critical-pair enumeration).
 
-SparseSum is the finite-sum arithmetic of NCPoly and of the form
-(calculus.Element) and tensor (tensors.TensorPoly) types, whose
-coefficients are Scalars.  FlatSum, the sum type of the graded tensors
+SparseSum is the finite-sum arithmetic of NCPoly and of the tensor type
+(tensors.TensorPoly), whose coefficients are Scalars.  FlatSum, the sum
+type of the forms (calculus.Element) and graded tensors
 (calculus.GradedTensor), keys ints by (id key, packed exponent) and
 accumulates them with add_flat; a coefficient with no flat form rides
-along as a Scalar.  The id key of a graded tensor holds a small int for
-each monomial, given by its calculus (calculus.DiffCalculus.intern), so
-the graded path hashes ints, not nested tuples of words and letters.  A
-Scalar sum enters the flat form by flat_terms and a flat sum leaves it by
-scalar_terms; flat_of and scalars_of are the two conversions.
+along as a Scalar.  An id key holds a small int for each monomial, given
+by its calculus (calculus.DiffCalculus.intern), so forms and graded
+tensors hash ints, not nested tuples of words and letters.  Scalar terms
+enter the flat form by flat_of and leave it by scalars_of (a flat sum's
+scalar_terms), at the report boundary only.
 
 memo(attr) memoises a map given on monomials, fn(owner, a) or
 fn(owner, a, b), in the dict owner.<attr>, keyed by a or by (a, b).  The
@@ -191,10 +191,6 @@ def _all_int(terms):
 class SparseSum:
     """Finite sum key -> Scalar coefficient with zero coefficients absent.
 
-    flat_terms gives the sum in the flat form of FlatSum (flat_of), each
-    key turned into its id key by the subclass's _key_to_id: an Element's
-    id key is the int id of its monomial (w, F) in its calculus.
-
     A subclass names the slot holding its context (the legs or the
     calculus) in _context; sums combine only within one context.  It also
     gives _key_str, the printed monomial of a key ("" for the unit), and
@@ -224,11 +220,6 @@ class SparseSum:
             setattr(out, self._context, getattr(self, self._context))
         out.terms = terms
         return out
-
-    def flat_terms(self) -> dict:
-        """This sum's terms in the flat form {(id key, e): c} of FlatSum,
-        through the subclass's _key_to_id."""
-        return flat_of(self.terms, self._key_to_id())
 
     def scalar_terms(self) -> dict:
         """This sum's terms {key: Scalar}: the dict itself, read-only."""
@@ -304,9 +295,6 @@ class SparseSum:
         return (type(other) is type(self) and self._ctx() == other._ctx()
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self._ctx(), tuple(sorted(self.terms.items()))))
-
     def __str__(self):
         terms = self.scalar_terms()
         if not terms:
@@ -338,30 +326,24 @@ class FlatSum(SparseSum):
     so a sum of Laurent polynomials with int coefficients is accumulated
     with add_flat in machine ints.  A coefficient that has no such form
     enters whole as a Scalar at e = 0 and is multiplied and added as a
-    Scalar from then on.  A Scalar sum enters by its flat_terms; the id
-    keys are the monomial ids of the graded types
-    (calculus.DiffCalculus.intern), and ids are given per calculus, so
-    flat sums of different contexts never share a meaning for an id.
+    Scalar from then on.  The id keys are the monomial ids of the forms and
+    graded tensors (calculus.DiffCalculus.intern), and ids are given per
+    calculus, so flat sums of different contexts never share a meaning for
+    an id.
 
     add_mapped with a slot has one shape, that of every slot map of the
     graded path (_splice_fixed): a key of x keeps one leg besides the
     width legs it maps, and the result has three legs.
 
-    scalar_terms gives the sum as {key: Scalar} (scalars_of) through
-    _id_to_key, the inverse of _key_to_id: it is for reports, linear
-    algebra and printing.
+    scalar_terms gives the sum as {key: Scalar} (scalars_of) through the
+    subclass's _id_to_key: it is for reports, linear algebra and printing.
     """
 
     __slots__ = ()
-    __hash__ = None
 
     def __init__(self, terms=None):
         """A sum adopting the flat dict terms as given."""
         self.terms = {} if terms is None else terms
-
-    def flat_terms(self) -> dict:
-        """This sum's own flat terms, read-only."""
-        return self.terms
 
     def scalar_terms(self) -> dict:
         """This sum's terms as a new dict {key: Scalar}."""
@@ -378,14 +360,14 @@ class FlatSum(SparseSum):
         return self
 
     def add_mapped(self, x, fn, slot=None, width=1):
-        """self += the linear extension of fn over the terms of x; returns
-        self.
+        """self += the linear extension of fn over the flat terms of x;
+        returns self.
 
-        As SparseSum.add_mapped, on the flat terms of x (a Scalar sum gives
-        its flat_terms): fn is handed id keys and gives flat sums, and a
-        slot map has the one shape of the class docstring."""
+        As SparseSum.add_mapped, with x a flat sum: fn is handed id keys
+        and gives flat sums, and a slot map has the one shape of the class
+        docstring."""
         terms = self.terms
-        items = x.flat_terms().items()
+        items = x.terms.items()
         if slot is None:
             for (key, e), c in items:
                 for (k2, e2), c2 in fn(key).terms.items():
@@ -393,6 +375,14 @@ class FlatSum(SparseSum):
         else:
             _splice_fixed(terms, items, fn, slot, width)
         return self
+
+    def is_zero(self) -> bool:
+        """Whether the sum is zero in value: int terms that add_flat kept
+        never cancel, but a carried Scalar may cancel against the terms of
+        other exponents at its key."""
+        terms = self.terms
+        return not terms or (not _all_int(terms)
+                             and not self.scalar_terms())
 
     def scale(self, c: Scalar):
         return self._new({}).add_scaled(self, c)

@@ -6,9 +6,10 @@ per-letter tensor tables; well-definedness against every calculus relation
 is the completeness check.  Vertical forms are A (x) Lambda with the
 twisted product; horizontal and base forms are bidegree conditions.
 
-The coactions take forms and return flat graded tensors
-(calculus.GradedTensor); the vertical maps, the kernels and the checks
-that read coefficients take their scalar_terms.
+The coactions take forms and return graded tensors, both flat sums keyed
+by monomial ids (calculus.Element, calculus.GradedTensor); the vertical
+maps, the kernels and the checks that read coefficients take their
+scalar_terms.
 """
 
 from __future__ import annotations
@@ -210,11 +211,10 @@ class CompleteCalculus:
         for (w, F), c in x.items():
             g = h_complete_delta(oh, lambda_element(oh, F))
             bucket = {}
-            for ((w1, F1), (w2, F2)), c2 in g.scalar_terms().items():
-                piece = bucket.setdefault((w2, F2), Element(oh))
-                add_term(piece.terms, (w1, F1), c2)
+            for (m1, m2), c2 in g.scalar_terms().items():
+                bucket.setdefault(m2, {})[m1] = c2
             for (w2, F2), piece in bucket.items():
-                lam = to_lambda(oh, piece)
+                lam = to_lambda(oh, Element.from_scalars(oh, piece))
                 for (a0, a1), c3 in self.ca._coact_word(w).terms.items():
                     tail = oh.pres.normal_word(a1 + w2)
                     for wt, c4 in tail.terms.items():
@@ -231,7 +231,8 @@ class CompleteCalculus:
                 yield (w, F)
 
     def element_of(self, w, F) -> Element:
-        return Element(self.omega_A, {(tuple(w), tuple(F)): Scalar.one()})
+        oa = self.omega_A
+        return Element(oa, {(oa.intern((tuple(w), tuple(F))), 0): 1})
 
     def base_form_basis(self, degree: int, max_word_len: int):
         """Basis of base forms of a given degree over the truncated words:
@@ -240,7 +241,7 @@ class CompleteCalculus:
             x = self.element_of(*m)
             return (self.delta_bullet(x) - GradedTensor.of(
                 self.legs, x, self.omega_H.unit())).scalar_terms()
-        return [Element(self.omega_A, combo) for combo in
+        return [Element.from_scalars(self.omega_A, combo) for combo in
                 kernel_on(self.omega_basis(degree, max_word_len), image)]
 
     def horizontal_basis(self, degree: int, max_word_len: int):
@@ -297,14 +298,15 @@ class CompleteCalculus:
             for f in oa.letters:
                 x = oa.form(f)
                 dx = self.delta_bullet(x)
-                collapsed = Element(oa)
+                collapsed = {}
                 for ((wa, fa), (wh, fh)), c in dx.scalar_terms().items():
                     if fh:
                         continue
                     e = oh.hopf.counit(NCPoly.word(wh))
-                    add_term(collapsed.terms, (wa, fa), c * e)
-                rep.record(collapsed == x, f"counit({f})", str(x),
-                           str(collapsed), ref="(id (x) eps) Delta = id")
+                    add_term(collapsed, (wa, fa), c * e)
+                collapsed = Element.from_scalars(oa, collapsed)
+                rep.record(collapsed == x, f"counit({f})", x, collapsed,
+                           ref="(id (x) eps) Delta = id")
                 lhs3 = GradedTensor.zero(legs3).add_mapped(
                     dx, self._delta_mono, slot=0)
                 rhs3 = GradedTensor.zero(legs3).add_mapped(
@@ -385,7 +387,7 @@ class CompleteCalculus:
                                 self.omega_A.of_poly(NCPoly.word(w1)), xi,
                                 self.omega_A.of_poly(NCPoly.word(w2)))
                             if not prod.is_zero():
-                                rows.append(dict(prod.terms))
+                                rows.append(prod.scalar_terms())
                 window = lambda key: len(key[0]) <= max_word_len
                 bm_span = span_in_window(rows, window)
                 hor_span = rref(hor_vecs)
@@ -411,7 +413,7 @@ class CompleteCalculus:
                         x = {(w, F): Scalar.one()}
                         got = self.ver_d(self.ver_d(x))
                         rep.record(not got, f"dd({'*'.join(w) or '1'},{F})",
-                                   "0", str(got),
+                                   "0", got,
                                    ref="square of the vertical differential")
             # (pi_v (x) id) Delta = Delta_v pi_v on generators and letters
             items = [self.omega_A.of_poly(NCPoly.gen(g.name))
@@ -449,7 +451,7 @@ class CompleteCalculus:
         """Pi(a d a') = a a'_0 s(varpi(pi(a'_1))), via letter expansions."""
         oa = self.omega_A
         out = Element(oa)
-        for (w, F), c in x.terms.items():
+        for (w, F), c in x.scalar_terms().items():
             if len(F) != 1:
                 raise QPBError("connection projector acts on 1-forms")
             f = F[0]
@@ -477,12 +479,12 @@ class CompleteCalculus:
             for F in oh.basis_forms(1):
                 got = self.pi_v(s[F])
                 rep.record(got == {((), F): one}, f"section({F})",
-                           f"1 (x) theta_{F}", str(got),
+                           f"1 (x) theta_{F}", got,
                            ref="pi_v after the connection form is the unit")
                 gt = self.delta_bullet(s[F]).component((1, 0))
                 want = GradedTensor.of(self.legs, s[F], oh.unit())
                 rep.record(gt == want, f"colinear({F})",
-                           "s(theta) (x) 1", str(gt),
+                           "s(theta) (x) 1", gt,
                            ref="adjoint colinearity (trivial adjoint tags)")
             # induced projector: idempotent with kernel hor1
             domain = list(self.omega_basis(1, max_word_len))
@@ -494,7 +496,7 @@ class CompleteCalculus:
                 rep.record(ppx == px, f"idempotent({'*'.join(w) or '1'},{F})",
                            "Pi Pi = Pi", "mismatch",
                            ref="projector property")
-            ker_pi = kernel_on(domain, lambda m: dict(projected[m].terms))
+            ker_pi = kernel_on(domain, lambda m: projected[m].scalar_terms())
             hor_vecs = self.horizontal_basis(1, max_word_len)
             rep.record(rref(ker_pi) == rref(hor_vecs), "ker Pi = hor1",
                        f"dim {len(hor_vecs)}", f"dim {len(ker_pi)}",
@@ -507,14 +509,14 @@ class CompleteCalculus:
                 for w2 in words:
                     prod = oa.mul(xi, oa.of_poly(NCPoly.word(w2)))
                     if not prod.is_zero():
-                        rows.append(dict(prod.terms))
+                        rows.append(prod.scalar_terms())
             span = rref(rows)
             for w in words:
                 if not w:
                     continue
                 da = oa.d_poly(NCPoly.word(w))
                 resid = da - self.connection_map(s, da)
-                ok = in_span(span, dict(resid.terms))
+                ok = in_span(span, resid.scalar_terms())
                 rep.record(ok, f"strong({'*'.join(w)})",
                            "(id - Pi) d a in Omega1(B) A", "outside span",
                            ref="strongness of the induced connection")
@@ -535,7 +537,7 @@ class CompleteCalculus:
         with timed(rep):
             l1 = ell_once(())
             rep.record(l1 == TensorPoly.unit((A, A)), "ell(1)",
-                       "1 (x) 1", str(l1), ref="unital normalization")
+                       "1 (x) 1", l1, ref="unital normalization")
             for w in H.base.irreducible_words(max_n):
                 if not w:
                     continue
@@ -544,8 +546,8 @@ class CompleteCalculus:
                 got = chi(ca, lw)
                 want = TensorPoly.from_polys((A, H.base), NCPoly.one(),
                                              NCPoly.word(w))
-                rep.record(got == want, f"splitting({name})", str(want),
-                           str(got), ref="chi' ell = 1 (x) h")
+                rep.record(got == want, f"splitting({name})", want, got,
+                           ref="chi' ell = 1 (x) h")
                 lhs, rhs = right_colinear(ca, ell_once, w)
                 rep.record(lhs == rhs, f"right-colinear({name})",
                            "equal raw tensors", "mismatch",
@@ -569,7 +571,7 @@ class CompleteCalculus:
         if x.calc is not oh:
             raise QPBError("xi acts on structure-calculus elements")
         out = {}
-        for (w, F), c in x.terms.items():
+        for (w, F), c in x.scalar_terms().items():
             if F:
                 tag = oh.pres.normal_word(w + left_tag(oh, F))
             else:

@@ -107,7 +107,8 @@ def test_tau_degree_two(t2):
 
 def test_tau_rejects_high_degree(podles):
     cc = podles.cc
-    fake = Element(cc.omega_H, {((), ("dt", "dt", "dt", "dt")): one})
+    fake = Element.from_scalars(cc.omega_H,
+                                {((), ("dt", "dt", "dt", "dt")): one})
     with pytest.raises(UnsupportedDegreeError):
         tau_bullet(cc, fake)
 

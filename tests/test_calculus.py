@@ -1,5 +1,6 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from qpbcalc.calculus import (
     to_lambda,
 )
 from qpbcalc.cli import main
-from qpbcalc.examples import build_example
+from qpbcalc.examples import EXAMPLE_NAMES, build_example
 from qpbcalc.ncalg import NCPoly, add_term, scalars_of
 from qpbcalc.scalars import Scalar, residue_point
 
@@ -305,7 +306,8 @@ def test_bc_bimodule_compatibility(two_var, u1q):
         for g in H.generators:
             for f in calc.letters:
                 net = GradedTensor.of(
-                    (calc, calc), Element(calc, {((g.name,), ()): one}),
+                    (calc, calc),
+                    Element.from_scalars(calc, {((g.name,), ()): one}),
                     calc.unit())
                 dgen = bc_coproduct(calc, calc.of_poly(NCPoly.gen(g.name)))
                 dform = bc_coproduct(calc, calc.form(f))
@@ -346,8 +348,8 @@ def test_graded_antipode(u1q):
     for f in u1q.letters:
         conv = u1q.zero()
         for key, c in bc_coproduct(u1q, u1q.form(f)).scalar_terms().items():
-            w1 = Element(u1q, {key[0]: one})
-            w2 = Element(u1q, {key[1]: one})
+            w1 = Element.from_scalars(u1q, {key[0]: one})
+            w2 = Element.from_scalars(u1q, {key[1]: one})
             conv = conv + u1q.mul(graded_antipode(u1q, w1), w2).scale(c)
         assert conv.is_zero(), f
 
@@ -409,22 +411,42 @@ def test_graded_antipode_degree1_matches_bicovariant_convolution(u1q):
         assert graded_antipode(u1q, x) == bc, n
 
 
-@pytest.mark.parametrize("name", ["torus", "podles"])
+def _written_out_product(calc, x, y):
+    """x y on Scalar terms {(w, F): c}, as the product is defined: the
+    coefficient word of each right monomial moved left past the letters by
+    act_word, the letters straightened, the words reduced."""
+    out = {}
+    for (w1, F1), c1 in x.items():
+        for (w2, F2), c2 in y.items():
+            if len(F1) + len(F2) > calc.top_degree:
+                continue
+            for (w3, F3), c3 in calc.act_word(F1, w2).items():
+                for c4, F4 in calc.straighten(F3 + F2):
+                    for w5, c5 in calc.pres.normal_word(w1 + w3).terms.items():
+                        add_term(out, (w5, F4), c1 * c2 * c3 * c4 * c5)
+    return out
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_mono_mul_matches_mul(name):
-    # the memoised monomial table and the unmemoised product agree on
-    # every pair of basis monomials: words of length <= 2 times letter
-    # words of degree <= 2, in both calculi of the bundle
+    # the product of forms reads the memoised monomial tables; both agree
+    # with the product written out in Scalars on every pair of basis
+    # monomials (words of length <= 2 times letter words of degree <= 2,
+    # in both calculi of the bundle), the left one carrying a Fraction
     cc = build_example(name).cc
-    for calc in (cc.omega_A, cc.omega_H):
+    half = Scalar.from_fraction(Fraction(1, 2))
+    for calc in dict.fromkeys((cc.omega_A, cc.omega_H)):
         monos = [(w, F) for w in calc.pres.irreducible_words(2)
                  for k in range(3) for F in calc.basis_forms(k)]
         for m1 in monos:
             for m2 in monos:
                 table = calc.mono_mul(calc.intern(m1), calc.intern(m2))
                 assert isinstance(table, tuple)
-                want = calc.mul(Element(calc, {m1: one}),
-                                Element(calc, {m2: one}))
-                # the table holds flat terms ((monomial id, e), c)
-                got = Element(calc, scalars_of(dict(table),
-                                               calc.monos.__getitem__))
-                assert got == want and str(got) == str(want), (m1, m2)
+                want = _written_out_product(calc, {m1: half}, {m2: one})
+                got = calc.mul(Element.from_scalars(calc, {m1: half}),
+                               Element.from_scalars(calc, {m2: one}))
+                assert got.scalar_terms() == want, (m1, m2)
+                # the table holds flat terms ((monomial id, e), c) of the
+                # product with coefficient 1, twice the one carrying 1/2
+                assert scalars_of(dict(table), calc.monos.__getitem__) == {
+                    m: c * 2 for m, c in want.items()}, (m1, m2)

@@ -350,3 +350,17 @@ def test_check_all_matches_frozen_reports_twice(capsys, name):
                            "--format", "json")
         assert code == 0
         assert [{f: r[f] for f in fields} for r in json.loads(out)] == want
+
+
+def test_podles_check_all_matches_frozen_report(capsys):
+    # podles_check_all.json holds the podles reports of `check all` as the
+    # other bundles' are held in perfbench/expected.json; the example and
+    # the file, parsed afresh, must both give them
+    fields = ("status", "checks", "truncation", "witnesses", "notes")
+    want = json.loads((ROOT / "tests/podles_check_all.json").read_text())
+    for source in (("--example", "podles"),
+                   ("--file", str(DATA / "podles.qpb"))):
+        code, out, _ = run(capsys, "check", "all", *source,
+                           "--format", "json")
+        assert code == 0
+        assert [{f: r[f] for f in fields} for r in json.loads(out)] == want

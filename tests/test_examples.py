@@ -66,6 +66,23 @@ def test_crossed_structure():
     assert rep.ok(), [(w.input, w.got) for w in rep.witnesses[:3]]
 
 
+def test_crossed_calculus_copies_the_b_tables_by_monomial():
+    # monomial ids are given per calculus, so the right actions and
+    # differentials that Omega(A) copies from Omega(B) are read there as
+    # monomials and interned again in Omega(A)
+    bundle = build_example("crossed_demo")
+    data, oa = bundle.crossed, bundle.omega_A
+    ob = data.omega_B
+    copies = [(oa.raction, ob.raction, (f, g.name))
+              for f in ob.letters for g in data.B.generators]
+    copies += [(oa.d_gen, ob.d_gen, g.name) for g in data.B.generators]
+    copies += [(oa.d_letter, ob.d_letter, f) for f in ob.letters]
+    for mine, theirs, key in copies:
+        assert mine[key].calc is oa and theirs[key].calc is ob
+        assert mine[key].scalar_terms() == theirs[key].scalar_terms(), key
+    assert any(not table[key].is_zero() for table, _, key in copies)
+
+
 def test_crossed_relations():
     bundle = build_example("crossed_demo")
     A = bundle.ca.A

@@ -192,12 +192,13 @@ def test_flat_sums_and_products_match_the_scalar_path(case):
         table = oa.mono_mul(oa.intern(m1), oa.intern(m2))
         ref = {}
         oa._expand(ref, m1, m2, one)
-        assert Element(oa, _monomials(oa, dict(table))) == Element(oa, ref)
+        assert Element.from_scalars(
+            oa, _monomials(oa, dict(table))) == Element.from_scalars(oa, ref)
         flat = {}
         for (m, e), a in table:
             add_flat(flat, (m, e + ue + uie), a)
-        assert Element(oa, _monomials(oa, flat)) == Element(
-            oa, {m: c * u * ui for m, c in ref.items()})
+        assert Element.from_scalars(oa, _monomials(oa, flat)) == \
+            Element.from_scalars(oa, {m: c * u * ui for m, c in ref.items()})
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLES))
@@ -297,8 +298,10 @@ def test_an_id_means_its_own_calculus_monomial(name):
         assert a.scalar_terms() == {(oa.monos[i],): one}
         assert h.scalar_terms() == {(oh.monos[i],): one}
         # a form enters by the id of its own calculus
-        assert Element(oa, {oa.monos[i]: one}).flat_terms() == {(i, 0): 1}
-        assert Element(oh, {oh.monos[i]: one}).flat_terms() == {(i, 0): 1}
+        assert Element.from_scalars(oa, {oa.monos[i]: one}).terms == {
+            (i, 0): 1}
+        assert Element.from_scalars(oh, {oh.monos[i]: one}).terms == {
+            (i, 0): 1}
         # the same id key on legs of other calculi
         ah = GradedTensor((oa, oh), {((i, i), 0): 1})
         aa = GradedTensor((oa, oa), {((i, i), 0): 1})
@@ -346,7 +349,7 @@ def _ref_of(*xs):
     for x in xs:
         prod = {}
         for k, c in out.items():
-            for m, c2 in x.terms.items():
+            for m, c2 in x.scalar_terms().items():
                 add_term(prod, k + (m,), c * c2)
         out = prod
     return out
@@ -359,9 +362,9 @@ def _ref_d(legs, terms):
     for key, c in terms.items():
         before = 0
         for i, leg in enumerate(legs):
-            dx = leg.d(Element(leg, {key[i]: one}))
+            dx = leg.d(Element.from_scalars(leg, {key[i]: one}))
             s = -c if before % 2 else c
-            for m, c2 in dx.terms.items():
+            for m, c2 in dx.scalar_terms().items():
                 add_term(out, key[:i] + (m,) + key[i + 1:], s * c2)
             before += len(key[i][1])
     return out

@@ -335,10 +335,10 @@ def test_yetter_drinfeld_compatibility(podles, torus):
                 rhs = {}
                 for (m1, m2), c in \
                         h_complete_delta(oh, theta).scalar_terms().items():
-                    e1 = conj(Element(oh, {m1: Scalar.one()}))
-                    e2 = conj(Element(oh, {m2: Scalar.one()}))
-                    for k1, c1 in e1.terms.items():
-                        for k2, c2 in e2.terms.items():
+                    e1 = conj(Element.from_scalars(oh, {m1: Scalar.one()}))
+                    e2 = conj(Element.from_scalars(oh, {m2: Scalar.one()}))
+                    for k1, c1 in e1.scalar_terms().items():
+                        for k2, c2 in e2.scalar_terms().items():
                             key = (k1, k2)
                             rhs[key] = rhs.get(key, Scalar.zero()) + c * c1 * c2
                 rhs = {k: v for k, v in rhs.items() if not v.is_zero()}

@@ -9,7 +9,7 @@ import pytest
 from qpbcalc.calculus import Element, GradedTensor
 from qpbcalc.examples import build_example
 from qpbcalc.ncalg import NCPoly, add_term
-from qpbcalc.scalars import Scalar
+from qpbcalc.scalars import Scalar, flat_coeff
 from qpbcalc.tensors import TensorPoly
 
 q = Scalar.param("q")
@@ -34,7 +34,7 @@ def _sums(kind):
     tb = {kb: half, kc: -q}
     make = {
         "ncpoly": lambda t: NCPoly(t),
-        "element": lambda t: Element(oa, t),
+        "element": lambda t: Element.from_scalars(oa, t),
         "tensor": lambda t: TensorPoly((A, A), t),
         "graded": lambda t: GradedTensor.from_scalars((oa, oa), t),
     }[kind]
@@ -88,6 +88,23 @@ def test_flat_sums_compare_by_value():
     assert carried != flat and flat != carried
 
 
+def test_flat_sums_are_zero_by_value():
+    # a carried Scalar can cancel against the terms of another exponent at
+    # its key: r q at exponent 0 and -r at the exponent of q, r = 1/(1+q)
+    oa = build_example("podles").omega_A
+    p = Scalar.param("q")
+    r = one / (one + p)
+    unit = ((), ())
+    x = (Element.from_scalars(oa, {unit: r * p})
+         - Element.from_scalars(oa, {unit: r}).scale(p))
+    ((e, _),) = flat_coeff(p)
+    assert x.terms.keys() == {(0, 0), (0, e)}
+    assert x == oa.zero() and x.is_zero()
+    assert not (x + oa.unit()).is_zero()
+    assert not Element.from_scalars(oa, {unit: r}).is_zero()
+    assert oa.zero().is_zero() and not oa.unit().is_zero()
+
+
 def _memo_snapshot(memo):
     # a mono_mul table is a tuple of flat ((monomial id, e), c) terms
     return {key: dict(getattr(value, "terms", value))
@@ -95,7 +112,7 @@ def _memo_snapshot(memo):
 
 
 @pytest.mark.parametrize("which", ["delta_bullet", "tau_bullet", "mono_mul",
-                                   "chi_piece", "sigma_piece",
+                                   "mul", "chi_piece", "sigma_piece",
                                    "sigma_inv_piece"])
 def test_memoised_pieces_are_not_accumulators(which):
     # Torus suites only feed these maps single-term inputs; a two-term
@@ -110,11 +127,14 @@ def test_memoised_pieces_are_not_accumulators(which):
     pair = GradedTensor.from_scalars((oa, oa), {
         (((), ("du",)), (("v",), ())): L,
         ((("u",), ("dv",)), ((), ("du",))): -half})
+    form = Element.from_scalars(
+        oa, {((), ("du",)): L, (("v",), ("dv",)): -half})
     if which == "delta_bullet":
-        x = Element(oa, {((), ("du",)): L, (("v",), ("dv",)): -half})
+        x = form
         apply, memo = cc.delta_bullet, cc._delta_cache
     elif which == "tau_bullet":
-        x = Element(oh, {(("t",), ()): L, ((), ("dt",)): -half})
+        x = Element.from_scalars(
+            oh, {(("t",), ()): L, ((), ("dt",)): -half})
         apply = lambda y: tau_bullet(cc, y)
         memo = cc._taubul_cache
     elif which == "mono_mul":
@@ -123,6 +143,12 @@ def test_memoised_pieces_are_not_accumulators(which):
         right = GradedTensor.from_scalars(
             (oa, oa), {(((), ("dv",)), (("u",), ())): q})
         apply = lambda y: y.wedge(right)
+        memo = oa._mono_mul_cache
+    elif which == "mul":
+        # so does the product of forms
+        x = form
+        right = Element.from_scalars(oa, {(("u",), ("dv",)): q})
+        apply = lambda y: oa.mul(y, right)
         memo = oa._mono_mul_cache
     elif which == "chi_piece":
         x = pair
@@ -140,21 +166,21 @@ def test_memoised_pieces_are_not_accumulators(which):
     def single(key):
         """The term of x at the Scalar key, with coefficient 1."""
         if isinstance(x, Element):
-            return Element(x.calc, {key: one})
+            return Element.from_scalars(x.calc, {key: one})
         return GradedTensor.from_scalars(x.legs, {key: one})
 
     # memoise every term's piece, then freeze them
     for key in x.scalar_terms():
         apply(single(key))
     before = _memo_snapshot(memo)
-    if which != "mono_mul":
+    if which not in ("mono_mul", "mul"):
         # the memos are keyed by monomial ids
-        assert all(ids in before for ids, _ in x.flat_terms())
+        assert all(ids in before for ids, _ in x.terms)
     first = apply(x)
     second = apply(x)
     assert first == second
     assert _memo_snapshot(memo) == before
-    want = GradedTensor.zero(first.legs)
+    want = first._new({})
     for key, c in x.scalar_terms().items():
         want.add_scaled(apply(single(key)), c)
     assert first == want
