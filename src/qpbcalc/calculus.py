@@ -23,9 +23,10 @@ Scalar.
 from __future__ import annotations
 
 from .linalg import kernel_on, span_witnesses
-from .ncalg import FlatSum, NCPoly, add_flat, add_term, flat_of, memo
+from .ncalg import (FlatSum, NCPoly, add_flat, add_term, flat_of, memo,
+                    scalars_of)
 from .report import CheckReport, timed
-from .scalars import Scalar, sign
+from .scalars import Scalar, flat_coeff, sign
 
 
 UNIT = ((), ())   # the unit monomial: the empty word with no letters
@@ -646,6 +647,23 @@ def graded_antipode(calc: DiffCalculus, x: Element, inverse=False) -> Element:
 # -- maximal prolongation: degree-2 relations from first order -------------------
 
 
+def _same(k):
+    return k
+
+
+class _Table(dict):
+    """A dict that fills a missing key k with fill(k)."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, k):
+        v = self[k] = self.fill(k)
+        return v
+
+
 def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
                              example: str = "") -> CheckReport:
     """Check the declared degree-2 wedge relations lie in d(x)d(ker V),
@@ -654,7 +672,15 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
     R lies there exactly when (0 || R) is in the row span of the pair rows
     (a db || da (x) db), so span_witnesses decides every relation, finding
     the pair rows of each witness modulo p and solving on them exactly.
-    Each witness it gives is certified by substitution."""
+    Each witness it gives is certified by substitution.
+
+    A pair row is built as flat terms {((tag, (w, F)), e): c} (see
+    ncalg.FlatSum), with no Scalar product and no mono_mul table: a db is
+    normal_word(a + w2) with F2 appended over the terms (w2, F2) of db,
+    and da (x) db multiplies the flat terms of da, db, act_word(F1, w2)
+    and normal_word(w1 + w3).  The flat views of those two tables live in
+    this call alone.  Rows become Scalar rows only for the exact solve and
+    the certificate."""
     pres = calc.pres
     rep = CheckReport(
         suite="prolong", example=example or calc.name,
@@ -664,23 +690,38 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
     with timed(rep):
         words = list(pres.irreducible_words(max_word_len))
         pairs = [(a, b) for a in words for b in words]
-        d = {w: calc.d_poly(NCPoly.word(w)) for w in words}
-        d_scalars = {w: x.scalar_terms().items() for w, x in d.items()}
+        monos = calc.monos
+        # d w as flat terms ((w', F), e, c)
+        d = {w: [(monos[i], e, c) for (i, e), c in
+                 calc.d_poly(NCPoly.word(w)).terms.items()] for w in words}
+        # F . w as flat terms ((w', F'), e, c), and normal forms of words
+        # as flat terms (w', e, c)
+        acts = _Table(lambda k: [(m, e, c) for m, s in
+                                 calc.act_word(*k).items()
+                                 for e, c in flat_coeff(s)])
+        nfs = _Table(lambda w: [(w2, e, c) for w2, s in
+                                pres.normal_word(w).terms.items()
+                                for e, c in flat_coeff(s)])
 
         def pair_row(a, b):
-            """(a db || da (x) db), its columns tagged 0 and 1."""
-            db = d_scalars[b]
-            row = {(0, k): c for k, c in calc.mul(
-                calc.of_poly(NCPoly.word(a)), d[b]).scalar_terms().items()}
-            for (w1, F1), c1 in d_scalars[a]:
-                for (w2, F2), c2 in db:
-                    moved = calc.act_word(F1, w2)
-                    for (w3, F3), c3 in moved.items():
-                        prod = pres.normal_word(w1 + w3)
-                        for w4, c4 in prod.terms.items():
-                            add_term(row, (1, (w4, F3 + F2)),
-                                     c1 * c2 * c3 * c4)
-            return row
+            """(a db || da (x) db) as flat terms, its columns tagged 0 and
+            1."""
+            row = {}
+            get = row.get
+            db = d[b]
+            for (w2, F2), e2, c2 in db:
+                for w3, e3, c3 in nfs[a + w2]:
+                    key = ((0, (w3, F2)), e2 + e3)
+                    row[key] = get(key, 0) + c2 * c3
+            for (w1, F1), e1, c1 in d[a]:
+                for (w2, F2), e2, c2 in db:
+                    for (w3, F3), e3, c3 in acts[F1, w2]:
+                        F, e, c = F3 + F2, e1 + e2 + e3, c1 * c2 * c3
+                        for w4, e4, c4 in nfs[w1 + w3]:
+                            key = ((1, (w4, F)), e + e4)
+                            row[key] = get(key, 0) + c * c4
+            # int terms at one key may cancel
+            return {k: c for k, c in row.items() if c}
 
         # declared degree-2 relations as tensor-square elements
         relations = []
@@ -689,8 +730,9 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
         for (a, b), cswap in calc.swap.items():
             vec = {(1, ((), (a, b))): Scalar.one(), (1, ((), (b, a))): -cswap}
             relations.append((f"{a}(x){b} - ({cswap})*{b}(x){a}", vec))
-        witnesses = span_witnesses(lambda i: pair_row(*pairs[i]), len(pairs),
-                                   [vec for _, vec in relations])
+        witnesses = span_witnesses(
+            lambda i: pair_row(*pairs[i]), len(pairs),
+            [flat_of(vec, _same) for _, vec in relations])
         for (name, vec), lam in zip(relations, witnesses):
             if lam is None:
                 rep.mark_inconclusive(
@@ -702,7 +744,7 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
             # PASS
             image = {}
             for i, c in lam.items():
-                for k, v in pair_row(*pairs[i]).items():
+                for k, v in scalars_of(pair_row(*pairs[i]), _same).items():
                     add_term(image, k, v * c)
             if image == vec:
                 rep.record(True, name, "in span", "in span")

@@ -1,6 +1,7 @@
 """Exact linear algebra over the scalar field, on sparse dict vectors.
 
-Vectors are dicts mapping hashable column keys to nonzero Scalars.  rref
+Vectors are dicts mapping hashable column keys to nonzero Scalars, except
+the rows and targets of span_witnesses, which are flat (see below).  rref
 returns a canonical reduced basis of the row space, so two spans are equal
 iff their rrefs are equal.
 
@@ -22,17 +23,20 @@ independent rows once more, on their lowest-ranked columns, and
 back-substitutes.  Columns are ranked on demand by a memoised key, repr
 except in span_in_window.
 
-span_witnesses finds modulo p and solves exactly on what it found: it
-sends every row and target to F_p at scalars.residue (one ring map for
-every parameter), keeps the input rows each witness uses there, and over
-Q(q) eliminates those rows alone and solves for every target.  A wrong
-choice of rows costs time, never a wrong answer.  The full exact
-elimination answers every target left unwitnessed, and every target when
-a row or a target has no image mod p (a denominator or a Fraction
-vanishes there) or a target is outside the span mod p.  This is the
-certifying pattern of McConnell, Mehlhorn, Naher and Schweitzer (Comput.
-Sci. Rev. 5 (2011)); on modular methods and lucky primes see von zur
-Gathen and Gerhard, Modern Computer Algebra, ch. 5.
+span_witnesses finds modulo p and solves exactly on what it found.  Its
+rows and targets are flat terms {(column, e): c}, c an int or a carried
+Scalar as in ncalg.FlatSum, so a row is built in machine ints.  It sends
+every row and target to F_p term by term (scalars.monomial_residue, one
+ring map for every parameter, with no Scalar built), keeps the input rows
+each witness uses there, and over Q(q) eliminates those rows alone, turned
+into Scalar rows, and solves for every target.  A wrong choice of rows
+costs time, never a wrong answer.  The full exact elimination answers
+every target left unwitnessed, and every target when a row or a target has
+no image mod p (a denominator or a Fraction vanishes there) or a target is
+outside the span mod p.  This is the certifying pattern of McConnell,
+Mehlhorn, Naher and Schweitzer (Comput. Sci. Rev. 5 (2011)); on modular
+methods and lucky primes see von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 5.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from operator import mul, neg
 
-from .ncalg import add_term
-from .scalars import RESIDUE_PRIME, Scalar, residue
+from .ncalg import add_term, scalars_of
+from .scalars import RESIDUE_PRIME, Scalar, monomial_residue, residue
 
 
 class _QQ:
@@ -283,16 +287,20 @@ def kernel_on(domain, image):
 
 
 def _residues(v):
-    """v with each entry sent to F_p (zeros dropped); None when an entry
-    has no image there."""
+    """The flat row v at the residue point: each column's terms summed in
+    F_p, zeros dropped; None when a term has no image there."""
+    p = RESIDUE_PRIME
     out = {}
-    for k, a in v.items():
-        r = residue(a)
+    for (k, e), c in v.items():
+        r = monomial_residue(e)
         if r is None:
             return None
-        if r:
-            out[k] = r
-    return out
+        if type(c) is not int:
+            c = residue(c)  # a carried Scalar
+            if c is None:
+                return None
+        out[k] = (out.get(k, 0) + c * r) % p
+    return {k: r for k, r in out.items() if r}
 
 
 def _support_mod_p(row, n, targets):
@@ -320,26 +328,37 @@ def _exact_witnesses(rows, targets):
     return [_witness(echelon, dict(t), _QQ) for t in targets]
 
 
+def _column(k):
+    return k
+
+
 def span_witnesses(row, n, targets):
     """For each target in the span of the rows row(0), ..., row(n - 1), a
-    combination {i: c} with sum c row(i) == target; None for a target
-    outside the span.
+    combination {i: c} of Scalars with sum c row(i) == target; None for a
+    target outside the span.
 
-    row(i) builds row i, so no exact row outlives its use: each row is
-    built once to be sent to F_p, the rows the witnesses use there once
-    more for the exact solve, and every row again only when that solve
-    leaves a target unwitnessed."""
+    Rows and targets are flat, {(column, e): c} with c an int or a carried
+    Scalar (see ncalg.FlatSum).  row(i) builds row i, so no row outlives
+    its use: each row is built once to be sent to F_p, the rows the
+    witnesses use there once more, as Scalar rows, for the exact solve,
+    and every row again only when that solve leaves a target
+    unwitnessed."""
     targets = list(targets)
+    exact_targets = [scalars_of(t, _column) for t in targets]
+
+    def exact_rows(indices):
+        return (scalars_of(row(i), _column) for i in indices)
+
     out = [None] * len(targets)
     support = _support_mod_p(row, n, targets)
     if support is not None:
-        found = _exact_witnesses(map(row, support), targets)
+        found = _exact_witnesses(exact_rows(support), exact_targets)
         out = [None if lam is None else
                {support[j]: c for j, c in lam.items()} for lam in found]
     missing = [k for k, lam in enumerate(out) if lam is None]
     if missing:
-        found = _exact_witnesses(map(row, range(n)),
-                                 [targets[k] for k in missing])
+        found = _exact_witnesses(exact_rows(range(n)),
+                                 [exact_targets[k] for k in missing])
         for k, lam in zip(missing, found):
             out[k] = lam
     return out

@@ -51,7 +51,9 @@ This follows the sparse distributed representation of Monagan and Pearce
 
 residue sends a Scalar to F_p, p = 2**61 - 1, each parameter to a fixed
 value that depends on its name alone, or to None when it has no image
-there; linalg uses it to choose rows that it then solves exactly.
+there, and monomial_residue sends the monomial of a packed exponent there
+by the same ring map; linalg uses them to choose rows that it then solves
+exactly.
 """
 
 from __future__ import annotations
@@ -1018,6 +1020,15 @@ def residue_point(name: str) -> int:
 _POWERS = {}  # (name, exponent) -> residue of the parameter's power
 
 
+def _power_residue(n, e):
+    """The residue of the parameter n to the power e; ValueError when e is
+    negative and the parameter vanishes at the residue point."""
+    r = _POWERS.get((n, e))
+    if r is None:
+        r = _POWERS[n, e] = pow(residue_point(n), e, RESIDUE_PRIME)
+    return r
+
+
 def _poly_residue(f, names):
     p = RESIDUE_PRIME
     total = 0
@@ -1026,10 +1037,7 @@ def _poly_residue(f, names):
             c = c.numerator * pow(c.denominator, -1, p)
         for n, e in zip(names, m):
             if e:
-                r = _POWERS.get((n, e))
-                if r is None:
-                    r = _POWERS[n, e] = pow(residue_point(n), e, p)
-                c = c * r % p
+                c = c * _power_residue(n, e) % p
         total += c
     return total % p
 
@@ -1046,6 +1054,30 @@ def residue(s: Scalar):
                          RESIDUE_PRIME) % RESIDUE_PRIME
     except ValueError:  # pow(x, -1, p) of an x that is 0 mod p
         return None
+
+
+_MONOMIALS = {}  # packed exponent -> residue of its monomial, or None
+
+
+def monomial_residue(e):
+    """The monomial of the packed exponent e (see flat_coeff) at the
+    residue point, by the ring map of residue, so c * monomial_residue(e)
+    summed over flat terms (e, c) with int c is the residue of their
+    from_flat sum; memoised by e.  None when a parameter under a negative
+    power vanishes there."""
+    try:
+        return _MONOMIALS[e]
+    except KeyError:
+        pass
+    r = 1
+    try:
+        for n, k in zip(_SLOT_NAMES, _unpack(e, len(_SLOT_NAMES))):
+            if k:
+                r = r * _power_residue(n, k) % RESIDUE_PRIME
+    except ValueError:  # a negative power of a parameter that is 0 mod p
+        r = None
+    _MONOMIALS[e] = r
+    return r
 
 
 def q_binomial(n: int, k: int, base: Scalar) -> Scalar:

@@ -19,7 +19,7 @@ from qpbcalc.calculus import (
 )
 from qpbcalc.cli import main
 from qpbcalc.examples import EXAMPLE_NAMES, build_example
-from qpbcalc.ncalg import NCPoly, add_term, scalars_of
+from qpbcalc.ncalg import NCPoly, add_term, flat_of, scalars_of
 from qpbcalc.scalars import Scalar, residue_point
 
 q = Scalar.param("q")
@@ -269,6 +269,56 @@ def test_corrupted_residue_records_are_not_a_pass(torus_calc, monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon", corrupted)
     assert verdict() == exact
+
+
+# -- the flat pair rows against the Scalar builder they replaced ---------------
+
+
+def reference_pair_row(calc, a, b):
+    """(a db || da (x) db) built in Scalar arithmetic, its columns tagged 0
+    and 1: the pair row max_prolongation_degree2 built before its rows
+    were flat."""
+    pres = calc.pres
+    d = {w: calc.d_poly(NCPoly.word(w)) for w in (a, b)}
+    db = d[b].scalar_terms().items()
+    row = {(0, k): c for k, c in calc.mul(
+        calc.of_poly(NCPoly.word(a)), d[b]).scalar_terms().items()}
+    for (w1, F1), c1 in d[a].scalar_terms().items():
+        for (w2, F2), c2 in db:
+            moved = calc.act_word(F1, w2)
+            for (w3, F3), c3 in moved.items():
+                prod = pres.normal_word(w1 + w3)
+                for w4, c4 in prod.terms.items():
+                    add_term(row, (1, (w4, F3 + F2)), c1 * c2 * c3 * c4)
+    return row
+
+
+@pytest.mark.parametrize("name, n", [
+    ("u1_q", 3), ("torus", 2), ("classical_t2", 2), ("podles", 3)])
+def test_flat_pair_rows_equal_the_scalar_rows(name, n, monkeypatch):
+    calc = build_example(name).omega_A
+    real = calculus.span_witnesses
+    calls = []
+
+    def spy(row, count, targets):
+        targets = list(targets)
+        out = real(row, count, targets)
+        calls.append((row, count, targets, out))
+        return out
+
+    monkeypatch.setattr(calculus, "span_witnesses", spy)
+    assert max_prolongation_degree2(calc, n).status == "pass"
+    ((row, count, targets, got),) = calls
+    words = list(calc.pres.irreducible_words(n))
+    pairs = [(a, b) for a in words for b in words]
+    assert count == len(pairs)
+    reference = [reference_pair_row(calc, a, b) for a, b in pairs]
+    for i in range(count):
+        assert scalars_of(row(i), lambda k: k) == reference[i], pairs[i]
+    if name == "podles":
+        # the rows of the elimination over Q(q): the same witnesses
+        assert real(lambda i: flat_of(reference[i], lambda k: k), count,
+                    targets) == got
 
 
 # -- bicovariant coproduct and counterexample -------------------------------------------

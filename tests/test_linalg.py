@@ -3,7 +3,9 @@ and the elimination core they share with the residue pass over F_p.
 
 The rows are sparse dict vectors whose entries are rational functions in q
 with non-unit denominators, and some rows are rational combinations of
-others, so elimination runs on the rational scalar path.
+others, so elimination runs on the rational scalar path.  span_witnesses
+and the residue pass take flat rows {(column, e): c}; the tests build
+their rows as Scalars and convert them with flat().
 """
 
 from fractions import Fraction
@@ -19,10 +21,14 @@ from qpbcalc.linalg import (
     rref,
     span_witnesses,
 )
+from qpbcalc.ncalg import flat_of
 from qpbcalc.scalars import (
     RESIDUE_POINT,
     RESIDUE_PRIME,
     Scalar,
+    flat_coeff,
+    from_flat,
+    monomial_residue,
     residue,
     residue_point,
 )
@@ -40,6 +46,13 @@ POOL = [
     1 + q ** 2,
 ]
 COLUMNS = ("a", "b", "c", "d", "e")
+
+
+def flat(v):
+    """The Scalar row v as the flat row that span_witnesses and the
+    residue pass take."""
+    return flat_of(v, lambda k: k)
+
 
 def reference_vec_add(u, v, c=one):
     out = dict(u)
@@ -309,7 +322,7 @@ def test_heap_reduction_takes_the_steps_of_the_scan(rows):
         rows, linalg._unit_first(rank), linalg._QQ, relations=True)
     assert (basis, dependent) == scan_echelon(rows, QQ_OPS)
     assert where == {b[0]: j for j, b in enumerate(basis)}
-    residues = [linalg._residues(r) for r in rows]
+    residues = [linalg._residues(flat(r)) for r in rows]
     assume(None not in residues)
     basis, where, dependent = linalg._echelon(
         residues, linalg._lowest(rank), linalg._FP, relations=True)
@@ -337,16 +350,19 @@ def test_span_witnesses_agree_with_the_reference(rows, coeffs, col, c):
     # the Fraction and rational entries have images at the residue point,
     # so the modular pass finds the rows of the target in the span
     assert all(residue(a) is not None for r in rows for a in r.values())
-    assert linalg._support_mod_p(rows.__getitem__, len(rows),
-                                 [inside]) is not None
-    got = span_witnesses(rows.__getitem__, len(rows), targets)
+    flat_rows = [flat(r) for r in rows]
+    flat_targets = [flat(t) for t in targets]
+    assert linalg._support_mod_p(flat_rows.__getitem__, len(rows),
+                                 [flat(inside)]) is not None
+    got = span_witnesses(flat_rows.__getitem__, len(rows), flat_targets)
     basis = reference_rref(rows)
     for t, lam in zip(targets, got):
         assert (lam is not None) == reference_in_span(basis, t)
         if lam is not None:
             assert combine(rows, lam) == t
     # building the rows on demand gives the same witnesses
-    assert span_witnesses(lambda i: dict(rows[i]), len(rows), targets) == got
+    assert span_witnesses(lambda i: flat(rows[i]), len(rows),
+                          flat_targets) == got
 
 
 # -- span_witnesses: what the modular pass cannot decide, the exact one does
@@ -387,6 +403,40 @@ def test_residue_is_one_ring_map():
             assert residue(x + y) == (residue(x) + residue(y)) % RESIDUE_PRIME
 
 
+def packed(i, j):
+    """The packed exponent of q^i L^j."""
+    ((e, _),) = flat_coeff(q ** i * Scalar.param("L") ** j)
+    return e
+
+
+exponents = st.integers(min_value=-6, max_value=6)
+flat_terms = st.dictionaries(
+    st.one_of(exponents.map(lambda i: (i, 0)),
+              st.tuples(exponents, exponents)),
+    st.one_of(st.integers(min_value=-50, max_value=50).filter(bool),
+              st.fractions(max_denominator=9).filter(
+                  lambda f: f.denominator > 1).map(Scalar.from_fraction)),
+    max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_terms)
+def test_flat_residues_are_the_ring_map(terms):
+    # one- and two-parameter Laurent terms with negative exponents, some
+    # of them carrying a Fraction Scalar
+    pairs = [(packed(i, j), c) for (i, j), c in terms.items()]
+    for e, _ in pairs:
+        assert monomial_residue(e) == residue(from_flat(((e, 1),)))
+    r = residue(from_flat(pairs)) if pairs else 0
+    assert linalg._residues({("a", e): c for e, c in pairs}) == (
+        {"a": r} if r else {})
+    # a carried Scalar without an image at the residue point has none there
+    for bad in (POLE, TINY):
+        row = {("a", e): c for e, c in pairs}
+        row["b", packed(-1, 1)] = bad
+        assert linalg._residues(row) is None
+
+
 @pytest.mark.parametrize("entry", [POLE, TINY])
 @pytest.mark.parametrize("where", ["row", "target"])
 def test_an_entry_without_a_residue_takes_the_exact_path(monkeypatch, entry,
@@ -396,7 +446,8 @@ def test_an_entry_without_a_residue_takes_the_exact_path(monkeypatch, entry,
         rows[3] = {"c": q, "d": entry}
     inside = combine(rows, {0: q, 2: one / (q + 2), 3: entry})
     sizes = exact_sizes(monkeypatch)
-    got = span_witnesses(rows.__getitem__, len(rows), [inside, {"z": one}])
+    got = span_witnesses(lambda i: flat(rows[i]), len(rows),
+                         [flat(inside), flat({"z": one})])
     assert combine(rows, got[0]) == inside and got[1] is None
     # one elimination, of every row
     assert sizes == [len(rows)]
@@ -409,7 +460,8 @@ def test_a_wrong_support_falls_back_to_the_exact_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "_support_mod_p",
                         lambda row, n, targets: [0])
     sizes = exact_sizes(monkeypatch)
-    got = span_witnesses(rows.__getitem__, len(rows), targets)
+    got = span_witnesses(lambda i: flat(rows[i]), len(rows),
+                         [flat(t) for t in targets])
     assert got == want
     assert combine(rows, got[0]) == targets[0] and got[1] is None
     # the rows guessed, then every row
@@ -425,7 +477,8 @@ def test_a_wrong_support_falls_back_to_the_exact_elimination(monkeypatch):
 def test_a_target_outside_the_span_is_none_through_the_exact_path(
         monkeypatch, target, sizes_wanted):
     sizes = exact_sizes(monkeypatch)
-    assert span_witnesses(PLANE.__getitem__, 3, [target]) == [None]
+    assert span_witnesses(lambda i: flat(PLANE[i]), 3,
+                          [flat(target)]) == [None]
     assert sizes == sizes_wanted
 
 
