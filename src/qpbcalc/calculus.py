@@ -10,8 +10,9 @@ A monomial is a pair (w, F) of a coefficient word and a letter word.
 Forms (Element) and graded tensors (GradedTensor) are flat sums
 (ncalg.FlatSum): they key each monomial by a small int id that its
 calculus gives (DiffCalculus.intern), id 0 the unit ((), ()) and the others
-in the order the monomials are first met, and read the Koszul signs of
-their products and differentials from the ids' degrees
+in the order the monomials are first met, so a form's term is keyed (id,
+e) and a tensor's (id, ..., id, e), one id a leg.  They read the Koszul
+signs of their products and differentials from the ids' degrees
 (DiffCalculus.mono_deg).  The product of two monomials is memoised as a
 flat table (DiffCalculus.mono_mul), which every product of forms and of
 graded tensors reads.  Scalar terms {(w, F): Scalar} enter a form by
@@ -49,12 +50,14 @@ class Element(FlatSum):
 
     def __init__(self, calc, terms=None):
         self.calc = calc
-        FlatSum.__init__(self, terms)
+        FlatSum.__init__(self, terms, 1)
 
     @staticmethod
     def from_scalars(calc, terms) -> "Element":
         """The form of Scalar terms {(w, F): Scalar} of calc."""
-        return Element(calc, flat_of(terms, calc.intern))
+        out = Element(calc)
+        out.terms = flat_of(terms, calc.intern)
+        return out
 
     def _id_to_key(self):
         return self.calc.monos.__getitem__
@@ -234,7 +237,12 @@ class DiffCalculus:
         """terms += c x^e (monomial i1)(monomial i2), for a flat term (e, c)
         and a flat dict terms the caller owns."""
         for (m, e2), c2 in self.mono_mul(i1, i2):
-            add_flat(terms, (m, e + e2), c * c2)
+            key = m, e + e2
+            v = c * c2 + terms.get(key, 0)
+            if v:
+                terms[key] = v
+            else:
+                del terms[key]
 
     def mul(self, x: Element, y: Element) -> Element:
         terms = {}
@@ -375,14 +383,14 @@ class DiffCalculus:
 
 class GradedTensor(FlatSum):
     """Sum of tensors of form monomials with Koszul-signed product, flat:
-    terms map ((id, ...), e) -> int, one monomial id per leg."""
+    terms map (id, ..., id, e) -> int, one monomial id per leg."""
 
     __slots__ = ("legs",)
     _context = "legs"
 
     def __init__(self, legs, terms=None):
         self.legs = tuple(legs)
-        FlatSum.__init__(self, terms)
+        FlatSum.__init__(self, terms, len(self.legs))
 
     @staticmethod
     def zero(legs):
@@ -390,13 +398,15 @@ class GradedTensor(FlatSum):
 
     @staticmethod
     def unit(legs):
-        return GradedTensor(legs, {((UNIT_ID,) * len(legs), 0): 1})
+        return GradedTensor(legs, {(UNIT_ID,) * len(legs) + (0,): 1})
 
     @staticmethod
     def from_scalars(legs, terms):
         """The tensor of Scalar terms {(monomial, ...): Scalar}."""
         out = GradedTensor(legs)
-        out.terms = flat_of(terms, out._key_to_id())
+        to_ids = out._key_to_id()
+        out.terms = {to_ids(key) + (e,): a for key, c in terms.items()
+                     for e, a in flat_coeff(c)}
         return out
 
     @staticmethod
@@ -416,7 +426,7 @@ class GradedTensor(FlatSum):
                        for k, e, c in partial for (m, e2), c2 in items]
         terms = {}
         for k, e, c in partial:
-            add_flat(terms, (k, e), c)
+            add_flat(terms, k + (e,), c)
         return GradedTensor(legs, terms)
 
     def _key_to_id(self):
@@ -425,7 +435,7 @@ class GradedTensor(FlatSum):
 
     def _id_to_key(self):
         monos = [leg.monos for leg in self.legs]
-        return lambda key: tuple([t[i] for t, i in zip(monos, key)])
+        return lambda *ids: tuple([t[i] for t, i in zip(monos, ids)])
 
     def wedge(self, other) -> "GradedTensor":
         """(x1 (x) ... (x) xn)(y1 (x) ... (x) yn) with Koszul signs, read
@@ -435,20 +445,28 @@ class GradedTensor(FlatSum):
         mono_degs = [leg.mono_deg for leg in legs]
         right = other.terms.items()
         terms = {}
-        for (key1, e1), c1 in self.terms.items():
+        get = terms.get
+        # zip over the legs stops before the exponent that ends each key
+        for key1, c1 in self.terms.items():
+            e1 = key1[-1]
             degs1 = [d[i] for d, i in zip(mono_degs, key1)]
-            for (key2, e2), c2 in right:
+            for key2, c2 in right:
                 degs2 = [d[i] for d, i in zip(mono_degs, key2)]
                 s = sum(degs1[i] * degs2[j]
                         for i in range(len(legs)) for j in range(i))
                 c = c1 * c2
-                partial = [((), e1 + e2, -c if s & 1 else c)]
+                partial = [((), e1 + key2[-1], -c if s & 1 else c)]
                 for leg, m1, m2 in zip(legs, key1, key2):
                     partial = [(k + (m,), e + e3, a * a3)
                                for k, e, a in partial
                                for (m, e3), a3 in leg.mono_mul(m1, m2)]
                 for k, e, a in partial:
-                    add_flat(terms, (k, e), a)
+                    k += (e,)
+                    v = a + get(k, 0)
+                    if v:
+                        terms[k] = v
+                    else:
+                        del terms[k]
         return GradedTensor(legs, terms)
 
     def d(self) -> "GradedTensor":
@@ -457,7 +475,9 @@ class GradedTensor(FlatSum):
         legs = self.legs
         dleg = [{} for _ in legs]
         terms = {}
-        for (key, e), c in self.terms.items():
+        get = terms.get
+        for key, c in self.terms.items():
+            e = key[-1]
             odd = 0
             for i, leg in enumerate(legs):
                 m = key[i]
@@ -465,9 +485,14 @@ class GradedTensor(FlatSum):
                 if dm is None:
                     dm = dleg[i][m] = leg.d_mono(m).terms.items()
                 cs = -c if odd else c
-                pre, post = key[:i], key[i + 1:]
+                pre, post = key[:i], key[i + 1:-1]
                 for (m2, e2), c2 in dm:
-                    add_flat(terms, (pre + (m2,) + post, e + e2), cs * c2)
+                    k = pre + (m2,) + post + (e + e2,)
+                    v = cs * c2 + get(k, 0)
+                    if v:
+                        terms[k] = v
+                    else:
+                        del terms[k]
                 odd ^= leg.mono_deg[m] & 1
         return GradedTensor(legs, terms)
 
@@ -476,7 +501,7 @@ class GradedTensor(FlatSum):
         degrees = tuple(degrees)
         mono_degs = [leg.mono_deg for leg in self.legs]
         return GradedTensor(self.legs, {
-            (key, e): c for (key, e), c in self.terms.items()
+            key: c for key, c in self.terms.items()
             if tuple([d[i] for d, i in zip(mono_degs, key)]) == degrees})
 
     @staticmethod

@@ -9,24 +9,25 @@ shipped presentations, is confluent (checked by critical-pair enumeration).
 SparseSum is the finite-sum arithmetic of NCPoly and of the tensor type
 (tensors.TensorPoly), whose coefficients are Scalars.  FlatSum, the sum
 type of the forms (calculus.Element) and graded tensors
-(calculus.GradedTensor), keys ints by (id key, packed exponent) and
-accumulates them with add_flat; a coefficient with no flat form rides
-along as a Scalar.  An id key holds a small int for each monomial, given
-by its calculus (calculus.DiffCalculus.intern), so forms and graded
-tensors hash ints, not nested tuples of words and letters.  Scalar terms
-enter the flat form by flat_of and leave it by scalars_of (a flat sum's
-scalar_terms), at the report boundary only.
+(calculus.GradedTensor), maps one flat tuple of ints to an int: the
+monomial ids of the term, one a leg, followed by its packed exponent.  A
+form's key is (id, e) and a two-leg tensor's (a, b, e).  A coefficient
+with no flat form rides along as a Scalar.  The ids are small ints given
+by each calculus (calculus.DiffCalculus.intern), so forms and graded
+tensors hash flat tuples of ints, not nested tuples of words and letters.
+Scalar terms enter the flat form by flat_of and leave it by scalars_of (a
+flat sum's scalar_terms), at the report boundary only.
 
 memo(attr) memoises a map given on monomials, fn(owner, a) or
-fn(owner, a, b), in the dict owner.<attr>, keyed by a or by (a, b).  The
-memoised values are shared and read-only, never None, and every memo dict
-is named *_cache.
+fn(owner, a, b), in the dict owner.<attr>, keyed by a or by (a, b); the
+wrapper's memo_attr names that dict, for loops that read it directly.
+The memoised values are shared and read-only, never None, and every memo
+dict is named *_cache.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import os
 import types
 from dataclasses import dataclass
@@ -80,8 +81,9 @@ def add_term(terms, key, c):
 
 
 def add_flat(terms, key, c):
-    """Add the nonzero flat coefficient c at key = (id key, packed
-    exponent) of the flat terms dict; a key whose sum is zero is dropped."""
+    """Add the nonzero flat coefficient c at key = (id, ..., packed
+    exponent) of the flat terms dict; a key whose sum is zero is dropped.
+    The hot loops of the graded path spell this out in place."""
     c += terms.get(key, 0)
     if c:
         terms[key] = c
@@ -115,8 +117,8 @@ def _memo_two(owner, a, b):
 
 def memo(attr):
     """Memoise fn(owner, a) or fn(owner, a, b) in the dict owner.<attr>,
-    keyed by a or by (a, b).  A hit returns the stored object itself; a
-    fill that raises stores nothing."""
+    keyed by a or by (a, b); the wrapper's memo_attr is attr.  A hit
+    returns the stored object itself; a fill that raises stores nothing."""
     def decorate(fn):
         arity = fn.__code__.co_argcount - 1
         if arity not in (1, 2):
@@ -125,39 +127,16 @@ def memo(attr):
         code = (_memo_one if arity == 1 else _memo_two).__code__
         code = code.replace(co_names=tuple(
             attr if name == "_memo_attr" else name for name in code.co_names))
-        return functools.wraps(fn)(types.FunctionType(code, {"fn": fn}))
+        wrapper = functools.wraps(fn)(types.FunctionType(code, {"fn": fn}))
+        wrapper.memo_attr = attr
+        return wrapper
     return decorate
 
 
-def _splice_fixed(terms, items, fn, slot, width):
-    """terms += id (x) fn (x) id over the flat items of x, the one slot
-    shape of the graded path: keys of x keep one leg besides the width legs
-    at slot (width 1 or 2), and the values of fn have two legs.  The keys
-    are unpacked at their fixed width: slicing them and joining the slices
-    cost about 14% more (warm podles braid loop, Python 3.11 on a 2-core
-    x86_64 VM)."""
-    if width == 1:
-        if slot:
-            for ((a, b), e), c in items:
-                for ((p, q), e2), c2 in fn(b).terms.items():
-                    add_flat(terms, ((a, p, q), e + e2), c * c2)
-        else:
-            for ((a, b), e), c in items:
-                for ((p, q), e2), c2 in fn(a).terms.items():
-                    add_flat(terms, ((p, q, b), e + e2), c * c2)
-    elif slot:
-        for ((a, b, d), e), c in items:
-            for ((p, q), e2), c2 in fn((b, d)).terms.items():
-                add_flat(terms, ((a, p, q), e + e2), c * c2)
-    else:
-        for ((a, b, d), e), c in items:
-            for ((p, q), e2), c2 in fn((a, b)).terms.items():
-                add_flat(terms, ((p, q, d), e + e2), c * c2)
-
-
 def flat_of(terms, to_id) -> dict:
-    """Scalar terms {key: Scalar} in the flat form {(to_id(key), e): c}
-    (see FlatSum); to_id is one-to-one."""
+    """Scalar terms {key: Scalar} in the one-leg flat form {(to_id(key),
+    e): c} (see FlatSum) of a form or of a linalg row; to_id is
+    one-to-one."""
     out = {}
     for key, c in terms.items():
         key = to_id(key)
@@ -167,16 +146,17 @@ def flat_of(terms, to_id) -> dict:
 
 
 def scalars_of(terms, to_key) -> dict:
-    """Flat terms {(id key, e): c} as Scalar terms {to_key(id key):
-    Scalar}, zeros left out: the inverse of flat_of."""
+    """Flat terms {(id, ..., e): c} as Scalar terms {to_key(id, ...):
+    Scalar}, zeros left out: the inverse of flat_of and of
+    calculus.GradedTensor.from_scalars."""
     by_key = {}
-    for (key, e), c in terms.items():
-        by_key.setdefault(key, []).append((e, c))
+    for key, c in terms.items():
+        by_key.setdefault(key[:-1], []).append((key[-1], c))
     out = {}
-    for key, pairs in by_key.items():
+    for ids, pairs in by_key.items():
         c = from_flat(pairs)
         if c:
-            out[to_key(key)] = c
+            out[to_key(*ids)] = c
     return out
 
 
@@ -235,27 +215,24 @@ class SparseSum:
             add_term(terms, key, a if c is None else a * c)
         return self
 
-    def add_mapped(self, x, fn, slot=None, width=1):
+    def add_mapped(self, x, fn, slot=None):
         """self += the linear extension of fn over the terms of x; returns
         self.
 
         With slot None, fn maps a key of x to a sum.  With a slot, the keys
-        of x are tuples of legs, and fn maps legs slot .. slot+width-1 of a
-        key, the leg itself when width is 1 and a tuple of legs otherwise,
-        to a sum keyed by tuples of legs, spliced into the place of those
-        legs: id (x) fn (x) id.  The values of fn are taken as normal
-        forms; nothing is reduced again."""
+        of x are tuples of legs, and fn maps the leg at slot to a sum keyed
+        by tuples of legs, spliced into the place of that leg: id (x) fn
+        (x) id.  The values of fn are taken as normal forms; nothing is
+        reduced again."""
         terms = self.terms
         if slot is None:
             for key, c in x.terms.items():
                 for k2, c2 in fn(key).terms.items():
                     add_term(terms, k2, c * c2)
             return self
-        end = slot + width
-        legs = operator.itemgetter(slot if width == 1 else slice(slot, end))
         for key, c in x.terms.items():
-            pre, post = key[:slot], key[end:]
-            for k2, c2 in fn(legs(key)).terms.items():
+            pre, post = key[:slot], key[slot + 1:]
+            for k2, c2 in fn(key[slot]).terms.items():
                 add_term(terms, pre + k2 + post, c * c2)
         return self
 
@@ -320,20 +297,26 @@ class SparseSum:
 
 
 class FlatSum(SparseSum):
-    """A SparseSum whose terms map (id key, e) -> int, in the flat form.
+    """A SparseSum whose terms map (id, ..., e) -> int, in the flat form.
 
-    e packs the exponent vector of a Laurent monomial (scalars.flat_coeff),
-    so a sum of Laurent polynomials with int coefficients is accumulated
-    with add_flat in machine ints.  A coefficient that has no such form
-    enters whole as a Scalar at e = 0 and is multiplied and added as a
-    Scalar from then on.  The id keys are the monomial ids of the forms and
-    graded tensors (calculus.DiffCalculus.intern), and ids are given per
+    A key is one flat tuple: the monomial ids of the term, one a leg
+    (calculus.DiffCalculus.intern), followed by e, which packs the
+    exponent vector of a Laurent monomial (scalars.flat_coeff).  A form's
+    key is (id, e), the one-leg case.  So a sum of Laurent polynomials
+    with int coefficients is accumulated in machine ints.  A coefficient
+    that has no such form enters whole as a Scalar at e = 0 and is
+    multiplied and added as a Scalar from then on.  Ids are given per
     calculus, so flat sums of different contexts never share a meaning for
-    an id.
+    an id.  The constructor adopts a flat dict as given and checks its
+    first key against the subclass's number of ids: a dict of Scalar terms
+    enters by the subclass's from_scalars.
 
-    add_mapped with a slot has one shape, that of every slot map of the
-    graded path (_splice_fixed): a key of x keeps one leg besides the
-    width legs it maps, and the result has three legs.
+    add_mapped has the shapes of the graded path: on whole keys it maps
+    the id of a form's term, and with a slot it maps one leg of a two-leg
+    key to a two-leg sum, giving three legs.  Its slot loops unpack keys at
+    their fixed width and accumulate in place; the cold generic loops
+    (add_scaled, add_mapped on whole keys, scalars_of) slice key[:-1] and
+    key[-1].
 
     scalar_terms gives the sum as {key: Scalar} (scalars_of) through the
     subclass's _id_to_key: it is for reports, linear algebra and printing.
@@ -341,8 +324,25 @@ class FlatSum(SparseSum):
 
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        """A sum adopting the flat dict terms as given."""
+    def __init__(self, terms, width):
+        """A sum adopting the flat dict terms as given, a new dict when
+        None.  Its first key must be width ids and an int exponent; a dict
+        of another shape raises TypeError."""
+        if terms:
+            for key in terms:
+                break
+            if type(key) is tuple and len(key) == width + 1:
+                for i in key:
+                    if type(i) is not int:
+                        break
+                else:
+                    self.terms = terms
+                    return
+            name = type(self).__name__
+            raise TypeError(
+                f"{name} takes flat terms {{(id, ..., e): c}} with {width} "
+                f"id(s) and an int exponent, not {key!r}: build it from "
+                f"Scalar terms with {name}.from_scalars")
         self.terms = {} if terms is None else terms
 
     def scalar_terms(self) -> dict:
@@ -354,32 +354,54 @@ class FlatSum(SparseSum):
         assert type(other) is type(self) and self._ctx() == other._ctx()
         terms = self.terms
         scale = ((0, 1),) if c is None else flat_coeff(c)
-        for (key, e), a in other.terms.items():
+        # a key moves only when the exponent does
+        for key, a in other.terms.items():
             for e2, c2 in scale:
-                add_flat(terms, (key, e + e2), a * c2)
+                add_flat(terms, key[:-1] + (key[-1] + e2,) if e2 else key,
+                         a * c2)
         return self
 
-    def add_mapped(self, x, fn, slot=None, width=1):
+    def add_mapped(self, x, fn, slot=None):
         """self += the linear extension of fn over the flat terms of x;
         returns self.
 
-        As SparseSum.add_mapped, with x a flat sum: fn is handed id keys
-        and gives flat sums, and a slot map has the one shape of the class
-        docstring."""
+        With slot None, x is a form and fn maps the id of each of its
+        terms to a flat sum.  With a slot, x has two legs, and fn maps the
+        id at slot to a two-leg flat sum, spliced into the place of that
+        leg."""
         terms = self.terms
         items = x.terms.items()
         if slot is None:
-            for (key, e), c in items:
-                for (k2, e2), c2 in fn(key).terms.items():
-                    add_flat(terms, (k2, e + e2), c * c2)
+            for (i, e), c in items:
+                for key, c2 in fn(i).terms.items():
+                    add_flat(terms, key[:-1] + (key[-1] + e,) if e else key,
+                             c * c2)
+            return self
+        get = terms.get
+        if slot:
+            for (a, b, e), c in items:
+                for (p, q, e2), c2 in fn(b).terms.items():
+                    key = a, p, q, e + e2
+                    v = c * c2 + get(key, 0)
+                    if v:
+                        terms[key] = v
+                    else:
+                        del terms[key]
         else:
-            _splice_fixed(terms, items, fn, slot, width)
+            for (a, b, e), c in items:
+                for (p, q, e2), c2 in fn(a).terms.items():
+                    key = p, q, b, e + e2
+                    v = c * c2 + get(key, 0)
+                    if v:
+                        terms[key] = v
+                    else:
+                        del terms[key]
         return self
 
     def is_zero(self) -> bool:
-        """Whether the sum is zero in value: int terms that add_flat kept
-        never cancel, but a carried Scalar may cancel against the terms of
-        other exponents at its key."""
+        """Whether the sum is zero in value: a key whose int sum is zero is
+        never kept, but a carried Scalar may cancel against the terms of
+        other exponents at its ids."""
         terms = self.terms
         return not terms or (not _all_int(terms)
                              and not self.scalar_terms())

@@ -3,7 +3,7 @@
 A TensorPoly is a finite sum of scalar-weighted tuples of normal-form words,
 one word per leg.  Leg-wise multiplication gives the tensor product algebra.
 The sum arithmetic is ncalg.SparseSum's, whose add_mapped extends a map on
-words or on some legs linearly: coproducts, coactions, id (x) f (x) id and
+words or on one leg linearly: coproducts, coactions, id (x) f (x) id and
 Sweedler-style contractions.
 """
 

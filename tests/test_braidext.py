@@ -210,8 +210,8 @@ def wedge_otimes_b(cc, x, y):
     oa = cc.omega_A
     legs = (oa, oa)
     out = GradedTensor.zero(legs)
-    for ((a1, a2), e1), c1 in x.terms.items():
-        for ((b1, b2), e2), c2 in y.terms.items():
+    for (a1, a2, e1), c1 in x.terms.items():
+        for (b1, b2, e2), c2 in y.terms.items():
             add_lift(out.terms, legs, a1, sigma_piece(cc, (a2, b1)), b2,
                      e1 + e2, c1 * c2)
     return out
@@ -326,6 +326,49 @@ def test_graded_suite_podles(podles_suite):
             == [{f: r[f] for f in fields} for r in frozen["podles:graded"]])
 
 
+def _assert_flat_keys(keys, legs):
+    """Every key is one flat tuple of ints: an id of each leg's calculus,
+    then the exponent."""
+    n = 0
+    for key in keys:
+        n += 1
+        assert type(key) is tuple and len(key) == len(legs) + 1, key
+        assert all(type(i) is int for i in key), key
+        assert all(0 <= i < len(leg.monos) for leg, i in zip(legs, key)), key
+    assert n
+
+
+@pytest.mark.parametrize("name", ["u1_q", "torus", "classical_t2",
+                                  "crossed_demo", "podles"])
+def test_graded_keys_are_flat_tuples_of_ints(name, podles_suite):
+    if name == "podles":
+        cc = podles_suite[2]
+    else:
+        cc = build_example(name).cc
+        graded_identity_suite(cc, 3, name)
+    oa, oh = cc.omega_A, cc.omega_H
+    # the chi, sigma and sigma^-1 pieces are tuples of flat terms
+    for cache, legs in ((cc._chibul_cache, (oa, oh)),
+                        (cc._sigbul_cache, (oa, oa)),
+                        (cc._siginv_cache, (oa, oa))):
+        assert cache
+        for piece in cache.values():
+            assert type(piece) is tuple
+            if piece:
+                _assert_flat_keys([key for key, _ in piece], legs)
+    assert cc._delta_cache
+    for t in cc._delta_cache.values():
+        assert t.legs == (oa, oh)
+        if t.terms:
+            _assert_flat_keys(t.terms, t.legs)
+    # a tensor of the braid loop: sigma on legs (0, 1), then on (1, 2)
+    x = [x for _, x in _generator_elements(cc, 1)]
+    t3 = GradedTensor.of((oa, oa, oa), x[0], x[-1], x[1])
+    s01 = triple_apply(cc, triple_apply(cc, t3, sigma_piece, 0),
+                       sigma_piece, 1)
+    _assert_flat_keys(s01.terms, s01.legs)
+
+
 def test_graded_suite_classical(t2):
     rep = graded_identity_suite(t2.cc, 3, "classical_t2")
     assert rep.ok(), [w.input for w in rep.witnesses[:4]]
@@ -382,10 +425,15 @@ def _id_pair(calc, m1, m2):
     return calc.intern(m1), calc.intern(m2)
 
 
+def _flipped(piece):
+    """A memoised piece, a tuple of flat terms, with every sign flipped."""
+    return tuple((key, -c) for key, c in piece)
+
+
 def test_flipped_sigma_piece_fails_braid_or_hexagon():
     cc = _fresh_torus()
     key = _id_pair(cc.omega_A, (("u",), ()), ((), ("du",)))
-    cc._sigbul_cache[key] = sigma_piece(cc, key).scale(-one)
+    cc._sigbul_cache[key] = _flipped(sigma_piece(cc, key))
     failed = _failed_inputs(cc)
     assert "hex2(u,u,du)" in failed and "braid(u,ui,du)" in failed
 
@@ -393,7 +441,7 @@ def test_flipped_sigma_piece_fails_braid_or_hexagon():
 def test_flipped_sigma_inverse_piece_fails_sigma_inverse():
     cc = _fresh_torus()
     key = _id_pair(cc.omega_A, (("u",), ()), ((), ("du",)))
-    cc._siginv_cache[key] = -sigma_inv_piece(cc, key)
+    cc._siginv_cache[key] = _flipped(sigma_inv_piece(cc, key))
     failed = _failed_inputs(cc)
     assert failed == ["sigma-inverse(u,du)", "sigma-inverse(du,u)"]
 
@@ -433,10 +481,10 @@ def _assert_lifts_match(tensors, c, two_sided=True):
         else:
             pairs = [(p, UNIT) for p in ps] + [(UNIT, q) for q in qs]
         for p, q in pairs:
-            # add_lift takes monomial ids
+            # add_lift takes monomial ids and the flat terms of t
             got = GradedTensor.zero(t.legs)
             for e, a in flat_coeff(c):
-                add_lift(got.terms, t.legs, left.intern(p), t,
+                add_lift(got.terms, t.legs, left.intern(p), t.terms.items(),
                          right.intern(q), e, a)
             assert got == _wedge_lift(t.legs, p, t, q, c), (p, t, q)
 
@@ -476,10 +524,12 @@ def test_non_laurent_coefficients_fall_back_to_scalars(torus):
         want = {}
         for key, c in terms.items():
             ids = _id_pair(oa, *key)
-            for k2, c2 in piece(cc, ids).scalar_terms().items():
+            # a memoised piece is a tuple of flat terms of the result's legs
+            flat = GradedTensor(got.legs, dict(piece(cc, ids)))
+            for k2, c2 in flat.scalar_terms().items():
                 add_term(want, k2, c * c2)
         want = GradedTensor.from_scalars(got.legs, want)
         assert got == want and str(got) == str(want)
         assert any(not c.unit_den for c in got.scalar_terms().values())
-    assert x.terms[_id_pair(oa, ((), ("du",)), (("v",), ())), 0] is rational
+    assert x.terms[(*_id_pair(oa, ((), ("du",)), (("v",), ())), 0)] is rational
     assert x.scalar_terms() == terms

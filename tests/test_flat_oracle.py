@@ -57,10 +57,15 @@ def _pool(name):
                  + [((), F) for F in oa.basis_forms(1)])
         pairs = list(itertools.product(monos, repeat=2))
         pieces = []
+        oh = cc.omega_H
         for m1, m2 in pairs:
             key = (oa.intern(m1), oa.intern(m2))
-            pieces += [chi_piece(cc, key), sigma_piece(cc, key),
-                       sigma_inv_piece(cc, key)]
+            # the chi and sigma pieces are tuples of flat terms: read them
+            # as tensors of their legs
+            pieces += [GradedTensor((oa, oh), dict(chi_piece(cc, key))),
+                       GradedTensor((oa, oa), dict(sigma_piece(cc, key))),
+                       GradedTensor((oa, oa),
+                                    dict(sigma_inv_piece(cc, key)))]
         pieces += list(cc._taubul_cache.values())
         pieces += list(cc._delta_cache.values())
         pieces = [p for p in pieces if p.terms]
@@ -96,9 +101,10 @@ def _coefficients(names):
 
 def _scaled_flat(piece, c):
     out = {}
-    for (key, e), a in piece.terms.items():
+    # a flat key is the ids followed by the exponent
+    for key, a in piece.terms.items():
         for e2, c2 in flat_coeff(c):
-            add_flat(out, (key, e + e2), a * c2)
+            add_flat(out, key[:-1] + (key[-1] + e2,), a * c2)
     return out
 
 
@@ -166,19 +172,19 @@ def test_flat_sums_and_products_match_the_scalar_path(case):
     (p1, c1), (p2, c2) = items[0], items[-1]
     f1, f2 = _scaled_flat(p1, c1), _scaled_flat(p2, c2)
     prod = {}
-    for (k1, e1), a1 in f1.items():
-        for (k2, e2), a2 in f2.items():
-            add_flat(prod, ((k1, k2), e1 + e2), a1 * a2)
+    for k1, a1 in f1.items():
+        for k2, a2 in f2.items():
+            add_flat(prod, (k1[:-1], k2[:-1], k1[-1] + k2[-1]), a1 * a2)
     want = {}
     for k1, a1 in _scaled_scalar(p1, c1).items():
         for k2, a2 in _scaled_scalar(p2, c2).items():
             add_term(want, (k1, k2), a1 * a2)
     by_key = {}
-    for (key, e), a in prod.items():
-        by_key.setdefault(key, []).append((e, a))
+    for (k1, k2, e), a in prod.items():
+        by_key.setdefault((k1, k2), []).append((e, a))
     # the flat keys hold monomial ids; read them back leg by leg
     key1, key2 = p1._id_to_key(), p2._id_to_key()
-    got = {(key1(k1), key2(k2)): from_flat(pairs)
+    got = {(key1(*k1), key2(*k2)): from_flat(pairs)
            for (k1, k2), pairs in by_key.items()}
     assert {k: c for k, c in got.items() if c} == want
     # mono_mul tables against the unmemoised Scalar product, and a product
@@ -262,7 +268,8 @@ def _tensors(draw):
     exps = st.sampled_from([e for n in names for k in (-2, 0, 3)
                             for e, _ in flat_coeff(Scalar.param(n, k))])
     flat = GradedTensor(legs, draw(st.dictionaries(
-        st.tuples(ids, exps), st.integers(-3, 3).filter(bool), max_size=5)))
+        st.tuples(ids, exps).map(lambda k: k[0] + (k[1],)),
+        st.integers(-3, 3).filter(bool), max_size=5)))
     return x, legs, flat
 
 
@@ -272,7 +279,7 @@ def test_sums_round_trip_through_monomial_ids(case):
     x, legs, flat = case
     # Scalar -> flat -> Scalar keeps every monomial and coefficient
     there = GradedTensor.from_scalars(legs, x)
-    assert all(type(i) is int for (key, _) in there.terms for i in key)
+    assert all(type(i) is int for key in there.terms for i in key)
     assert there.scalar_terms() == x
     # the same terms given in another order are the same tensor
     again = GradedTensor.from_scalars(legs, dict(reversed(x.items())))
@@ -292,8 +299,8 @@ def test_an_id_means_its_own_calculus_monomial(name):
     assert any(oa.monos[i] != oh.monos[i] for i in shared)
     for i in shared:
         # the same id key on one leg of either calculus
-        a = GradedTensor((oa,), {((i,), 0): 1})
-        h = GradedTensor((oh,), {((i,), 0): 1})
+        a = GradedTensor((oa,), {(i, 0): 1})
+        h = GradedTensor((oh,), {(i, 0): 1})
         assert a != h and h != a
         assert a.scalar_terms() == {(oa.monos[i],): one}
         assert h.scalar_terms() == {(oh.monos[i],): one}
@@ -303,8 +310,8 @@ def test_an_id_means_its_own_calculus_monomial(name):
         assert Element.from_scalars(oh, {oh.monos[i]: one}).terms == {
             (i, 0): 1}
         # the same id key on legs of other calculi
-        ah = GradedTensor((oa, oh), {((i, i), 0): 1})
-        aa = GradedTensor((oa, oa), {((i, i), 0): 1})
+        ah = GradedTensor((oa, oh), {(i, i, 0): 1})
+        aa = GradedTensor((oa, oa), {(i, i, 0): 1})
         assert ah != aa and aa != ah
     # id 0 is the unit in both, and the units still differ
     assert oa.monos[0] == oh.monos[0] == UNIT

@@ -74,18 +74,45 @@ def test_flat_sums_compare_by_value():
     scalars = flat.scalar_terms()
     # its coefficient is q + 1
     kb = flat._key_to_id()(((((), ("du",)), (("v",), ()))))
-    carried = flat._new({k: c for k, c in flat.terms.items() if k[0] != kb})
-    carried.terms[kb, 0] = q + one
+    carried = flat._new({k: c for k, c in flat.terms.items()
+                         if k[:-1] != kb})
+    carried.terms[kb + (0,)] = q + one
     assert carried.terms != flat.terms
     assert carried == flat and flat == carried
     assert carried.scalar_terms() == scalars
-    carried.terms[kb, 0] = q + half
+    carried.terms[kb + (0,)] = q + half
     assert carried != flat and flat != carried
     # the same keys as the int terms, one value carried
     carried = flat._new(dict(flat.terms))
-    carried.terms[kb, 0] = half
+    carried.terms[kb + (0,)] = half
     assert carried.terms.keys() == flat.terms.keys()
     assert carried != flat and flat != carried
+
+
+def test_non_flat_terms_are_rejected_at_construction():
+    # a dict of Scalar terms, the input of from_scalars, or a key of the
+    # wrong shape is refused when the sum is built, not deep in a product
+    oa = build_example("torus").omega_A
+    m, f = (("u",), ()), ((), ("du",))
+    i, j = oa.intern(m), oa.intern(f)
+    with pytest.raises(TypeError, match="Element.from_scalars"):
+        Element(oa, {m: one})
+    with pytest.raises(TypeError, match="GradedTensor.from_scalars"):
+        GradedTensor((oa, oa), {(m, f): one})
+    # nested (ids, e) keys, the wrong width, a non-int exponent or id
+    for bad in ({((i,), 0): 1}, {(i, j, 0): 1}, {(i, half): 1},
+                {(m, 0): 1}):
+        with pytest.raises(TypeError, match="Element.from_scalars"):
+            Element(oa, bad)
+    for bad in ({((i, j), 0): 1}, {(i, 0): 1}, {(i, j, i, 0): 1},
+                {(i, j, 0.0): 1}, {(i, m, 0): 1}):
+        with pytest.raises(TypeError, match="GradedTensor.from_scalars"):
+            GradedTensor((oa, oa), bad)
+    # flat terms of the right width are adopted as given
+    terms = {(i, j, 0): 1}
+    assert GradedTensor((oa, oa), terms).terms is terms
+    assert Element(oa, {(j, 0): 1}) == oa.form("du")
+    assert GradedTensor((oa, oa), {}).is_zero() and Element(oa).is_zero()
 
 
 def test_flat_sums_are_zero_by_value():
@@ -174,8 +201,11 @@ def test_memoised_pieces_are_not_accumulators(which):
         apply(single(key))
     before = _memo_snapshot(memo)
     if which not in ("mono_mul", "mul"):
-        # the memos are keyed by monomial ids
-        assert all(ids in before for ids, _ in x.terms)
+        # the memos are keyed by monomial ids: a form's id, or a tensor's
+        # ids before the exponent that ends its flat key
+        ids = (lambda key: key[0]) if isinstance(x, Element) else (
+            lambda key: key[:-1])
+        assert all(ids(key) in before for key in x.terms)
     first = apply(x)
     second = apply(x)
     assert first == second
@@ -208,7 +238,9 @@ def _mapped_cases():
     """(x, fn, slot, width, an empty sum for the result, the map from the
     legs fn reads to the keys fn takes) for every slot and width the
     package uses, on torus.  A Scalar sum hands fn its keys, and a graded
-    one the monomial ids of its flat keys."""
+    one the monomial ids of its flat keys.  The chi and sigma pieces, given
+    as partial(piece, cc), map pairs of ids: braidext._apply_pieces splices
+    them, on whole keys or on two legs."""
     from qpbcalc.braidext import chi_piece, sigma_piece
 
     bundle = build_example("torus")
@@ -251,12 +283,25 @@ def test_add_mapped_is_the_written_out_splice(case):
     # add_mapped gives the written-out sum: a Scalar self reads Scalar
     # terms and hands fn keys; a graded self reads the flat terms of x, a
     # form's included, and hands fn monomial ids
+    from qpbcalc.braidext import _apply_pieces
+
     x, fn, slot, width, zero, to_id = _mapped_cases()[case]
-    want = _splice_reference(x, lambda k: fn(to_id(k)), slot, width)
-    assert want
-    out = zero._new({})
-    got = out.add_mapped(x, fn, slot, width)
-    assert got is out
+    if isinstance(fn, functools.partial):
+        # a memoised piece is a tuple of flat terms of its two legs, read
+        # from its memo dict by _apply_pieces
+        cc, piece = fn.args[0], fn.func
+        legs = zero.legs if slot is None else zero.legs[slot:slot + width]
+        want = _splice_reference(
+            x, lambda k: GradedTensor(legs, dict(fn(to_id(k)))), slot,
+            width)
+        assert want
+        got = _apply_pieces(cc, x, piece, zero.legs, slot)
+    else:
+        want = _splice_reference(x, lambda k: fn(to_id(k)), slot, width)
+        assert want
+        out = zero._new({})
+        got = out.add_mapped(x, fn, slot)
+        assert got is out
     assert got.scalar_terms() == want
     if isinstance(zero, GradedTensor):
         assert got == GradedTensor.from_scalars(zero.legs, want)
