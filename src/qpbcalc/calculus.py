@@ -16,9 +16,11 @@ signs of their products and differentials from the ids' degrees
 (DiffCalculus.mono_deg).  The product of two monomials is memoised as a
 flat table (DiffCalculus.mono_mul), which every product of forms and of
 graded tensors reads.  Scalar terms {(w, F): Scalar} enter a form by
-Element.from_scalars and leave it by scalar_terms; the tables that fill
-mono_mul (act_word, straighten, the presentation's normal_word) stay
-Scalar.
+Element.from_scalars and leave it by scalar_terms.  The tables that fill
+mono_mul are flat as well: act_word moves a coefficient word left past a
+letter word, straighten sorts a letter word, and flat_normal_word holds
+the presentation's normal forms, each a memoised read-only tuple of flat
+terms that max_prolongation_degree2 reads too.
 """
 
 from __future__ import annotations
@@ -103,6 +105,7 @@ class DiffCalculus:
         self.hopf = hopf                  # set for structure-group calculi
         self._act_cache = {}
         self._straight_cache = {}
+        self._flat_nf_cache = {}
         self._dword_cache = {(): Element(self)}
         self._dletters_cache = {}
         self._mono_mul_cache = {}
@@ -147,14 +150,15 @@ class DiffCalculus:
             return []
         return [t for t in itertools.combinations(self.letters, k)]
 
-    # -- straightening of letter words
+    # -- the tables of the monomial product, flat terms (see ncalg.FlatSum)
 
     @memo("_straight_cache")
     def straighten(self, letters):
-        """Sort a letter word; returns list of (Scalar, sorted letters)."""
+        """Sort a letter word by the swap rules: a read-only tuple of flat
+        terms (sorted letters, e, c), empty when the word vanishes."""
         if len(letters) > self.top_degree:
-            return []
-        coeff = Scalar.one()
+            return ()
+        coeff = {0: 1}
         word = list(letters)
         changed = True
         while changed:
@@ -163,65 +167,83 @@ class DiffCalculus:
                 a, b = word[i], word[i + 1]
                 ia, ib = self.letter_index[a], self.letter_index[b]
                 if ia == ib:
-                    return []
+                    return ()
                 if ia > ib:
                     c = self.swap.get((a, b))
                     if c is None:
                         raise CalculusError(
                             f"{self.name}: missing swap rule for ({a},{b})")
-                    coeff = coeff * c
+                    prod = {}
+                    for e1, c1 in coeff.items():
+                        for e2, c2 in flat_coeff(c):
+                            add_flat(prod, e1 + e2, c1 * c2)
+                    coeff = prod
                     word[i], word[i + 1] = b, a
                     changed = True
-        return [(coeff, tuple(word))]
+        word = tuple(word)
+        return tuple((word, e, c) for e, c in coeff.items())
 
-    # -- right action: move a coefficient word left past a letter word
+    @memo("_flat_nf_cache")
+    def flat_normal_word(self, w):
+        """The presentation's normal form of the word w as a read-only
+        tuple of flat terms (w', e, c)."""
+        return tuple((w2, e, c)
+                     for w2, s in self.pres.normal_word(w).terms.items()
+                     for e, c in flat_coeff(s))
 
     def _act_gen(self, F, g) -> dict:
-        """F . g as Scalar terms {(word, letter word of the same length):
-        c}."""
+        """F . g as flat terms {((word, letter word of the same length),
+        e): c}."""
         if not F:
-            return {((g,), ()): Scalar.one()}
+            return {(((g,), ()), 0): 1}
         last = F[-1]
         rule = self.raction.get((last, g))
         if rule is None:
             raise MissingActionError(
                 f"{self.name}: no right-action rule for ({last}, {g})")
         out = {}
-        for (wr, Fr), c in rule.scalar_terms().items():
-            head = self.act_word(F[:-1], wr)
-            for (w2, F2), c2 in head.items():
-                add_term(out, (w2, F2 + Fr), c * c2)
+        monos = rule.calc.monos
+        for (i, er), cr in rule.terms.items():
+            wr, Fr = monos[i]
+            for (w2, F2), e2, c2 in self.act_word(F[:-1], wr):
+                add_flat(out, ((w2, F2 + Fr), er + e2), cr * c2)
         return out
 
     @memo("_act_cache")
-    def act_word(self, F, w) -> dict:
-        """F . w as Scalar terms {(w', F'): c}, coefficients moved fully to
-        the left (letters unsorted); read-only."""
+    def act_word(self, F, w) -> tuple:
+        """F . w as a read-only tuple of flat terms ((w', F'), e, c), the
+        coefficients moved fully to the left (letters unsorted)."""
         if not w:
-            return {((), F): Scalar.one()}
+            return ((((), F), 0, 1),)
         out = {}
-        for (w1, F1), c in self._act_gen(F, w[0]).items():
-            rest = self.act_word(F1, w[1:])
-            for (w2, F2), c2 in rest.items():
-                prod = self.pres.normal_word(w1 + w2)
-                for w3, c3 in prod.terms.items():
-                    add_term(out, (w3, F2), c * c2 * c3)
-        return out
+        for ((w1, F1), e1), c1 in self._act_gen(F, w[0]).items():
+            for (w2, F2), e2, c2 in self.act_word(F1, w[1:]):
+                e, c = e1 + e2, c1 * c2
+                for w3, e3, c3 in self.flat_normal_word(w1 + w2):
+                    add_flat(out, ((w3, F2), e + e3), c * c3)
+        return tuple((m, e, c) for (m, e), c in out.items())
 
     # -- product (algebra multiplication and wedge in one)
 
-    def _expand(self, terms, m1, m2, c):
-        """Scalar terms += c * m1 m2 for monomials m1 = (w1, F1), m2 =
-        (w2, F2): the fill of mono_mul."""
+    def _expand(self, terms, m1, m2, e, c):
+        """Flat terms {(id, e): c} += c x^e m1 m2 for monomials m1 = (w1,
+        F1), m2 = (w2, F2), the word w2 not necessarily reduced: the fill
+        of mono_mul."""
         (w1, F1), (w2, F2) = m1, m2
         if len(F1) + len(F2) > self.top_degree:
             return
-        moved = self.act_word(F1, w2)
-        for (w3, F3), c3 in moved.items():
-            for c4, F4 in self.straighten(F3 + F2):
-                prod = self.pres.normal_word(w1 + w3)
-                for w5, c5 in prod.terms.items():
-                    add_term(terms, (w5, F4), c * c3 * c4 * c5)
+        intern = self.intern
+        get = terms.get
+        for (w3, F3), e3, c3 in self.act_word(F1, w2):
+            for F4, e4, c4 in self.straighten(F3 + F2):
+                e5, c5 = e + e3 + e4, c * c3 * c4
+                for w5, e6, c6 in self.flat_normal_word(w1 + w3):
+                    key = intern((w5, F4)), e5 + e6
+                    v = c5 * c6 + get(key, 0)
+                    if v:
+                        terms[key] = v
+                    else:
+                        del terms[key]
 
     @memo("_mono_mul_cache")
     def mono_mul(self, i1, i2) -> tuple:
@@ -230,8 +252,8 @@ class DiffCalculus:
         never an accumulator."""
         terms = {}
         monos = self.monos
-        self._expand(terms, monos[i1], monos[i2], Scalar.one())
-        return tuple(flat_of(terms, self.intern).items())
+        self._expand(terms, monos[i1], monos[i2], 0, 1)
+        return tuple(terms.items())
 
     def add_mono_mul(self, terms, i1, i2, e, c):
         """terms += c x^e (monomial i1)(monomial i2), for a flat term (e, c)
@@ -345,14 +367,16 @@ class DiffCalculus:
                                        self.mul(self.form(b), self.form(c)))
                         rep.record(lhs == rhs, f"assoc({a},{b},{c})",
                                    rhs, lhs, ref="wedge associativity")
-            # right action respects the algebra relations
+            # right action respects the algebra relations: f times the
+            # rule's word, left unreduced, against f times its right side
             for f in self.letters:
+                form = ((), (f,))
                 for rule in self.pres.rules:
-                    lhs = self._sortkey_terms(
-                        self.act_word((f,), rule.lhs).items())
-                    rhs = self._sortkey_terms(
-                        (key, c * c2) for w, c in rule.rhs.terms.items()
-                        for key, c2 in self.act_word((f,), w).items())
+                    lhs, rhs = Element(self), Element(self)
+                    self._expand(lhs.terms, form, (rule.lhs, ()), 0, 1)
+                    for w, s in rule.rhs.terms.items():
+                        for e, c in flat_coeff(s):
+                            self._expand(rhs.terms, form, (w, ()), e, c)
                     rep.record(lhs == rhs,
                                f"raction({f},{'*'.join(rule.lhs)})",
                                "relation respected", "mismatch",
@@ -365,14 +389,6 @@ class DiffCalculus:
                     rep.record(got == want, f"expansion({f})", want, got,
                                ref="sum a_i d(b_i) = form")
         return rep
-
-    def _sortkey_terms(self, items) -> dict:
-        """The Scalar terms ((w, F), c) summed with each F straightened."""
-        out = {}
-        for (w, F), c in items:
-            for c2, F2 in self.straighten(F):
-                add_term(out, (w, F2), c * c2)
-        return out
 
     def __repr__(self):
         return f"DiffCalculus({self.name}, letters={self.letters})"
@@ -676,19 +692,6 @@ def _same(k):
     return k
 
 
-class _Table(dict):
-    """A dict that fills a missing key k with fill(k)."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        self.fill = fill
-
-    def __missing__(self, k):
-        v = self[k] = self.fill(k)
-        return v
-
-
 def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
                              example: str = "") -> CheckReport:
     """Check the declared degree-2 wedge relations lie in d(x)d(ker V),
@@ -703,9 +706,8 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
     ncalg.FlatSum), with no Scalar product and no mono_mul table: a db is
     normal_word(a + w2) with F2 appended over the terms (w2, F2) of db,
     and da (x) db multiplies the flat terms of da, db, act_word(F1, w2)
-    and normal_word(w1 + w3).  The flat views of those two tables live in
-    this call alone.  Rows become Scalar rows only for the exact solve and
-    the certificate."""
+    and normal_word(w1 + w3), read from the calculus's flat memos.  Rows
+    become Scalar rows only for the exact solve and the certificate."""
     pres = calc.pres
     rep = CheckReport(
         suite="prolong", example=example or calc.name,
@@ -719,14 +721,7 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
         # d w as flat terms ((w', F), e, c)
         d = {w: [(monos[i], e, c) for (i, e), c in
                  calc.d_poly(NCPoly.word(w)).terms.items()] for w in words}
-        # F . w as flat terms ((w', F'), e, c), and normal forms of words
-        # as flat terms (w', e, c)
-        acts = _Table(lambda k: [(m, e, c) for m, s in
-                                 calc.act_word(*k).items()
-                                 for e, c in flat_coeff(s)])
-        nfs = _Table(lambda w: [(w2, e, c) for w2, s in
-                                pres.normal_word(w).terms.items()
-                                for e, c in flat_coeff(s)])
+        acts, nfs = calc.act_word, calc.flat_normal_word
 
         def pair_row(a, b):
             """(a db || da (x) db) as flat terms, its columns tagged 0 and
@@ -735,14 +730,14 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
             get = row.get
             db = d[b]
             for (w2, F2), e2, c2 in db:
-                for w3, e3, c3 in nfs[a + w2]:
+                for w3, e3, c3 in nfs(a + w2):
                     key = ((0, (w3, F2)), e2 + e3)
                     row[key] = get(key, 0) + c2 * c3
             for (w1, F1), e1, c1 in d[a]:
                 for (w2, F2), e2, c2 in db:
-                    for (w3, F3), e3, c3 in acts[F1, w2]:
+                    for (w3, F3), e3, c3 in acts(F1, w2):
                         F, e, c = F3 + F2, e1 + e2 + e3, c1 * c2 * c3
-                        for w4, e4, c4 in nfs[w1 + w3]:
+                        for w4, e4, c4 in nfs(w1 + w3):
                             key = ((1, (w4, F)), e + e4)
                             row[key] = get(key, 0) + c * c4
             # int terms at one key may cancel

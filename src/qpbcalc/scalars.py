@@ -474,10 +474,6 @@ class Scalar:
         return Scalar((), num, _UNIT_DENS[0], _canonical=True)
 
     @staticmethod
-    def from_int(n: int) -> "Scalar":
-        return Scalar.from_fraction(n)
-
-    @staticmethod
     def param(name: str, exponent: int = 1) -> "Scalar":
         if not exponent:
             return _ONE
@@ -506,14 +502,6 @@ class Scalar:
         """True for a nonzero constant times a Laurent monomial: the units
         of the Laurent polynomial ring, which divide without leaving it."""
         return self.unit_den and len(self.num) == 1
-
-    def as_fraction(self):
-        """Return the value as a Fraction if parameter-free, else None."""
-        if self.names:
-            return None
-        if not self.num:
-            return Fraction(0)
-        return Fraction(self.num[()], self.den[()])
 
     # -- arithmetic
 

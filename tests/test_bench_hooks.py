@@ -27,11 +27,20 @@ def test_tracer_hooks_find_every_name():
 
 
 def test_tracer_memo_names_are_present():
-    # memo_sizes reads *_cache dicts by name, so a renamed memo would read 0
-    code = ("import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
-            "import tracer, qpbcalc; "
-            "print(json.dumps({'sizes': tracer.memo_sizes("
-            "qpbcalc.build_example('podles')), 'names': tracer.MEMOS}))")
+    # memo_sizes reads *_cache dicts by name, so a memo under a new name
+    # would leave an empty dict under the old one: every named memo must
+    # fill during check all on u1_q
+    code = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracer, qpbcalc
+from qpbcalc import cli
+bundle = qpbcalc.build_example("u1_q")
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["check", "all", "--example", "u1_q", "--format", "json"])
+print(json.dumps({"sizes": tracer.memo_sizes(bundle),
+                  "names": tracer.MEMOS}))
+"""
     proc = subprocess.run(
         [sys.executable, "-c", code, str(ROOT / "src"),
          str(ROOT / "perfbench")],
@@ -39,4 +48,4 @@ def test_tracer_memo_names_are_present():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     for name in out["names"]:
-        assert name in out["sizes"], name
+        assert out["sizes"].get(name, 0) > 0, name

@@ -19,14 +19,17 @@ from qpbcalc.calculus import (
 )
 from qpbcalc.cli import main
 from qpbcalc.examples import EXAMPLE_NAMES, build_example
+from qpbcalc.fileformat import parse
 from qpbcalc.ncalg import NCPoly, add_term, flat_of, scalars_of
 from qpbcalc.scalars import Scalar, residue_point
+from scalar_product import ScalarProduct
 
 q = Scalar.param("q")
 qi = Scalar.param("q", -1)
 L = Scalar.param("L")
 Li = Scalar.param("L", -1)
 one = Scalar.one()
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src/qpbcalc/data"
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +95,24 @@ def test_d_squared_zero(u1q, torus_calc, sl2_calc, two_var):
     for calc in (u1q, torus_calc, sl2_calc, two_var):
         rep = calc.calculus_check(max_word_len=2, example=calc.name)
         assert rep.ok(), [str(w.input) for w in rep.witnesses[:3]]
+
+
+def test_wrong_right_action_rule_fails_the_calculus_check():
+    # du . v gains a v*dv term; the parser's structural validation rejects
+    # this mutant in a file, so it is made on a torus parsed in-process.
+    # The check multiplies du by each rule's word unreduced, so the rules
+    # whose words move v past du now disagree with their right sides.
+    text = (DATA / "torus.qpb").read_text(encoding="utf-8")
+    oa = parse(text).omega_A
+    oa.raction[("du", "v")] = oa.raction[("du", "v")] + oa.of_poly(
+        NCPoly.gen("v"), ("dv",))
+    oa._act_cache.clear()
+    oa._mono_mul_cache.clear()
+    rep = oa.calculus_check(2)
+    assert rep.status == "fail"
+    assert [w.input for w in rep.witnesses] == [
+        "raction(du,v*u)", "raction(du,v*ui)", "raction(du,v*vi)",
+        "raction(du,vi*v)"]
 
 
 def test_d_squared_on_sl2_generators(sl2_calc):
@@ -240,7 +261,7 @@ def test_corrupted_echelon_row_is_not_a_pass(torus_calc, monkeypatch):
 def test_corrupted_residue_records_are_not_a_pass(torus_calc, monkeypatch):
     # dv(x)du + L0 du(x)dv, with L0 the residue point of L: true at the
     # residue point, false over Q(L)
-    c = Scalar.from_int(-residue_point("L"))
+    c = Scalar.from_fraction(-residue_point("L"))
     monkeypatch.setitem(torus_calc.swap, ("dv", "du"), c)
 
     def verdict():
@@ -279,13 +300,14 @@ def reference_pair_row(calc, a, b):
     and 1: the pair row max_prolongation_degree2 built before its rows
     were flat."""
     pres = calc.pres
+    product = ScalarProduct(calc)
     d = {w: calc.d_poly(NCPoly.word(w)) for w in (a, b)}
     db = d[b].scalar_terms().items()
     row = {(0, k): c for k, c in calc.mul(
         calc.of_poly(NCPoly.word(a)), d[b]).scalar_terms().items()}
     for (w1, F1), c1 in d[a].scalar_terms().items():
         for (w2, F2), c2 in db:
-            moved = calc.act_word(F1, w2)
+            moved = product.act_word(F1, w2)
             for (w3, F3), c3 in moved.items():
                 prod = pres.normal_word(w1 + w3)
                 for w4, c4 in prod.terms.items():
@@ -427,7 +449,7 @@ def test_graded_tensor_associativity_and_d(two_var, u1q):
             # graded Leibniz across legs
             lhs = a.wedge(b).d()
             deg = sum(len(F) for _, F in next(iter(a.scalar_terms())))
-            sign = Scalar.from_int(-1) ** (deg % 2)
+            sign = Scalar.from_fraction(-1) ** (deg % 2)
             rhs = a.d().wedge(b) + a.wedge(b.d()).scale(sign)
             assert lhs == rhs
 
@@ -439,7 +461,7 @@ def test_graded_antipode_antimultiplicative(two_var):
     lhs = graded_antipode(two_var, two_var.mul(x, y))
     rhs = two_var.mul(graded_antipode(two_var, y),
                       graded_antipode(two_var, x)).scale(
-        Scalar.from_int(-1))
+        Scalar.from_fraction(-1))
     assert lhs == rhs
 
 
@@ -457,23 +479,19 @@ def test_graded_antipode_degree1_matches_bicovariant_convolution(u1q):
         tagr = hopf.antipode(NCPoly.word(
             next(iter(u1q.pres.normal_word(w + ("t",)).terms))))
         bc = u1q.product(u1q.of_poly(tagl), mid,
-                         u1q.of_poly(tagr)).scale(Scalar.from_int(-1))
+                         u1q.of_poly(tagr)).scale(Scalar.from_fraction(-1))
         assert graded_antipode(u1q, x) == bc, n
 
 
 def _written_out_product(calc, x, y):
     """x y on Scalar terms {(w, F): c}, as the product is defined: the
-    coefficient word of each right monomial moved left past the letters by
-    act_word, the letters straightened, the words reduced."""
+    coefficient word of each right monomial moved left past the letters,
+    the letters straightened, the words reduced (see scalar_product)."""
     out = {}
-    for (w1, F1), c1 in x.items():
-        for (w2, F2), c2 in y.items():
-            if len(F1) + len(F2) > calc.top_degree:
-                continue
-            for (w3, F3), c3 in calc.act_word(F1, w2).items():
-                for c4, F4 in calc.straighten(F3 + F2):
-                    for w5, c5 in calc.pres.normal_word(w1 + w3).terms.items():
-                        add_term(out, (w5, F4), c1 * c2 * c3 * c4 * c5)
+    product = ScalarProduct(calc)
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            product.expand(out, m1, m2, c1 * c2)
     return out
 
 

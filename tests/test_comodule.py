@@ -175,7 +175,7 @@ def podles_tau_closed_form(ca, n):
     A = ca.A
     out = TensorPoly.zero((A, A))
     base = q * q
-    sign = Scalar.from_int(-1)
+    sign = Scalar.from_fraction(-1)
     for k in range(abs(n) + 1):
         m = abs(n)
         coeff = q_binomial(m, k, base) * (sign ** k)

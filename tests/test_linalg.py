@@ -224,7 +224,7 @@ def reference_in_span(basis, v, key=repr):
     return not v
 
 
-UNITS = [one, -one, q, -(q ** -1), Scalar.from_int(2), 3 * q ** 2]
+UNITS = [one, -one, q, -(q ** -1), Scalar.from_fraction(2), 3 * q ** 2]
 NON_UNITS = [1 + q ** 2, q + 1, q * q - 1, q - 2, (1 + q ** 2) * q,
              2 * q ** -1 + 3, 1 - q ** 3]
 FACTOR = 1 + q ** 2

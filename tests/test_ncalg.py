@@ -188,7 +188,7 @@ def test_inconsistent_system_reported():
     pres = AlgebraPresentation(
         "broken", [GeneratorSymbol("x"), GeneratorSymbol("y")],
         [(("x", "y"), NCPoly.one()),
-         (("x", "y"), NCPoly.one().scale(Scalar.from_int(2)))])
+         (("x", "y"), NCPoly.one().scale(Scalar.from_fraction(2)))])
     rep = confluence_check(pres, 4)
     assert not rep.ok()
     assert len(rep.witnesses) == 1

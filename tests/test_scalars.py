@@ -109,7 +109,7 @@ def scalars(draw):
     nterms = draw(st.integers(min_value=0, max_value=4))
     s = zero
     for _ in range(nterms):
-        c = Scalar.from_int(draw(coeffs))
+        c = Scalar.from_fraction(draw(coeffs))
         term = c * Scalar.param("q", draw(exps)) * Scalar.param("L", draw(exps))
         s = s + term
     return s
@@ -178,15 +178,6 @@ def test_integral_values_from_fractions_are_ints():
     assert Scalar.param("q", 0) == one
 
 
-def test_as_fraction_returns_fraction():
-    third = (one / 3).as_fraction()
-    assert third == Fraction(1, 3) and type(third) is Fraction
-    six = Scalar.from_int(6).as_fraction()
-    assert six == 6 and type(six) is Fraction
-    assert type(zero.as_fraction()) is Fraction
-    assert q.as_fraction() is None
-
-
 def test_laurent_and_rational_paths_agree():
     pairs = [
         ((q * q - one) / (q - one), q + one),
@@ -244,5 +235,5 @@ def test_shared_denominators_are_never_mutated():
 
 def test_sign_is_parity_of_exponent():
     assert sign(0) is one and sign(2) is one and sign(-4) is one
-    assert sign(1) == Scalar.from_int(-1) and sign(1) is sign(-3)
+    assert sign(1) == Scalar.from_fraction(-1) and sign(1) is sign(-3)
     assert sign(5) * sign(5) == one
