@@ -18,16 +18,19 @@ flat table (DiffCalculus.mono_mul), which every product of forms and of
 graded tensors reads.  Scalar terms {(w, F): Scalar} enter a form by
 Element.from_scalars and leave it by scalar_terms.  The tables that fill
 mono_mul are flat as well: act_word moves a coefficient word left past a
-letter word, straighten sorts a letter word, and flat_normal_word holds
-the presentation's normal forms, each a memoised read-only tuple of flat
-terms that max_prolongation_degree2 reads too.
+letter word and straighten sorts a letter word, each a memoised read-only
+tuple of flat terms; the words are reduced by pres.flat_normal_word, the
+presentation's one normal-form memo, which act_word, _expand, of_poly and
+max_prolongation_degree2 read.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .linalg import kernel_on, span_witnesses
 from .ncalg import (FlatSum, NCPoly, add_flat, add_term, flat_of, memo,
-                    scalars_of)
+                    same_key, scalars_of)
 from .report import CheckReport, timed
 from .scalars import Scalar, flat_coeff, sign
 
@@ -57,9 +60,7 @@ class Element(FlatSum):
     @staticmethod
     def from_scalars(calc, terms) -> "Element":
         """The form of Scalar terms {(w, F): Scalar} of calc."""
-        out = Element(calc)
-        out.terms = flat_of(terms, calc.intern)
-        return out
+        return Element(calc, flat_of(terms, calc.intern))
 
     def _id_to_key(self):
         return self.calc.monos.__getitem__
@@ -105,7 +106,6 @@ class DiffCalculus:
         self.hopf = hopf                  # set for structure-group calculi
         self._act_cache = {}
         self._straight_cache = {}
-        self._flat_nf_cache = {}
         self._dword_cache = {(): Element(self)}
         self._dletters_cache = {}
         self._mono_mul_cache = {}
@@ -134,21 +134,24 @@ class DiffCalculus:
         return Element(self, {(UNIT_ID, 0): 1})
 
     def of_poly(self, p: NCPoly, letters=()) -> Element:
+        """The form p F, read from the presentation's normal-form memo."""
         letters = tuple(letters)
-        return Element.from_scalars(self, {
-            (w, letters): c for w, c in self.pres.reduce(p).terms.items()})
+        nf, intern = self.pres.flat_normal_word, self.intern
+        terms = {}
+        for w, s in p.terms.items():
+            for e, c in flat_coeff(s):
+                for (w2, e2), c2 in nf(w):
+                    add_flat(terms, (intern((w2, letters)), e + e2), c * c2)
+        return Element(self, terms)
 
     def form(self, *letters) -> Element:
         return self.of_poly(NCPoly.one(), tuple(letters))
 
     def basis_forms(self, k: int):
         """Strictly increasing letter words of length k."""
-        if k == 0:
-            return [()]
-        import itertools
         if k > self.top_degree:
             return []
-        return [t for t in itertools.combinations(self.letters, k)]
+        return list(itertools.combinations(self.letters, k))
 
     # -- the tables of the monomial product, flat terms (see ncalg.FlatSum)
 
@@ -183,14 +186,6 @@ class DiffCalculus:
         word = tuple(word)
         return tuple((word, e, c) for e, c in coeff.items())
 
-    @memo("_flat_nf_cache")
-    def flat_normal_word(self, w):
-        """The presentation's normal form of the word w as a read-only
-        tuple of flat terms (w', e, c)."""
-        return tuple((w2, e, c)
-                     for w2, s in self.pres.normal_word(w).terms.items()
-                     for e, c in flat_coeff(s))
-
     def _act_gen(self, F, g) -> dict:
         """F . g as flat terms {((word, letter word of the same length),
         e): c}."""
@@ -216,10 +211,11 @@ class DiffCalculus:
         if not w:
             return ((((), F), 0, 1),)
         out = {}
+        nf = self.pres.flat_normal_word
         for ((w1, F1), e1), c1 in self._act_gen(F, w[0]).items():
             for (w2, F2), e2, c2 in self.act_word(F1, w[1:]):
                 e, c = e1 + e2, c1 * c2
-                for w3, e3, c3 in self.flat_normal_word(w1 + w2):
+                for (w3, e3), c3 in nf(w1 + w2):
                     add_flat(out, ((w3, F2), e + e3), c * c3)
         return tuple((m, e, c) for (m, e), c in out.items())
 
@@ -232,12 +228,12 @@ class DiffCalculus:
         (w1, F1), (w2, F2) = m1, m2
         if len(F1) + len(F2) > self.top_degree:
             return
-        intern = self.intern
+        intern, nf = self.intern, self.pres.flat_normal_word
         get = terms.get
         for (w3, F3), e3, c3 in self.act_word(F1, w2):
             for F4, e4, c4 in self.straighten(F3 + F2):
                 e5, c5 = e + e3 + e4, c * c3 * c4
-                for w5, e6, c6 in self.flat_normal_word(w1 + w3):
+                for (w5, e6), c6 in nf(w1 + w3):
                     key = intern((w5, F4)), e5 + e6
                     v = c5 * c6 + get(key, 0)
                     if v:
@@ -358,15 +354,13 @@ class DiffCalculus:
                                rhs, lhs,
                                ref="d(w y) = dw y + (-1)^|w| w dy")
             # wedge associativity on letter triples
-            for a in self.letters:
-                for b in self.letters:
-                    for c in self.letters:
-                        lhs = self.mul(self.mul(self.form(a), self.form(b)),
-                                       self.form(c))
-                        rhs = self.mul(self.form(a),
-                                       self.mul(self.form(b), self.form(c)))
-                        rep.record(lhs == rhs, f"assoc({a},{b},{c})",
-                                   rhs, lhs, ref="wedge associativity")
+            for a, b, c in itertools.product(self.letters, repeat=3):
+                lhs = self.mul(self.mul(self.form(a), self.form(b)),
+                               self.form(c))
+                rhs = self.mul(self.form(a),
+                               self.mul(self.form(b), self.form(c)))
+                rep.record(lhs == rhs, f"assoc({a},{b},{c})",
+                           rhs, lhs, ref="wedge associativity")
             # right action respects the algebra relations: f times the
             # rule's word, left unreduced, against f times its right side
             for f in self.letters:
@@ -374,9 +368,8 @@ class DiffCalculus:
                 for rule in self.pres.rules:
                     lhs, rhs = Element(self), Element(self)
                     self._expand(lhs.terms, form, (rule.lhs, ()), 0, 1)
-                    for w, s in rule.rhs.terms.items():
-                        for e, c in flat_coeff(s):
-                            self._expand(rhs.terms, form, (w, ()), e, c)
+                    for (w, e), c in rule.flat_rhs:
+                        self._expand(rhs.terms, form, (w, ()), e, c)
                     rep.record(lhs == rhs,
                                f"raction({f},{'*'.join(rule.lhs)})",
                                "relation respected", "mismatch",
@@ -559,15 +552,19 @@ def cartan_maurer_equation_check(calc: DiffCalculus, max_word_len: int = 4,
     rep.notes.append("the classifying right ideal is reconstructed at "
                      "truncation as the kernel of the coinvariant-valued "
                      "form on basis words")
+
+    def add_square(out, h):
+        """out += varpi(pi(h1)) ^ varpi(pi(h2)); returns out."""
+        for (w1, w2), c in hopf.coproduct(h).terms.items():
+            out.add_scaled(calc.mul(cartan_maurer(calc, NCPoly.word(w1)),
+                                    cartan_maurer(calc, NCPoly.word(w2))), c)
+        return out
+
     with timed(rep):
         words = list(hopf.base.irreducible_words(max_word_len))
         for w in words:
             p = NCPoly.word(w)
-            got = calc.d(cartan_maurer(calc, p))
-            for (w1, w2), c in hopf.coproduct(p).terms.items():
-                got.add_scaled(calc.mul(
-                    cartan_maurer(calc, NCPoly.word(w1)),
-                    cartan_maurer(calc, NCPoly.word(w2))), c)
+            got = add_square(calc.d(cartan_maurer(calc, p)), p)
             rep.record(got.is_zero(), f"cm({'*'.join(w) or '1'})", "0",
                        got)
         # ideal reconstruction: combinations killed by the form must also
@@ -575,38 +572,28 @@ def cartan_maurer_equation_check(calc: DiffCalculus, max_word_len: int = 4,
         for combo in kernel_on(words, lambda w: cartan_maurer(
                 calc, NCPoly.word(w)).scalar_terms()):
             h = NCPoly(combo)
-            quad = calc.zero()
-            for (w1, w2), c in hopf.coproduct(h).terms.items():
-                quad.add_scaled(calc.mul(
-                    cartan_maurer(calc, NCPoly.word(w1)),
-                    cartan_maurer(calc, NCPoly.word(w2))), c)
+            quad = add_square(calc.zero(), h)
             rep.record(quad.is_zero(), f"ideal-relation({h})", "0", quad,
                        ref="quadratic coinvariant-form relations on the "
                            "reconstructed ideal")
     return rep
 
 
+def _grouplike_tag(calc: DiffCalculus, tags, F, side) -> tuple:
+    """The normal form of F's tag words: one word with coefficient one."""
+    nf = calc.pres.flat_normal_word(sum((tags[f] for f in F), ()))
+    if len(nf) != 1 or nf[0][0][1] or nf[0][1] != 1:
+        raise CalculusError(f"{side} tag not grouplike")
+    return nf[0][0][0]
+
+
 def left_tag(calc: DiffCalculus, F) -> tuple:
     """Left coaction tag of a letter word (grouplike structure groups)."""
-    H = calc.pres
-    word = ()
-    for f in F:
-        word = word + calc.lco[f]
-    ((w, c),) = H.normal_word(word).terms.items()
-    if not c.is_one():
-        raise CalculusError("left tag not grouplike")
-    return w
+    return _grouplike_tag(calc, calc.lco, F, "left")
 
 
 def right_tag(calc: DiffCalculus, F) -> tuple:
-    H = calc.pres
-    word = ()
-    for f in F:
-        word = word + calc.rco[f]
-    ((w, c),) = H.normal_word(word).terms.items()
-    if not c.is_one():
-        raise CalculusError("right tag not grouplike")
-    return w
+    return _grouplike_tag(calc, calc.rco, F, "right")
 
 
 def lambda_element(calc: DiffCalculus, F) -> Element:
@@ -688,10 +675,6 @@ def graded_antipode(calc: DiffCalculus, x: Element, inverse=False) -> Element:
 # -- maximal prolongation: degree-2 relations from first order -------------------
 
 
-def _same(k):
-    return k
-
-
 def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
                              example: str = "") -> CheckReport:
     """Check the declared degree-2 wedge relations lie in d(x)d(ker V),
@@ -721,7 +704,7 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
         # d w as flat terms ((w', F), e, c)
         d = {w: [(monos[i], e, c) for (i, e), c in
                  calc.d_poly(NCPoly.word(w)).terms.items()] for w in words}
-        acts, nfs = calc.act_word, calc.flat_normal_word
+        acts, nfs = calc.act_word, pres.flat_normal_word
 
         def pair_row(a, b):
             """(a db || da (x) db) as flat terms, its columns tagged 0 and
@@ -730,14 +713,14 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
             get = row.get
             db = d[b]
             for (w2, F2), e2, c2 in db:
-                for w3, e3, c3 in nfs(a + w2):
+                for (w3, e3), c3 in nfs(a + w2):
                     key = ((0, (w3, F2)), e2 + e3)
                     row[key] = get(key, 0) + c2 * c3
             for (w1, F1), e1, c1 in d[a]:
                 for (w2, F2), e2, c2 in db:
                     for (w3, F3), e3, c3 in acts(F1, w2):
                         F, e, c = F3 + F2, e1 + e2 + e3, c1 * c2 * c3
-                        for w4, e4, c4 in nfs(w1 + w3):
+                        for (w4, e4), c4 in nfs(w1 + w3):
                             key = ((1, (w4, F)), e + e4)
                             row[key] = get(key, 0) + c * c4
             # int terms at one key may cancel
@@ -752,7 +735,7 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
             relations.append((f"{a}(x){b} - ({cswap})*{b}(x){a}", vec))
         witnesses = span_witnesses(
             lambda i: pair_row(*pairs[i]), len(pairs),
-            [flat_of(vec, _same) for _, vec in relations])
+            [flat_of(vec, same_key) for _, vec in relations])
         for (name, vec), lam in zip(relations, witnesses):
             if lam is None:
                 rep.mark_inconclusive(
@@ -764,7 +747,7 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
             # PASS
             image = {}
             for i, c in lam.items():
-                for k, v in scalars_of(pair_row(*pairs[i]), _same).items():
+                for k, v in scalars_of(pair_row(*pairs[i]), same_key).items():
                     add_term(image, k, v * c)
             if image == vec:
                 rep.record(True, name, "in span", "in span")

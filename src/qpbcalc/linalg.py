@@ -44,7 +44,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from operator import mul, neg
 
-from .ncalg import add_term, scalars_of
+from .ncalg import add_term, same_key, scalars_of
 from .scalars import RESIDUE_PRIME, Scalar, monomial_residue, residue
 
 
@@ -328,10 +328,6 @@ def _exact_witnesses(rows, targets):
     return [_witness(echelon, dict(t), _QQ) for t in targets]
 
 
-def _column(k):
-    return k
-
-
 def span_witnesses(row, n, targets):
     """For each target in the span of the rows row(0), ..., row(n - 1), a
     combination {i: c} of Scalars with sum c row(i) == target; None for a
@@ -344,10 +340,10 @@ def span_witnesses(row, n, targets):
     and every row again only when that solve leaves a target
     unwitnessed."""
     targets = list(targets)
-    exact_targets = [scalars_of(t, _column) for t in targets]
+    exact_targets = [scalars_of(t, same_key) for t in targets]
 
     def exact_rows(indices):
-        return (scalars_of(row(i), _column) for i in indices)
+        return (scalars_of(row(i), same_key) for i in indices)
 
     out = [None] * len(targets)
     support = _support_mod_p(row, n, targets)

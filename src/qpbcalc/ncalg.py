@@ -5,6 +5,10 @@ relations as rewrite rules lhs -> rhs where every monomial of rhs is strictly
 smaller than lhs in the degree-lexicographic order induced by the declared
 generator order; reduction to normal form then terminates and, for the
 shipped presentations, is confluent (checked by critical-pair enumeration).
+The presentation is the one normal-form engine: flat_normal_word rewrites
+in flat ints and holds the one normal-form memo (_nf_cache, read-only
+tuples ((w', e), c)); the calculus reads it flat, and normal_word, reduce
+and multiply, the NCPoly boundary, read it in Scalar arithmetic.
 
 SparseSum is the finite-sum arithmetic of NCPoly and of the tensor type
 (tensors.TensorPoly), whose coefficients are Scalars.  FlatSum, the sum
@@ -30,7 +34,7 @@ from __future__ import annotations
 import functools
 import os
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .report import CheckReport, timed
 from .scalars import Scalar, flat_coeff, from_flat
@@ -160,6 +164,11 @@ def scalars_of(terms, to_key) -> dict:
     return out
 
 
+def same_key(k):
+    """The identity on keys: flat_of and scalars_of keep them as given."""
+    return k
+
+
 def _paren(cs, chars):
     return f"({cs})" if any(ch in cs for ch in chars) else cs
 
@@ -184,11 +193,8 @@ class SparseSum:
 
     def __init__(self, terms=None):
         """A sum holding a copy of terms, zeros left out."""
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    self.terms[key] = c
+        self.terms = {k: c for k, c in terms.items()
+                      if not c.is_zero()} if terms else {}
 
     def _ctx(self):
         return getattr(self, self._context) if self._context else None
@@ -456,8 +462,14 @@ class NCPoly(SparseSum):
 
 @dataclass(frozen=True)
 class RewriteRule:
+    """lhs -> rhs; flat_rhs is rhs as flat terms ((word, e), c), made once."""
     lhs: Word
     rhs: NCPoly
+    flat_rhs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "flat_rhs",
+                           tuple(flat_of(self.rhs.terms, same_key).items()))
 
 
 class AlgebraPresentation:
@@ -479,7 +491,7 @@ class AlgebraPresentation:
             self._by_first.setdefault(rule.lhs[0], []).append(rule)
         for lst in self._by_first.values():
             lst.sort(key=lambda r: (-len(r.lhs), r.lhs))
-        self._nf_cache: dict[Word, NCPoly] = {}
+        self._nf_cache: dict[Word, tuple] = {}
         self._validate()
 
     # -- construction helpers
@@ -537,28 +549,30 @@ class AlgebraPresentation:
                     return i, rule
         return None
 
-    def normal_word(self, word) -> NCPoly:
-        """Normal form of a single word, as an NCPoly."""
-        word = tuple(word)
+    def flat_normal_word(self, word) -> tuple:
+        """Normal form of the word (a tuple) as a read-only tuple of flat
+        terms ((w', e), c), memoised in _nf_cache, the one normal-form memo:
+        the rewrite loop runs in ints through each rule's flat_rhs."""
         # not a memo(): the rewrite loop below reads _nf_cache for each word
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
+        cache = self._nf_cache
+        out = cache.get(word)
+        if out is not None:
+            return out
         self._check_declared(word)
         budget = reduce_budget()
-        acc: dict[Word, Scalar] = {}
-        stack: list[tuple[Word, Scalar]] = [(word, Scalar.one())]
+        acc = {}
+        stack = [(word, 0, 1)]
         steps = 0
         while stack:
-            w, c = stack.pop()
-            hit = self._nf_cache.get(w)
+            w, e, c = stack.pop()
+            hit = cache.get(w)
             if hit is not None:
-                for w2, c2 in hit.terms.items():
-                    add_term(acc, w2, c2 * c)
+                for (w2, e2), c2 in hit:
+                    add_flat(acc, (w2, e + e2), c * c2)
                 continue
             m = self._find_redex(w)
             if m is None:
-                add_term(acc, w, c)
+                add_flat(acc, (w, e), c)
                 continue
             steps += 1
             if steps > budget:
@@ -567,25 +581,33 @@ class AlgebraPresentation:
                     f"{'*'.join(word)}")
             i, rule = m
             pre, post = w[:i], w[i + len(rule.lhs):]
-            for mid, c2 in rule.rhs.terms.items():
-                stack.append((pre + mid + post, c * c2))
-        out = NCPoly.zero()
-        out.terms = acc
-        self._nf_cache[word] = out
+            for (mid, e2), c2 in rule.flat_rhs:
+                stack.append((pre + mid + post, e + e2, c * c2))
+        out = cache[word] = tuple(acc.items())
         return out
+
+    def _scalar_sum(self, terms) -> NCPoly:
+        """Sum of c times the normal form of w over the Scalar terms (w, c),
+        read from the flat memo in Scalar arithmetic; a flat term with
+        coefficient one passes c through unchanged."""
+        out = NCPoly()
+        for w, c in terms:
+            for (w2, e), a in self.flat_normal_word(w):
+                add_term(out.terms, w2, c if not e and a == 1 else
+                         from_flat(((e, a),)) * c)
+        return out
+
+    def normal_word(self, word) -> NCPoly:
+        """Normal form of a single word, as an NCPoly."""
+        return self._scalar_sum(((tuple(word), Scalar.one()),))
 
     def reduce(self, p: NCPoly) -> NCPoly:
-        out = NCPoly.zero()
-        for w, c in p.terms.items():
-            out.add_scaled(self.normal_word(w), c)
-        return out
+        return self._scalar_sum(p.terms.items())
 
     def multiply(self, p: NCPoly, r: NCPoly) -> NCPoly:
-        out = NCPoly.zero()
-        for w1, c1 in p.terms.items():
-            for w2, c2 in r.terms.items():
-                out.add_scaled(self.normal_word(w1 + w2), c1 * c2)
-        return out
+        return self._scalar_sum((w1 + w2, c1 * c2)
+                                for w1, c1 in p.terms.items()
+                                for w2, c2 in r.terms.items())
 
     def irreducible_words(self, max_len: int):
         """All normal-form words of length <= max_len (irreducible prefixes)."""
@@ -637,7 +659,7 @@ class AlgebraPresentation:
                         continue
                     p1 = self._splice(r1.rhs, (), b[k:])
                     p2 = self._splice(r2.rhs, a[:len(a) - k], ())
-                    rep.record(self.reduce(p1) == self.reduce(p2),
+                    rep.record(p1 == p2,
                                "*".join(word), "confluent pair",
                                "two distinct normal forms",
                                ref="overlap")
@@ -645,23 +667,20 @@ class AlgebraPresentation:
                 if r1 is r2 or (len(a) == len(b) and i1 > i2):
                     continue
                 for i in range(len(a) - len(b) + 1):
-                    if a[i:i + len(b)] != b:
+                    if a[i:i + len(b)] != b or len(a) > max_overlap_len:
                         continue
-                    if len(a) > max_overlap_len:
-                        continue
-                    p1 = r1.rhs
+                    p1 = self._splice(r1.rhs, (), ())
                     p2 = self._splice(r2.rhs, a[:i], a[i + len(b):])
-                    rep.record(self.reduce(p1) == self.reduce(p2),
+                    rep.record(p1 == p2,
                                "*".join(a), "confluent pair",
                                "two distinct normal forms",
                                ref="containment")
         return rep
 
     def _splice(self, rhs: NCPoly, pre, post) -> NCPoly:
-        out = NCPoly.zero()
-        for w, c in rhs.terms.items():
-            add_term(out.terms, tuple(pre) + w + tuple(post), c)
-        return out
+        """The normal form of pre rhs post."""
+        return self._scalar_sum((pre + w + post, c)
+                                for w, c in rhs.terms.items())
 
     def __repr__(self):
         return f"AlgebraPresentation({self.name}, {len(self.rules)} rules)"

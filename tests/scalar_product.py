@@ -4,13 +4,50 @@ The oracles of the flat product tables (DiffCalculus.act_word, straighten
 and mono_mul, and the prolongation pair rows) compare them with this
 reference.  It reads only the calculus's presentation data: the
 right-action rules (raction), the swap coefficients (swap) and the
-presentation's Scalar normal_word.
+presentation's rewrite rules.  It reduces words with brute_force_reduce,
+which applies the rules one redex at a time in Scalar arithmetic, and
+never with the presentation's normal-form engine (flat_normal_word and
+its Scalar views normal_word, reduce and multiply), which the oracles
+test.
 """
 
-from qpbcalc.ncalg import add_term
+import random
+
+from qpbcalc.ncalg import NCPoly, add_term
 from qpbcalc.scalars import Scalar
 
 one = Scalar.one()
+
+
+def brute_force_reduce(pres, p, seed=0):
+    """Rewriting oracle: random redex choices until a fixed point."""
+    rng = random.Random(seed)
+    terms = dict(p.terms)
+    done = False
+    while not done:
+        done = True
+        items = sorted(terms.items(), key=lambda kv: kv[0])
+        terms = {}
+        for w, c in items:
+            matches = []
+            for i in range(len(w)):
+                for rule in pres.rules:
+                    n = len(rule.lhs)
+                    if w[i:i + n] == rule.lhs:
+                        matches.append((i, rule))
+            if not matches:
+                c0 = terms.get(w, Scalar.zero()) + c
+                terms[w] = c0
+                continue
+            done = False
+            i, rule = rng.choice(matches)
+            for mid, c2 in rule.rhs.terms.items():
+                w2 = w[:i] + mid + w[i + len(rule.lhs):]
+                terms[w2] = terms.get(w2, Scalar.zero()) + c * c2
+        terms = {w: c for w, c in terms.items() if not c.is_zero()}
+    out = NCPoly()
+    out.terms = terms
+    return out
 
 
 class ScalarProduct:
@@ -19,6 +56,15 @@ class ScalarProduct:
     def __init__(self, calc):
         self.calc = calc
         self._acts = {}
+        self._nfs = {}
+
+    def normal_word(self, w):
+        """The normal form of the word w by brute_force_reduce."""
+        out = self._nfs.get(w)
+        if out is None:
+            out = self._nfs[w] = brute_force_reduce(self.calc.pres,
+                                                    NCPoly.word(w))
+        return out
 
     def straighten(self, letters):
         """Sort a letter word by bubble sort over the swap rules: [(c,
@@ -65,7 +111,7 @@ class ScalarProduct:
             out = {}
             for (w1, F1), c1 in self.act_gen(F, w[0]).items():
                 for (w2, F2), c2 in self.act_word(F1, w[1:]).items():
-                    nf = self.calc.pres.normal_word(w1 + w2)
+                    nf = self.normal_word(w1 + w2)
                     for w3, c3 in nf.terms.items():
                         add_term(out, (w3, F2), c1 * c2 * c3)
             self._acts[F, w] = out
@@ -79,6 +125,6 @@ class ScalarProduct:
             return
         for (w3, F3), c3 in self.act_word(F1, w2).items():
             for c4, F4 in self.straighten(F3 + F2):
-                nf = self.calc.pres.normal_word(w1 + w3)
+                nf = self.normal_word(w1 + w3)
                 for w5, c5 in nf.terms.items():
                     add_term(terms, (w5, F4), c * c3 * c4 * c5)

@@ -295,21 +295,22 @@ def test_corrupted_residue_records_are_not_a_pass(torus_calc, monkeypatch):
 # -- the flat pair rows against the Scalar builder they replaced ---------------
 
 
-def reference_pair_row(calc, a, b):
-    """(a db || da (x) db) built in Scalar arithmetic, its columns tagged 0
-    and 1: the pair row max_prolongation_degree2 built before its rows
-    were flat."""
-    pres = calc.pres
-    product = ScalarProduct(calc)
+def reference_pair_row(product, a, b):
+    """(a db || da (x) db) built in Scalar arithmetic by the ScalarProduct
+    of the calculus, its columns tagged 0 and 1: the pair row
+    max_prolongation_degree2 built before its rows were flat."""
+    calc = product.calc
     d = {w: calc.d_poly(NCPoly.word(w)) for w in (a, b)}
     db = d[b].scalar_terms().items()
-    row = {(0, k): c for k, c in calc.mul(
-        calc.of_poly(NCPoly.word(a)), d[b]).scalar_terms().items()}
+    a_db = {}
+    for m2, c2 in db:
+        product.expand(a_db, (a, ()), m2, c2)
+    row = {(0, k): c for k, c in a_db.items()}
     for (w1, F1), c1 in d[a].scalar_terms().items():
         for (w2, F2), c2 in db:
             moved = product.act_word(F1, w2)
             for (w3, F3), c3 in moved.items():
-                prod = pres.normal_word(w1 + w3)
+                prod = product.normal_word(w1 + w3)
                 for w4, c4 in prod.terms.items():
                     add_term(row, (1, (w4, F3 + F2)), c1 * c2 * c3 * c4)
     return row
@@ -334,7 +335,8 @@ def test_flat_pair_rows_equal_the_scalar_rows(name, n, monkeypatch):
     words = list(calc.pres.irreducible_words(n))
     pairs = [(a, b) for a in words for b in words]
     assert count == len(pairs)
-    reference = [reference_pair_row(calc, a, b) for a, b in pairs]
+    product = ScalarProduct(calc)
+    reference = [reference_pair_row(product, a, b) for a, b in pairs]
     for i in range(count):
         assert scalars_of(row(i), lambda k: k) == reference[i], pairs[i]
     if name == "podles":
@@ -483,12 +485,12 @@ def test_graded_antipode_degree1_matches_bicovariant_convolution(u1q):
         assert graded_antipode(u1q, x) == bc, n
 
 
-def _written_out_product(calc, x, y):
-    """x y on Scalar terms {(w, F): c}, as the product is defined: the
-    coefficient word of each right monomial moved left past the letters,
-    the letters straightened, the words reduced (see scalar_product)."""
+def _written_out_product(product, x, y):
+    """x y on Scalar terms {(w, F): c}, as the product is defined by the
+    ScalarProduct of the calculus: the coefficient word of each right
+    monomial moved left past the letters, the letters straightened, the
+    words reduced (see scalar_product)."""
     out = {}
-    product = ScalarProduct(calc)
     for m1, c1 in x.items():
         for m2, c2 in y.items():
             product.expand(out, m1, m2, c1 * c2)
@@ -504,13 +506,15 @@ def test_mono_mul_matches_mul(name):
     cc = build_example(name).cc
     half = Scalar.from_fraction(Fraction(1, 2))
     for calc in dict.fromkeys((cc.omega_A, cc.omega_H)):
+        product = ScalarProduct(calc)
         monos = [(w, F) for w in calc.pres.irreducible_words(2)
                  for k in range(3) for F in calc.basis_forms(k)]
         for m1 in monos:
             for m2 in monos:
                 table = calc.mono_mul(calc.intern(m1), calc.intern(m2))
                 assert isinstance(table, tuple)
-                want = _written_out_product(calc, {m1: half}, {m2: one})
+                want = _written_out_product(product, {m1: half},
+                                            {m2: one})
                 got = calc.mul(Element.from_scalars(calc, {m1: half}),
                                Element.from_scalars(calc, {m2: one}))
                 assert got.scalar_terms() == want, (m1, m2)

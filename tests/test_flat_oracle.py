@@ -195,10 +195,11 @@ def test_flat_sums_and_products_match_the_scalar_path(case):
     u, ui = Scalar.param(unit), Scalar.param(unit, -1)
     ((ue, _),), ((uie, _),) = flat_coeff(u), flat_coeff(ui)
     assert ue + uie == 0
+    product = ScalarProduct(oa)
     for m1, m2 in tables:
         table = oa.mono_mul(oa.intern(m1), oa.intern(m2))
         ref = {}
-        ScalarProduct(oa).expand(ref, m1, m2, one)
+        product.expand(ref, m1, m2, one)
         assert Element.from_scalars(
             oa, _monomials(oa, dict(table))) == Element.from_scalars(oa, ref)
         flat = {}

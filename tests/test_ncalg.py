@@ -1,12 +1,12 @@
+import functools
 import os
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpbcalc.braidext import chi_piece
 from qpbcalc.comodule import TruncationError
-from qpbcalc.examples import build_example
+from qpbcalc.examples import EXAMPLE_NAMES, build_example
 from qpbcalc.ncalg import (
     AlgebraPresentation,
     BudgetExceededError,
@@ -19,9 +19,13 @@ from qpbcalc.ncalg import (
     memo,
     multiply,
     reduce,
+    same_key,
+    scalars_of,
     weight,
 )
 from qpbcalc.scalars import Scalar
+
+from scalar_product import brute_force_reduce
 
 q = Scalar.param("q")
 qi = Scalar.param("q", -1)
@@ -58,37 +62,6 @@ def test_sl2_chained_determinant(sl2):
     assert got == expected
 
 
-def brute_force_reduce(pres, p, seed=0):
-    """Rewriting oracle: random redex choices until a fixed point."""
-    rng = random.Random(seed)
-    terms = dict(p.terms)
-    done = False
-    while not done:
-        done = True
-        items = sorted(terms.items(), key=lambda kv: kv[0])
-        terms = {}
-        for w, c in items:
-            matches = []
-            for i in range(len(w)):
-                for rule in pres.rules:
-                    n = len(rule.lhs)
-                    if w[i:i + n] == rule.lhs:
-                        matches.append((i, rule))
-            if not matches:
-                c0 = terms.get(w, Scalar.zero()) + c
-                terms[w] = c0
-                continue
-            done = False
-            i, rule = rng.choice(matches)
-            for mid, c2 in rule.rhs.terms.items():
-                w2 = w[:i] + mid + w[i + len(rule.lhs):]
-                terms[w2] = terms.get(w2, Scalar.zero()) + c * c2
-        terms = {w: c for w, c in terms.items() if not c.is_zero()}
-    out = NCPoly()
-    out.terms = terms
-    return out
-
-
 def test_reduce_matches_brute_force_oracle(sl2, torus):
     words = [("delta", "alpha"), ("alpha", "delta", "alpha"),
              ("delta", "delta", "alpha"), ("gamma", "beta", "alpha", "delta")]
@@ -101,6 +74,110 @@ def test_reduce_matches_brute_force_oracle(sl2, torus):
         p = NCPoly.word(w)
         for seed in range(3):
             assert brute_force_reduce(torus, p, seed) == torus.reduce(p), w
+
+
+# -- the flat normal-form engine against brute force --------------------------
+
+
+def _fresh(pres):
+    """A copy of pres with an empty normal-form memo."""
+    return AlgebraPresentation(pres.name, pres.generators,
+                               [(r.lhs, r.rhs) for r in pres.rules])
+
+
+@functools.cache
+def _presentation(name, side):
+    """A fresh copy of the algebra A or H of a shipped bundle, made once per
+    module, so the memo fills only through the words this suite draws."""
+    ca = build_example(name).ca
+    return _fresh(ca.A if side == "A" else ca.H.base)
+
+
+def _read_back(pres, w):
+    """flat_normal_word(w) as Scalar terms {word: Scalar}, by from_flat."""
+    return scalars_of(dict(pres.flat_normal_word(w)), same_key)
+
+
+@st.composite
+def bundle_words(draw):
+    name = draw(st.sampled_from(EXAMPLE_NAMES))
+    side = draw(st.sampled_from(["A", "H"]))
+    pres = _presentation(name, side)
+    names = [g.name for g in pres.generators]
+    n = draw(st.integers(min_value=0, max_value=5))
+    return pres, tuple(draw(st.sampled_from(names)) for _ in range(n))
+
+
+@given(bundle_words(), st.integers(min_value=0, max_value=2))
+@settings(max_examples=200, deadline=None)
+def test_flat_normal_word_matches_brute_force(case, seed):
+    # every bundle's A and H, crossed_demo's over two parameters (mu, q)
+    pres, w = case
+    nf = pres.flat_normal_word(w)
+    assert isinstance(nf, tuple)
+    assert _read_back(pres, w) == brute_force_reduce(
+        pres, NCPoly.word(w), seed).terms, (pres.name, w)
+    assert pres.normal_word(w).terms == _read_back(pres, w)
+
+
+def test_crossed_demo_has_two_parameters():
+    names = set()
+    for side in "AH":
+        for rule in _presentation("crossed_demo", side).rules:
+            for c in rule.rhs.terms.values():
+                names.update(c.names)
+    assert {"mu", "q"} <= names
+
+
+def test_flat_normal_word_carries_coefficients_with_no_flat_form():
+    # 1/2 and 1/(q + 1) have no flat form: the rule's flat side and the
+    # memoised normal forms carry them as Scalars
+    half = Scalar.from_fraction(2) ** -1
+    inv = Scalar.one() / (q + Scalar.one())
+    pres = AlgebraPresentation(
+        "carried", [GeneratorSymbol("x"), GeneratorSymbol("y")],
+        [(("y", "x"), NCPoly.word(("x", "y"), half)
+          + NCPoly.word(("x",), inv) + NCPoly.word(("y",), q))])
+    (rule,) = pres.rules
+    assert any(type(c) is not int for _, c in rule.flat_rhs)
+    carried = False
+    for n in range(5):
+        for i in range(2 ** n):
+            w = tuple("xy"[(i >> k) & 1] for k in range(n))
+            assert _read_back(pres, w) == brute_force_reduce(
+                pres, NCPoly.word(w)).terms, w
+            assert pres.normal_word(w).terms == _read_back(pres, w)
+            carried |= any(type(c) is not int
+                           for _, c in pres.flat_normal_word(w))
+    assert carried
+
+
+def test_flat_normal_word_drops_a_cancelled_key():
+    # z -> q x - y + 1 and y -> q x: the two paths to x cancel at the
+    # exponent of q, so no term of x is kept
+    x, y, z = (GeneratorSymbol(g) for g in "xyz")
+    pres = AlgebraPresentation("cancel", [x, y, z], [
+        (("z",), NCPoly.word(("x",), q) - NCPoly.word(("y",))
+         + NCPoly.one()),
+        (("y",), NCPoly.word(("x",), q))])
+    assert pres.flat_normal_word(("z",)) == ((((), 0), 1),)
+    assert pres.flat_normal_word(("x", "z")) == (((("x",), 0), 1),)
+    for w in [("z",), ("x", "z"), ("z", "z")]:
+        assert _read_back(pres, w) == brute_force_reduce(
+            pres, NCPoly.word(w)).terms, w
+
+
+def test_flat_normal_word_hit_returns_the_stored_tuple(torus):
+    pres = _fresh(torus)
+    w = ("vi", "u", "v", "ui")
+    first = pres.flat_normal_word(w)
+    assert pres._nf_cache[w] is first
+    assert pres.flat_normal_word(w) is first
+    # the NCPoly boundary reads the same memo and adds no entry
+    size = len(pres._nf_cache)
+    assert pres.normal_word(w).terms == _read_back(pres, w)
+    assert pres.reduce(NCPoly.word(w)) == pres.normal_word(w)
+    assert len(pres._nf_cache) == size
 
 
 def test_undeclared_symbol(torus):
