@@ -12,13 +12,9 @@ from .ncalg import (
     GeneratorSymbol,
     NCPoly,
     RewriteRule,
-    confluence_check,
-    multiply,
-    reduce,
-    weight,
 )
 from .tensors import TensorPoly
-from .hopf import HopfPresentation, verify_hopf_axioms
+from .hopf import HopfPresentation
 from .comodule import (
     BalancedTensor,
     ComoduleAlgebra,
@@ -67,8 +63,8 @@ __all__ = [
     "HopfPresentation", "NCPoly", "Parameter", "RewriteRule", "Scalar",
     "TensorPoly", "TranslationData", "build_example", "cartan_maurer",
     "cartan_maurer_equation_check", "chi", "chi_bullet", "chi_bullet_inv",
-    "chi_inv", "confluence_check", "crossed_product", "graded_identity_suite",
-    "max_prolongation_degree2", "multiply", "oracle_crosscheck", "parse",
-    "q_binomial", "reduce", "serialize", "sigma", "sigma_bullet", "tau",
-    "tau_bullet", "tau_identity_suite", "verify_hopf_axioms", "weight",
+    "chi_inv", "crossed_product", "graded_identity_suite",
+    "max_prolongation_degree2", "oracle_crosscheck", "parse", "q_binomial",
+    "serialize", "sigma", "sigma_bullet", "tau", "tau_bullet",
+    "tau_identity_suite",
 ]

@@ -41,7 +41,8 @@ from .exprs import (
     parse_ast,
 )
 from .hopf import HopfPresentation
-from .ncalg import AlgebraPresentation, GeneratorSymbol, NCPoly
+from .ncalg import (AlgebraPresentation, GeneratorSymbol, NCPoly,
+                    UndeclaredSymbolError)
 from .qpb import CompleteCalculus, h_delta_letter_table
 from .scalars import Parameter
 from .tensors import TensorPoly
@@ -181,15 +182,18 @@ def _calculus(name, section_lines, pres, params, hopf=None):
             elif parts[0] == "expansion" and len(parts) == 2:
                 calc.expansion[parts[1]] = _expansion_pairs(
                     value, params, calc, lineno)
-            elif parts[0] == "rco" and len(parts) == 2:
-                calc.rco[parts[1]] = tuple(value.split("*"))
-            elif parts[0] == "lco" and len(parts) == 2:
-                calc.lco[parts[1]] = tuple(value.split("*"))
+            elif parts[0] in ("rco", "lco") and len(parts) == 2:
+                if parts[1] not in calc.letter_index:
+                    raise ParseError(f"{key!r}: {parts[1]!r} is not a basis "
+                                     f"letter", lineno)
+                word = tuple(value.split("*"))
+                pres._check_declared(word)
+                getattr(calc, parts[0])[parts[1]] = word
             elif parts[0] == "delta" and len(parts) == 2:
                 deferred_delta.append((lineno, parts[1], value))
             else:
                 raise ParseError(f"unknown calculus key {key!r}", lineno)
-        except ExprError as e:
+        except (ExprError, UndeclaredSymbolError) as e:
             raise ParseError(str(e), lineno) from e
     return calc, deferred_delta
 

@@ -192,10 +192,3 @@ def _convolve(hopf, d: TensorPoly, anti_left: bool) -> NCPoly:
                                       hopf.antipode(NCPoly.word(w2)))
         out.add_scaled(prod, c)
     return out
-
-
-# -- operation fronts ---------------------------------------------------------
-
-def verify_hopf_axioms(hopf: HopfPresentation, max_word_len: int = 4,
-                       example: str = "") -> CheckReport:
-    return hopf.verify_hopf_axioms(max_word_len, example)

@@ -1,9 +1,11 @@
 """Exact linear algebra over the scalar field, on sparse dict vectors.
 
 Vectors are dicts mapping hashable column keys to nonzero Scalars, except
-the rows and targets of span_witnesses, which are flat (see below).  rref
-returns a canonical reduced basis of the row space, so two spans are equal
-iff their rrefs are equal.
+the rows and targets of span_witnesses, which are flat (see below).
+span_witnesses gives every span verdict: an inclusion is a witness for
+each target, and a span equality is two inclusions.  kernel gives the
+relations among vectors.  rref, a canonical reduced basis of the row
+space, decides no verdict.
 
 One elimination core serves two fields, each its arithmetic alone: _QQ,
 the scalar field Q(q) on Scalars, and _FP, F_p on ints mod RESIDUE_PRIME.
@@ -20,8 +22,7 @@ whenever the row has one, so rows of Laurent polynomials mostly stay off
 the rational-function path, and unwinds the relation of each dependent
 row (unique, so it does not depend on the pivots).  rref eliminates the
 independent rows once more, on their lowest-ranked columns, and
-back-substitutes.  Columns are ranked on demand by a memoised key, repr
-except in span_in_window.
+back-substitutes.  Columns are ranked on demand by their memoised repr.
 
 span_witnesses finds modulo p and solves exactly on what it found.  Its
 rows and targets are flat terms {(column, e): c}, c an int or a carried
@@ -109,20 +110,16 @@ class _FP:
                     del row[k]
 
 
-def _default_key(k):
-    return repr(k)
-
-
-def _ranker(key):
-    """key, memoised: it runs once per column, on demand.  Comparing its
-    values orders columns as sorting every column by key would."""
+def _ranker():
+    """repr, memoised: it runs once per column, on demand.  Comparing its
+    values orders columns as sorting every column by repr would."""
     memo = {}
 
     def rank(k):
         try:
             return memo[k]
         except KeyError:
-            r = memo[k] = key(k)
+            r = memo[k] = repr(k)
             return r
     return rank
 
@@ -223,10 +220,13 @@ def _witness(echelon, t, field):
     return _unwind(basis, {j: field.neg(s) for j, s in steps}, {}, field)
 
 
-def rref(rows, key=None):
+# No suite calls rref.  It stays because the benchmark's tracer wraps it by
+# name (perfbench/tracer.py), and a test checks that every traced name is
+# found.
+def rref(rows):
     """Canonical reduced row echelon basis of the span of rows, its
-    columns ranked by key (repr when None)."""
-    rank = _ranker(key or _default_key)
+    columns ranked by repr."""
+    rank = _ranker()
     basis, _, _ = _echelon(rows, _unit_first(rank), _QQ)
     # each independent row again, pivoting on its lowest-ranked column: a
     # row is then zero at every lower-ranked pivot
@@ -242,29 +242,6 @@ def rref(rows, key=None):
     return [b[1] for b in reversed(done)]
 
 
-def in_span(rref_basis, v):
-    """Whether v lies in the span of a basis that rref returned with its
-    default column order."""
-    rank = _ranker(_default_key)
-    basis = [(min(b, key=rank), b) for b in rref_basis]
-    v = dict(v)
-    # each basis row is zero at the other rows' pivots, so one pass reduces v
-    _reduce(v, basis, {p: j for j, (p, _) in enumerate(basis)}, _QQ)
-    return not v
-
-
-def span_in_window(rows, in_window):
-    """Canonical basis of span(rows) intersected with the coordinate
-    subspace supported on in-window columns.
-
-    Eliminating with out-of-window columns ordered first leaves the
-    in-window pivot rows free of out-of-window support."""
-    ordered = lambda k: (0 if not in_window(k) else 1, _default_key(k))
-    basis = rref(rows, key=ordered)
-    inside = [r for r in basis if all(in_window(k) for k in r)]
-    return rref(inside)
-
-
 def kernel(vectors):
     """Kernel of e_i -> vectors[i]; returns coefficient dicts {i: Scalar}.
 
@@ -273,7 +250,7 @@ def kernel(vectors):
     earlier independent indices.  It is unique, so the pivots chosen do not
     change it."""
     basis, _, dependent = _echelon(
-        vectors, _unit_first(_ranker(_default_key)), _QQ, relations=True)
+        vectors, _unit_first(_ranker()), _QQ, relations=True)
     return [_unwind(basis, dict(steps), {i: Scalar.one()}, _QQ)
             for i, steps in dependent]
 
@@ -308,7 +285,7 @@ def _support_mod_p(row, n, targets):
     use at the residue point.  None when a row or a target has no image
     there, or a target is outside the span there."""
     echelon = _echelon((_residues(row(i)) for i in range(n)),
-                       _lowest(_ranker(_default_key)), _FP)
+                       _lowest(_ranker()), _FP)
     if echelon is None:
         return None
     support = set()
@@ -324,7 +301,7 @@ def _support_mod_p(row, n, targets):
 def _exact_witnesses(rows, targets):
     """span_witnesses by one exact elimination of rows, an iterable read
     once."""
-    echelon = _echelon(rows, _unit_first(_ranker(_default_key)), _QQ)
+    echelon = _echelon(rows, _unit_first(_ranker()), _QQ)
     return [_witness(echelon, dict(t), _QQ) for t in targets]
 
 

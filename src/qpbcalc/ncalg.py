@@ -684,20 +684,3 @@ class AlgebraPresentation:
 
     def __repr__(self):
         return f"AlgebraPresentation({self.name}, {len(self.rules)} rules)"
-
-
-def reduce(p: NCPoly, pres: AlgebraPresentation) -> NCPoly:
-    return pres.reduce(p)
-
-
-def multiply(p: NCPoly, r: NCPoly, pres: AlgebraPresentation) -> NCPoly:
-    return pres.multiply(p, r)
-
-
-def weight(p: NCPoly, pres: AlgebraPresentation):
-    return pres.weight(p)
-
-
-def confluence_check(pres: AlgebraPresentation, max_overlap_len: int = 6,
-                     example: str = "") -> CheckReport:
-    return pres.confluence_check(max_overlap_len, example)

@@ -9,7 +9,9 @@ twisted product; horizontal and base forms are bidegree conditions.
 The coactions take forms and return graded tensors, both flat sums keyed
 by monomial ids (calculus.Element, calculus.GradedTensor); the vertical
 maps, the kernels and the checks that read coefficients take their
-scalar_terms.
+scalar_terms.  Every span verdict is a set of inclusions, each decided by
+linalg.span_witnesses on flat terms: witnessed and unreached test
+inclusions, and span_gap tests an equality as two of them.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .comodule import (
     left_colinear,
     right_colinear,
 )
-from .linalg import in_span, kernel_on, rref, span_in_window
-from .ncalg import NCPoly, add_term, memo
+from .linalg import kernel_on, span_witnesses
+from .ncalg import NCPoly, add_term, flat_of, memo, same_key
 from .report import CheckReport, timed
 from .scalars import Scalar
 from .tensors import TensorPoly
@@ -42,6 +44,32 @@ from .tensors import TensorPoly
 
 class QPBError(Exception):
     pass
+
+
+def witnessed(rows, targets) -> list:
+    """For each target, whether a combination of rows reaches it: lists of
+    flat sums of one context, each inclusion decided by span_witnesses."""
+    found = span_witnesses(lambda i: rows[i].terms, len(rows),
+                           [t.terms for t in targets])
+    return [lam is not None for lam in found]
+
+
+def unreached(rows, keys) -> list:
+    """The keys k whose unit vector {(k, 0): 1} no combination of the flat
+    rows reaches."""
+    found = span_witnesses(rows.__getitem__, len(rows),
+                           [{(k, 0): 1} for k in keys])
+    return [k for k, lam in zip(keys, found) if lam is None]
+
+
+def span_gap(a, name_a, b, name_b) -> str:
+    """"" when the lists of flat sums a and b span one space, as two
+    inclusions; else names the first of either outside the other's span."""
+    for targets, rows, name in ((a, b, name_b), (b, a, name_a)):
+        for t, ok in zip(targets, witnessed(rows, targets)):
+            if not ok:
+                return f"{t} outside {name}"
+    return ""
 
 
 # -- complete coaction on the structure calculus (regular bundle over itself) --
@@ -234,6 +262,12 @@ class CompleteCalculus:
         oa = self.omega_A
         return Element(oa, {(oa.intern((tuple(w), tuple(F))), 0): 1})
 
+    def kernel_forms(self, degree: int, max_word_len: int, image):
+        """The kernel of the map image, given on the monomials (w, F) of
+        omega_basis as Scalar terms, as forms."""
+        return [Element.from_scalars(self.omega_A, combo) for combo in
+                kernel_on(self.omega_basis(degree, max_word_len), image)]
+
     def base_form_basis(self, degree: int, max_word_len: int):
         """Basis of base forms of a given degree over the truncated words:
         the kernel of Delta - id (x) 1."""
@@ -241,17 +275,21 @@ class CompleteCalculus:
             x = self.element_of(*m)
             return (self.delta_bullet(x) - GradedTensor.of(
                 self.legs, x, self.omega_H.unit())).scalar_terms()
-        return [Element.from_scalars(self.omega_A, combo) for combo in
-                kernel_on(self.omega_basis(degree, max_word_len), image)]
+        return self.kernel_forms(degree, max_word_len, image)
+
+    def lettered(self, x: Element) -> GradedTensor:
+        """The terms of the extended coaction of x whose Omega(H) leg has
+        letters: zero exactly when x is horizontal."""
+        deg = self.omega_H.mono_deg
+        return GradedTensor(self.legs, {
+            key: c for key, c in self.delta_bullet(x).terms.items()
+            if deg[key[1]]})
 
     def horizontal_basis(self, degree: int, max_word_len: int):
         """Basis of horizontal forms of a given degree over the truncated
-        words, as combinations {(w, F): c}: the kernel of the terms of the
-        extended coaction whose Omega(H) leg has letters."""
-        return kernel_on(self.omega_basis(degree, max_word_len), lambda m: {
-            key: c for key, c in
-            self.delta_bullet(self.element_of(*m)).scalar_terms().items()
-            if key[1][1]})
+        words: the kernel of lettered."""
+        return self.kernel_forms(degree, max_word_len, lambda m: self.lettered(
+            self.element_of(*m)).scalar_terms())
 
     # -- suites --------------------------------------------------------------
 
@@ -341,23 +379,18 @@ class CompleteCalculus:
             truncation={"max_word_len": max_word_len},
             ref="0 -> hor1 -> Omega1 -> ver1 -> 0 exact at truncation")
         with timed(rep):
-            ker_piv = kernel_on(self.omega_basis(1, max_word_len),
-                                lambda m: self.pi_v(self.element_of(*m)))
-            ker_hor = self.horizontal_basis(1, max_word_len)
-            rep.record(rref(ker_piv) == rref(ker_hor),
-                       "ker pi_v = hor1",
-                       f"dim {len(ker_hor)}", f"dim {len(ker_piv)}",
+            ker_piv = self.kernel_forms(
+                1, max_word_len, lambda m: self.pi_v(self.element_of(*m)))
+            gap = span_gap(ker_piv, "ker pi_v",
+                           self.horizontal_basis(1, max_word_len), "hor1")
+            rep.record(not gap, "ker pi_v = hor1", "equal spans", gap,
                        ref="kernel of the vertical projection")
             # surjectivity onto A (x) Lambda^1 at truncation
-            wide = [self.pi_v(self.element_of(w, F))
+            wide = [flat_of(self.pi_v(self.element_of(w, F)), same_key)
                     for w, F in self.omega_basis(1, max_word_len + 1)]
-            image = rref(wide)
-            lam1 = self.omega_H.basis_forms(1)
-            missing = []
-            for w in self.ca.A.irreducible_words(max_word_len):
-                for F in lam1:
-                    if not in_span(image, {(w, F): Scalar.one()}):
-                        missing.append((w, F))
+            missing = unreached(wide, [
+                (w, F) for w in self.ca.A.irreducible_words(max_word_len)
+                for F in self.omega_H.basis_forms(1)])
             rep.record(not missing, "pi_v surjective",
                        "all targets reached",
                        f"missing {missing[:3]}",
@@ -370,32 +403,38 @@ class CompleteCalculus:
             suite="bm", example=example or self.name,
             truncation={"max_word_len": max_word_len, "degrees": [1, 2]},
             ref="horizontal forms coincide with A Omega(B) A at truncation")
+        oa = self.omega_A
         with timed(rep):
             words = list(self.ca.A.irreducible_words(max_word_len + 2))
             for k in (1, 2):
-                if k > self.omega_A.top_degree:
+                if k > oa.top_degree:
                     continue
-                hor_vecs = self.horizontal_basis(k, max_word_len)
-                base = self.base_form_basis(k, min(max_word_len, 2))
-                rows = []
-                for xi in base:
+                # the rows w1 xi w2: each must be horizontal, and together
+                # they must reach every horizontal form of the truncation
+                rows, names = [], []
+                for xi in self.base_form_basis(k, min(max_word_len, 2)):
                     for w1 in words:
                         for w2 in words:
                             if len(w1) + len(w2) > max_word_len + 2:
                                 continue
-                            prod = self.omega_A.product(
-                                self.omega_A.of_poly(NCPoly.word(w1)), xi,
-                                self.omega_A.of_poly(NCPoly.word(w2)))
+                            prod = oa.product(oa.of_poly(NCPoly.word(w1)), xi,
+                                              oa.of_poly(NCPoly.word(w2)))
                             if not prod.is_zero():
-                                rows.append(prod.scalar_terms())
-                window = lambda key: len(key[0]) <= max_word_len
-                bm_span = span_in_window(rows, window)
-                hor_span = rref(hor_vecs)
-                rep.record(hor_span == bm_span,
-                           f"hor{k} = A Omega{k}(B) A",
-                           f"span dim {len(bm_span)}",
-                           f"span dim {len(hor_span)}",
-                           ref="windowed comparison of truncated spans")
+                                rows.append(prod)
+                                names.append(("*".join(w1) or "1", xi,
+                                              "*".join(w2) or "1"))
+                hor = self.horizontal_basis(k, max_word_len)
+                missing = [x for x, ok in zip(hor, witnessed(rows, hor))
+                           if not ok]
+                if missing:
+                    got = f"{missing[0]} reached by no row"
+                else:
+                    got = next((f"row {w1} ({xi}) {w2} not horizontal"
+                                for (w1, xi, w2), row in zip(names, rows)
+                                if not self.lettered(row).is_zero()), "")
+                rep.record(not got, f"hor{k} = A Omega{k}(B) A",
+                           "every horizontal form reached by horizontal rows",
+                           got, ref="certified inclusions at truncation")
         return rep
 
     def vertical_check(self, max_word_len: int = 3,
@@ -496,10 +535,11 @@ class CompleteCalculus:
                 rep.record(ppx == px, f"idempotent({'*'.join(w) or '1'},{F})",
                            "Pi Pi = Pi", "mismatch",
                            ref="projector property")
-            ker_pi = kernel_on(domain, lambda m: projected[m].scalar_terms())
-            hor_vecs = self.horizontal_basis(1, max_word_len)
-            rep.record(rref(ker_pi) == rref(hor_vecs), "ker Pi = hor1",
-                       f"dim {len(hor_vecs)}", f"dim {len(ker_pi)}",
+            ker_pi = self.kernel_forms(
+                1, max_word_len, lambda m: projected[m].scalar_terms())
+            gap = span_gap(ker_pi, "ker Pi",
+                           self.horizontal_basis(1, max_word_len), "hor1")
+            rep.record(not gap, "ker Pi = hor1", "equal spans", gap,
                        ref="kernel comparison at truncation")
             # strongness: (id - Pi)(d a) inside Omega1(B) A
             base1 = self.base_form_basis(1, min(max_word_len, 2))
@@ -509,16 +549,17 @@ class CompleteCalculus:
                 for w2 in words:
                     prod = oa.mul(xi, oa.of_poly(NCPoly.word(w2)))
                     if not prod.is_zero():
-                        rows.append(prod.scalar_terms())
-            span = rref(rows)
+                        rows.append(prod)
+            words = [w for w in words if w]
+            resids = []
             for w in words:
-                if not w:
-                    continue
                 da = oa.d_poly(NCPoly.word(w))
-                resid = da - self.connection_map(s, da)
-                ok = in_span(span, resid.scalar_terms())
+                resids.append(da - self.connection_map(s, da))
+            for w, resid, ok in zip(words, resids,
+                                    witnessed(rows, resids)):
                 rep.record(ok, f"strong({'*'.join(w)})",
-                           "(id - Pi) d a in Omega1(B) A", "outside span",
+                           "(id - Pi) d a in Omega1(B) A",
+                           f"{resid} outside span",
                            ref="strongness of the induced connection")
         return rep
 

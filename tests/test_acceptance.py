@@ -28,7 +28,6 @@ from qpbcalc.examples import (
     crossed_validation,
     oracle_crosscheck,
 )
-from qpbcalc.hopf import verify_hopf_axioms
 from qpbcalc.ncalg import NCPoly
 from qpbcalc.qpb import h_complete_delta
 from qpbcalc.scalars import Scalar
@@ -245,7 +244,7 @@ def test_criterion_12_substrate(torus, podles, u1, crossed):
             cases += 1
     ok = ok and cases >= 1000
     for b in (torus, podles, u1):
-        ok = ok and verify_hopf_axioms(b.ca.H, 4, b.name).ok()
+        ok = ok and b.ca.H.verify_hopf_axioms(4, b.name).ok()
     report(12, ok, f"confluence on every shipped presentation; "
            f"{cases} randomized idempotence/associativity cases; "
            f"Hopf axioms at word length 4")

@@ -325,9 +325,8 @@ def test_report_schema_golden_file():
     import pathlib
 
     from qpbcalc.examples import build_example
-    from qpbcalc.hopf import verify_hopf_axioms
 
-    rep = verify_hopf_axioms(build_example("u1_q").ca.H, 2, "u1_q")
+    rep = build_example("u1_q").ca.H.verify_hopf_axioms(2, "u1_q")
     d = rep.to_dict()
     d["duration"] = 0.0
     golden = json.loads((pathlib.Path(__file__).parent

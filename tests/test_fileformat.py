@@ -73,6 +73,12 @@ def _line_of(text, marker):
      "unknown strong-connection form"),
     ("podles", "form = qbinomial(q)", "form = qbinomial(s)",
      "form = qbinomial(s)", "unknown symbol 's'"),
+    ("torus", "rco dt = t", "rco dq = zz", "rco dq = zz",
+     "'dq' is not a basis letter"),
+    ("torus", "rco dt = t", "rco dt = (-1)*(t)", "rco dt = (-1)*(t)",
+     "undeclared symbol '(-1)'"),
+    ("classical_t2", "lco ds = s", "lco ds = s*z", "lco ds = s*z",
+     "undeclared symbol 'z'"),
 ])
 def test_malformed_declarations_have_line_numbers(name, old, new, marker,
                                                   why):

@@ -2,7 +2,7 @@ import pytest
 
 from qpbcalc.comodule import ComoduleAlgebra
 from qpbcalc.examples import build_example
-from qpbcalc.hopf import HopfPresentation, verify_hopf_axioms
+from qpbcalc.hopf import HopfPresentation
 from qpbcalc.ncalg import NCPoly
 from qpbcalc.scalars import Scalar
 from qpbcalc.tensors import TensorPoly
@@ -121,12 +121,12 @@ def test_pi_epsilon(u1):
 
 
 def test_hopf_axioms_u1(u1):
-    rep = verify_hopf_axioms(u1, max_word_len=6, example="u1")
+    rep = u1.verify_hopf_axioms(max_word_len=6, example="u1")
     assert rep.ok(), rep.witnesses[:2]
 
 
 def test_hopf_axioms_sl2(sl2):
-    rep = verify_hopf_axioms(sl2, max_word_len=3, example="sl2q")
+    rep = sl2.verify_hopf_axioms(max_word_len=3, example="sl2q")
     assert rep.ok(), rep.witnesses[:2]
 
 

@@ -15,13 +15,9 @@ from qpbcalc.ncalg import (
     NCAlgError,
     NCPoly,
     UndeclaredSymbolError,
-    confluence_check,
     memo,
-    multiply,
-    reduce,
     same_key,
     scalars_of,
-    weight,
 )
 from qpbcalc.scalars import Scalar
 
@@ -208,20 +204,20 @@ def test_rule_orientation_validated():
 
 def test_multiply_unit(torus):
     p = torus.reduce(NCPoly.word(("u", "v")) + NCPoly.word(("vi",), L))
-    assert multiply(NCPoly.one(), p, torus) == p
-    assert multiply(p, NCPoly.one(), torus) == p
+    assert torus.multiply(NCPoly.one(), p) == p
+    assert torus.multiply(p, NCPoly.one()) == p
 
 
 def test_multiply_stable_under_rereduction(torus):
     uv = NCPoly.word(("u", "v"))
-    p = multiply(uv, uv, torus)
-    assert reduce(p, torus) == p
+    p = torus.multiply(uv, uv)
+    assert torus.reduce(p) == p
 
 
 def test_sl2_manin_relation(sl2):
     # beta*alpha = q*alpha*beta as algebra elements
-    lhs = multiply(NCPoly.gen("beta"), NCPoly.gen("alpha"), sl2)
-    rhs = reduce(NCPoly.word(("alpha", "beta"), q), sl2)
+    lhs = sl2.multiply(NCPoly.gen("beta"), NCPoly.gen("alpha"))
+    rhs = sl2.reduce(NCPoly.word(("alpha", "beta"), q))
     assert lhs == rhs
 
 
@@ -231,34 +227,34 @@ def test_multiply_associative_on_generator_triples(torus, sl2):
         for a in gens:
             for b in gens:
                 for c in gens:
-                    assert multiply(multiply(a, b, pres), c, pres) == \
-                        multiply(a, multiply(b, c, pres), pres)
+                    assert pres.multiply(pres.multiply(a, b), c) == \
+                        pres.multiply(a, pres.multiply(b, c))
 
 
 # -- weight ------------------------------------------------------------------
 
 def test_weights(torus, sl2):
-    assert weight(reduce(NCPoly.word(("alpha", "beta")), sl2), sl2) == 0
-    assert weight(NCPoly.word(("u", "v")), torus) == 0
-    assert weight(NCPoly.gen("u") + NCPoly.gen("v"), torus) == INHOMOGENEOUS
-    assert weight(NCPoly.word(("gamma", "alpha")), sl2) == 2
+    assert sl2.weight(sl2.reduce(NCPoly.word(("alpha", "beta")))) == 0
+    assert torus.weight(NCPoly.word(("u", "v"))) == 0
+    assert torus.weight(NCPoly.gen("u") + NCPoly.gen("v")) == INHOMOGENEOUS
+    assert sl2.weight(NCPoly.word(("gamma", "alpha"))) == 2
 
 
 # -- confluence ---------------------------------------------------------------
 
 def test_torus_confluent(torus):
-    rep = confluence_check(torus, max_overlap_len=4)
+    rep = torus.confluence_check(max_overlap_len=4)
     assert rep.ok(), rep.witnesses
 
 
 def test_sl2_confluent(sl2):
-    rep = confluence_check(sl2, max_overlap_len=5)
+    rep = sl2.confluence_check(max_overlap_len=5)
     assert rep.ok(), rep.witnesses
 
 
 def test_u1_and_2var_confluent():
-    assert confluence_check(build_example("u1_q").ca.A, 4).ok()
-    assert confluence_check(build_example("classical_t2").ca.A, 4).ok()
+    assert build_example("u1_q").ca.A.confluence_check(4).ok()
+    assert build_example("classical_t2").ca.A.confluence_check(4).ok()
 
 
 def test_inconsistent_system_reported():
@@ -266,7 +262,7 @@ def test_inconsistent_system_reported():
         "broken", [GeneratorSymbol("x"), GeneratorSymbol("y")],
         [(("x", "y"), NCPoly.one()),
          (("x", "y"), NCPoly.one().scale(Scalar.from_fraction(2)))])
-    rep = confluence_check(pres, 4)
+    rep = pres.confluence_check(4)
     assert not rep.ok()
     assert len(rep.witnesses) == 1
 

@@ -6,7 +6,9 @@ import weakref
 
 import pytest
 
+from qpbcalc import linalg
 from qpbcalc.calculus import GradedTensor, lambda_element
+from qpbcalc.cli import SUITES
 from qpbcalc.examples import build_example
 from qpbcalc.fileformat import parse
 from qpbcalc.linalg import kernel, rref
@@ -131,13 +133,68 @@ def test_atiyah_broken_table_fails(torus):
                           oh.of_poly(NCPoly.gen("t") - NCPoly.one(), ("dt",))))
     rep = bad.atiyah_check(2)
     assert not rep.ok()
-    assert rep.witnesses
+    # the witness names the form in ker pi_v that is not horizontal
+    assert [(w.input, w.got) for w in rep.witnesses] == [
+        ("ker pi_v = hor1", "du outside hor1")]
 
 
 def test_bm(torus, podles, u1):
     assert torus.cc.bm_check(3).ok()
     assert podles.cc.bm_check(2).ok()
     assert u1.cc.bm_check(3).ok()
+
+
+def test_bm_names_the_horizontal_form_no_row_reaches(monkeypatch):
+    cc = build_example("crossed_demo").cc
+    real = cc.base_form_basis
+    # dx is the base 1-form that no A-multiple of x*dx and x*x*dx reaches
+    assert str(real(1, 2)[0]) == "dx"
+    monkeypatch.setattr(cc, "base_form_basis",
+                        lambda k, n: real(k, n)[1:])
+    rep = cc.bm_check(2)
+    assert (rep.status, rep.checks) == ("fail", 2)
+    assert [(w.input, w.got) for w in rep.witnesses] == [
+        ("hor1 = A Omega1(B) A", "dx reached by no row")]
+
+
+def test_bm_names_the_row_that_is_not_horizontal(torus, monkeypatch):
+    cc = torus.cc
+    real = cc.base_form_basis
+    du = cc.omega_A.form("du")
+    monkeypatch.setattr(cc, "base_form_basis",
+                        lambda k, n: real(k, n) + [du] * (k == 1))
+    rep = cc.bm_check(2)
+    assert (rep.status, rep.checks) == ("fail", 2)
+    assert [(w.input, w.got) for w in rep.witnesses] == [
+        ("hor1 = A Omega1(B) A", "row 1 (du) 1 not horizontal")]
+
+
+def _span_reports(names):
+    """The atiyah, bm, connection and crossed reports at word length 2,
+    without their durations."""
+    return [dict(r.to_dict(), duration=0) for name in names
+            for suite in ("atiyah", "bm", "connection", "crossed")
+            for r in SUITES[suite](build_example(name), 2, None)]
+
+
+@pytest.mark.parametrize("guess", ["none", "short"])
+def test_a_wrong_residue_guess_changes_no_report(monkeypatch, guess):
+    names = ("torus", "crossed_demo")
+    want = _span_reports(names)
+    assert {r["status"] for r in want} == {"pass"}
+    real = linalg._support_mod_p
+    calls = []
+
+    def wrong(row, n, targets):
+        # no rows at all, or the rows found less the last: every target
+        # that needs the dropped row is left to the full exact elimination
+        calls.append(n)
+        support = real(row, n, targets)
+        return None if guess == "none" or not support else support[:-1]
+
+    monkeypatch.setattr(linalg, "_support_mod_p", wrong)
+    assert _span_reports(names) == want
+    assert calls
 
 
 def test_vertical(torus, podles, u1):
@@ -271,7 +328,7 @@ def test_horizontal_basis_is_the_kernel_of_ver01(torus, podles):
         want = [{domain[i]: c for i, c in combo.items()} for combo in
                 kernel([cc.ver(0, 1, cc.element_of(*m)).scalar_terms()
                         for m in domain])]
-        got = cc.horizontal_basis(1, n)
+        got = [x.scalar_terms() for x in cc.horizontal_basis(1, n)]
         assert want and rref(got) == rref(want), bundle.name
 
 
