@@ -683,7 +683,11 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
     R lies there exactly when (0 || R) is in the row span of the pair rows
     (a db || da (x) db), so span_witnesses decides every relation, finding
     the pair rows of each witness modulo p and solving on them exactly.
-    Each witness it gives is certified by substitution.
+    Each witness it gives is certified by substitution.  The pairs come
+    shortest first, by len(a) + len(b) and a-major within a length, and
+    span_witnesses builds rows only until every relation is witnessed mod
+    p: the short rows that hold the witnesses are built, the rest only for
+    a relation they do not reach.  d w is computed on a word's first use.
 
     A pair row is built as flat terms {((tag, (w, F)), e): c} (see
     ncalg.FlatSum), with no Scalar product and no mono_mul table: a db is
@@ -699,11 +703,20 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
             "declared wedge relations")
     with timed(rep):
         words = list(pres.irreducible_words(max_word_len))
-        pairs = [(a, b) for a in words for b in words]
+        # shortest pairs first, a-major within a total length: their rows
+        # are the cheapest, and they hold the witnesses
+        pairs = sorted(((a, b) for a in words for b in words),
+                       key=lambda ab: len(ab[0]) + len(ab[1]))
         monos = calc.monos
-        # d w as flat terms ((w', F), e, c)
-        d = {w: [(monos[i], e, c) for (i, e), c in
-                 calc.d_poly(NCPoly.word(w)).terms.items()] for w in words}
+        d_memo = {}
+
+        def d(w):
+            """d w as flat terms ((w', F), e, c), on first use."""
+            dw = d_memo.get(w)
+            if dw is None:
+                dw = d_memo[w] = [(monos[i], e, c) for (i, e), c in
+                                  calc.d_poly(NCPoly.word(w)).terms.items()]
+            return dw
         acts, nfs = calc.act_word, pres.flat_normal_word
 
         def pair_row(a, b):
@@ -711,12 +724,12 @@ def max_prolongation_degree2(calc: DiffCalculus, max_word_len: int = 3,
             1."""
             row = {}
             get = row.get
-            db = d[b]
+            db = d(b)
             for (w2, F2), e2, c2 in db:
                 for (w3, e3), c3 in nfs(a + w2):
                     key = ((0, (w3, F2)), e2 + e3)
                     row[key] = get(key, 0) + c2 * c3
-            for (w1, F1), e1, c1 in d[a]:
+            for (w1, F1), e1, c1 in d(a):
                 for (w2, F2), e2, c2 in db:
                     for (w3, F3), e3, c3 in acts(F1, w2):
                         F, e, c = F3 + F2, e1 + e2 + e3, c1 * c2 * c3

@@ -27,22 +27,25 @@ back-substitutes.  Columns are ranked on demand by their memoised repr.
 span_witnesses finds modulo p and solves exactly on what it found.  Its
 rows and targets are flat terms {(column, e): c}, c an int or a carried
 Scalar as in ncalg.FlatSum, so a row is built in machine ints.  It sends
-every row and target to F_p term by term (scalars.monomial_residue, one
-ring map for every parameter, with no Scalar built), keeps the input rows
+the targets to F_p term by term (scalars.monomial_residue, one ring map
+for every parameter, with no Scalar built), then the rows in order,
+keeping each target reduced against the echelon basis as it grows, and
+builds no row once every target is zero there.  It keeps the input rows
 each witness uses there, and over Q(q) eliminates those rows alone, turned
 into Scalar rows, and solves for every target.  A wrong choice of rows
 costs time, never a wrong answer.  The full exact elimination answers
-every target left unwitnessed, and every target when a row or a target has
-no image mod p (a denominator or a Fraction vanishes there) or a target is
-outside the span mod p.  This is the certifying pattern of McConnell,
-Mehlhorn, Naher and Schweitzer (Comput. Sci. Rev. 5 (2011)); on modular
-methods and lucky primes see von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 5.
+every target left unwitnessed, and every target when a row read or a
+target has no image mod p (a denominator or a Fraction vanishes there) or
+a target is outside the span mod p, which shows only once every row is
+read.  This is the certifying pattern of McConnell, Mehlhorn, Naher and
+Schweitzer (Comput. Sci. Rev. 5 (2011)); on modular methods and lucky
+primes see von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import takewhile
 from operator import mul, neg
 
 from .ncalg import add_term, same_key, scalars_of
@@ -158,7 +161,7 @@ def _reduce(row, basis, where, field):
     return steps
 
 
-def _echelon(rows, pivot, field, relations=False):
+def _echelon(rows, pivot, field, relations=False, pending=()):
     """Insertion-order echelon form of rows over field, an iterable read
     once.
 
@@ -168,7 +171,10 @@ def _echelon(rows, pivot, field, relations=False):
     basis[j] over steps (j, s)) * scale, reduced against the earlier pivots
     and 1 at its own pivot, chosen by the rule pivot.  where maps each
     pivot to its basis index.  With relations, dependent holds (i, steps)
-    for each row i that steps send to zero.  No input row is kept."""
+    for each row i that steps send to zero.  pending holds (t, steps) for
+    rows t kept reduced against the basis as it grows: each new basis row's
+    step on t is appended to its steps, so t is zero as soon as it lies in
+    the span of the rows read.  No input row is kept."""
     basis = []
     where = {}
     dependent = []
@@ -187,6 +193,11 @@ def _echelon(rows, pivot, field, relations=False):
         where[p] = len(basis)
         basis.append((p, {k: mul(a, inv) for k, a in row.items()}, i, inv,
                       steps))
+        # a pending row is zero at every earlier pivot, and so is the new
+        # basis row: only the new pivot needs clearing
+        for t, t_steps in pending:
+            if p in t:
+                t_steps += _reduce(t, basis, where, field)
     return basis, where, dependent
 
 
@@ -209,11 +220,12 @@ def _unwind(basis, mu, out, field):
     return out
 
 
-def _witness(echelon, t, field):
+def _witness(echelon, t, field, steps=()):
     """The input-row combination equal to the row t over field, or None
-    when t is outside the span; t is consumed."""
+    when t is outside the span; t is consumed.  steps are the steps t has
+    already taken against the basis (see _echelon's pending)."""
     basis, where, _ = echelon
-    steps = _reduce(t, basis, where, field)
+    steps = [*steps, *_reduce(t, basis, where, field)]
     # t + sum s basis[j] is now zero when t is in the span
     if t:
         return None
@@ -283,15 +295,25 @@ def _residues(v):
 def _support_mod_p(row, n, targets):
     """The sorted indices of the input rows that the targets' witnesses
     use at the residue point.  None when a row or a target has no image
-    there, or a target is outside the span there."""
-    echelon = _echelon((_residues(row(i)) for i in range(n)),
-                       _lowest(_ranker()), _FP)
+    there, or a target is outside the span there.
+
+    The targets are kept reduced as the rows come in, and no row is built
+    once every target is zero: the witnesses are then those of every row,
+    as a target's combination of basis rows is unique."""
+    pending = []
+    for t in targets:
+        t = _residues(t)
+        if t is None:
+            return None
+        pending.append((t, []))
+    rows = (_residues(row(i)) for i in
+            takewhile(lambda i: any(t for t, _ in pending), range(n)))
+    echelon = _echelon(rows, _lowest(_ranker()), _FP, pending=pending)
     if echelon is None:
         return None
     support = set()
-    for t in targets:
-        t = _residues(t)
-        lam = None if t is None else _witness(echelon, t, _FP)
+    for t, steps in pending:
+        lam = _witness(echelon, t, _FP, steps)
         if lam is None:
             return None
         support.update(lam)
@@ -312,10 +334,12 @@ def span_witnesses(row, n, targets):
 
     Rows and targets are flat, {(column, e): c} with c an int or a carried
     Scalar (see ncalg.FlatSum).  row(i) builds row i, so no row outlives
-    its use: each row is built once to be sent to F_p, the rows the
-    witnesses use there once more, as Scalar rows, for the exact solve,
-    and every row again only when that solve leaves a target
-    unwitnessed."""
+    its use: the rows are built in order to be sent to F_p until every
+    target is witnessed there (so put the rows likeliest to hold the
+    witnesses first), the rows the witnesses use once more, as Scalar
+    rows, for the exact solve, and every row again only when that solve
+    leaves a target unwitnessed.  A target outside the span mod p has
+    every row built for it."""
     targets = list(targets)
     exact_targets = [scalars_of(t, same_key) for t in targets]
 

@@ -208,6 +208,20 @@ def test_prolongation_podles(capsys):
             == [{f: r[f] for f in fields} for r in frozen["podles:prolong"]])
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_prolongation_podles_at_deeper_truncations(sl2_calc, n):
+    # the witnesses lie among the short pairs, so the deeper truncations
+    # give the report of length 3, at a cost close to it
+    def fields(rep):
+        return rep.status, rep.checks, rep.notes, [
+            (w.input, w.ref) for w in rep.witnesses]
+
+    rep = max_prolongation_degree2(sl2_calc, n)
+    assert rep.truncation == {"max_word_len": n}
+    assert fields(rep) == fields(max_prolongation_degree2(sl2_calc, 3))
+    assert fields(rep) == ("pass", 6, [], [])
+
+
 def test_corrupted_span_witness_is_not_a_pass(torus_calc, monkeypatch):
     real = calculus.span_witnesses
 
@@ -230,10 +244,12 @@ def test_corrupted_echelon_row_is_not_a_pass(torus_calc, monkeypatch):
     real = linalg._echelon
     du2 = (1, ((), ("du", "du")))
     calls = []
+    fp_calls = []
 
-    def corrupted(rows, pivot, field, relations=False):
-        echelon = real(rows, pivot, field, relations)
+    def corrupted(rows, pivot, field, relations=False, pending=()):
+        echelon = real(rows, pivot, field, relations, pending)
         if field is not linalg._QQ:
+            fp_calls.append(pivot)
             return echelon
         calls.append(pivot)
         basis = echelon[0]
@@ -256,6 +272,8 @@ def test_corrupted_echelon_row_is_not_a_pass(torus_calc, monkeypatch):
     # the corrupted echelon is the one exact solve, on the rows found at
     # the residue point, and its witness is the one the certificate judged
     assert len(calls) == 1
+    # the rows were found by the one F_p pass, through the same core
+    assert len(fp_calls) == 1
 
 
 def test_corrupted_residue_records_are_not_a_pass(torus_calc, monkeypatch):
@@ -278,18 +296,23 @@ def test_corrupted_residue_records_are_not_a_pass(torus_calc, monkeypatch):
     assert verdict() == exact
 
     real = linalg._echelon
+    corrupted_fp = []
 
-    def corrupted(rows, pivot, field, relations=False):
-        echelon = real(rows, pivot, field, relations)
+    def corrupted(rows, pivot, field, relations=False, pending=()):
+        echelon = real(rows, pivot, field, relations, pending)
         if field is linalg._FP and echelon is not None:
             # every record names input row 0 and no steps, so every support
             # found at the residue point is wrong
             echelon[0][:] = [(p, row, 0, scale, [])
                              for p, row, _, scale, _ in echelon[0]]
+            corrupted_fp.append(len(echelon[0]))
         return echelon
 
     monkeypatch.setattr(linalg, "_echelon", corrupted)
     assert verdict() == exact
+    # the F_p pass ran through the corrupted records, so the verdict is
+    # not the exact one merely because the records were never read
+    assert corrupted_fp and all(corrupted_fp)
 
 
 # -- the flat pair rows against the Scalar builder they replaced ---------------
@@ -333,7 +356,9 @@ def test_flat_pair_rows_equal_the_scalar_rows(name, n, monkeypatch):
     assert max_prolongation_degree2(calc, n).status == "pass"
     ((row, count, targets, got),) = calls
     words = list(calc.pres.irreducible_words(n))
-    pairs = [(a, b) for a in words for b in words]
+    # shortest pairs first, a-major within a total length
+    pairs = [(a, b) for k in range(2 * n + 1)
+             for a in words for b in words if len(a) + len(b) == k]
     assert count == len(pairs)
     product = ScalarProduct(calc)
     reference = [reference_pair_row(product, a, b) for a, b in pairs]

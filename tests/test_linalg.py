@@ -365,6 +365,54 @@ def exact_sizes(monkeypatch):
     return sizes
 
 
+# -- span_witnesses stops building rows once every target is witnessed --------
+
+LINE_ROWS = PLANE + [{"d": one}, {"e": q}, {"a": one}]
+
+
+def recording(rows):
+    """A row builder over rows, and the list of the indices it was asked
+    for, in order."""
+    asked = []
+
+    def row(i):
+        asked.append(i)
+        return flat(rows[i])
+    return row, asked
+
+
+def test_rows_after_the_last_witness_are_never_built():
+    rows = LINE_ROWS
+    # the first target is reached at row 1 (row 2 depends on rows 0 and
+    # 1), the second at row 3, the last one it needs
+    targets = [combine(rows, {0: q, 1: one}),
+               combine(rows, {3: one / (q + 1)})]
+    row, asked = recording(rows)
+    got = span_witnesses(row, len(rows), [flat(t) for t in targets])
+    for t, lam in zip(targets, got):
+        assert combine(rows, lam) == t
+    # rows 0 to 3 mod p, then the exact solve on some of them
+    assert asked[:4] == [0, 1, 2, 3]
+    assert set(asked) == {0, 1, 2, 3}
+
+
+def test_a_target_outside_the_span_sees_every_row():
+    rows = LINE_ROWS
+    inside = combine(rows, {1: q, 3: one})
+    row, asked = recording(rows)
+    got = span_witnesses(row, len(rows), [flat(inside), flat({"z": one})])
+    assert got[1] is None
+    assert combine(rows, got[0]) == inside
+    # every row mod p, then every row in the full exact elimination
+    assert asked == list(range(len(rows))) * 2
+
+
+def test_no_target_builds_no_row():
+    row, asked = recording(LINE_ROWS)
+    assert span_witnesses(row, len(LINE_ROWS), []) == []
+    assert asked == []
+
+
 def test_residue_is_one_ring_map():
     assert residue(POLE) is None and residue(TINY) is None
     assert residue(q - residue_point("q")) == 0
