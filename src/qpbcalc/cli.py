@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from .braidext import (
     GradedBalancedTensor,
@@ -162,6 +161,8 @@ def _run_suite(name, bundle, n, k):
     except BudgetExceededError as e:
         return [_budget_report(name, bundle.name, e)]
     except Exception as e:  # a crash in one suite is that suite's failure
+        import traceback
+
         traceback.print_exc()
         rep = CheckReport(suite=name, example=bundle.name)
         rep.record(False, name, "no exception", f"{type(e).__name__}: {e}")

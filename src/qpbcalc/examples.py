@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import pathlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .braidext import GradedBalancedTensor, raw_pair, sigma_bullet
 from .calculus import DiffCalculus, Element, GradedTensor
@@ -20,7 +20,7 @@ from .comodule import ComoduleAlgebra, TranslationData
 from .exprs import eval_form, eval_tensor
 from .hopf import HopfPresentation
 from .ncalg import (AlgebraPresentation, GeneratorSymbol, NCPoly, add_term,
-                    flat_of, same_key)
+                    flat_of, memo, same_key)
 from .qpb import CompleteCalculus, span_gap, unreached
 from .report import CheckReport, timed
 from .scalars import Parameter, Scalar, q_binomial, sign
@@ -31,26 +31,21 @@ class ExampleError(Exception):
     pass
 
 
-@dataclass
-class OracleEntry:
-    kind: str          # "sigma" or "ver"
-    args: tuple        # sigma: (x_expr, y_expr); ver: (k, l, x_expr)
-    expected: object   # expression string or prebuilt TensorPoly
-    ref: str = ""
+# kind: "sigma" or "ver"; args: sigma (x_expr, y_expr), ver (k, l, x_expr);
+# expected: an expression string or a prebuilt TensorPoly
+OracleEntry = namedtuple("OracleEntry", "kind args expected ref",
+                         defaults=("",))
 
 
-@dataclass
 class ExampleBundle:
-    name: str
-    ca: ComoduleAlgebra
-    td: TranslationData
-    cc: CompleteCalculus
-    params: dict
-    connection: dict
-    ell: object = None
-    oracles: list = field(default_factory=list)
-    strong_form: str = "none"   # the [strong] form the bundle was read with
-    crossed: CrossedProductData | None = None   # input of crossed_product
+    def __init__(self, name, ca: ComoduleAlgebra, td: TranslationData,
+                 cc: CompleteCalculus, params: dict, connection: dict,
+                 ell=None, oracles=None, strong_form="none", crossed=None):
+        self.name, self.ca, self.td, self.cc = name, ca, td, cc
+        self.params, self.connection, self.ell = params, connection, ell
+        self.oracles = [] if oracles is None else oracles
+        self.strong_form = strong_form   # the [strong] form it was read with
+        self.crossed = crossed   # the CrossedProductData of crossed_product
 
     @property
     def omega_A(self):
@@ -117,25 +112,28 @@ def qbinomial_strong_connection(ca: ComoduleAlgebra, q: Scalar):
 # -- crossed products ---------------------------------------------------------------
 
 
-@dataclass
 class CrossedProductData:
     """Grouplike-driven crossed product input.
 
     B with its calculus, a Laurent structure group on one generator, a
     measure given per generator (diagonal on the B generators), and a
-    bicharacter 2-cocycle on grouplike powers, sigma(m, n) = base^(m n)."""
+    bicharacter 2-cocycle on grouplike powers, sigma(m, n) = base^(m n).
+    cocycle and measure_word are memoised per instance and hand out the
+    stored value."""
 
-    B: AlgebraPresentation
-    omega_B: DiffCalculus
-    H: HopfPresentation
-    omega_H: DiffCalculus
-    measure: dict           # (hgen_name, bgen_name) -> NCPoly
-    cocycle_base: Scalar
-    name: str = "crossed"
+    def __init__(self, B: AlgebraPresentation, omega_B: DiffCalculus,
+                 H: HopfPresentation, omega_H: DiffCalculus, measure: dict,
+                 cocycle_base: Scalar, name="crossed"):
+        self.B, self.omega_B, self.H, self.omega_H = B, omega_B, H, omega_H
+        self.measure = measure   # (hgen_name, bgen_name) -> NCPoly
+        self.cocycle_base, self.name = cocycle_base, name
+        self._cocycle_cache, self._measure_cache = {}, {}
 
+    @memo("_cocycle_cache")
     def cocycle(self, m: int, n: int) -> Scalar:
         return self.cocycle_base ** (m * n)
 
+    @memo("_measure_cache")
     def measure_word(self, n: int, word) -> NCPoly:
         """t^n acting on a B word, generator-wise."""
         hgen = self.H.base.generators[0].name

@@ -11,7 +11,7 @@ line/column positions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .calculus import DiffCalculus, Element, GradedTensor
@@ -33,11 +33,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[-+*/^(),]))")
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    col: int
+Token = namedtuple("Token", "kind text col")
 
 
 def tokenize(text: str, line=None):

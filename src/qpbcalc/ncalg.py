@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import os
 import types
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .report import CheckReport, timed
 from .scalars import Scalar, flat_coeff, from_flat
@@ -66,11 +66,8 @@ def reduce_budget() -> int:
                          f"got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
-    name: str
-    weight: int = 0
-    inverse_of: str | None = None
+GeneratorSymbol = namedtuple("GeneratorSymbol", "name weight inverse_of",
+                             defaults=(0, None))
 
 
 def add_term(terms, key, c):
@@ -460,16 +457,30 @@ class NCPoly(SparseSum):
         return (len(w), w)
 
 
-@dataclass(frozen=True)
 class RewriteRule:
-    """lhs -> rhs; flat_rhs is rhs as flat terms ((word, e), c), made once."""
-    lhs: Word
-    rhs: NCPoly
-    flat_rhs: tuple = field(init=False, repr=False, compare=False)
+    """lhs -> rhs; flat_rhs is rhs as flat terms ((word, e), c), made once.
+    A rule is immutable and compares and hashes by (lhs, rhs)."""
 
-    def __post_init__(self):
+    __slots__ = ("lhs", "rhs", "flat_rhs")
+
+    def __init__(self, lhs: Word, rhs: NCPoly):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "flat_rhs",
-                           tuple(flat_of(self.rhs.terms, same_key).items()))
+                           tuple(flat_of(rhs.terms, same_key).items()))
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"RewriteRule is immutable: cannot set {attr}")
+
+    def __eq__(self, other):
+        return (type(other) is RewriteRule
+                and (self.lhs, self.rhs) == (other.lhs, other.rhs))
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
+
+    def __repr__(self):
+        return f"RewriteRule(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
 
 class AlgebraPresentation:

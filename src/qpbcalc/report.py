@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 SCHEMA = "qpbcalc.report/1"
 
@@ -12,31 +12,27 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class Witness:
-    input: str
-    expected: str
-    got: str
-    ref: str = ""
+class Witness(namedtuple("Witness", "input expected got ref",
+                         defaults=("",))):
+    __slots__ = ()
 
     def to_dict(self):
-        return {"input": self.input, "expected": self.expected,
-                "got": self.got, "ref": self.ref}
+        return self._asdict()
 
 
-@dataclass
 class CheckReport:
     """Outcome of one identity suite on one example."""
 
-    suite: str
-    example: str
-    truncation: dict = field(default_factory=dict)
-    _status: str = PASS
-    witnesses: list = field(default_factory=list)
-    ref: str = ""
-    notes: list = field(default_factory=list)
-    checks: int = 0
-    duration: float = 0.0
+    __slots__ = ("suite", "example", "truncation", "_status", "witnesses",
+                 "ref", "notes", "checks", "duration")
+
+    def __init__(self, suite, example, truncation=None, _status=PASS,
+                 witnesses=None, ref="", notes=None, checks=0, duration=0.0):
+        self.suite, self.example, self._status = suite, example, _status
+        self.truncation = {} if truncation is None else truncation
+        self.witnesses = [] if witnesses is None else witnesses
+        self.notes = [] if notes is None else notes
+        self.ref, self.checks, self.duration = ref, checks, duration
 
     @property
     def status(self) -> str:

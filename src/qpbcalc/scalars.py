@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -72,12 +72,10 @@ class DivisionByZeroError(ScalarError):
     pass
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(namedtuple("Parameter", "name invertible", defaults=(True,))):
     """A named formal parameter of the coefficient field."""
 
-    name: str
-    invertible: bool = True
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

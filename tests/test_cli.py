@@ -1,6 +1,9 @@
 import collections
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -16,10 +19,37 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def python(*argv):
+    """A fresh interpreter importing qpbcalc from this checkout."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_list(capsys):
     code, out, _ = run(capsys, "list")
     assert code == 0
     assert "torus" in out and "graded" in out
+
+
+def test_python_m_qpbcalc():
+    proc = python("-m", "qpbcalc", "list")
+    assert proc.returncode == 0, proc.stderr
+    assert "torus" in proc.stdout and "graded" in proc.stdout
+
+
+def test_import_loads_no_introspection_modules():
+    # every run of the CLI is a fresh process that pays for each module
+    # imported; counted over a bare interpreter, so what site loads is not
+    probe = ("import sys; before = set(sys.modules); import qpbcalc.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    proc = python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "qpbcalc.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                        "traceback", "textwrap"}
 
 
 def test_reduce_chained_relations(capsys):
@@ -157,13 +187,14 @@ def test_suite_exception_is_a_failure_report(capsys, monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli.SUITES, "hopf", broken)
-    code, out, _ = run(capsys, "check", "all", "--example", "u1_q",
-                       "--max-word-len", "2", "--max-degree", "2",
-                       "--format", "json")
+    code, out, err = run(capsys, "check", "all", "--example", "u1_q",
+                         "--max-word-len", "2", "--max-degree", "2",
+                         "--format", "json")
     assert code == 1
     reports = {r["suite"]: r for r in json.loads(out)}
     assert reports["hopf"]["status"] == "fail"
     assert reports["hopf"]["witnesses"][0]["got"] == "RuntimeError: boom"
+    assert err.startswith("Traceback") and "RuntimeError: boom" in err
     assert reports["tau"]["status"] == "pass"
 
 

@@ -60,6 +60,24 @@ def test_crossed_validation():
     assert rep.ok(), rep.witnesses[:3]
 
 
+def test_crossed_memo_belongs_to_one_instance():
+    # cocycle and measure_word are memoised per instance: data with one
+    # measure entry negated must not read the shipped data's values, nor
+    # leave its own behind for them
+    data = build_example("crossed_demo").crossed
+    shipped = crossed_validation(data)
+    measure = dict(data.measure)
+    measure[("t", "x")] = -measure[("t", "x")]
+    broken = CrossedProductData(data.B, data.omega_B, data.H, data.omega_H,
+                                measure, data.cocycle_base, "broken_demo")
+    rep = crossed_validation(broken)
+    assert rep.status == "fail"
+    assert [w.input for w in rep.witnesses if w.input.startswith(
+        ("measure-respects", "twisted"))]
+    again = crossed_validation(data)
+    assert again.ok() and again.checks == shipped.checks > 0
+
+
 def test_crossed_structure():
     bundle = build_example("crossed_demo")
     rep = crossed_structure_check(bundle, 3)
