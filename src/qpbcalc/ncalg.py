@@ -9,6 +9,9 @@ The presentation is the one normal-form engine: flat_normal_word rewrites
 in flat ints and holds the one normal-form memo (_nf_cache, read-only
 tuples ((w', e), c)); the calculus reads it flat, and normal_word, reduce
 and multiply, the NCPoly boundary, read it in Scalar arithmetic.
+QPBCALC_REDUCE_BUDGET bounds each word's cold rewrite steps: a memo hit
+costs the steps its word took cold, so a word fits the budget or not
+whatever the process normalised before.
 
 SparseSum is the finite-sum arithmetic of NCPoly and of the tensor type
 (tensors.TensorPoly), whose coefficients are Scalars.  FlatSum, the sum
@@ -57,7 +60,7 @@ class BudgetExceededError(NCAlgError):
 
 
 def reduce_budget() -> int:
-    """Rewrite steps allowed per normal-form computation."""
+    """Cold rewrite steps allowed per word's normal form."""
     raw = os.environ.get("QPBCALC_REDUCE_BUDGET", "2000000")
     try:
         return int(raw)
@@ -503,6 +506,8 @@ class AlgebraPresentation:
         for lst in self._by_first.values():
             lst.sort(key=lambda r: (-len(r.lhs), r.lhs))
         self._nf_cache: dict[Word, tuple] = {}
+        # the cold rewrite steps of each _nf_cache word, for the budget
+        self._nf_steps: dict[Word, int] = {}
         self._validate()
 
     # -- construction helpers
@@ -563,7 +568,8 @@ class AlgebraPresentation:
     def flat_normal_word(self, word) -> tuple:
         """Normal form of the word (a tuple) as a read-only tuple of flat
         terms ((w', e), c), memoised in _nf_cache, the one normal-form memo:
-        the rewrite loop runs in ints through each rule's flat_rhs."""
+        the rewrite loop runs in ints through each rule's flat_rhs, and a
+        memo hit inside it is charged its word's cold steps (_nf_steps)."""
         # not a memo(): the rewrite loop below reads _nf_cache for each word
         cache = self._nf_cache
         out = cache.get(word)
@@ -571,13 +577,15 @@ class AlgebraPresentation:
             return out
         self._check_declared(word)
         budget = reduce_budget()
+        cold = self._nf_steps
         acc = {}
         stack = [(word, 0, 1)]
         steps = 0
-        while stack:
+        while stack and steps <= budget:
             w, e, c = stack.pop()
             hit = cache.get(w)
             if hit is not None:
+                steps += cold[w]
                 for (w2, e2), c2 in hit:
                     add_flat(acc, (w2, e + e2), c * c2)
                 continue
@@ -586,15 +594,16 @@ class AlgebraPresentation:
                 add_flat(acc, (w, e), c)
                 continue
             steps += 1
-            if steps > budget:
-                raise BudgetExceededError(
-                    f"{self.name}: reduction budget exceeded on "
-                    f"{'*'.join(word)}")
             i, rule = m
             pre, post = w[:i], w[i + len(rule.lhs):]
             for (mid, e2), c2 in rule.flat_rhs:
                 stack.append((pre + mid + post, e + e2, c * c2))
+        if steps > budget:
+            raise BudgetExceededError(
+                f"{self.name}: reduction budget exceeded on "
+                f"{'*'.join(word)}")
         out = cache[word] = tuple(acc.items())
+        cold[word] = steps
         return out
 
     def _scalar_sum(self, terms) -> NCPoly:

@@ -14,16 +14,15 @@ Laurent polynomial with int coefficients over the shared unit denominator,
 stays in machine ints; Fractions arise from non-integral constants and
 inside the rational-function path (division and the gcds that follow it).
 
-A product of two Laurent polynomials over the unit denominator where one
-operand is a unit, a single term c*x^m (or a constant c), and the other has
-the same parameters (or none) is a shift and a scale: the other operand's
-exponents move by m and its coefficients are multiplied by c, in one pass,
-and the result is built slot by slot over the shared unit denominator.  It
-keeps the canonical form of the general constructor: a parameter whose
-exponent cancels everywhere is dropped (q^k * q^-k is a constant with no
-names), an integral coefficient is an int, and equal values hash equal.
-Operands over different parameters, and products of two polynomials with
-several terms, take the general path.
+Each operation has one path: a product or sum of two Laurent polynomials
+over the unit denominator is multiplied or added out and its unused
+parameters dropped; any other product or sum is cross-multiplied and
+reduced by the general constructor.  Two shortcuts come first in a
+product.  A product by the shared one returns the other operand, since
+most products in the braid checks are of that kind.  A product by a
+constant scales the other operand's coefficients and keeps its names and
+unit denominator, since the graded checks at a substituted parameter
+(q -> 3) make hundreds of thousands of such products.
 
 Reducing num/den takes polynomial gcds over Z.  A univariate gcd is found
 by heuristic GCD (Char, Geddes and Gonnet, J. Symb. Comput. 7 (1989)):
@@ -31,13 +30,8 @@ the primitive parts are evaluated at a large integer, the integer gcd of
 the values is read back as a polynomial, and the candidate is accepted
 only if it divides both inputs exactly, so the answer is exact.  When
 every evaluation point fails, Euclid over Q (_gcd_univariate) answers.
-The quotients of that trial division are the cofactors num/g and den/g, so
-reducing divides nothing twice.  Multivariate gcds use a primitive PRS
-whose contents recurse down to the univariate case.
-
-Products and sums of rational functions cancel their operands against each
-other before multiplying out (Henrici), so they take gcds of the small
-factors only and build their result already in lowest terms.
+Multivariate gcds use a primitive PRS whose contents recurse down to the
+univariate case.
 
 The graded path works on flat terms instead of Scalars: flat_coeff turns a
 Laurent polynomial with int coefficients into ((e, c), ...), with c an int
@@ -262,23 +256,21 @@ _HEU_GCD_TRIES = 6
 
 
 def _heu_gcd(f, g, i):
-    """(h, f/h, g/h) as dense lists, lowest degree first, for the primitive
-    gcd h of f and g, univariate in variable i, by heuristic GCD over Z
-    (Char, Geddes, Gonnet 1989); None if every evaluation point fails.
+    """The primitive gcd of f and g, univariate in variable i, as a dense
+    list, lowest degree first, by heuristic GCD over Z (Char, Geddes,
+    Gonnet 1989); None if every evaluation point fails.
 
     The primitive parts are evaluated at xi, the candidate is rebuilt from
     the integer gcd of the values in the symmetric xi-adic representation,
-    and it is accepted only if it divides both exactly; the quotients of
-    that trial division, times the contents, are the cofactors.  With
+    and it is accepted only if it divides both exactly.  With
     xi >= 2 min(|f|, |g|) + 2 (max norms), a candidate that divides both is
     the gcd."""
-    cf, cg = _content(f), _content(g)
-    f = _dense(_int_coeffs(_pdiv_const(f, cf)), i)
-    g = _dense(_int_coeffs(_pdiv_const(g, cg)), i)
+    f = _dense(_int_coeffs(_pdiv_const(f, _content(f))), i)
+    g = _dense(_int_coeffs(_pdiv_const(g, _content(g))), i)
     if f is None or g is None:
         return None
     if len(f) == 1 or len(g) == 1:
-        return [1], _scale_dense(f, cf), _scale_dense(g, cg)
+        return [1]
     xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
     for _ in range(_HEU_GCD_TRIES):
         ff = gg = 0
@@ -298,24 +290,12 @@ def _heu_gcd(f, g, i):
             # the top digit of a positive value is positive
             cont = math.gcd(*h)
             h = [c // cont for c in h]
-            fq = _dense_quo(f, h)
-            if fq is not None:
-                gq = _dense_quo(g, h)
-                if gq is not None:
-                    return h, _scale_dense(fq, cf), _scale_dense(gq, cg)
+            if (_dense_quo(f, h) is not None
+                    and _dense_quo(g, h) is not None):
+                return h
         # the next point grows by about xi**1.25, as in Liao and Fateman
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
-
-
-def _scale_dense(d, c):
-    """Dense coefficients d times a content c, integral ones as ints."""
-    if c == 1:
-        return d
-    d = [a * c for a in d]
-    if type(c) is int:
-        return d
-    return [a.numerator if a.denominator == 1 else a for a in d]
 
 
 def _gcd_univariate(f, g, i):
@@ -366,7 +346,7 @@ def _pgcd(f, g):
         r = _heu_gcd(f, g, i)
         if r is None:
             return _gcd_univariate(f, g, i)
-        return _sparse(r[0], i, len(next(iter(f))))
+        return _sparse(r, i, len(next(iter(f))))
     # primitive PRS in variable i, contents handled recursively
     cf = _coeffs_in(f, i)
     cg = _coeffs_in(g, i)
@@ -390,23 +370,9 @@ def _pgcd(f, g):
 
 def _gcd_cofactors(f, g):
     """(h, f/h, g/h) for nonzero ordinary polynomials f and g, where h is
-    the primitive gcd that _pgcd gives.
-
-    A univariate pair reads the cofactors off the heuristic gcd's trial
-    division; any other pair divides again."""
-    nv = len(next(iter(f)))
-    used = _nvars_used(f) | _nvars_used(g)
-    if len(used) == 1:
-        i = used.pop()
-        r = _heu_gcd(f, g, i)
-        if r is not None:
-            h, fq, gq = r
-            if h == [1]:
-                return _UNIT_DENS[nv], f, g
-            return (_sparse(h, i, nv), _sparse(fq, i, nv),
-                    _sparse(gq, i, nv))
+    the primitive gcd that _pgcd gives."""
     h = _pgcd(f, g)
-    if h == _UNIT_DENS[nv]:
+    if h == _UNIT_DENS[len(next(iter(f)))]:
         return h, f, g
     return h, _pdivexact(f, h), _pdivexact(g, h)
 
@@ -508,7 +474,8 @@ class Scalar:
         names, (an, ad), (bn, bd) = _align(self, other)
         if self.unit_den and other.unit_den:
             return _from_laurent(names, _padd(an, bn))
-        return _rational_add(names, an, ad, bn, bd)
+        return Scalar(names, _padd(_pmul(an, bd), _pmul(bn, ad)),
+                      _pmul(ad, bd))
 
     __radd__ = __add__
 
@@ -529,12 +496,12 @@ class Scalar:
         if self is _ONE:
             return _coerce(other)
         other = _coerce(other)
+        an, bn = self.num, other.num
+        if not an or not bn:
+            return _ZERO
         if self.unit_den and other.unit_den:
-            an, bn = self.num, other.num
-            if not an or not bn:
-                return _ZERO
-            # a unit c*x^m (or a constant c) times a Laurent polynomial is a
-            # shift of its exponents by m and a scale of its coefficients
+            # Constant times a Laurent polynomial: a scale of its
+            # coefficients, keeping its names.
             if not self.names:
                 c = an[()]
                 return other if c == 1 else _laurent(other.names,
@@ -543,17 +510,10 @@ class Scalar:
                 c = bn[()]
                 return self if c == 1 else _laurent(self.names,
                                                     _scaled(an, c))
-            if self.names == other.names:
-                if len(bn) == 1:
-                    return _unit_mul(self.names, an, bn)
-                if len(an) == 1:
-                    return _unit_mul(self.names, bn, an)
             names, (an, _), (bn, _) = _align(self, other)
             return _from_laurent(names, _pmul(an, bn))
-        if not self.num or not other.num:
-            return _ZERO
         names, (an, ad), (bn, bd) = _align(self, other)
-        return _rational_mul(names, an, ad, bn, bd)
+        return Scalar(names, _pmul(an, bn), _pmul(ad, bd))
 
     __rmul__ = __mul__
 
@@ -688,66 +648,6 @@ def _drop_unused(names, num, den):
     return names, num, den
 
 
-# Henrici's reduced-operand arithmetic (J. ACM 3 (1956); Knuth, TAOCP
-# vol. 2, 4.5.1): cancel the operands against each other before they are
-# multiplied out, so only small gcds are taken and the result is already
-# in lowest terms.  By Gauss's lemma products and exact quotients of
-# canonical denominators are canonical again: primitive, with a positive
-# leading coefficient and no monomial factor.
-
-
-def _cancel(n, d, nv):
-    """(n/h, d/h) for h = gcd(n, d), n a Laurent polynomial and d a
-    canonical denominator."""
-    if len(d) == 1:
-        return n, d
-    mins = _min_exps(n, nv)
-    if any(mins):
-        _, n0, d = _gcd_cofactors(_shift(n, tuple(-e for e in mins)), d)
-        return _shift(n0, mins), d
-    _, n, d = _gcd_cofactors(n, d)
-    return n, d
-
-
-def _reduced(names, num, den):
-    """The Scalar num/den, already in lowest terms with a canonical den."""
-    if not num:
-        return _ZERO
-    names, num, den = _drop_unused(names, _int_coeffs(num), _int_coeffs(den))
-    return Scalar(names, num, den, _canonical=True)
-
-
-def _rational_mul(names, an, ad, bn, bd):
-    """an/ad * bn/bd with gcd(an, bd) and gcd(bn, ad) cancelled first: the
-    factors left are coprime crosswise."""
-    nv = len(names)
-    an, bd = _cancel(an, bd, nv)
-    bn, ad = _cancel(bn, ad, nv)
-    return _reduced(names, _pmul(an, bn), _pmul(ad, bd))
-
-
-def _rational_add(names, an, ad, bn, bd):
-    """an/ad + bn/bd, reducing only against what the denominators share."""
-    nv = len(names)
-    if len(ad) == 1:
-        # gcd(an bd + bn, bd) = gcd(bn, bd) = 1
-        return _reduced(names, _padd(_pmul(an, bd), bn), bd)
-    if len(bd) == 1:
-        return _reduced(names, _padd(an, _pmul(bn, ad)), ad)
-    if ad == bd:
-        t = _padd(an, bn)
-        if not t:
-            return _ZERO
-        return _reduced(names, *_cancel(t, ad, nv))
-    g, ad1, bd1 = _gcd_cofactors(ad, bd)
-    t = _padd(_pmul(an, bd1), _pmul(bn, ad1))
-    if len(g) == 1 or not t:
-        return _reduced(names, t, _pmul(ad, bd1))
-    # gcd(t, ad/g) = gcd(t, bd/g) = 1, so only g can share a factor with t
-    t, g = _cancel(t, g, nv)
-    return _reduced(names, t, _pmul(ad1, _pmul(bd1, g)))
-
-
 def _mono_str(m, names):
     parts = []
     for name, e in zip(names, m):
@@ -827,28 +727,6 @@ def _from_laurent(names, num):
 def _scaled(f, c):
     """f times a nonzero coefficient c, integral coefficients as ints."""
     return _int_coeffs({m: a * c for m, a in f.items()})
-
-
-def _unit_mul(names, f, unit):
-    """The Scalar f * c*x^m for the one-term Laurent dict unit = {m: c},
-    both over names: each exponent of f shifted by m, each coefficient
-    scaled by c."""
-    ((m, c),) = unit.items()
-    if len(names) == 1:
-        (e,) = m
-        if len(f) == 1:
-            (((k,), a),) = f.items()
-            a = a * c
-            if type(a) is not int and a.denominator == 1:
-                a = a.numerator
-            if k == -e:
-                return _laurent((), {(): a})
-            return _laurent(names, {(k + e,): a})
-        # distinct exponents stay distinct, so the parameter stays used
-        return _laurent(names, _int_coeffs({(k + e,): a * c
-                                            for (k,), a in f.items()}))
-    return _from_laurent(names, {tuple(map(operator.add, k, m)): a * c
-                                 for k, a in f.items()})
 
 
 _ZERO = Scalar((), {}, _UNIT_DENS[0], _canonical=True)

@@ -146,7 +146,7 @@ def test_budget_exhaustion_is_inconclusive_per_suite(capsys, monkeypatch):
     assert {r["suite"] for r in reports} >= {"hopf", "tau", "graded"}
 
 
-@pytest.mark.parametrize("budget, word", [("0", "ti*t"), ("1", "u*v*ui")])
+@pytest.mark.parametrize("budget, word", [("0", "ti*t"), ("1", "ti*ti*t*t")])
 def test_budget_exhaustion_while_loading_is_inconclusive(
         capsys, monkeypatch, budget, word):
     # structural validation of a fresh torus runs out of budget before
@@ -170,6 +170,26 @@ def test_budget_exhaustion_while_loading_is_inconclusive(
                        "--format", "json")
     assert code == 1
     assert [r["suite"] for r in json.loads(out)] == ["hopf"]
+
+
+@pytest.mark.parametrize("budget", ["8", "12", "20"])
+def test_budget_verdict_does_not_depend_on_what_ran_before(
+        capsys, monkeypatch, budget):
+    # a memo hit is charged the cold rewrite steps of its word, so a suite
+    # that fits the budget inside check all fits it alone on a fresh bundle
+    from qpbcalc import examples
+
+    monkeypatch.setenv("QPBCALC_REDUCE_BUDGET", budget)
+
+    def statuses(suite):
+        monkeypatch.setattr(examples, "_CACHE", {})
+        _, out, _ = run(capsys, "check", suite, "--example", "podles",
+                        "--format", "json")
+        return {r["suite"]: r["status"] for r in json.loads(out)}
+
+    together = statuses("all")
+    for suite in ("strong", "oracle", "bm"):
+        assert statuses(suite) == {suite: together[suite]}, suite
 
 
 def test_malformed_budget_is_usage_error(capsys, monkeypatch):

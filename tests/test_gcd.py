@@ -3,9 +3,9 @@
 ``_pgcd`` answers univariate inputs by heuristic GCD over Z and falls back
 to Euclid over Q (``_gcd_univariate``) when every evaluation point fails.
 Both must return the primitive gcd with a positive leading coefficient,
-the one ``sympy.gcd`` gives after clearing denominators and content.  The
-cofactors f/h and g/h that the heuristic gcd keeps from its trial division
-(and ``_gcd_cofactors`` passes on) must give back both inputs.
+the one ``sympy.gcd`` gives after clearing denominators and content, and
+the cofactors f/h and g/h that ``_gcd_cofactors`` divides out must give
+back both inputs.
 """
 
 from fractions import Fraction
@@ -76,13 +76,13 @@ def check_gcd(h, f, g, i):
 
 
 def check_cofactors(f, g, i):
-    """The cofactors of _heu_gcd and _gcd_cofactors times the gcd give back
-    f and g, and _gcd_cofactors returns the gcd of _pgcd."""
+    """_heu_gcd, when it answers, gives sympy's gcd; the cofactors of
+    _gcd_cofactors times the gcd give back f and g, and _gcd_cofactors
+    returns the gcd of _pgcd."""
     nv = len(next(iter(f)))
     r = _heu_gcd(f, g, i)
     if r is not None:
-        h, fq, gq = (_sparse(d, i, nv) for d in r)
-        assert _pmul(fq, h) == f and _pmul(gq, h) == g
+        assert univariate(_sparse(r, i, nv), i) == sympy_gcd(f, g, i)
     h, fq, gq = _gcd_cofactors(f, g)
     assert h == _pgcd(f, g)
     assert _pmul(fq, h) == f and _pmul(gq, h) == g

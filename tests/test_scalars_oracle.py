@@ -180,13 +180,12 @@ def test_matches_evaluation_at_rational_points(e, pts):
     assume(checked)
 
 
-# -- Henrici's reduced-operand paths ------------------------------------------
+# -- products and sums of rational functions ----------------------------------
 #
-# Products and sums of rational functions cancel the operands against each
-# other before multiplying out.  Pairs are drawn in the shapes that reach
-# each branch: equal denominators, one operand with a unit denominator,
-# factors that cancel crosswise, and sums whose denominators share a factor
-# that the sum's numerator shares too.  Every result must equal sympy, the
+# Pairs are drawn in the shapes where cancellation is easy to get wrong:
+# equal denominators, one operand with a unit denominator, factors that
+# cancel crosswise, and sums whose denominators share a factor that the
+# sum's numerator shares too.  Every result must equal sympy, the
 # multiply-then-canonicalise formula Scalar(names, num, den), and be in
 # canonical form.
 
@@ -304,11 +303,11 @@ def test_cancelling_sums_reach_the_second_gcd():
     assert_canonical(got)
 
 
-# -- the Laurent unit path -------------------------------------------------------
+# -- products and sums with a Laurent unit -------------------------------------
 #
-# A unit c*x^m (or a constant c) times a Laurent polynomial over the same
-# parameters is a shift of the exponents and a scale of the coefficients,
-# built without the general constructor.  Operands are drawn mostly with one
+# A constant c times a Laurent polynomial is a scale of the coefficients,
+# built without the general constructor, and a unit c*x^m times one is a
+# product of Laurent polynomials.  Operands are drawn mostly with one
 # term: units with negative exponents and int or non-integral Fraction
 # coefficients, constants, one- and two-parameter Laurent polynomials, and
 # pairs built to cancel: products that leave a constant or drop one
